@@ -10,13 +10,12 @@ from ._version import __version__
 from .dsl import analyze_calls, parse_program, validate
 from .partition import compute_images, emit, load_plan
 from .runtime import (
-    CostModel, DualRuntime, ExecutionResult, SingleRuntime, load, run_main,
-    run_reference, run_unpartitioned,
+    CostModel, DualRuntime, ExecutionResult, load, run_main, run_reference,
+    run_unpartitioned,
 )
 
 __all__ = [
-    "CostModel", "DualRuntime", "ExecutionResult", "SingleRuntime",
-    "__version__", "analyze_calls", "compute_images", "emit", "load",
+    "CostModel", "DualRuntime", "ExecutionResult", "__version__", "analyze_calls", "compute_images", "emit", "load",
     "load_plan", "parse_program", "run_main", "run_reference",
     "run_unpartitioned", "validate",
 ]

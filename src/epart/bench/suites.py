@@ -93,7 +93,7 @@ class BenchReport:
 
 def _build(source: str, model: CostModel, **kwargs) -> DualRuntime:
     plan = compute_images(parse_program(source))
-    return DualRuntime(plan, model=model, gc_mode="deterministic", **kwargs)
+    return DualRuntime(plan, model=model, **kwargs)
 
 
 def _source_cycles(rt: DualRuntime, side: str, *sources: str) -> int:
@@ -486,8 +486,7 @@ def sweep_partition_ratio(steps=SWEEP_STEPS, n_classes: int = 100,
         spec = SyntheticSpec(n_classes=n_classes, pct_untrusted=pct,
                              workload=workload, seed=seed)
         prog = parse_program(generate_synthetic(spec))
-        rt = DualRuntime(compute_images(prog), model=model,
-                         gc_mode="deterministic")
+        rt = DualRuntime(compute_images(prog), model=model)
         res = rt.run_main([])
         base = run_reference(prog, [], model=model)
         matches = (res.transcript == base.transcript and res.vfs == base.vfs)

@@ -26,8 +26,8 @@ from .bench import SUITES, run_suite
 from .dsl import parse_program, validate
 from .dsl.ast import Annotation
 from .errors import DslRuntimeError, EpartError, ParseError
-from .partition import compute_images, emit, load_plan
-from .runtime import DualRuntime, run_reference, run_unpartitioned
+from .partition import compute_images, emit, load_plan, whole_program_plan
+from .runtime import DualRuntime, run_unpartitioned
 from .runtime.costmodel import load_model
 
 EXIT_OK = 0
@@ -81,6 +81,20 @@ def _dump_fs(vfs: dict[str, str], out_dir: str) -> None:
         target = root / path.lstrip("/")
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(vfs[path], encoding="utf-8")
+
+
+def _run_to_fault(rt: DualRuntime, argv: list[str]):
+    """Run main to completion or to its first fault.
+
+    Returns the run record (partial after a fault) and the fault's
+    diagnostic text, or None when the run completed.
+    """
+    try:
+        return rt.run_main(argv), None
+    except DslRuntimeError as e:
+        return rt.result(), e.formatted()
+    except EpartError as e:
+        return rt.result(), str(e)
 
 
 def _emit_run_outputs(result, args) -> None:
@@ -139,18 +153,11 @@ def cmd_run(args) -> int:
     if not m or int(m.group(1)) < 1:
         return _fail(f"bad --gc-scan value {args.gc_scan!r}, "
                      "expected every-k=<positive int>")
-    rt = DualRuntime(plan, model=model,
-                     gc_mode="live" if args.live_gc else "deterministic",
-                     gc_scan_every=int(m.group(1)))
-    try:
-        result = rt.run_main(args.args)
-    except DslRuntimeError as e:
-        _emit_run_outputs(rt.result(), args)
-        return _fail(e.formatted())
-    except EpartError as e:
-        _emit_run_outputs(rt.result(), args)
-        return _fail(str(e))
+    rt = DualRuntime(plan, model=model, gc_scan_every=int(m.group(1)))
+    result, fault = _run_to_fault(rt, args.args)
     _emit_run_outputs(result, args)
+    if fault is not None:
+        return _fail(fault)
     return EXIT_OK
 
 
@@ -190,11 +197,17 @@ def cmd_compare(args) -> int:
             return code
     else:
         plan = compute_images(program)
-    reference = run_reference(program, args.args, model=model)
-    try:
-        partitioned = DualRuntime(plan, model=model).run_main(args.args)
-    except EpartError as e:
-        print(f"FAIL: partitioned run failed: {e}")
+    # A fault is observable behaviour: both runs must stop with the same
+    # diagnostic after writing the same transcript and files.
+    reference, ref_fault = _run_to_fault(
+        DualRuntime(whole_program_plan(program, enclave=False), model=model),
+        args.args)
+    partitioned, part_fault = _run_to_fault(DualRuntime(plan, model=model),
+                                            args.args)
+    ref_fault, part_fault = _first_line(ref_fault), _first_line(part_fault)
+    if ref_fault != part_fault:
+        print(f"FAIL: reference {_outcome(ref_fault)}, "
+              f"partitioned {_outcome(part_fault)}")
         return EXIT_ERROR
     for i, (a, b) in enumerate(zip_longest(reference.transcript,
                                            partitioned.transcript)):
@@ -211,10 +224,20 @@ def cmd_compare(args) -> int:
             return EXIT_ERROR
     print(f"PASS: {len(reference.transcript)} transcript line(s) and "
           f"{len(reference.vfs)} file(s) match")
+    if ref_fault is not None:
+        print(f"both runs stop with: {ref_fault}")
     print(f"ecalls={partitioned.total('ecalls')} "
           f"ocalls={partitioned.total('ocalls')} "
           f"shim_ocalls={partitioned.shim_ocalls}")
     return EXIT_OK
+
+
+def _first_line(fault: str | None) -> str | None:
+    return None if fault is None else fault.splitlines()[0]
+
+
+def _outcome(fault: str | None) -> str:
+    return "completed" if fault is None else f"stopped with {fault!r}"
 
 
 def _clip(s: str | None, limit: int = 32) -> str | None:
@@ -294,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--deterministic-gc", action="store_true", default=True,
                     help="collect at allocation-threshold safepoints (default)")
     gc.add_argument("--live-gc", action="store_true", default=False,
-                    help="collect from timed background helpers")
+                    help="alias of --deterministic-gc, kept for existing "
+                         "command lines")
     p.add_argument("--gc-scan", default="every-k=1", metavar="every-k=N",
                    help="scan for dead proxies every N collections")
     p.add_argument("--dump-fs", metavar="DIR",

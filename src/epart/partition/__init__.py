@@ -11,6 +11,7 @@ from .model import (
 )
 from .plan import (
     ImageSpec, InterfaceDescriptor, InterfaceRecord, PartitionPlan, compute_images,
+    whole_program_plan,
 )
 
 __all__ = [
@@ -20,5 +21,5 @@ __all__ = [
     "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
     "generate_proxies", "relay_direction", "synthesize_relays",
     "ImageSpec", "InterfaceDescriptor", "InterfaceRecord", "PartitionPlan",
-    "compute_images",
+    "compute_images", "whole_program_plan",
 ]

@@ -69,8 +69,6 @@ class ProxyClassDef:
     direction: str  # "ecall" (proxy for a trusted class) or "ocall"
     stubs: tuple[StubMethod, ...]
 
-    HASH_FIELD = "hash"
-
     def stub(self, name: str) -> StubMethod | None:
         for s in self.stubs:
             if s.name == name:

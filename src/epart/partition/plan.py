@@ -77,13 +77,13 @@ class ImageSpec:
 
 @dataclass
 class PartitionPlan:
-    trusted_image: ImageSpec
+    trusted_image: ImageSpec | None      # None: no enclave at all
     untrusted_image: ImageSpec
     descriptor: InterfaceDescriptor
     annotations: dict[str, Annotation]   # every program class, declaration order
     class_ids: dict[str, int]            # stable ids for the wire format
 
-    def image(self, side: Annotation) -> ImageSpec:
+    def image(self, side: Annotation) -> ImageSpec | None:
         return self.trusted_image if side == Annotation.TRUSTED else self.untrusted_image
 
 
@@ -214,3 +214,26 @@ def compute_images(program: Program) -> PartitionPlan:
     class_ids = {name: i for i, name in enumerate(sorted(annotations))}
     return PartitionPlan(trusted_image, untrusted_image, descriptor,
                          dict(annotations), class_ids)
+
+
+def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
+    """Every class in one image: the unpartitioned baselines.
+
+    With enclave set, the whole program is the trusted image and the empty
+    untrusted image only serves host shims.  Without it there is no trusted
+    image at all, so nothing crosses a boundary and nothing pays the EPC
+    penalty.
+    """
+    report = validate(program)
+    if not report.ok:
+        raise ValidationFailed(report)
+    annotations = annotation_map(program)
+    side = Annotation.TRUSTED if enclave else Annotation.UNTRUSTED
+    whole = ImageSpec(side, list(program.classes), entry_points=["main"])
+    if enclave:
+        trusted, untrusted = whole, ImageSpec(Annotation.UNTRUSTED)
+    else:
+        trusted, untrusted = None, whole
+    class_ids = {name: i for i, name in enumerate(sorted(annotations))}
+    return PartitionPlan(trusted, untrusted, InterfaceDescriptor(),
+                         annotations, class_ids)

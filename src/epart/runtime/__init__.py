@@ -6,21 +6,20 @@ from ..partition.plan import PartitionPlan
 from .costmodel import DEFAULT_TRANSITION_CYCLES, CostModel, load_model, parse_model
 from .dual import (
     DEFAULT_GC_THRESHOLD, MAX_TRANSITION_DEPTH, DualRuntime, ExecutionResult,
-    TraceEvent,
+    TraceEvent, run_reference, run_unpartitioned,
 )
 from .heap import (
     TRUSTED, UNTRUSTED, Frame, GcStats, HeapObject, InstanceObj, Isolate,
     ListObj, MetricCounters, ProxyObj, WeakSlot, other_side,
 )
 from .interp import Interpreter, wrap64
-from .single import SingleRuntime, run_reference, run_unpartitioned
 
 __all__ = [
     "CostModel", "DEFAULT_GC_THRESHOLD", "DEFAULT_TRANSITION_CYCLES",
     "DualRuntime", "ExecutionResult", "Frame", "GcStats", "HeapObject",
     "InstanceObj", "Interpreter", "Isolate", "ListObj",
-    "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "SingleRuntime",
-    "TRUSTED", "TraceEvent", "UNTRUSTED", "WeakSlot", "load", "load_model",
+    "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "TRUSTED",
+    "TraceEvent", "UNTRUSTED", "WeakSlot", "load", "load_model",
     "other_side", "parse_model", "run_main", "run_reference",
     "run_unpartitioned", "wrap64",
 ]

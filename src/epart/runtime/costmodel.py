@@ -47,12 +47,6 @@ class CostModel:
             return base
         return round(base * self.epc_penalty)
 
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
-
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(CostModel)}
 

@@ -1,6 +1,9 @@
 """Two-isolate execution of a partition plan.
 
-Each side runs its own interpreter over its own heap.  Every boundary
+Each side runs its own interpreter over its own heap.  The unpartitioned
+baselines are plans too (see whole_program_plan): every class in the
+trusted image with the untrusted isolate only serving host shims, or every
+class in the untrusted image with no trusted isolate at all.  Every boundary
 crossing (constructor, instance method, host file shim, mirror removal)
 is a transition: the caller pays the ecall/ocall cost, arguments travel
 as canonical wire bytes, and serialization is charged to whichever side
@@ -16,7 +19,6 @@ hashes back, letting the home side drop the mirror.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 
 from ..dsl import ast
@@ -25,18 +27,17 @@ from ..errors import (
     TransitionOverflow,
 )
 from ..partition.model import MarshalKind
-from ..partition.plan import PartitionPlan
+from ..partition.plan import PartitionPlan, whole_program_plan
 from . import wire
 from .costmodel import CostModel
 from .heap import (
-    TRUSTED, UNTRUSTED, UNSET, Frame, GcStats, HeapObject, InstanceObj,
-    Isolate, ListObj, MetricCounters, ProxyObj, other_side,
+    TRUSTED, UNTRUSTED, UNSET, GcStats, HeapObject, InstanceObj, Isolate,
+    ListObj, MetricCounters, ProxyObj, other_side,
 )
-from .interp import Interpreter
+from .interp import Interpreter, ensure_recursion_headroom
 
 MAX_TRANSITION_DEPTH = 256
 DEFAULT_GC_THRESHOLD = 64 * 1024
-LIVE_GC_INTERVAL = 1.0
 
 _SIDE_NAME = {ast.Annotation.TRUSTED: TRUSTED, ast.Annotation.UNTRUSTED: UNTRUSTED}
 
@@ -88,30 +89,28 @@ class ExecutionResult:
 
 
 class DualRuntime:
-    """Loads both images of a plan and executes them against each other."""
+    """Loads a plan's images and executes them against each other."""
 
     def __init__(self, plan: PartitionPlan, model: CostModel | None = None,
-                 gc_mode: str = "deterministic", gc_scan_every: int = 1,
+                 gc_scan_every: int = 1,
                  gc_threshold: int = DEFAULT_GC_THRESHOLD):
-        if gc_mode not in ("deterministic", "live"):
-            raise ValueError(f"unknown gc mode {gc_mode!r}")
         if gc_scan_every < 1:
             raise ValueError("gc_scan_every must be at least 1")
-        from .interp import ensure_recursion_headroom
         ensure_recursion_headroom()
         self.plan = plan
         self.model = model if model is not None else CostModel()
-        self.gc_mode = gc_mode
         self.gc_scan_every = gc_scan_every
         self.gc_threshold = gc_threshold
 
-        self.isolates = {side: Isolate(side, self.model)
-                         for side in (TRUSTED, UNTRUSTED)}
+        self.isolates: dict[str, Isolate] = {}
         self.classes: dict[str, dict[str, ast.ClassDecl]] = {}
         self.relays: dict[str, dict[str, object]] = {}
         self.interps: dict[str, Interpreter] = {}
         for annotation, side in _SIDE_NAME.items():
             image = plan.image(annotation)
+            if image is None:
+                continue
+            self.isolates[side] = Isolate(side, self.model)
             self.classes[side] = {c.name: c for c in image.classes}
             self.relays[side] = {r.relay_id: r for r in image.relays}
             self.interps[side] = Interpreter(
@@ -126,42 +125,27 @@ class DualRuntime:
         self.depth = 0
         self.shim_ocalls = 0
         self.remove_calls = 0
-
-        self._lock = threading.RLock()
-        self._live_stop: threading.Event | None = None
-        self._live_threads: list[threading.Thread] = []
-
-        # Values handed out through the Python API are rooted here so a
-        # collection cannot reclaim what the host still holds.
-        self.host_frames: dict[str, Frame] = {}
         self._pin_counter = 0
-        for side, iso in self.isolates.items():
-            hf = Frame("__host__")
-            iso.frames.append(hf)
-            self.host_frames[side] = hf
 
     # -- program entry -------------------------------------------------------
 
-    def find_main(self) -> tuple[ast.ClassDecl, ast.MethodDecl]:
-        for cls in self.plan.untrusted_image.classes:
-            for m in cls.methods:
-                if m.is_static and m.name == "main":
-                    return cls, m
-        raise InterfaceMismatch("untrusted image has no main entry point")
+    def find_main(self) -> tuple[str, ast.ClassDecl, ast.MethodDecl]:
+        """The side whose image holds the static main, and its location."""
+        for side in (UNTRUSTED, TRUSTED):
+            for cls in self.classes.get(side, {}).values():
+                for m in cls.methods:
+                    if m.is_static and m.name == "main":
+                        return side, cls, m
+        raise InterfaceMismatch("plan has no main entry point")
 
     def run_main(self, argv: list[str] | None = None) -> ExecutionResult:
-        cls, m = self.find_main()
-        iso = self.isolates[UNTRUSTED]
+        side, cls, m = self.find_main()
         args: list = []
         if m.params:
             lst = ListObj([str(a) for a in (argv or [])])
-            iso.alloc(lst, charged=False)
+            self.isolates[side].alloc(lst, charged=False)
             args = [lst]
-        self._start_live_gc()
-        try:
-            self.interps[UNTRUSTED].call_method(cls, m, None, args)
-        finally:
-            self._stop_live_gc()
+        self.interps[side].call_method(cls, m, None, args)
         return self.result()
 
     def result(self) -> ExecutionResult:
@@ -181,31 +165,29 @@ class DualRuntime:
 
     def construct(self, side: str, class_name: str, args: list, pin: bool = True):
         """Build an instance as code on `side` would: local or via proxy."""
-        with self._lock:
-            if class_name in self.classes[side]:
-                obj = self.interps[side].instantiate(
-                    self.classes[side][class_name], list(args))
-            else:
-                obj = self.remote_new(self.isolates[side], class_name, list(args))
-            if pin:
-                self.pin(side, obj)
-            return obj
+        if class_name in self.classes[side]:
+            obj = self.interps[side].instantiate(
+                self.classes[side][class_name], list(args))
+        else:
+            obj = self.remote_new(self.isolates[side], class_name, list(args))
+        if pin:
+            self.pin(side, obj)
+        return obj
 
     def call(self, side: str, receiver, method: str, args: list, pin: bool = True):
         """Invoke a method as code on `side` would."""
-        with self._lock:
-            if isinstance(receiver, ProxyObj):
-                result = self.remote_invoke(self.isolates[side], receiver,
-                                            method, list(args))
-            elif isinstance(receiver, InstanceObj):
-                decl = receiver.decl
-                result = self.interps[side].call_method(
-                    decl, decl.method(method), receiver, list(args))
-            else:
-                raise TypeError(f"cannot call methods on {receiver!r}")
-            if pin and isinstance(result, HeapObject):
-                self.pin(side, result)
-            return result
+        if isinstance(receiver, ProxyObj):
+            result = self.remote_invoke(self.isolates[side], receiver,
+                                        method, list(args))
+        elif isinstance(receiver, InstanceObj):
+            decl = receiver.decl
+            result = self.interps[side].call_method(
+                decl, decl.method(method), receiver, list(args))
+        else:
+            raise TypeError(f"cannot call methods on {receiver!r}")
+        if pin and isinstance(result, HeapObject):
+            self.pin(side, result)
+        return result
 
     def make_list(self, side: str, items: list) -> ListObj:
         lst = ListObj(list(items))
@@ -214,17 +196,17 @@ class DualRuntime:
         return lst
 
     def pin(self, side: str, value) -> str:
+        """Root a value the host holds so a collection cannot reclaim it."""
         self._pin_counter += 1
         key = f"pin{self._pin_counter}"
-        self.host_frames[side].env[key] = value
+        self.isolates[side].pins[key] = value
         return key
 
     def clear_pins(self, side: str) -> None:
-        self.host_frames[side].env.clear()
+        self.isolates[side].pins.clear()
 
     def force_gc(self, side: str, scan: bool = True) -> GcStats:
-        with self._lock:
-            return self._collect(self.isolates[side], force_scan=scan)
+        return self._collect(self.isolates[side], force_scan=scan)
 
     def total_cycles(self) -> int:
         return sum(iso.metrics.simulated_cycles for iso in self.isolates.values())
@@ -501,18 +483,12 @@ class DualRuntime:
 
     # -- garbage collection hooks -------------------------------------------
 
-    def stmt_guard(self, iso: Isolate):
-        return self._lock
-
     def safepoint(self, iso: Isolate) -> None:
         if iso.bytes_since_gc >= self.gc_threshold:
-            with self._lock:
-                if iso.bytes_since_gc >= self.gc_threshold:
-                    self._collect(iso, force_scan=False)
+            self._collect(iso, force_scan=False)
 
     def explicit_gc(self, iso: Isolate) -> None:
-        with self._lock:
-            self._collect(iso, force_scan=True)
+        self._collect(iso, force_scan=True)
 
     def _collect(self, iso: Isolate, force_scan: bool) -> GcStats:
         stats = iso.gc_collect()
@@ -539,30 +515,16 @@ class DualRuntime:
             self.remove_calls += 1
             self._transition(iso, direction, "remove", qual, h, b"", handler)
 
-    # -- live gc mode -----------------------------------------------------------
 
-    def _start_live_gc(self) -> None:
-        if self.gc_mode != "live":
-            return
-        self._live_stop = threading.Event()
-        for side in (TRUSTED, UNTRUSTED):
-            t = threading.Thread(target=self._gc_loop, args=(side,),
-                                 name=f"gc-{side}", daemon=True)
-            self._live_threads.append(t)
-            t.start()
+def run_unpartitioned(program: ast.Program, argv: list[str] | None = None,
+                      model: CostModel | None = None) -> ExecutionResult:
+    """Whole program inside the enclave, host builtins shimmed out."""
+    plan = whole_program_plan(program, enclave=True)
+    return DualRuntime(plan, model).run_main(argv)
 
-    def _stop_live_gc(self) -> None:
-        if self._live_stop is None:
-            return
-        self._live_stop.set()
-        for t in self._live_threads:
-            t.join()
-        self._live_threads.clear()
-        self._live_stop = None
 
-    def _gc_loop(self, side: str) -> None:
-        assert self._live_stop is not None
-        stop = self._live_stop
-        while not stop.wait(LIVE_GC_INTERVAL):
-            with self._lock:
-                self._collect(self.isolates[side], force_scan=False)
+def run_reference(program: ast.Program, argv: list[str] | None = None,
+                  model: CostModel | None = None) -> ExecutionResult:
+    """Plain host run: no enclave, no shim; the behavioral reference."""
+    plan = whole_program_plan(program, enclave=False)
+    return DualRuntime(plan, model).run_main(argv)

@@ -152,6 +152,8 @@ class Isolate:
         self.model = model
         self.heap: list[HeapObject] = []
         self.frames: list[Frame] = []
+        # values the host API handed out; GC roots outside any frame.
+        self.pins: dict[str, object] = {}
         # hash -> mirror object; strong references, GC roots.
         self.registry: dict[int, HeapObject] = {}
         # mirror object -> hash, for reusing pairings on the return path.
@@ -237,9 +239,9 @@ class Isolate:
     def gc_collect(self) -> GcStats:
         """Stop-the-world mark-sweep over this isolate's heap.
 
-        Roots: every frame's locals, receiver and evaluation temporaries, plus
-        the mirror-proxy registry values.  Weak structures (proxy table, weak
-        list) are deliberately not traced.
+        Roots: every frame's locals, receiver and evaluation temporaries, the
+        host's pins, plus the mirror-proxy registry values.  Weak structures
+        (proxy table, weak list) are deliberately not traced.
         """
         grey: list[HeapObject] = []
 
@@ -254,6 +256,8 @@ class Isolate:
                 push(v)
             for v in frame.temps:
                 push(v)
+        for v in self.pins.values():
+            push(v)
         for v in self.registry.values():
             push(v)
 

@@ -128,30 +128,16 @@ class Interpreter:
             self.context.safepoint(self.isolate)
 
     def exec_stmt(self, s: ast.Stmt, frame: Frame) -> None:
-        # The guard excludes the collector while a statement is in flight;
-        # compound statements hold it only across their condition so the
-        # lock opens at every inner statement boundary as well.
         if isinstance(s, ast.If):
-            with self.context.stmt_guard(self.isolate):
-                taken = self.eval_bool(s.cond, frame)
-            if taken:
+            if self.eval_bool(s.cond, frame):
                 self.exec_block(s.then_body, frame)
             else:
                 self.exec_block(s.else_body, frame)
         elif isinstance(s, ast.While):
-            while True:
-                with self.context.stmt_guard(self.isolate):
-                    again = self.eval_bool(s.cond, frame)
-                if not again:
-                    break
+            while self.eval_bool(s.cond, frame):
                 self.exec_block(s.body, frame)
                 self.context.safepoint(self.isolate)
-        else:
-            with self.context.stmt_guard(self.isolate):
-                self.exec_simple(s, frame)
-
-    def exec_simple(self, s: ast.Stmt, frame: Frame) -> None:
-        if isinstance(s, ast.VarDecl):
+        elif isinstance(s, ast.VarDecl):
             frame.env[s.name] = self.eval(s.init, frame)
         elif isinstance(s, ast.Assign):
             self.exec_assign(s, frame)

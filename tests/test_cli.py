@@ -150,6 +150,18 @@ class Main {
         assert main(["run", str(plan), "--gc-scan", "sometimes"]) == 1
         assert "every-k" in capsys.readouterr().err
 
+    def test_live_gc_is_an_alias(self, bank_dir, tmp_path, capsys):
+        _, plan = bank_dir
+        outputs = []
+        for flags in ([], ["--live-gc"], ["--deterministic-gc"]):
+            metrics = tmp_path / f"m{len(outputs)}.txt"
+            capsys.readouterr()
+            assert main(["run", str(plan), "--trace", "transitions",
+                         "--metrics", str(metrics)] + flags) == 0
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err, metrics.read_text()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_missing_plan_dir(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope")]) == 1
 
@@ -208,6 +220,22 @@ class Main {
         assert capsys.readouterr().out == "hello\n"
         assert "shim_ocalls = 1" in metrics.read_text()
 
+    def test_missing_read_faults_inside_the_shim(self, tmp_path, capsys):
+        src = tmp_path / "r.ep"
+        src.write_text("""
+@Untrusted
+class Main {
+    static main() {
+        var s: Str = file_read("/data/none.txt");
+    }
+}
+""")
+        assert main(["run-unpartitioned", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "runtime error: file_read of missing path: /data/none.txt\n"
+            "  -- ocall boundary __host__.file_read --\n"
+            "  at Main.main\n")
+
 
 class TestCompareCommand:
     def test_pass(self, bank_source, tmp_path, capsys):
@@ -240,6 +268,43 @@ class TestCompareCommand:
         src.write_text(DIVERGENT_SRC)
         assert main(["compare", str(src)]) == 1
         assert "FAIL: transcript line 0" in capsys.readouterr().out
+
+    FAULT_SRC = """
+@Untrusted
+class Main {
+    static main() {
+        print("before");
+        var x: Int = 1 / 0;
+    }
+}
+"""
+
+    def test_identical_faults_pass(self, tmp_path, capsys):
+        src = tmp_path / "f.ep"
+        src.write_text(self.FAULT_SRC)
+        assert main(["compare", str(src)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "PASS: 1 transcript line(s) and 0 file(s) match",
+            "both runs stop with: runtime error: division by zero",
+            "ecalls=0 ocalls=0 shim_ocalls=0",
+        ]
+
+    def test_fault_on_one_side_fails(self, tmp_path, capsys):
+        # the plan comes from a version of the program without the fault
+        clean = tmp_path / "clean.ep"
+        clean.write_text(self.FAULT_SRC.replace("1 / 0", "1 / 1"))
+        plan = tmp_path / "plan"
+        assert main(["partition", str(clean), "-o", str(plan)]) == 0
+        src = tmp_path / "f.ep"
+        src.write_text(self.FAULT_SRC)
+        capsys.readouterr()
+        assert main(["compare", str(src), "--plan", str(plan)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL: reference stopped with 'runtime error: division by zero', "
+            "partitioned completed\n")
+        assert "Traceback" not in captured.err
 
     def test_bad_plan_rejected(self, bank_source, tmp_path, capsys):
         src = tmp_path / "bank.ep"

@@ -1,7 +1,9 @@
 import pytest
 
 from epart.dsl import parse_program
-from epart.errors import DslRuntimeError, StaleMirror, TransitionOverflow
+from epart.errors import (
+    DslRuntimeError, StaleMirror, TransitionOverflow, ValidationFailed,
+)
 from epart.partition import compute_images
 from epart.runtime import (
     MAX_TRANSITION_DEPTH, DualRuntime, run_reference, run_unpartitioned,
@@ -434,6 +436,136 @@ class Main {
             run_dual(src)
 
 
+class TestWholeProgramModes:
+    """Frozen cycles of the unpartitioned baselines (no enclave, all enclave)."""
+
+    def test_bank_reference(self, bank_program):
+        res = run_reference(bank_program)
+        assert res.total_cycles == 106
+        assert res.cycles_by_source == {"untrusted": {"alloc": 70, "field": 36}}
+
+    def test_bank_unpartitioned(self, bank_program):
+        res = run_unpartitioned(bank_program)
+        assert res.total_cycles == 424
+        assert res.cycles_by_source == {
+            "trusted": {"alloc": 280, "field": 144}, "untrusted": {}}
+
+    def test_writer_reference(self):
+        res = run_reference(parse_program(TestHostShims.WRITER_SRC))
+        assert res.total_cycles == 2010
+        assert res.cycles_by_source == {"untrusted": {"alloc": 10, "io": 2000}}
+        assert list(res.metrics) == ["untrusted"]
+        assert res.trace == []
+
+    def test_writer_unpartitioned(self):
+        res = run_unpartitioned(parse_program(TestHostShims.WRITER_SRC))
+        assert res.total_cycles == 54865
+        assert res.cycles_by_source == {
+            "trusted": {"alloc": 40, "transition": 52400, "serialize": 365},
+            "untrusted": {"io": 2000, "serialize": 60}}
+        assert [ev.line() for ev in res.trace] == [
+            "1 OCALL shim __host__.print hash=0x0000000000000000 "
+            "bytes=13 cycles=13100",
+            "2 OCALL shim __host__.file_write hash=0x0000000000000000 "
+            "bytes=30 cycles=13100",
+            "3 OCALL shim __host__.file_read hash=0x0000000000000000 "
+            "bytes=30 cycles=13100",
+            "4 OCALL shim __host__.print hash=0x0000000000000000 "
+            "bytes=12 cycles=13100",
+        ]
+
+    def test_invalid_program_rejected_before_running(self):
+        prog = parse_program(
+            "@Trusted\nclass Main {\n    Main() { }\n"
+            "    static main() { print(\"ran\"); }\n}\n")
+        for run in (run_reference, run_unpartitioned):
+            with pytest.raises(ValidationFailed, match="MAIN_PLACEMENT"):
+                run(prog)
+
+    def test_enclave_missing_read_faults_inside_the_shim(self):
+        src = TestHostShims.WRITER_SRC.replace(
+            'file_read("/data/out.txt")', 'file_read("/nope")')
+        with pytest.raises(DslRuntimeError) as exc:
+            run_unpartitioned(parse_program(src))
+        assert exc.value.formatted() == (
+            "runtime error: file_read of missing path: /nope\n"
+            "  -- ocall boundary __host__.file_read --\n"
+            "  at Writer.emit\n"
+            "  at Main.main")
+
+    IO_SRC = """
+@Trusted
+class Vault {
+    Vault() { }
+    keep() {
+        file_write("/t.txt", "secret");
+        print(file_read("/t.txt"));
+    }
+}
+@Untrusted
+class Main {
+    static main() {
+        file_write("/u.txt", "open");
+        print(file_read("/u.txt"));
+        var v: Vault = new Vault();
+        v.keep();
+    }
+}
+"""
+
+    def test_io_cost_bills_writes_only(self):
+        # two writes and two reads in every mode: reads are free
+        prog = parse_program(self.IO_SRC)
+        runs = {"reference": run_reference(prog),
+                "enclave": run_unpartitioned(prog),
+                "dual": DualRuntime(compute_images(prog)).run_main()}
+        for mode, res in runs.items():
+            io = sum(src.get("io", 0) for src in res.cycles_by_source.values())
+            assert io == 4000, mode
+            assert res.transcript == ["open", "secret"], mode
+
+
+class TestFrameLimit:
+    """The host never occupies a frame, so every mode allows the same depth."""
+
+    SRC = """
+@Neutral
+class R {
+    static down(n: Int) -> Int {
+        if (n == 0) { return 0; }
+        return R.down(n - 1) + 1;
+    }
+}
+@Untrusted
+class Main {
+    static main() { print(R.down(%d)); }
+}
+"""
+
+    @staticmethod
+    def runs(depth: int):
+        prog = parse_program(TestFrameLimit.SRC % depth)
+        plan = compute_images(prog)
+        return (lambda: run_reference(prog), lambda: run_unpartitioned(prog),
+                lambda: DualRuntime(plan).run_main())
+
+    def test_depth_510_runs_everywhere(self):
+        for run in self.runs(510):
+            assert run().transcript == ["510"]
+
+    def test_depth_511_fails_alike_everywhere(self):
+        diagnostics = set()
+        for run in self.runs(511):
+            with pytest.raises(DslRuntimeError) as exc:
+                run()
+            diagnostics.add(exc.value.formatted())
+        assert len(diagnostics) == 1
+        (text,) = diagnostics
+        assert text.startswith(
+            "runtime error: call stack exhausted at R.down\n  at R.down")
+        assert text.endswith("  at Main.main")
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, bank_plan):
         runs = [DualRuntime(bank_plan).run_main() for _ in range(2)]
@@ -441,14 +573,6 @@ class TestDeterminism:
         assert [ev.line() for ev in runs[0].trace] == \
             [ev.line() for ev in runs[1].trace]
         assert runs[0].cycles_by_source == runs[1].cycles_by_source
-
-    def test_live_mode_matches_transcript(self):
-        src = TestHostShims.WRITER_SRC
-        plan = plan_of(src)
-        det = DualRuntime(plan).run_main()
-        live = DualRuntime(plan, gc_mode="live").run_main()
-        assert live.transcript == det.transcript
-        assert live.vfs == det.vfs
 
     def test_metrics_text_shape(self, bank_plan):
         text = DualRuntime(bank_plan).run_main().metrics_text()
@@ -465,7 +589,5 @@ class TestDeterminism:
         assert lines[-1] == "total_simulated_cycles = 79287"
 
     def test_constructor_guards(self, bank_plan):
-        with pytest.raises(ValueError, match="gc mode"):
-            DualRuntime(bank_plan, gc_mode="eager")
         with pytest.raises(ValueError, match="gc_scan_every"):
             DualRuntime(bank_plan, gc_scan_every=0)
