@@ -27,7 +27,7 @@ from .dsl import parse_program, validate
 from .dsl.ast import Annotation
 from .errors import DslRuntimeError, EpartError, ParseError
 from .partition import compute_images, emit, load_plan, whole_program_plan
-from .runtime import DualRuntime, run_unpartitioned
+from .runtime import DualRuntime
 from .runtime.costmodel import load_model
 
 EXIT_OK = 0
@@ -171,13 +171,11 @@ def cmd_run_unpartitioned(args) -> int:
     model, code = _load_model_arg(args.model)
     if code:
         return code
-    try:
-        result = run_unpartitioned(program, args.args, model=model)
-    except DslRuntimeError as e:
-        return _fail(e.formatted())
-    except EpartError as e:
-        return _fail(str(e))
+    rt = DualRuntime(whole_program_plan(program, enclave=True), model=model)
+    result, fault = _run_to_fault(rt, args.args)
     _emit_run_outputs(result, args)
+    if fault is not None:
+        return _fail(fault)
     return EXIT_OK
 
 

@@ -255,12 +255,6 @@ class ClassDecl:
 class Program:
     classes: list[ClassDecl]
 
-    def class_decl(self, name: str) -> Optional[ClassDecl]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
     def main_location(self) -> tuple[ClassDecl, MethodDecl]:
         for c in self.classes:
             m = c.method("main")

@@ -19,6 +19,7 @@ from .ast import (
 from .lexer import Token, tokenize
 
 _MAX_INT_LITERAL = 2**63 - 1
+_MAX_INT_DIGITS = len(str(_MAX_INT_LITERAL))
 
 _ANNOTATIONS = {a.value: a for a in Annotation}
 
@@ -326,10 +327,14 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            value = int(t.text)
-            if value > _MAX_INT_LITERAL:
+            # int() refuses strings of more than 4300 digits, so count the
+            # digits first, leading zeros of any script aside.
+            digits = t.text if t.text.isascii() \
+                else "".join(str(int(c)) for c in t.text)
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > _MAX_INT_DIGITS or int(digits) > _MAX_INT_LITERAL:
                 raise self.error("integer literal out of 64-bit range", t)
-            return IntLit(value, line=t.line, col=t.col)
+            return IntLit(int(digits), line=t.line, col=t.col)
         if t.kind == "str":
             self.advance()
             return StrLit(t.text, line=t.line, col=t.col)

@@ -1,9 +1,11 @@
 """Semantic validation: annotation rules, encapsulation, simple type checking.
 
-validate() returns a report of rule violations; it never raises on program
-content.  analyze_calls() reuses the same resolution walk to produce, for each
-method, the exact set of (class, method) call targets; the partitioner builds
-its call graph from this.
+One walk of the program resolves every name and call.  resolve() returns
+both of its results: the report of rule violations and, for each method, the
+ordered set of (class, method) targets it calls, from which the partitioner
+builds its call graphs.  validate() returns only the report and never raises
+on program content; analyze_calls() returns only the calls and raises when
+the program does not validate.
 """
 
 from __future__ import annotations
@@ -84,9 +86,9 @@ class _Checker:
     def __init__(self, program: Program):
         self.program = program
         self.report = ValidationReport()
-        self.class_names = {c.name for c in program.classes}
-        # (class, method) -> ordered unique call targets
-        self.calls: dict[CallTarget, list[CallTarget]] = {}
+        self.classes = {c.name: c for c in program.classes}
+        # (class, method) -> its call targets, in first-call order (dict keys)
+        self.calls: dict[CallTarget, dict[CallTarget, None]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -109,7 +111,7 @@ class _Checker:
             return self.check_typeref(t.elem, cls, method, node)
         if t.name in ("Int", "Bool", "Str"):
             return True
-        if t.name not in self.class_names:
+        if t.name not in self.classes:
             self.fail(TYPE_RESOLVE, cls, method, node, f"unknown type {t.name}")
             return False
         return True
@@ -157,7 +159,7 @@ class _Checker:
         if not m.is_constructor:
             self.check_typeref(m.return_type, cls.name, m.name, m, allow_unit=True)
 
-        self.calls[(cls.name, m.name)] = []
+        self.calls[(cls.name, m.name)] = {}
         self.check_body(cls, m, m.body, env)
 
     # -- statements ----------------------------------------------------------
@@ -260,9 +262,7 @@ class _Checker:
     # -- expressions ----------------------------------------------------------
 
     def record_call(self, cls: ClassDecl, m: MethodDecl, target: CallTarget) -> None:
-        lst = self.calls[(cls.name, m.name)]
-        if target not in lst:
-            lst.append(target)
+        self.calls[(cls.name, m.name)][target] = None
 
     def infer(self, cls: ClassDecl, m: MethodDecl, e: Expr,
               env: dict[str, TypeRef]) -> TypeRef | None:
@@ -348,7 +348,7 @@ class _Checker:
 
     def infer_new(self, cls: ClassDecl, m: MethodDecl, e: New,
                   env: dict[str, TypeRef]) -> TypeRef | None:
-        target = self.program.class_decl(e.class_name)
+        target = self.classes.get(e.class_name)
         if target is None:
             self.fail(TYPE_RESOLVE, cls.name, m.name, e,
                       f"unknown class {e.class_name}")
@@ -367,9 +367,8 @@ class _Checker:
                    env: dict[str, TypeRef]) -> TypeRef | None:
         # Static dispatch: a bare name that is no local binding but names a class.
         if isinstance(e.receiver, Var) and e.receiver.name not in env \
-                and e.receiver.name in self.class_names:
-            target_cls = self.program.class_decl(e.receiver.name)
-            assert target_cls is not None
+                and e.receiver.name in self.classes:
+            target_cls = self.classes[e.receiver.name]
             target = target_cls.method(e.method)
             if target is None:
                 self.fail(TYPE_RESOLVE, cls.name, m.name, e,
@@ -395,7 +394,7 @@ class _Checker:
             return None
         if rt.name == "List":
             return self.infer_list_method(cls, m, e, rt, env)
-        target_cls = self.program.class_decl(rt.name)
+        target_cls = self.classes.get(rt.name)
         if target_cls is None:
             self.fail(TYPE_ERROR, cls.name, m.name, e,
                       f"type {rt} has no methods")
@@ -499,6 +498,15 @@ class _Checker:
                           f"{what}: cannot pass {t} for {p.name}: {p.type}")
 
 
+def resolve(program: Program) -> tuple[ValidationReport,
+                                       dict[CallTarget, list[CallTarget]]]:
+    """The violation report and the resolved call targets per (class, method),
+    from one walk.  The calls are complete only when the report is ok."""
+    checker = _Checker(program)
+    report = checker.run()
+    return report, {k: list(v) for k, v in checker.calls.items()}
+
+
 def validate(program: Program) -> ValidationReport:
     """Check annotation placement, encapsulation and simple type correctness."""
     return _Checker(program).run()
@@ -506,9 +514,7 @@ def validate(program: Program) -> ValidationReport:
 
 def analyze_calls(program: Program) -> dict[CallTarget, list[CallTarget]]:
     """Resolved call targets per (class, method).  Requires a valid program."""
-    checker = _Checker(program)
-    checker.run()
-    if not checker.report.ok:
-        first = checker.report.violations[0]
-        raise UnresolvedCall(f"program does not validate: {first}")
-    return checker.calls
+    report, calls = resolve(program)
+    if not report.ok:
+        raise UnresolvedCall(f"program does not validate: {report.violations[0]}")
+    return calls

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dsl.ast import Annotation, Program
-from ..dsl.validate import analyze_calls
+from ..dsl.validate import CallTarget, analyze_calls
 
 CONCRETE = "concrete"
 PROXY = "proxy"
@@ -28,11 +28,28 @@ class CallGraph:
     reachable: set[Node] = field(default_factory=set)
 
 
-def _node_for_target(target_class_ann: Annotation, side: Annotation,
-                     class_name: str, method_name: str) -> Node:
-    if target_class_ann == Annotation.NEUTRAL or target_class_ann == side:
-        return (CONCRETE, class_name, method_name)
-    return (PROXY, class_name, method_name)
+def image_edges(program: Program, side: Annotation,
+                calls: dict[CallTarget, list[CallTarget]]) -> dict[Node, list[Node]]:
+    """Successors of every node of the image for `side`, given the resolved
+    calls (dsl.validate.resolve).  A target maps to one node, so the unique
+    targets of a method give it unique edges."""
+    kinds = {c.name: CONCRETE if c.annotation in (side, Annotation.NEUTRAL)
+             else PROXY for c in program.classes}
+    edges: dict[Node, list[Node]] = {}
+    for cls in program.classes:
+        for m in cls.methods:
+            node = (kinds[cls.name], cls.name, m.name)
+            edges[node] = [] if node[0] == PROXY else [
+                (kinds[c], c, name) for c, name in calls[(cls.name, m.name)]]
+    return edges
+
+
+def closure(side: Annotation, edges: dict[Node, list[Node]],
+            entry_points: list[Node]) -> CallGraph:
+    """The graph over prebuilt edges, with reachability from entry_points."""
+    g = CallGraph(side, set(edges), edges, list(entry_points))
+    g.reachable = reachable_set(g)
+    return g
 
 
 def build_call_graph(program: Program, side: Annotation,
@@ -42,31 +59,8 @@ def build_call_graph(program: Program, side: Annotation,
     Raises UnresolvedCall (via analyze_calls) if any body names a missing
     class or method.
     """
-    annotations = {c.name: c.annotation for c in program.classes}
-    calls = analyze_calls(program)
-    g = CallGraph(side)
-
-    for cls in program.classes:
-        local = cls.annotation == side or cls.annotation == Annotation.NEUTRAL
-        for m in cls.methods:
-            if local:
-                node = (CONCRETE, cls.name, m.name)
-                g.nodes.add(node)
-                outs = []
-                for tgt_class, tgt_method in calls[(cls.name, m.name)]:
-                    tgt = _node_for_target(annotations[tgt_class], side,
-                                           tgt_class, tgt_method)
-                    if tgt not in outs:
-                        outs.append(tgt)
-                g.edges[node] = outs
-            else:
-                stub = (PROXY, cls.name, m.name)
-                g.nodes.add(stub)
-                g.edges[stub] = []
-
-    g.entry_points = list(entry_points)
-    g.reachable = reachable_set(g)
-    return g
+    return closure(side, image_edges(program, side, analyze_calls(program)),
+                   entry_points)
 
 
 def reachable_set(g: CallGraph) -> set[Node]:

@@ -69,12 +69,6 @@ class ProxyClassDef:
     direction: str  # "ecall" (proxy for a trusted class) or "ocall"
     stubs: tuple[StubMethod, ...]
 
-    def stub(self, name: str) -> StubMethod | None:
-        for s in self.stubs:
-            if s.name == name:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class RelayMethodDef:
@@ -102,11 +96,14 @@ def _stub_for(m: MethodDecl) -> StubMethod:
                       m.return_type, m.is_constructor)
 
 
-def synthesize_relays(cls: ClassDecl, program: Program) -> list[RelayMethodDef]:
-    """One relay per constructor and instance method of an annotated class."""
+def synthesize_relays(cls: ClassDecl, annotations: dict[str, Annotation],
+                      ) -> list[RelayMethodDef]:
+    """One relay per constructor and instance method of an annotated class.
+
+    annotations maps every class of the program to its annotation.
+    """
     if cls.annotation == Annotation.NEUTRAL:
         return []
-    annotations = annotation_map(program)
     direction = relay_direction(cls.annotation)
     relays = []
     for m in cls.methods:

@@ -6,6 +6,10 @@ reachable in the opposite image; dropping a relay shrinks its image's seed set,
 which can strand further stubs, so the two reachability closures iterate until
 stable.  Both images then keep only reachable methods, reachable proxy stubs,
 and the neutral classes needed to decode payload types.
+
+One validation walk resolves every call, and each image's call-graph edges
+are built from it once: only reachability iterates, and the graphs of the
+last iteration are the ones the images are cut from.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Program, TypeRef
-from ..dsl.validate import validate
+from ..dsl.validate import resolve, validate
 from ..errors import ValidationFailed
 from . import callgraph
 from .callgraph import CONCRETE, PROXY, Node
@@ -110,28 +114,29 @@ def _main_node(program: Program) -> Node:
 
 def compute_images(program: Program) -> PartitionPlan:
     """Split a validated program into trusted and untrusted image specs."""
-    report = validate(program)
+    report, calls = resolve(program)
     if not report.ok:
         raise ValidationFailed(report)
 
     annotations = annotation_map(program)
+    classes = {c.name: c for c in program.classes}
     proxies = generate_proxies(program)
-    relays: dict[str, list[RelayMethodDef]] = {
-        c.name: synthesize_relays(c, program) for c in program.classes}
-    all_relays = [r for rs in relays.values() for r in rs]
+    all_relays = [r for c in program.classes
+                  for r in synthesize_relays(c, annotations)]
 
     surviving: set[tuple[str, str]] = {(r.class_name, r.method_name)
                                        for r in all_relays}
     main_node = _main_node(program)
+    t_edges = callgraph.image_edges(program, Annotation.TRUSTED, calls)
+    u_edges = callgraph.image_edges(program, Annotation.UNTRUSTED, calls)
 
     def closures(surv: set[tuple[str, str]]):
         t_seeds = [(CONCRETE, c, m) for (c, m) in sorted(surv)
                    if annotations[c] == Annotation.TRUSTED]
         u_seeds = [main_node] + [(CONCRETE, c, m) for (c, m) in sorted(surv)
                                  if annotations[c] == Annotation.UNTRUSTED]
-        g_t = callgraph.build_call_graph(program, Annotation.TRUSTED, t_seeds)
-        g_u = callgraph.build_call_graph(program, Annotation.UNTRUSTED, u_seeds)
-        return g_t, g_u
+        return (callgraph.closure(Annotation.TRUSTED, t_edges, t_seeds),
+                callgraph.closure(Annotation.UNTRUSTED, u_edges, u_seeds))
 
     while True:
         g_t, g_u = closures(surviving)
@@ -175,8 +180,7 @@ def compute_images(program: Program) -> PartitionPlan:
             for name in sorted(referenced(cls)):
                 if name in kept or annotations[name] != Annotation.NEUTRAL:
                     continue
-                decl = program.class_decl(name)
-                assert decl is not None
+                decl = classes[name]
                 methods = [m for m in decl.methods
                            if (CONCRETE, name, m.name) in reachable]
                 kept[name] = ClassDecl(name, decl.annotation, decl.fields, methods)
@@ -202,7 +206,6 @@ def compute_images(program: Program) -> PartitionPlan:
             spec.entry_points = ["main"] + spec.entry_points
         return spec
 
-    g_t, g_u = closures(surviving)
     trusted_image = build_image(Annotation.TRUSTED, g_t)
     untrusted_image = build_image(Annotation.UNTRUSTED, g_u)
 

@@ -237,6 +237,24 @@ class Main {
             "  at Main.main\n")
 
 
+    def test_runtime_error_keeps_transcript(self, tmp_path, capsys):
+        src = tmp_path / "d.ep"
+        src.write_text("""
+@Untrusted
+class Main {
+    static main() {
+        print("before");
+        var x: Int = 1 / 0;
+    }
+}
+""")
+        assert main(["run-unpartitioned", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "before\n"
+        assert captured.err == ("runtime error: division by zero\n"
+                                "  at Main.main\n")
+
+
 class TestCompareCommand:
     def test_pass(self, bank_source, tmp_path, capsys):
         src = tmp_path / "bank.ep"

@@ -118,6 +118,30 @@ class Main {
         assert exc.value.kind == "syntax"
         assert exc.value.line == 3
 
+    def test_integer_literal_range(self):
+        (s,) = main_stmts(parse_one("        var x: Int = 9223372036854775807;"))
+        assert s.init.value == 2**63 - 1
+        (s,) = main_stmts(parse_one(f"        var x: Int = {'0' * 5000}7;"))
+        assert s.init.value == 7
+        for digits in ("9223372036854775808", "9" * 5000):
+            with pytest.raises(ParseError) as exc:
+                parse_one(f"        print({digits});")
+            assert (exc.value.kind, exc.value.message) == \
+                ("syntax", "integer literal out of 64-bit range")
+            assert (exc.value.line, exc.value.col) == (5, 15)
+
+    def test_unicode_digits(self):
+        # Decimal digits of any script lex as one literal, as int() reads them;
+        # other digits, such as superscripts, are no number.
+        (s,) = main_stmts(parse_one("        var x: Int = \u0663\u0663;"))
+        assert s.init.value == 33
+        for literal in ("1\u00b2", "\u00b2"):
+            with pytest.raises(ParseError) as exc:
+                parse_one(f"        print({literal});")
+            assert (exc.value.kind, exc.value.message) == \
+                ("syntax", f"malformed number {literal!r}")
+            assert (exc.value.line, exc.value.col) == (5, 15)
+
     def test_duplicate_class(self):
         src = """
 @Neutral

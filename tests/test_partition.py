@@ -1,10 +1,15 @@
+import hashlib
+
 import pytest
 
-from epart.bench import generate_corpus
-from epart.dsl import parse_program
+from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
+from epart.dsl import parse_program, validate
 from epart.dsl.ast import Annotation
-from epart.errors import FormatError, InterfaceMismatch
-from epart.partition import compute_images, emit, load_plan
+from epart.dsl.validate import _Checker
+from epart.errors import FormatError, InterfaceMismatch, UnresolvedCall
+from epart.partition import (
+    CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
+)
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 
 
@@ -227,3 +232,71 @@ class TestCorpusSoundness:
                     for stub in proxy.stubs:
                         rec = plan.descriptor.lookup(proxy.class_name, stub.name)
                         assert rec is not None
+
+
+class TestSingleResolution:
+    def test_one_checker_walk_per_compute_images(self, bank_program, monkeypatch):
+        runs = []
+        original = _Checker.run
+
+        def counted(checker):
+            runs.append(checker)
+            return original(checker)
+
+        monkeypatch.setattr(_Checker, "run", counted)
+        compute_images(bank_program)  # the bank fixpoint iterates twice
+        assert len(runs) == 1
+
+    def test_build_call_graph_on_bank(self, bank_program):
+        untrusted = build_call_graph(bank_program, Annotation.UNTRUSTED,
+                                     [(CONCRETE, "Person", "transfer")])
+        assert untrusted.nodes == {
+            (CONCRETE, "Main", "main"), (CONCRETE, "Person", "Person"),
+            (CONCRETE, "Person", "getAccount"), (CONCRETE, "Person", "transfer"),
+            (PROXY, "Account", "Account"), (PROXY, "Account", "updateBalance"),
+            (PROXY, "AccountRegistry", "AccountRegistry"),
+            (PROXY, "AccountRegistry", "addAccount")}
+        assert untrusted.reachable == {
+            (CONCRETE, "Person", "transfer"), (CONCRETE, "Person", "getAccount"),
+            (PROXY, "Account", "updateBalance")}
+        # Edges keep first-call order, each target once.
+        assert untrusted.edges[(CONCRETE, "Main", "main")] == [
+            (CONCRETE, "Person", "Person"), (CONCRETE, "Person", "transfer"),
+            (PROXY, "AccountRegistry", "AccountRegistry"),
+            (CONCRETE, "Person", "getAccount"),
+            (PROXY, "AccountRegistry", "addAccount")]
+        seeds = [(CONCRETE, "Account", "Account"),
+                 (CONCRETE, "Account", "updateBalance"),
+                 (CONCRETE, "AccountRegistry", "AccountRegistry"),
+                 (CONCRETE, "AccountRegistry", "addAccount")]
+        trusted = build_call_graph(bank_program, Annotation.TRUSTED, seeds)
+        assert trusted.nodes == set(seeds) | {
+            (PROXY, "Main", "main"), (PROXY, "Person", "Person"),
+            (PROXY, "Person", "getAccount"), (PROXY, "Person", "transfer")}
+        assert trusted.reachable == set(seeds)
+
+    def test_build_call_graph_rejects_an_invalid_program(self):
+        program = parse_program("""
+@Untrusted
+class Main {
+    static main() { Main.helper(); }
+}
+""")
+        assert not validate(program).ok
+        with pytest.raises(UnresolvedCall):
+            build_call_graph(program, Annotation.UNTRUSTED,
+                             [(CONCRETE, "Main", "main")])
+
+    def test_emitted_images_are_frozen(self, tmp_path):
+        source = generate_synthetic(SyntheticSpec(
+            n_classes=60, pct_untrusted=50, workload="io", seed=0))
+        files = emit(compute_images(parse_program(source)), tmp_path)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in files} == {
+            INTERFACE_FILE:
+                "eccdf9199c1bdf89e63ab79e287ad1b65f8b6e4cc3b798020a43614d0949448e",
+            TRUSTED_IMG:
+                "921dc47ce10df88994f40c9f0a78524b6bc6d0d6b5b8a504bc042a96bb6d9d25",
+            UNTRUSTED_IMG:
+                "254b707014178ff5a4627d5ce45d5f192c09b718eb019a107c79598e7b0449e1",
+        }
