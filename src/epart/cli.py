@@ -23,9 +23,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .bench import SUITES, run_suite
-from .dsl import parse_program, validate
+from .dsl import parse_program
 from .dsl.ast import Annotation
-from .errors import DslRuntimeError, EpartError, ParseError
+from .errors import DslRuntimeError, EpartError, ParseError, ValidationFailed
 from .partition import compute_images, emit, load_plan, whole_program_plan
 from .runtime import DualRuntime
 from .runtime.costmodel import load_model
@@ -47,21 +47,25 @@ def _read_source(path: str) -> str | None:
     return p.read_text(encoding="utf-8")
 
 
-def _parse_and_validate(source: str):
-    """Returns (program, exit_code); program is None when rejected."""
+def _parse(source: str):
+    """Returns (program, exit_code); program is None when rejected.
+
+    Validation is left to the plan builders (compute_images,
+    whole_program_plan): their ValidationFailed is reported by main.
+    """
     try:
-        program = parse_program(source)
+        return parse_program(source), EXIT_OK
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return None, EXIT_INVALID
-    report = validate(program)
-    if not report.ok:
-        for v in report.violations:
-            print(v, file=sys.stderr)
-        print(f"{len(report.violations)} validation violation(s)",
-              file=sys.stderr)
-        return None, EXIT_INVALID
-    return program, EXIT_OK
+
+
+def _rejected(e: ValidationFailed) -> int:
+    for v in e.report.violations:
+        print(v, file=sys.stderr)
+    print(f"{len(e.report.violations)} validation violation(s)",
+          file=sys.stderr)
+    return EXIT_INVALID
 
 
 def _load_model_arg(path: str | None):
@@ -116,7 +120,7 @@ def cmd_partition(args) -> int:
     source = _read_source(args.source)
     if source is None:
         return _fail(f"source file not found: {args.source}")
-    program, code = _parse_and_validate(source)
+    program, code = _parse(source)
     if program is None:
         return code
     plan = compute_images(program)
@@ -165,13 +169,14 @@ def cmd_run_unpartitioned(args) -> int:
     source = _read_source(args.source)
     if source is None:
         return _fail(f"source file not found: {args.source}")
-    program, code = _parse_and_validate(source)
+    program, code = _parse(source)
     if program is None:
         return code
+    plan = whole_program_plan(program, enclave=True)
     model, code = _load_model_arg(args.model)
     if code:
         return code
-    rt = DualRuntime(whole_program_plan(program, enclave=True), model=model)
+    rt = DualRuntime(plan, model=model)
     result, fault = _run_to_fault(rt, args.args)
     _emit_run_outputs(result, args)
     if fault is not None:
@@ -183,9 +188,10 @@ def cmd_compare(args) -> int:
     source = _read_source(args.source)
     if source is None:
         return _fail(f"source file not found: {args.source}")
-    program, code = _parse_and_validate(source)
+    program, code = _parse(source)
     if program is None:
         return code
+    reference_plan = whole_program_plan(program, enclave=False)
     model, code = _load_model_arg(args.model)
     if code:
         return code
@@ -198,8 +204,7 @@ def cmd_compare(args) -> int:
     # A fault is observable behaviour: both runs must stop with the same
     # diagnostic after writing the same transcript and files.
     reference, ref_fault = _run_to_fault(
-        DualRuntime(whole_program_plan(program, enclave=False), model=model),
-        args.args)
+        DualRuntime(reference_plan, model=model), args.args)
     partitioned, part_fault = _run_to_fault(DualRuntime(plan, model=model),
                                             args.args)
     ref_fault, part_fault = _first_line(ref_fault), _first_line(part_fault)
@@ -361,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValidationFailed as e:
+        return _rejected(e)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ hashes back, letting the home side drop the mirror.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 from ..dsl import ast
@@ -106,6 +107,9 @@ class DualRuntime:
         self.classes: dict[str, dict[str, ast.ClassDecl]] = {}
         self.relays: dict[str, dict[str, object]] = {}
         self.interps: dict[str, Interpreter] = {}
+        # Interpreters reach the runtime through a weak proxy, so a dropped
+        # runtime and its heaps are freed at once, not by the cyclic GC.
+        context = weakref.proxy(self)
         for annotation, side in _SIDE_NAME.items():
             image = plan.image(annotation)
             if image is None:
@@ -115,7 +119,7 @@ class DualRuntime:
             self.relays[side] = {r.relay_id: r for r in image.relays}
             self.interps[side] = Interpreter(
                 self.isolates[side], self.classes[side],
-                {p.class_name for p in image.proxies}, self)
+                {p.class_name for p in image.proxies}, context)
         self.class_names = {i: n for n, i in plan.class_ids.items()}
 
         self.transcript: list[str] = []
@@ -180,9 +184,9 @@ class DualRuntime:
             result = self.remote_invoke(self.isolates[side], receiver,
                                         method, list(args))
         elif isinstance(receiver, InstanceObj):
-            decl = receiver.decl
-            result = self.interps[side].call_method(
-                decl, decl.method(method), receiver, list(args))
+            decl, interp = receiver.decl, self.interps[side]
+            result = interp.call_method(
+                decl, interp.method(decl, method), receiver, list(args))
         else:
             raise TypeError(f"cannot call methods on {receiver!r}")
         if pin and isinstance(result, HeapObject):
@@ -216,7 +220,7 @@ class DualRuntime:
 
     def live_proxy_hashes(self, side: str) -> set[int]:
         iso = self.isolates[side]
-        return {h for slot, h in iso.proxy_weak_list if slot.get() is not None}
+        return {h for h, slot in iso.proxy_table.items() if slot.get() is not None}
 
     # -- marshaling ----------------------------------------------------------
 
@@ -410,9 +414,9 @@ class DualRuntime:
             values = wire.decode_sequence(data, len(relay.param_kinds))
             margs = [self.materialize(target, v) for v in values]
             decl = self.classes[target.side][proxy.class_name]
-            method = decl.method(method_name)
-            result = self.interps[target.side].call_method(
-                decl, method, obj, margs)
+            interp = self.interps[target.side]
+            result = interp.call_method(
+                decl, interp.method(decl, method_name), obj, margs)
             if relay.return_kind == MarshalKind.UNIT:
                 return None, b""
             return None, wire.encode(self.lower_value(target, result))
@@ -499,13 +503,9 @@ class DualRuntime:
 
     def _scan_cleared_proxies(self, iso: Isolate) -> None:
         """Report swept proxies so the other side can drop their mirrors."""
-        cleared = iso.cleared_proxy_entries()
         other = other_side(iso.side)
         direction = "ecall" if other == TRUSTED else "ocall"
-        for slot, h in cleared:
-            iso.proxy_weak_list.remove((slot, h))
-            if iso.proxy_table.get(h) is slot:
-                del iso.proxy_table[h]
+        for h, slot in iso.pop_cleared_proxies():
             qual = f"{slot.referent.class_name}.release"
 
             def handler(target: Isolate, raw: bytes, h=h):

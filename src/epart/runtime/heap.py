@@ -158,10 +158,10 @@ class Isolate:
         self.registry: dict[int, HeapObject] = {}
         # mirror object -> hash, for reusing pairings on the return path.
         self.pair_hash: dict[HeapObject, int] = {}
-        # hash -> weak proxy slot, for proxy reuse by this isolate.
+        # hash -> weak slot of each proxy this isolate created, in adoption
+        # order: proxy reuse looks here, the GC helper's scan drops the
+        # cleared slots.
         self.proxy_table: dict[int, WeakSlot] = {}
-        # every proxy this isolate created, scanned by the GC helper.
-        self.proxy_weak_list: list[tuple[WeakSlot, int]] = []
         self.metrics = MetricCounters()
         self.cycles_by_source: dict[str, int] = {}
         self.hash_counter = 0
@@ -221,18 +221,14 @@ class Isolate:
 
     def adopt_proxy(self, proxy: ProxyObj) -> None:
         """Track a proxy created in this isolate (new or rebound hash)."""
-        h = proxy.hash_value
-        stale = [entry for entry in self.proxy_weak_list
-                 if entry[1] == h and entry[0].get() is None]
-        for entry in stale:
-            self.proxy_weak_list.remove(entry)
-        slot = WeakSlot(proxy)
-        self.proxy_table[h] = slot
-        self.proxy_weak_list.append((slot, h))
+        # A hash is only rebound once its old proxy is swept; the new slot
+        # moves to the end of the adoption order.
+        self.proxy_table.pop(proxy.hash_value, None)
+        self.proxy_table[proxy.hash_value] = WeakSlot(proxy)
         self.metrics.live_proxies += 1
 
     def live_proxy_count(self) -> int:
-        return sum(1 for slot, _ in self.proxy_weak_list if slot.get() is not None)
+        return self.metrics.live_proxies
 
     # -- garbage collection -----------------------------------------------------
 
@@ -296,5 +292,10 @@ class Isolate:
         self.collections_since_scan += 1
         return GcStats(swept_objects, swept_bytes, len(live), live_bytes, cycles)
 
-    def cleared_proxy_entries(self) -> list[tuple[WeakSlot, int]]:
-        return [(slot, h) for slot, h in self.proxy_weak_list if slot.get() is None]
+    def pop_cleared_proxies(self) -> list[tuple[int, WeakSlot]]:
+        """Drop the slots of swept proxies; returns them in adoption order."""
+        cleared = [(h, s) for h, s in self.proxy_table.items() if s.get() is None]
+        if cleared:
+            self.proxy_table = {h: s for h, s in self.proxy_table.items()
+                                if s.get() is not None}
+        return cleared

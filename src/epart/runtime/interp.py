@@ -5,19 +5,27 @@ the isolate boundary (constructing through a proxy class, invoking a proxy
 object, shimmed file access, safepoint policy) is delegated to a context
 object supplied by the surrounding runtime.
 
+Dispatch is by table: _EVAL and _EXEC map each ast node class to its
+handler, _BINARY each operator to its function.  What is fixed for a run is
+worked out once: the EPC-scaled price of a field access, and each class's
+method table, built on the first call into the class.
+
 Garbage collection may only run at statement boundaries, so every heap value
 produced mid-expression is parked in the current frame's temp list until the
 expression completes.  That keeps receivers and argument values alive across
-re-entrant callbacks from the other isolate.
+re-entrant callbacks from the other isolate.  A binary node's left operand
+is not parked when its right operand is a leaf (_LEAVES), since evaluating a
+leaf never reaches a safepoint.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 
 from ..dsl import ast
 from ..errors import DslRuntimeError
-from .heap import UNSET, Frame, HeapObject, InstanceObj, Isolate, ListObj, ProxyObj
+from .heap import UNSET, Frame, InstanceObj, Isolate, ListObj, ProxyObj
 
 MAX_FRAMES = 512
 
@@ -35,6 +43,8 @@ _I64_MAX = (1 << 63) - 1
 
 
 def wrap64(v: int) -> int:
+    if _I64_MIN <= v <= _I64_MAX:
+        return v
     return ((v - _I64_MIN) & ((1 << 64) - 1)) + _I64_MIN
 
 
@@ -62,8 +72,21 @@ class Interpreter:
         self.classes = classes
         self.proxy_names = proxy_names
         self.context = context
+        self.field_cost = isolate.model.scaled(
+            isolate.model.field_access_cost, isolate.trusted)
+        # class name -> method name -> first declaration of that name
+        self.method_tables: dict[str, dict[str, ast.MethodDecl]] = {}
 
     # -- entry points ------------------------------------------------------
+
+    def method(self, decl: ast.ClassDecl, name: str) -> ast.MethodDecl:
+        table = self.method_tables.get(decl.name)
+        if table is None:  # reversed: the first declaration of a name wins
+            table = {m.name: m for m in reversed(decl.methods)}
+            self.method_tables[decl.name] = table
+        if name not in table:
+            raise self.error(f"{decl.name} has no method {name}")
+        return table[name]
 
     def instantiate(self, decl: ast.ClassDecl, args: list,
                     charged: bool = True) -> InstanceObj:
@@ -123,85 +146,71 @@ class Interpreter:
     # -- statements --------------------------------------------------------
 
     def exec_block(self, stmts: list[ast.Stmt], frame: Frame) -> None:
+        safepoint, iso = self.context.safepoint, self.isolate
         for s in stmts:
-            self.exec_stmt(s, frame)
-            self.context.safepoint(self.isolate)
+            _EXEC[s.__class__](self, s, frame)
+            safepoint(iso)
 
-    def exec_stmt(self, s: ast.Stmt, frame: Frame) -> None:
-        if isinstance(s, ast.If):
-            if self.eval_bool(s.cond, frame):
-                self.exec_block(s.then_body, frame)
-            else:
-                self.exec_block(s.else_body, frame)
-        elif isinstance(s, ast.While):
-            while self.eval_bool(s.cond, frame):
-                self.exec_block(s.body, frame)
-                self.context.safepoint(self.isolate)
-        elif isinstance(s, ast.VarDecl):
-            frame.env[s.name] = self.eval(s.init, frame)
-        elif isinstance(s, ast.Assign):
-            self.exec_assign(s, frame)
-        elif isinstance(s, ast.ExprStmt):
-            self.eval(s.expr, frame)
-        elif isinstance(s, ast.Return):
-            value = self.eval(s.value, frame) if s.value is not None else None
-            raise ReturnSignal(value)
+    def exec_if(self, s: ast.If, frame: Frame) -> None:
+        if self.eval_bool(s.cond, frame):
+            self.exec_block(s.then_body, frame)
         else:
-            raise ValueError(f"unknown statement {s!r}")
+            self.exec_block(s.else_body, frame)
+
+    def exec_while(self, s: ast.While, frame: Frame) -> None:
+        safepoint, iso = self.context.safepoint, self.isolate
+        while self.eval_bool(s.cond, frame):
+            self.exec_block(s.body, frame)
+            safepoint(iso)
+
+    def exec_var_decl(self, s: ast.VarDecl, frame: Frame) -> None:
+        frame.env[s.name] = self.eval(s.init, frame)
 
     def exec_assign(self, s: ast.Assign, frame: Frame) -> None:
         value = self.eval(s.value, frame)
         target = s.target
-        if isinstance(target, ast.Var):
+        if target.__class__ is ast.Var:
             frame.env[target.name] = value
-        elif isinstance(target, ast.FieldGet):
+        elif target.__class__ is ast.FieldGet:
             this = frame.this
             if this is None:
                 raise self.error("field assignment outside an instance method")
             this.values[target.field_name] = value
-            self.isolate.charge_scaled("field", self.isolate.model.field_access_cost)
+            self.isolate.charge("field", self.field_cost)
         else:
             raise ValueError(f"bad assignment target {target!r}")
+
+    def exec_expr(self, s: ast.ExprStmt, frame: Frame) -> None:
+        self.eval(s.expr, frame)
+
+    def exec_return(self, s: ast.Return, frame: Frame) -> None:
+        value = self.eval(s.value, frame) if s.value is not None else None
+        raise ReturnSignal(value)
 
     # -- expressions ---------------------------------------------------------
 
     def eval_bool(self, e: ast.Expr, frame: Frame) -> bool:
-        v = self.eval(e, frame)
-        if not isinstance(v, bool):
+        v = _EVAL[e.__class__](self, e, frame)
+        if v.__class__ is not bool:
             raise self.error("condition is not a Bool")
         return v
 
     def eval(self, e: ast.Expr, frame: Frame):
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.BoolLit):
-            return e.value
-        if isinstance(e, ast.StrLit):
-            return e.value
-        if isinstance(e, ast.Var):
-            if e.name not in frame.env:
-                raise self.error(f"unbound variable {e.name}")
+        return _EVAL[e.__class__](self, e, frame)
+
+    def eval_literal(self, e: ast.IntLit, frame: Frame):
+        return e.value
+
+    def eval_var(self, e: ast.Var, frame: Frame):
+        try:
             return frame.env[e.name]
-        if isinstance(e, ast.This):
-            if frame.this is None:
-                raise self.error("this outside an instance method")
-            return frame.this
-        if isinstance(e, ast.FieldGet):
-            return self.eval_field(e, frame)
-        if isinstance(e, ast.Unary):
-            v = self.eval(e.operand, frame)
-            return wrap64(-v)
-        if isinstance(e, ast.Binary):
-            return self.eval_binary(e, frame)
-        if isinstance(e, ast.New):
-            return self.eval_new(e, frame)
-        if isinstance(e, ast.MethodCall):
-            return self.eval_call(e, frame)
-        if isinstance(e, ast.BuiltinCall):
-            return self.eval_builtin(e, frame)
-        if isinstance(e, ast.ListLit):
-            return self.eval_list_lit(e, frame)
-        raise ValueError(f"unknown expression {e!r}")
+        except KeyError:
+            raise self.error(f"unbound variable {e.name}") from None
+
+    def eval_this(self, e: ast.This, frame: Frame):
+        if frame.this is None:
+            raise self.error("this outside an instance method")
+        return frame.this
 
     def eval_field(self, e: ast.FieldGet, frame: Frame):
         this = frame.this
@@ -211,52 +220,32 @@ class Interpreter:
         if v is UNSET:
             raise self.error(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
-        self.isolate.charge_scaled("field", self.isolate.model.field_access_cost)
+        self.isolate.charge("field", self.field_cost)
         return v
 
+    def eval_unary(self, e: ast.Unary, frame: Frame):
+        return wrap64(-self.eval(e.operand, frame))
+
     def eval_binary(self, e: ast.Binary, frame: Frame):
-        base = len(frame.temps)
-        left = self.eval(e.left, frame)
-        frame.temps.append(left)
-        right = self.eval(e.right, frame)
-        del frame.temps[base:]
-        op = e.op
-        if op == "+":
-            if isinstance(left, str):
-                return left + right
-            return wrap64(left + right)
-        if op == "-":
-            return wrap64(left - right)
-        if op == "*":
-            return wrap64(left * right)
-        if op in ("/", "%"):
-            if right == 0:
-                raise self.error("division by zero")
-            q = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                q = -q
-            if op == "/":
-                return wrap64(q)
-            return wrap64(left - q * right)
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        raise ValueError(f"unknown operator {op}")
+        right = e.right
+        if right.__class__ in _LEAVES:
+            left = _EVAL[e.left.__class__](self, e.left, frame)
+            right = _EVAL[right.__class__](self, right, frame)
+        else:
+            temps = frame.temps
+            base = len(temps)
+            left = _EVAL[e.left.__class__](self, e.left, frame)
+            temps.append(left)
+            right = _EVAL[right.__class__](self, right, frame)
+            del temps[base:]
+        return _BINARY[e.op](left, right)
 
     def eval_args(self, args: list[ast.Expr], frame: Frame) -> list:
         values = []
+        temps = frame.temps
         for a in args:
-            v = self.eval(a, frame)
-            frame.temps.append(v)
+            v = _EVAL[a.__class__](self, a, frame)
+            temps.append(v)
             values.append(v)
         return values
 
@@ -272,53 +261,53 @@ class Interpreter:
             del frame.temps[base:]
 
     def eval_call(self, e: ast.MethodCall, frame: Frame):
+        temps = frame.temps
+        base = len(temps)
+        receiver = e.receiver
         # Static dispatch: receiver is a bare class name, never a binding.
-        if isinstance(e.receiver, ast.Var) and e.receiver.name not in frame.env \
-                and e.receiver.name in self.classes:
-            decl = self.classes[e.receiver.name]
-            method = decl.method(e.method)
-            base = len(frame.temps)
-            args = self.eval_args(e.args, frame)
-            try:
-                return self.call_method(decl, method, None, args)
-            finally:
-                del frame.temps[base:]
+        if receiver.__class__ is ast.Var and receiver.name not in frame.env:
+            decl = self.classes.get(receiver.name)
+            if decl is not None:
+                method = self.method(decl, e.method)
+                args = self.eval_args(e.args, frame)
+                try:
+                    return self.call_method(decl, method, None, args)
+                finally:
+                    del temps[base:]
 
-        base = len(frame.temps)
-        receiver = self.eval(e.receiver, frame)
-        frame.temps.append(receiver)
+        receiver = self.eval(receiver, frame)
+        temps.append(receiver)
         args = self.eval_args(e.args, frame)
         try:
-            if isinstance(receiver, ListObj):
+            cls = receiver.__class__
+            if cls is ListObj:
                 return self.eval_list_method(receiver, e, args)
-            if isinstance(receiver, ProxyObj):
+            if cls is ProxyObj:
                 return self.context.remote_invoke(self.isolate, receiver,
                                                   e.method, args)
-            if isinstance(receiver, InstanceObj):
-                method = receiver.decl.method(e.method)
-                if method is None:
-                    raise self.error(
-                        f"{receiver.decl.name} has no method {e.method}")
-                return self.call_method(receiver.decl, method, receiver, args)
+            if cls is InstanceObj:
+                decl = receiver.decl
+                return self.call_method(decl, self.method(decl, e.method),
+                                        receiver, args)
             raise self.error(f"cannot call {e.method} on {receiver!r}")
         finally:
-            del frame.temps[base:]
+            del temps[base:]
 
     def eval_list_method(self, lst: ListObj, e: ast.MethodCall, args: list):
         iso = self.isolate
         if e.method == "len":
-            iso.charge_scaled("field", iso.model.field_access_cost)
+            iso.charge("field", self.field_cost)
             return len(lst.items)
         if e.method == "get":
             idx = args[0]
             if not 0 <= idx < len(lst.items):
                 raise self.error(
                     f"list index {idx} out of range for length {len(lst.items)}")
-            iso.charge_scaled("field", iso.model.field_access_cost)
+            iso.charge("field", self.field_cost)
             return lst.items[idx]
         if e.method == "append":
             iso.grow_list(lst, args[0])
-            iso.charge_scaled("field", iso.model.field_access_cost)
+            iso.charge("field", self.field_cost)
             return None
         raise ValueError(f"unknown list method {e.method}")
 
@@ -357,3 +346,46 @@ class Interpreter:
             return lst
         finally:
             del frame.temps[base:]
+
+
+def _add(left, right):
+    if left.__class__ is str:
+        return left + right
+    return wrap64(left + right)
+
+
+def _quotient(left: int, right: int) -> int:
+    """Division truncating toward zero, as on the JVM."""
+    if right == 0:
+        raise DslRuntimeError("division by zero")
+    q = abs(left) // abs(right)
+    return -q if (left < 0) != (right < 0) else q
+
+
+_BINARY = {
+    "+": _add, "-": lambda left, right: wrap64(left - right),
+    "*": lambda left, right: wrap64(left * right),
+    "/": lambda left, right: wrap64(_quotient(left, right)),
+    "%": lambda left, right: wrap64(left - _quotient(left, right) * right),
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+# Node kinds whose evaluation never reaches a safepoint.
+_LEAVES = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit, ast.Var, ast.This,
+                     ast.FieldGet})
+
+_EVAL = {
+    ast.IntLit: Interpreter.eval_literal, ast.BoolLit: Interpreter.eval_literal,
+    ast.StrLit: Interpreter.eval_literal, ast.Var: Interpreter.eval_var,
+    ast.This: Interpreter.eval_this, ast.FieldGet: Interpreter.eval_field,
+    ast.Unary: Interpreter.eval_unary, ast.Binary: Interpreter.eval_binary,
+    ast.New: Interpreter.eval_new, ast.MethodCall: Interpreter.eval_call,
+    ast.BuiltinCall: Interpreter.eval_builtin,
+    ast.ListLit: Interpreter.eval_list_lit,
+}
+_EXEC = {
+    ast.If: Interpreter.exec_if, ast.While: Interpreter.exec_while,
+    ast.VarDecl: Interpreter.exec_var_decl, ast.Assign: Interpreter.exec_assign,
+    ast.ExprStmt: Interpreter.exec_expr, ast.Return: Interpreter.exec_return,
+}

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from epart.cli import main
+from epart.dsl.validate import _Checker
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 
 DIVERGENT_SRC = """
@@ -334,6 +335,63 @@ class Main {
         capsys.readouterr()
         assert main(["compare", str(src), "--plan", str(plan)]) == 1
         assert "bad plan" in capsys.readouterr().err
+
+
+class TestValidateOnce:
+    """Each command walks the checker once per plan it builds."""
+
+    INVALID_SRC = """
+@Trusted
+class Main {
+    Main() { }
+    static main() { var x: Int = true; }
+}
+"""
+
+    @pytest.fixture
+    def checker_runs(self, monkeypatch):
+        runs = []
+        original = _Checker.run
+
+        def counted(checker):
+            runs.append(checker)
+            return original(checker)
+
+        monkeypatch.setattr(_Checker, "run", counted)
+        return runs
+
+    @staticmethod
+    def argv(command, source, tmp_path):
+        src = tmp_path / "src.ep"
+        src.write_text(source)
+        return [command[0], str(src)] + [str(tmp_path / a) if a == "plan"
+                                         else a for a in command[1:]]
+
+    @pytest.mark.parametrize("command, expected", [
+        (["partition", "-o", "plan"], 1),
+        (["run-unpartitioned"], 1),
+        (["compare"], 2),  # the reference plan and the partition
+    ])
+    def test_checker_runs_per_command(self, bank_source, tmp_path, capsys,
+                                      checker_runs, command, expected):
+        assert main(self.argv(command, bank_source, tmp_path)) == 0
+        assert len(checker_runs) == expected
+
+    @pytest.mark.parametrize("command", [
+        ["partition", "-o", "plan"], ["run-unpartitioned"], ["compare"],
+        ["compare", "--plan", "plan"],
+    ])
+    def test_violations_reported_once(self, tmp_path, capsys, checker_runs,
+                                      command):
+        assert main(self.argv(command, self.INVALID_SRC, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "MAIN_PLACEMENT Main.main 5:12: main cannot live in a trusted class",
+            "TYPE_ERROR Main.main 5:21: cannot assign Bool to Int",
+            "2 validation violation(s)",
+        ]
+        assert len(checker_runs) == 1
 
 
 class TestBenchCommand:

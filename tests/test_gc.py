@@ -180,7 +180,7 @@ class TestMirrorPrimitives:
         rt.construct(UNTRUSTED, "Account", ["X", 1], pin=False)
         iso = rt.isolates[UNTRUSTED]
         rt.force_gc(UNTRUSTED, scan=True)
-        assert iso.cleared_proxy_entries() == []
+        assert iso.pop_cleared_proxies() == []
         assert rt.remove_calls == 1
         rt.force_gc(UNTRUSTED, scan=True)
         assert rt.remove_calls == 1  # nothing new to report

@@ -1,0 +1,295 @@
+"""Interpreter semantics, run the same way in all three execution modes.
+
+Each case is a small program with the transcript it prints and the runtime
+error it stops with (None when it completes).  Faults the validator rules
+out statically (a non-Bool condition, an unbound variable, a missing
+method) are reached by editing the AST after the plans are built, as a
+tampered or hand-built image would.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epart.dsl import ast, parse_program
+from epart.errors import DslRuntimeError
+from epart.partition import compute_images, whole_program_plan
+from epart.runtime import DualRuntime
+from epart.runtime import interp
+
+I64_MIN = -(1 << 63)
+I64_MAX = (1 << 63) - 1
+
+
+def main_of(body: str, classes: str = "") -> str:
+    return (classes + "\n@Untrusted\nclass Main {\n    static main() {\n"
+            + body + "\n    }\n}\n")
+
+
+def methods_named(program, name):
+    return [m for c in program.classes for m in c.methods if m.name == name]
+
+
+def walk(node):
+    """Every ast node reachable from node, itself included."""
+    yield node
+    for v in vars(node).values():
+        for item in (v if isinstance(v, list) else [v]):
+            if isinstance(item, (ast.Expr, ast.Stmt)):
+                yield from walk(item)
+
+
+def nodes_in(program, method, kind):
+    return [n for m in methods_named(program, method) for s in m.body
+            for n in walk(s) if n.__class__ is kind]
+
+
+def run_modes(source: str, mutate=None, **kwargs):
+    """(transcript, fault message) of a partitioned, a reference and an
+    enclave run."""
+    program = parse_program(source)
+    plans = [compute_images(program),
+             whole_program_plan(program, enclave=False),
+             whole_program_plan(program, enclave=True)]
+    if mutate is not None:
+        mutate(program)
+    out = []
+    for plan in plans:
+        rt = DualRuntime(plan, **kwargs)
+        try:
+            rt.run_main([])
+            fault = None
+        except DslRuntimeError as e:
+            fault = e.message
+        out.append((rt.result().transcript, fault))
+    return out
+
+
+def set_cond(program, kind, expr):
+    for node in nodes_in(program, "main", kind):
+        node.cond = expr
+
+
+def rename_var(program, old, new):
+    for node in nodes_in(program, "main", ast.Var):
+        if node.name == old:
+            node.name = new
+
+
+def rename_method(program, old, new):
+    for m in methods_named(program, old):
+        m.name = new
+
+
+BOX = """
+@Neutral
+class Box {
+    v: Int;
+    Box(v: Int) { this.v = v; }
+    get() -> Int { return this.v; }
+    twice(n: Int) -> Int { return n + this.v; }
+}
+@Neutral
+class Util {
+    static twice(n: Int) -> Int { return n * 2; }
+}
+@Untrusted
+class Peer {
+    Peer() { }
+}
+@Untrusted
+class Late {
+    p: Peer;
+    Late() { }
+    get() -> Peer { return this.p; }
+}
+"""
+
+CASES = {
+    "int operators": (main_of("""
+        var a: Int = 7;
+        print(a + 3); print(a - 3); print(a * 3); print(a / 3); print(a % 3);
+        print(a < 3); print(a <= 7); print(a > 3); print(a >= 8);
+        print(a == 7); print(a != 7);
+        print(-a);"""),
+        None, ["10", "4", "21", "2", "1", "false", "true", "true", "false",
+               "true", "false", "-7"], None),
+    "bool and str operators": (main_of("""
+        var t: Bool = true;
+        print(t == false); print(t != false);
+        var s: Str = "ab";
+        print(s + "cd"); print(s + ""); print(s == "ab"); print(s != "ab");
+        print("" == "");"""),
+        None, ["false", "true", "abcd", "ab", "true", "false", "true"], None),
+    "wrapping at 2^63": (main_of("""
+        var max: Int = 9223372036854775807;
+        var min: Int = -9223372036854775807 - 1;
+        print(max + 1); print(min - 1); print(min + min); print(max * 2);
+        print(4611686018427387904 * 2); print(min * -1); print(-min);
+        print(max * max); print(min / -1); print(min % -1);"""),
+        None, [str(I64_MIN), str(I64_MAX), "0", "-2", str(I64_MIN),
+               str(I64_MIN), str(I64_MIN), "1", str(I64_MIN), "0"], None),
+    "division truncates toward zero": (main_of("""
+        print(7 / 2); print(-7 / 2); print(7 / -2); print(-7 / -2);
+        print(7 % 2); print(-7 % 2); print(7 % -2); print(-7 % -2);
+        print(6 / -3); print(-6 % 3);"""),
+        None, ["3", "-3", "-3", "3", "1", "-1", "1", "-1", "-2", "0"], None),
+    "division by zero": (main_of("""
+        var z: Int = 0;
+        print(1);
+        print(7 / z);"""),
+        None, ["1"], "division by zero"),
+    "remainder by zero": (main_of("""
+        var z: Int = 0;
+        print(7 % z);"""),
+        None, [], "division by zero"),
+    "if condition is not a Bool": (main_of("""
+        print(1);
+        if (true) { print(2); }"""),
+        lambda p: set_cond(p, ast.If, ast.IntLit(value=1)),
+        ["1"], "condition is not a Bool"),
+    "while condition is not a Bool": (main_of("""
+        while (false) { print(2); }"""),
+        lambda p: set_cond(p, ast.While, ast.StrLit(value="yes")),
+        [], "condition is not a Bool"),
+    "unbound variable": (main_of("""
+        var x: Int = 1;
+        print(x);"""),
+        lambda p: rename_var(p, "x", "y"), [], "unbound variable y"),
+    "field read before assignment": (main_of("""
+        var l: Late = new Late();
+        print(1);
+        l.get();""", BOX),
+        None, ["1"], "field Late.p read before assignment"),
+    "a local shadows a class name": (main_of("""
+        print(Util.twice(5));
+        var Util: Box = new Box(100);
+        print(Util.twice(5));""", BOX),
+        None, ["10", "105"], None),
+    "missing method on an instance": (main_of("""
+        var b: Box = new Box(3);
+        print(b.twice(1));
+        print(b.get());""", BOX),
+        lambda p: rename_method(p, "get", "got"),
+        ["4"], "Box has no method get"),
+    "list get out of range": (main_of("""
+        var xs: List[Int] = [4, 5];
+        xs.append(6);
+        print(xs.len()); print(xs.get(2));
+        print(xs.get(3));"""),
+        None, ["3", "6"], "list index 3 out of range for length 3"),
+    "negative list index": (main_of("""
+        var xs: List[Str] = ["a"];
+        print(xs.get(-1));"""),
+        None, [], "list index -1 out of range for length 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_semantics_in_all_modes(name):
+    source, mutate, transcript, fault = CASES[name]
+    assert run_modes(source, mutate) == [(transcript, fault)] * 3
+
+
+def test_every_node_kind_has_a_handler():
+    def concrete(base):
+        out = set()
+        for sub in base.__subclasses__():
+            out |= {sub} | concrete(sub)
+        return out
+
+    assert set(interp._EVAL) == concrete(ast.Expr)
+    assert set(interp._EXEC) == concrete(ast.Stmt)
+
+
+def test_arguments_stay_rooted_across_a_collection():
+    # f() collects while the Box built for g's first argument is held only
+    # by the caller's evaluation temporaries.  In the partitioned run the Box
+    # is a proxy: had the collection swept it, the scan would have dropped
+    # its mirror and get() would fail with a stale hash.
+    source = """
+@Trusted
+class Box {
+    v: Int;
+    Box(v: Int) { this.v = v; }
+    get() -> Int { return this.v; }
+}
+@Neutral
+class Util {
+    static f() -> Int { gc(); return 2; }
+    static g(b: Box, n: Int) -> Int { return b.get() + n; }
+}
+@Untrusted
+class Main {
+    static main() {
+        print(Util.g(new Box(1), Util.f()));
+        print(Util.g(new Box(1), Util.f() + Util.f()));
+    }
+}
+"""
+    assert run_modes(source, gc_threshold=1) == [(["3", "5"], None)] * 3
+
+
+# -- random Int expressions against a plain-Python oracle --------------------
+
+def wrap(v: int) -> int:
+    return (v - I64_MIN) % (1 << 64) + I64_MIN
+
+
+def oracle(tree, env):
+    """The i64 value of tree; ZeroDivisionError for a zero divisor."""
+    if isinstance(tree, int):
+        return tree
+    if isinstance(tree, str):
+        return env[tree]
+    if tree[0] == "neg":
+        return wrap(-oracle(tree[1], env))
+    op, left, right = tree
+    a, b = oracle(left, env), oracle(right, env)
+    if op == "+":
+        return wrap(a + b)
+    if op == "-":
+        return wrap(a - b)
+    if op == "*":
+        return wrap(a * b)
+    if b == 0:
+        raise ZeroDivisionError
+    q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    return wrap(q) if op == "/" else wrap(a - q * b)
+
+
+def render(tree) -> str:
+    if isinstance(tree, (int, str)):
+        return str(tree)
+    if tree[0] == "neg":
+        return f"-({render(tree[1])})"
+    op, left, right = tree
+    return f"({render(left)} {op} {render(right)})"
+
+
+LEAF = st.one_of(st.integers(0, I64_MAX), st.integers(0, 9),
+                 st.sampled_from(["a", "b", "c"]))
+TREES = st.recursive(
+    LEAF,
+    lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES, st.lists(st.integers(I64_MIN, I64_MAX), min_size=3, max_size=3))
+def test_int_expressions_match_the_oracle(tree, values):
+    env = dict(zip("abc", values))
+    decls = "".join(f"var {k}: Int = {v};\n" if v >= 0 else
+                    f"var {k}: Int = -{-v - 1} - 1;\n" for k, v in env.items())
+    source = main_of(decls + f"print({render(tree)});")
+    program = parse_program(source)
+    rt = DualRuntime(whole_program_plan(program, enclave=False))
+    try:
+        expected = [str(oracle(tree, env))]
+    except ZeroDivisionError:
+        with pytest.raises(DslRuntimeError, match="division by zero"):
+            rt.run_main([])
+    else:
+        assert rt.run_main([]).transcript == expected
