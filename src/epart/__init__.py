@@ -10,12 +10,12 @@ from ._version import __version__
 from .dsl import analyze_calls, parse_program, validate
 from .partition import compute_images, emit, load_plan
 from .runtime import (
-    CostModel, DualRuntime, ExecutionResult, load, run_main, run_reference,
+    CostModel, DualRuntime, ExecutionResult, run_main, run_reference,
     run_unpartitioned,
 )
 
 __all__ = [
-    "CostModel", "DualRuntime", "ExecutionResult", "__version__", "analyze_calls", "compute_images", "emit", "load",
-    "load_plan", "parse_program", "run_main", "run_reference",
-    "run_unpartitioned", "validate",
+    "CostModel", "DualRuntime", "ExecutionResult", "__version__",
+    "analyze_calls", "compute_images", "emit", "load_plan", "parse_program",
+    "run_main", "run_reference", "run_unpartitioned", "validate",
 ]

@@ -1,10 +1,10 @@
-"""Surface language: AST, parser, validator, pretty printer."""
+"""Surface language: AST, parser, validator."""
 
 from .ast import (
     Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, Expr, ExprStmt,
     FieldDecl, FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Param,
     Program, Return, Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility,
-    While, method_signature, to_source,
+    While,
 )
 from .parser import parse_program
 from .validate import ValidationReport, Violation, analyze_calls, assignable, validate
@@ -14,6 +14,6 @@ __all__ = [
     "Expr", "ExprStmt", "FieldDecl", "FieldGet", "If", "IntLit", "ListLit",
     "MethodCall", "MethodDecl", "New", "Param", "Program", "Return", "Stmt",
     "StrLit", "This", "TypeRef", "Unary", "Var", "VarDecl", "Visibility",
-    "While", "method_signature", "to_source", "parse_program",
+    "While", "parse_program",
     "ValidationReport", "Violation", "analyze_calls", "assignable", "validate",
 ]

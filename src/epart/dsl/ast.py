@@ -1,7 +1,7 @@
 """AST for the annotated class language.
 
-Positions (line, col) are carried for diagnostics but excluded from equality so
-that parse -> print -> parse round trips compare structurally.
+Positions (line, col) are carried for diagnostics but excluded from equality,
+so nodes compare structurally.
 """
 
 from __future__ import annotations
@@ -244,12 +244,6 @@ class ClassDecl:
                 return m
         return None
 
-    def field_decl(self, name: str) -> Optional[FieldDecl]:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
 
 @dataclass
 class Program:
@@ -262,113 +256,3 @@ class Program:
                 return c, m
         raise LookupError("program has no main")
 
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def expr_to_source(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, StrLit):
-        return f'"{_escape(e.value)}"'
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, This):
-        return "this"
-    if isinstance(e, FieldGet):
-        return f"{expr_to_source(e.receiver)}.{e.field_name}"
-    if isinstance(e, Unary):
-        return f"(-{expr_to_source(e.operand)})"
-    if isinstance(e, Binary):
-        return f"({expr_to_source(e.left)} {e.op} {expr_to_source(e.right)})"
-    if isinstance(e, New):
-        args = ", ".join(expr_to_source(a) for a in e.args)
-        return f"new {e.class_name}({args})"
-    if isinstance(e, MethodCall):
-        args = ", ".join(expr_to_source(a) for a in e.args)
-        return f"{expr_to_source(e.receiver)}.{e.method}({args})"
-    if isinstance(e, BuiltinCall):
-        args = ", ".join(expr_to_source(a) for a in e.args)
-        return f"{e.name}({args})"
-    if isinstance(e, ListLit):
-        return "[" + ", ".join(expr_to_source(x) for x in e.elements) + "]"
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def _stmt_lines(s: Stmt, indent: str) -> list[str]:
-    if isinstance(s, VarDecl):
-        ann = f": {s.declared_type}" if s.declared_type else ""
-        return [f"{indent}var {s.name}{ann} = {expr_to_source(s.init)};"]
-    if isinstance(s, Assign):
-        return [f"{indent}{expr_to_source(s.target)} = {expr_to_source(s.value)};"]
-    if isinstance(s, ExprStmt):
-        return [f"{indent}{expr_to_source(s.expr)};"]
-    if isinstance(s, Return):
-        if s.value is None:
-            return [f"{indent}return;"]
-        return [f"{indent}return {expr_to_source(s.value)};"]
-    if isinstance(s, If):
-        lines = [f"{indent}if ({expr_to_source(s.cond)}) {{"]
-        for st in s.then_body:
-            lines += _stmt_lines(st, indent + "    ")
-        if s.else_body:
-            lines.append(f"{indent}}} else {{")
-            for st in s.else_body:
-                lines += _stmt_lines(st, indent + "    ")
-        lines.append(f"{indent}}}")
-        return lines
-    if isinstance(s, While):
-        lines = [f"{indent}while ({expr_to_source(s.cond)}) {{"]
-        for st in s.body:
-            lines += _stmt_lines(st, indent + "    ")
-        lines.append(f"{indent}}}")
-        return lines
-    raise TypeError(f"unknown statement node {type(s).__name__}")
-
-
-def method_signature(m: MethodDecl) -> str:
-    params = ", ".join(f"{p.name}: {p.type}" for p in m.params)
-    head = "static " if m.is_static else ""
-    sig = f"{head}{m.name}({params})"
-    if not m.is_constructor and m.return_type != UNIT:
-        sig += f" -> {m.return_type}"
-    return sig
-
-
-def to_source(program: Program) -> str:
-    """Render a Program back to canonical source text."""
-    chunks: list[str] = []
-    for c in program.classes:
-        lines = [f"@{c.annotation.value}", f"class {c.name} {{"]
-        for f in c.fields:
-            vis = "public " if f.visibility == Visibility.PUBLIC else ""
-            lines.append(f"    {vis}{f.name}: {f.type};")
-        for m in c.methods:
-            lines.append(f"    {method_signature(m)} {{")
-            for st in m.body:
-                lines += _stmt_lines(st, "        ")
-            lines.append("    }")
-        lines.append("}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"

@@ -87,6 +87,12 @@ class _Checker:
         self.program = program
         self.report = ValidationReport()
         self.classes = {c.name: c for c in program.classes}
+        # (class name, member name) -> the member's first declaration
+        self.methods = {(c.name, m.name): m for c in program.classes
+                        for m in reversed(c.methods)}
+        self.fields = {(c.name, f.name): f for c in program.classes
+                       for f in reversed(c.fields)}
+        self.constructors = {c.name: c.constructor for c in program.classes}
         # (class, method) -> its call targets, in first-call order (dict keys)
         self.calls: dict[CallTarget, dict[CallTarget, None]] = {}
 
@@ -252,7 +258,7 @@ class _Checker:
         if m.is_static:
             self.fail(TYPE_ERROR, cls.name, m.name, fg, "no this in a static method")
             return None
-        f = cls.field_decl(fg.field_name)
+        f = self.fields.get((cls.name, fg.field_name))
         if f is None:
             self.fail(TYPE_RESOLVE, cls.name, m.name, fg,
                       f"class {cls.name} has no field {fg.field_name}")
@@ -353,7 +359,7 @@ class _Checker:
             self.fail(TYPE_RESOLVE, cls.name, m.name, e,
                       f"unknown class {e.class_name}")
             return None
-        ctor = target.constructor
+        ctor = self.constructors[target.name]
         if ctor is None:
             self.fail(TYPE_ERROR, cls.name, m.name, e,
                       f"class {e.class_name} has no constructor")
@@ -369,7 +375,7 @@ class _Checker:
         if isinstance(e.receiver, Var) and e.receiver.name not in env \
                 and e.receiver.name in self.classes:
             target_cls = self.classes[e.receiver.name]
-            target = target_cls.method(e.method)
+            target = self.methods.get((target_cls.name, e.method))
             if target is None:
                 self.fail(TYPE_RESOLVE, cls.name, m.name, e,
                           f"class {target_cls.name} has no method {e.method}")
@@ -399,7 +405,7 @@ class _Checker:
             self.fail(TYPE_ERROR, cls.name, m.name, e,
                       f"type {rt} has no methods")
             return None
-        target = target_cls.method(e.method)
+        target = self.methods.get((target_cls.name, e.method))
         if target is None:
             self.fail(TYPE_RESOLVE, cls.name, m.name, e,
                       f"class {target_cls.name} has no method {e.method}")

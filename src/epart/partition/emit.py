@@ -303,9 +303,20 @@ def _w_proxy(w: _Writer, p: ProxyClassDef) -> None:
         w.u8(1 if s.is_constructor else 0)))
 
 
+_DIRECTIONS = {"ecall": "ecall", "ocall": "ocall"}
+_KINDS = {k.value: k for k in MarshalKind}
+
+
+def _r_enum(r: _Reader, values: dict, what: str):
+    text = r.s()
+    if text not in values:
+        raise FormatError(f"bad {what} {text!r}")
+    return values[text]
+
+
 def _r_proxy(r: _Reader) -> ProxyClassDef:
     name = r.s()
-    direction = r.s()
+    direction = _r_enum(r, _DIRECTIONS, "transition direction")
 
     def stub() -> StubMethod:
         sname = r.s()
@@ -329,9 +340,9 @@ def _r_relay(r: _Reader) -> RelayMethodDef:
     cname = r.s()
     mname = r.s()
     is_ctor = r.u8() == 1
-    direction = r.s()
-    kinds = tuple(MarshalKind(k) for k in r.seq(r.s))
-    ret = MarshalKind(r.s())
+    direction = _r_enum(r, _DIRECTIONS, "transition direction")
+    kinds = tuple(r.seq(lambda: _r_enum(r, _KINDS, "marshal kind")))
+    ret = _r_enum(r, _KINDS, "marshal kind")
     return RelayMethodDef(cname, mname, is_ctor, direction, kinds, ret)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Param, Program, TypeRef
 
@@ -86,7 +87,7 @@ class RelayMethodDef:
     param_kinds: tuple[MarshalKind, ...]
     return_kind: MarshalKind
 
-    @property
+    @cached_property
     def relay_id(self) -> str:
         return f"{self.class_name}.{self.method_name}"
 

@@ -19,17 +19,10 @@ __all__ = [
     "DualRuntime", "ExecutionResult", "Frame", "GcStats", "HeapObject",
     "InstanceObj", "Interpreter", "Isolate", "ListObj",
     "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "TRUSTED",
-    "TraceEvent", "UNTRUSTED", "WeakSlot", "load", "load_model",
+    "TraceEvent", "UNTRUSTED", "WeakSlot", "load_model",
     "other_side", "parse_model", "run_main", "run_reference",
     "run_unpartitioned", "wrap64",
 ]
-
-
-def load(plan_dir: str, **kwargs) -> DualRuntime:
-    """Load emitted images plus descriptor and wire up a dual runtime."""
-    from ..partition.emit import load_plan
-
-    return DualRuntime(load_plan(plan_dir), **kwargs)
 
 
 def run_main(plan: PartitionPlan, argv: list[str] | None = None,

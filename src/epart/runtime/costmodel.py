@@ -38,9 +38,6 @@ class CostModel:
         if self.epc_penalty < 1:
             raise ValueError(f"epc_penalty must be >= 1, got {self.epc_penalty!r}")
 
-    def replace(self, **kwargs) -> "CostModel":
-        return dataclasses.replace(self, **kwargs)
-
     def scaled(self, base: int, trusted: bool) -> int:
         """Price memory-bound work, applying the EPC penalty in the enclave."""
         if not trusted:

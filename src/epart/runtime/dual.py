@@ -4,11 +4,13 @@ Each side runs its own interpreter over its own heap.  The unpartitioned
 baselines are plans too (see whole_program_plan): every class in the
 trusted image with the untrusted isolate only serving host shims, or every
 class in the untrusted image with no trusted isolate at all.  Every boundary
-crossing (constructor, instance method, host file shim, mirror removal)
-is a transition: the caller pays the ecall/ocall cost, arguments travel
-as canonical wire bytes, and serialization is charged to whichever side
-encoded the bytes.  Transition framing (context and hash words) rides
-for free; unit responses carry no payload at all.
+crossing is a call of one relay through DualRuntime.cross: constructor and
+instance-method relays of annotated classes, the host shims __host__.print,
+__host__.file_write and __host__.file_read, and <Class>.release for a
+mirror whose proxy was swept.  The caller pays the ecall/ocall cost,
+arguments travel as canonical wire bytes, and serialization is charged to
+whichever side encoded the bytes.  Transition framing (context and hash
+words) rides for free; unit responses carry no payload at all.
 
 Object identity across the boundary is a 64-bit hash minted by an
 object's home isolate at first exposure.  The home side keeps the hash
@@ -27,7 +29,7 @@ from ..errors import (
     DslRuntimeError, InterfaceMismatch, MarshalError, StaleMirror,
     TransitionOverflow,
 )
-from ..partition.model import MarshalKind
+from ..partition.model import MarshalKind, RelayMethodDef
 from ..partition.plan import PartitionPlan, whole_program_plan
 from . import wire
 from .costmodel import CostModel
@@ -41,6 +43,7 @@ MAX_TRANSITION_DEPTH = 256
 DEFAULT_GC_THRESHOLD = 64 * 1024
 
 _SIDE_NAME = {ast.Annotation.TRUSTED: TRUSTED, ast.Annotation.UNTRUSTED: UNTRUSTED}
+_SER, _UNIT = MarshalKind.SER, MarshalKind.UNIT
 
 
 @dataclass
@@ -226,14 +229,14 @@ class DualRuntime:
 
     def lower_value(self, iso: Isolate, value, _seen: set[int] | None = None):
         """Runtime value -> wire value, minting hashes for home objects."""
+        if isinstance(value, str):
+            return ("str", value)
         if value is None:
             return wire.UNIT
         if isinstance(value, bool):
             return ("bool", value)
         if isinstance(value, int):
             return ("int", value)
-        if isinstance(value, str):
-            return ("str", value)
         if isinstance(value, ProxyObj):
             return ("href", value.hash_value,
                     self.plan.class_ids[value.class_name])
@@ -334,34 +337,52 @@ class DualRuntime:
 
     # -- transitions ----------------------------------------------------------
 
-    def _transition(self, caller: Isolate, direction: str, kind: str,
-                    qualname: str, hash_value: int, request: bytes, handler):
-        """Cross to the other isolate; returns (hash_out, response bytes)."""
+    def cross(self, caller: Isolate, relay: RelayMethodDef, kind: str,
+              hash_value: int, args: list, serve):
+        """Call `relay` on the other isolate; returns (result, hash_out).
+
+        The one boundary crossing; `kind` only labels the trace.  A nonzero
+        hash_value names the far side's mirror the relay runs on, which must
+        be registered before any argument lands there.  serve(target,
+        values) runs the relay's body there and returns (result, hash_out);
+        a hash_out that is not None becomes the trace event's hash.
+        """
+        # Loops: for the few values of a call, cheaper than a comprehension.
+        request = b""
+        for a in args:
+            request += wire.encode(("str", a) if a.__class__ is str
+                                   else self.lower_value(caller, a))
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
-                f"entering {qualname}")
+                f"entering {relay.relay_id}")
         target = self.isolates[other_side(caller.side)]
-        cost = self.model.ecall_cost if direction == "ecall" \
-            else self.model.ocall_cost
-        if direction == "ecall":
+        if relay.direction == "ecall":
             caller.metrics.ecalls += 1
+            cost = self.model.ecall_cost
         else:
             caller.metrics.ocalls += 1
+            cost = self.model.ocall_cost
         caller.charge("transition", cost)
         if request:
             caller.charge_serialize(len(request))
         self.seq += 1
-        event = TraceEvent(self.seq, direction, kind, qualname, hash_value,
-                           len(request), cost)
+        event = TraceEvent(self.seq, relay.direction, kind, relay.relay_id,
+                           hash_value, len(request), cost)
         self.trace.append(event)
         self.depth += 1
         try:
-            try:
-                hash_out, response = handler(target, request)
-            except DslRuntimeError as e:
-                e.trace.append(f"-- {direction} boundary {qualname} --")
-                raise
+            if hash_value and hash_value not in target.registry:
+                raise StaleMirror(hash_value)
+            values = wire.decode_sequence(request, len(relay.param_kinds))
+            for i, v in enumerate(values):
+                values[i] = v[1] if v[0] == "str" else self.materialize(target, v)
+            result, hash_out = serve(target, values)
+            response = b"" if relay.return_kind is _UNIT \
+                else wire.encode(self.lower_value(target, result))
+        except DslRuntimeError as e:
+            e.trace.append(f"-- {relay.direction} boundary {relay.relay_id} --")
+            raise
         finally:
             self.depth -= 1
         if response:
@@ -369,9 +390,11 @@ class DualRuntime:
         event.nbytes += len(response)
         if hash_out is not None:
             event.hash_value = hash_out
-        return hash_out, response
+        if not response:
+            return None, hash_out
+        return self.materialize(caller, wire.decode(response)), hash_out
 
-    def _relay(self, target_side: str, relay_id: str):
+    def _relay(self, target_side: str, relay_id: str) -> RelayMethodDef:
         relay = self.relays[target_side].get(relay_id)
         if relay is None:
             raise InterfaceMismatch(
@@ -380,22 +403,17 @@ class DualRuntime:
 
     def remote_new(self, iso: Isolate, class_name: str, args: list) -> ProxyObj:
         """`new` on a proxy class: run the constructor relay, bind the hash."""
-        target_side = other_side(iso.side)
-        relay = self._relay(target_side, f"{class_name}.{class_name}")
-        request = b"".join(wire.encode(self.lower_value(iso, a)) for a in args)
+        relay = self._relay(other_side(iso.side), f"{class_name}.{class_name}")
 
-        def handler(target: Isolate, data: bytes):
-            values = wire.decode_sequence(data, len(relay.param_kinds))
-            margs = [self.materialize(target, v) for v in values]
-            decl = self.classes[target.side][class_name]
-            obj = self.interps[target.side].instantiate(decl, margs)
+        def serve(target: Isolate, values: list):
+            obj = self.interps[target.side].instantiate(
+                self.classes[target.side][class_name], values)
             h = target.mint_hash()
             target.register_mirror(h, obj)
-            return h, b""
+            return None, h
 
-        hash_out, _ = self._transition(iso, relay.direction, "ctor",
-                                       relay.relay_id, 0, request, handler)
-        proxy = ProxyObj(class_name, hash_out)
+        _, h = self.cross(iso, relay, "ctor", 0, args, serve)
+        proxy = ProxyObj(class_name, h)
         iso.alloc(proxy, charged=True)
         iso.adopt_proxy(proxy)
         return proxy
@@ -403,84 +421,39 @@ class DualRuntime:
     def remote_invoke(self, iso: Isolate, proxy: ProxyObj, method_name: str,
                       args: list):
         """Proxy method call: relay looks the mirror up and dispatches."""
-        target_side = other_side(iso.side)
-        relay = self._relay(target_side, f"{proxy.class_name}.{method_name}")
-        request = b"".join(wire.encode(self.lower_value(iso, a)) for a in args)
+        relay = self._relay(other_side(iso.side),
+                            f"{proxy.class_name}.{method_name}")
 
-        def handler(target: Isolate, data: bytes):
-            obj = target.registry.get(proxy.hash_value)
-            if obj is None:
-                raise StaleMirror(proxy.hash_value)
-            values = wire.decode_sequence(data, len(relay.param_kinds))
-            margs = [self.materialize(target, v) for v in values]
+        def serve(target: Isolate, values: list):
             decl = self.classes[target.side][proxy.class_name]
             interp = self.interps[target.side]
-            result = interp.call_method(
-                decl, interp.method(decl, method_name), obj, margs)
-            if relay.return_kind == MarshalKind.UNIT:
-                return None, b""
-            return None, wire.encode(self.lower_value(target, result))
+            return interp.call_method(
+                decl, interp.method(decl, method_name),
+                target.registry[proxy.hash_value], values), None
 
-        _, response = self._transition(iso, relay.direction, "invoke",
-                                       relay.relay_id, proxy.hash_value,
-                                       request, handler)
-        if relay.return_kind == MarshalKind.UNIT:
-            return None
-        return self.materialize(iso, wire.decode(response))
+        return self.cross(iso, relay, "invoke", proxy.hash_value, args,
+                          serve)[0]
 
-    # -- builtin hooks ---------------------------------------------------------
-
-    def builtin_print(self, iso: Isolate, text: str) -> None:
-        if iso.side == UNTRUSTED:
-            self.transcript.append(text)
-            return
-
-        def handler(target: Isolate, raw: bytes):
-            (s,) = wire.decode_sequence(raw, 1)
-            self.transcript.append(s[1])
-            return None, b""
-
-        request = wire.encode(("str", text))
+    def host_call(self, iso: Isolate, name: str, args: list):
+        """A host builtin: direct when untrusted, else a shim ocall."""
+        if not iso.trusted:
+            return _HOST[name][1](self, iso, args)
+        relay, service = _HOST[name]
         self.shim_ocalls += 1
-        self._transition(iso, "ocall", "shim", "__host__.print", 0,
-                         request, handler)
+        # Defaults, not closure cells, which the direct path would pay for too.
+        return self.cross(iso, relay, "shim", 0, args,
+                          lambda target, values, rt=self, service=service:
+                          (service(rt, target, values), None))[0]
 
-    def builtin_file_write(self, iso: Isolate, path: str, data: str) -> None:
-        if iso.side == UNTRUSTED:
-            self._host_write(iso, path, data)
-            return
+    def _print(self, iso: Isolate, args: list) -> None:
+        self.transcript.append(args[0])
 
-        def handler(target: Isolate, raw: bytes):
-            p, d = wire.decode_sequence(raw, 2)
-            self._host_write(target, p[1], d[1])
-            return None, b""
-
-        request = wire.encode(("str", path)) + wire.encode(("str", data))
-        self.shim_ocalls += 1
-        self._transition(iso, "ocall", "shim", "__host__.file_write", 0,
-                         request, handler)
-
-    def builtin_file_read(self, iso: Isolate, path: str) -> str:
-        if iso.side == UNTRUSTED:
-            return self._host_read(path)
-
-        def handler(target: Isolate, raw: bytes):
-            (p,) = wire.decode_sequence(raw, 1)
-            return None, wire.encode(("str", self._host_read(p[1])))
-
-        request = wire.encode(("str", path))
-        self.shim_ocalls += 1
-        _, response = self._transition(iso, "ocall", "shim",
-                                       "__host__.file_read", 0,
-                                       request, handler)
-        value = wire.decode(response)
-        return value[1]
-
-    def _host_write(self, iso: Isolate, path: str, data: str) -> None:
-        self.vfs[path] = data
+    def _file_write(self, iso: Isolate, args: list) -> None:
+        self.vfs[args[0]] = args[1]
         iso.charge("io", self.model.io_write_cost)
 
-    def _host_read(self, path: str) -> str:
+    def _file_read(self, iso: Isolate, args: list) -> str:
+        path = args[0]
         if path not in self.vfs:
             raise DslRuntimeError(f"file_read of missing path: {path}")
         return self.vfs[path]
@@ -503,17 +476,14 @@ class DualRuntime:
 
     def _scan_cleared_proxies(self, iso: Isolate) -> None:
         """Report swept proxies so the other side can drop their mirrors."""
-        other = other_side(iso.side)
-        direction = "ecall" if other == TRUSTED else "ocall"
+        direction = "ecall" if iso.side == UNTRUSTED else "ocall"
         for h, slot in iso.pop_cleared_proxies():
-            qual = f"{slot.referent.class_name}.release"
-
-            def handler(target: Isolate, raw: bytes, h=h):
-                target.remove_mirror(h)
-                return None, b""
-
+            relay = RelayMethodDef(slot.referent.class_name, "release", False,
+                                   direction, (), _UNIT)
             self.remove_calls += 1
-            self._transition(iso, direction, "remove", qual, h, b"", handler)
+            self.cross(iso, relay, "remove", h, [],
+                       lambda target, values, h=h: (target.remove_mirror(h),
+                                                    None))
 
 
 def run_unpartitioned(program: ast.Program, argv: list[str] | None = None,
@@ -528,3 +498,15 @@ def run_reference(program: ast.Program, argv: list[str] | None = None,
     """Plain host run: no enclave, no shim; the behavioral reference."""
     plan = whole_program_plan(program, enclave=False)
     return DualRuntime(plan, model).run_main(argv)
+
+
+# Host services by builtin name: the shim relay trusted code calls through,
+# and the service run on the untrusted side.
+_HOST = {
+    "print": (RelayMethodDef("__host__", "print", False, "ocall",
+                             (_SER,), _UNIT), DualRuntime._print),
+    "file_write": (RelayMethodDef("__host__", "file_write", False, "ocall",
+                                  (_SER, _SER), _UNIT), DualRuntime._file_write),
+    "file_read": (RelayMethodDef("__host__", "file_read", False, "ocall",
+                                 (_SER,), _SER), DualRuntime._file_read),
+}

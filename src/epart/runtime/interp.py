@@ -2,8 +2,8 @@
 
 The interpreter is deliberately unaware of transitions: anything that crosses
 the isolate boundary (constructing through a proxy class, invoking a proxy
-object, shimmed file access, safepoint policy) is delegated to a context
-object supplied by the surrounding runtime.
+object, the host builtins print/file_write/file_read, safepoint policy) is
+delegated to a context object supplied by the surrounding runtime.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  What is fixed for a run is
@@ -85,7 +85,7 @@ class Interpreter:
             table = {m.name: m for m in reversed(decl.methods)}
             self.method_tables[decl.name] = table
         if name not in table:
-            raise self.error(f"{decl.name} has no method {name}")
+            raise DslRuntimeError(f"{decl.name} has no method {name}")
         return table[name]
 
     def instantiate(self, decl: ast.ClassDecl, args: list,
@@ -115,7 +115,7 @@ class Interpreter:
                     this: InstanceObj | None, args: list):
         iso = self.isolate
         if len(iso.frames) >= MAX_FRAMES:
-            raise self.error(f"call stack exhausted at {decl.name}.{method.name}")
+            raise DslRuntimeError(f"call stack exhausted at {decl.name}.{method.name}")
         frame = Frame(f"{decl.name}.{method.name}", this=this)
         for p, v in zip(method.params, args):
             frame.env[p.name] = v
@@ -128,7 +128,7 @@ class Interpreter:
                 result = r.value
             if result is None and not method.is_constructor \
                     and method.return_type != ast.UNIT:
-                raise self.error(
+                raise DslRuntimeError(
                     f"{frame.where} finished without returning a value")
         except DslRuntimeError as e:
             e.trace.append(f"at {frame.where}")
@@ -139,9 +139,6 @@ class Interpreter:
         finally:
             iso.frames.pop()
         return result
-
-    def error(self, message: str) -> DslRuntimeError:
-        return DslRuntimeError(message)
 
     # -- statements --------------------------------------------------------
 
@@ -174,7 +171,7 @@ class Interpreter:
         elif target.__class__ is ast.FieldGet:
             this = frame.this
             if this is None:
-                raise self.error("field assignment outside an instance method")
+                raise DslRuntimeError("field assignment outside an instance method")
             this.values[target.field_name] = value
             self.isolate.charge("field", self.field_cost)
         else:
@@ -192,7 +189,7 @@ class Interpreter:
     def eval_bool(self, e: ast.Expr, frame: Frame) -> bool:
         v = _EVAL[e.__class__](self, e, frame)
         if v.__class__ is not bool:
-            raise self.error("condition is not a Bool")
+            raise DslRuntimeError("condition is not a Bool")
         return v
 
     def eval(self, e: ast.Expr, frame: Frame):
@@ -205,20 +202,20 @@ class Interpreter:
         try:
             return frame.env[e.name]
         except KeyError:
-            raise self.error(f"unbound variable {e.name}") from None
+            raise DslRuntimeError(f"unbound variable {e.name}") from None
 
     def eval_this(self, e: ast.This, frame: Frame):
         if frame.this is None:
-            raise self.error("this outside an instance method")
+            raise DslRuntimeError("this outside an instance method")
         return frame.this
 
     def eval_field(self, e: ast.FieldGet, frame: Frame):
         this = frame.this
         if this is None:
-            raise self.error("field access outside an instance method")
+            raise DslRuntimeError("field access outside an instance method")
         v = this.values[e.field_name]
         if v is UNSET:
-            raise self.error(
+            raise DslRuntimeError(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
         self.isolate.charge("field", self.field_cost)
         return v
@@ -289,7 +286,7 @@ class Interpreter:
                 decl = receiver.decl
                 return self.call_method(decl, self.method(decl, e.method),
                                         receiver, args)
-            raise self.error(f"cannot call {e.method} on {receiver!r}")
+            raise DslRuntimeError(f"cannot call {e.method} on {receiver!r}")
         finally:
             del temps[base:]
 
@@ -301,7 +298,7 @@ class Interpreter:
         if e.method == "get":
             idx = args[0]
             if not 0 <= idx < len(lst.items):
-                raise self.error(
+                raise DslRuntimeError(
                     f"list index {idx} out of range for length {len(lst.items)}")
             iso.charge("field", self.field_cost)
             return lst.items[idx]
@@ -316,18 +313,14 @@ class Interpreter:
         base = len(frame.temps)
         args = self.eval_args(e.args, frame)
         try:
-            if e.name == "print":
-                self.context.builtin_print(iso, render_value(args[0]))
-                return None
-            if e.name == "file_write":
-                self.context.builtin_file_write(iso, args[0], args[1])
-                return None
-            if e.name == "file_read":
-                return self.context.builtin_file_read(iso, args[0])
+            if e.name in _HOST_BUILTINS:
+                if e.name == "print":
+                    args[0] = render_value(args[0])
+                return self.context.host_call(iso, e.name, args)
             if e.name == "compute":
                 units = args[0]
                 if units < 0:
-                    raise self.error("compute of a negative unit count")
+                    raise DslRuntimeError("compute of a negative unit count")
                 iso.charge_scaled("compute", units * iso.model.compute_unit_cost)
                 return None
             if e.name == "gc":
@@ -370,6 +363,9 @@ _BINARY = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "==": operator.eq, "!=": operator.ne,
 }
+
+# Builtins served by the host, through the context's one host hook.
+_HOST_BUILTINS = frozenset({"print", "file_write", "file_read"})
 
 # Node kinds whose evaluation never reaches a safepoint.
 _LEAVES = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit, ast.Var, ast.This,

@@ -1,0 +1,199 @@
+"""Golden values of every kind of boundary crossing.
+
+One hand-written program, run partitioned at a small gc_threshold, crosses
+the boundary in each way the runtime knows: a constructor reached through a
+proxy; an invoke carrying Int, Str, List[Str], a neutral object and an href;
+returns of a List and of an href to a live proxy (reused, not re-adopted);
+a trusted -> untrusted ocall; the trusted print/file_write/file_read shims;
+and gc()-driven release transitions.  The frozen trace lines, metrics and
+cycles pin the bytes of list, href and neutral payloads, which the progen
+corpus behind the frozen output digest never sends.
+"""
+
+import pytest
+
+from epart.dsl import parse_program
+from epart.errors import StaleMirror
+from epart.partition import compute_images
+from epart.runtime import TRUSTED, UNTRUSTED, DualRuntime
+
+SRC = """@Neutral
+class Point {
+    x: Int;
+    label: Str;
+    Point(x: Int, label: Str) {
+        this.x = x;
+        this.label = label;
+    }
+    getX() -> Int { return this.x; }
+    getLabel() -> Str { return this.label; }
+}
+@Trusted
+class Cell {
+    v: Int;
+    Cell(v: Int) { this.v = v; }
+    get() -> Int { return this.v; }
+}
+@Trusted
+class Vault {
+    cell: Cell;
+    names: List[Str];
+    keep: Handle;
+    Vault(seed: Int) {
+        this.cell = new Cell(seed);
+        this.names = ["a"];
+    }
+    store(n: Int, s: Str, tags: List[Str], p: Point, h: Handle) -> Int {
+        this.names.append(s);
+        this.names.append(tags.get(0));
+        this.names.append(p.getLabel());
+        this.keep = h;
+        var echoed: Int = h.ping(n + p.getX());
+        file_write("/vault.txt", s);
+        print(file_read("/vault.txt"));
+        return echoed;
+    }
+    cellOf() -> Cell {
+        return this.cell;
+    }
+    tags() -> List[Str] {
+        return this.names;
+    }
+    sweep() {
+        this.keep = new Handle(0);
+        gc();
+    }
+}
+@Untrusted
+class Handle {
+    base: Int;
+    Handle(base: Int) { this.base = base; }
+    ping(k: Int) -> Int {
+        print("ping");
+        return this.base + k;
+    }
+}
+@Trusted
+class Temp {
+    Temp() { }
+}
+@Untrusted
+class Main {
+    static main() {
+        var v: Vault = new Vault(7);
+        var h: Handle = new Handle(100);
+        var p: Point = new Point(2, "pt");
+        var r: Int = v.store(5, "hello", ["t1", "t2"], p, h);
+        print("r");
+        var c1: Cell = v.cellOf();
+        var c2: Cell = v.cellOf();
+        print("c");
+        var ts: List[Str] = v.tags();
+        print(ts.get(3));
+        var i: Int = 0;
+        while (i < 4) {
+            var t: Temp = new Temp();
+            i = i + 1;
+        }
+        gc();
+        v.sweep();
+        print("done");
+    }
+}
+"""
+
+TRACE = [
+    "1 ECALL ctor Vault.Vault hash=0x8000000000000001 bytes=9 cycles=13100",
+    "2 ECALL invoke Vault.store hash=0x8000000000000001 bytes=85 cycles=13100",
+    "3 OCALL invoke Handle.ping hash=0x0000000000000001 bytes=18 cycles=13100",
+    "4 OCALL shim __host__.file_write hash=0x0000000000000000 bytes=25 "
+    "cycles=13100",
+    "5 OCALL shim __host__.file_read hash=0x0000000000000000 bytes=25 "
+    "cycles=13100",
+    "6 OCALL shim __host__.print hash=0x0000000000000000 bytes=10 cycles=13100",
+    "7 ECALL invoke Vault.cellOf hash=0x8000000000000001 bytes=13 cycles=13100",
+    "8 ECALL invoke Vault.cellOf hash=0x8000000000000001 bytes=13 cycles=13100",
+    "9 ECALL invoke Vault.tags hash=0x8000000000000001 bytes=35 cycles=13100",
+    "10 ECALL ctor Temp.Temp hash=0x8000000000000003 bytes=0 cycles=13100",
+    "11 ECALL ctor Temp.Temp hash=0x8000000000000004 bytes=0 cycles=13100",
+    "12 ECALL ctor Temp.Temp hash=0x8000000000000005 bytes=0 cycles=13100",
+    "13 ECALL remove Temp.release hash=0x8000000000000003 bytes=0 cycles=13100",
+    "14 ECALL remove Temp.release hash=0x8000000000000004 bytes=0 cycles=13100",
+    "15 ECALL ctor Temp.Temp hash=0x8000000000000006 bytes=0 cycles=13100",
+    "16 ECALL remove Temp.release hash=0x8000000000000005 bytes=0 cycles=13100",
+    "17 ECALL invoke Vault.sweep hash=0x8000000000000001 bytes=0 cycles=13100",
+    "18 OCALL ctor Handle.Handle hash=0x0000000000000002 bytes=9 cycles=13100",
+    "19 OCALL remove Handle.release hash=0x0000000000000001 bytes=0 "
+    "cycles=13100",
+]
+
+METRICS = """\
+[trusted]
+ecalls = 0
+ocalls = 6
+bytes_serialized = 138
+allocations = 9
+gc_runs = 4
+gc_cycles = 5760
+mirror_registry_size = 3
+live_proxies = 1
+simulated_cycles = 85546
+
+[untrusted]
+ecalls = 13
+ocalls = 0
+bytes_serialized = 104
+allocations = 9
+gc_runs = 4
+gc_cycles = 1376
+mirror_registry_size = 1
+live_proxies = 3
+simulated_cycles = 174298
+
+[run]
+shim_ocalls = 3
+remove_calls = 4
+total_simulated_cycles = 259844
+"""
+
+CYCLES_BY_SOURCE = {
+    "trusted": {"alloc": 360, "field": 136, "gc": 5760, "transition": 78600,
+                "serialize": 690},
+    "untrusted": {"transition": 170300, "serialize": 520, "alloc": 90,
+                  "field": 12, "gc": 1376, "io": 2000},
+}
+
+
+@pytest.fixture(scope="module")
+def plan():
+    return compute_images(parse_program(SRC))
+
+
+def test_every_crossing_kind_is_frozen(plan):
+    res = DualRuntime(plan, gc_threshold=64).run_main()
+    assert res.transcript == ["ping", "hello", "r", "c", "pt", "done"]
+    assert res.vfs == {"/vault.txt": "hello"}
+    assert [ev.line() for ev in res.trace] == TRACE
+    assert res.metrics_text() == METRICS
+    assert res.cycles_by_source == CYCLES_BY_SOURCE
+
+
+def test_invoke_on_a_released_mirror_adopts_nothing(plan):
+    """The mirror is looked up before any argument lands on the target."""
+    rt = DualRuntime(plan)
+    vault = rt.construct(UNTRUSTED, "Vault", [7])
+    handle = rt.construct(UNTRUSTED, "Handle", [100])
+    point = rt.construct(UNTRUSTED, "Point", [2, "pt"])
+    tags = rt.make_list(UNTRUSTED, ["t1"])
+    trusted = rt.isolates[TRUSTED]
+    del trusted.registry[vault.hash_value]
+    with pytest.raises(StaleMirror):
+        rt.call(UNTRUSTED, vault, "store", [5, "hello", tags, point, handle])
+    assert trusted.proxy_table == {}
+    assert trusted.metrics.live_proxies == 0
+    assert len(trusted.heap) == 4  # the Vault, its Cell and two lists
+    assert [ev.line() for ev in rt.trace] == [
+        "1 ECALL ctor Vault.Vault hash=0x8000000000000001 bytes=9 cycles=13100",
+        "2 ECALL invoke Vault.store hash=0x8000000000000001 bytes=69 "
+        "cycles=13100",
+    ]

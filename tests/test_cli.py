@@ -173,6 +173,23 @@ class Main {
         assert main(["run", str(plan)]) == 1
         assert "bad plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("image, old, new", [
+        (TRUSTED_IMG, b"prim", b"prxm"),      # a relay's marshal kind
+        (TRUSTED_IMG, b"ecall", b"xcall"),    # a relay's direction
+        (UNTRUSTED_IMG, b"ecall", b"xcall"),  # a proxy's direction
+    ])
+    def test_tampered_enum_field_is_a_bad_plan(self, bank_dir, capsys,
+                                               image, old, new):
+        _, plan = bank_dir
+        img = plan / image
+        data = img.read_bytes()
+        assert old in data
+        img.write_bytes(data.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["run", str(plan)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad plan: ") and err.count("\n") == 1
+
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         src = tmp_path / "d.ep"
         src.write_text("""

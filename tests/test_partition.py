@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -6,7 +7,9 @@ from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
 from epart.dsl.ast import Annotation
 from epart.dsl.validate import _Checker
-from epart.errors import FormatError, InterfaceMismatch, UnresolvedCall
+from epart.errors import (
+    EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
+)
 from epart.partition import (
     CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
 )
@@ -196,6 +199,24 @@ class TestEmitLoad:
         (tmp_path / UNTRUSTED_IMG).write_bytes(t)
         with pytest.raises(FormatError):
             load_plan(tmp_path)
+
+    def test_single_byte_mutations_load_or_raise_epart_errors(
+            self, bank_plan, tmp_path):
+        """A tampered image never escapes load_plan as another exception."""
+        emit(bank_plan, tmp_path)
+        images = {n: (tmp_path / n).read_bytes()
+                  for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
+        rng = random.Random(0)
+        for _ in range(3000):
+            name = rng.choice(sorted(images))
+            data = bytearray(images[name])
+            data[rng.randrange(len(data))] = rng.randrange(256)
+            (tmp_path / name).write_bytes(bytes(data))
+            try:
+                load_plan(tmp_path)
+            except EpartError:
+                pass
+            (tmp_path / name).write_bytes(images[name])
 
     def test_descriptor_stub_mismatch(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)

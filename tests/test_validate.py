@@ -1,4 +1,7 @@
-from epart.dsl import analyze_calls, parse_program, validate
+from dataclasses import replace
+
+from epart.dsl import analyze_calls, ast, parse_program, validate
+from epart.dsl.ast import ClassDecl
 
 
 def check(source: str) -> set[str]:
@@ -222,3 +225,50 @@ class TestCallAnalysis:
         transfer = calls[("Person", "transfer")]
         assert ("Person", "getAccount") in transfer
         assert ("Account", "updateBalance") in transfer
+
+
+class TestLookupTables:
+    SRC = """
+@Neutral
+class Cell {
+    v: Int;
+    Cell() { this.v = 1; }
+    get() -> Int { return this.v; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var c: Cell = new Cell();
+        var x: Int = c.get();
+        var y: Bool = c.get();
+        c.nope();
+        var d: Cell = new Missing();
+    }
+}
+"""
+
+    def test_members_resolve_without_scanning_the_class(self, monkeypatch):
+        program = parse_program(self.SRC)
+        expected = [str(v) for v in validate(program).violations]
+        assert len(expected) == 3
+
+        def scan(self, name):
+            raise AssertionError(f"linear method scan for {name}")
+
+        monkeypatch.setattr(ClassDecl, "method", scan)
+        assert [str(v) for v in validate(program).violations] == expected
+
+    def test_first_declaration_of_a_name_wins(self):
+        program = parse_program(self.SRC)
+        cell = program.classes[0]
+        get = cell.methods[-1]
+        cell.methods.append(replace(get, return_type=ast.BOOL))
+        cell.fields.append(replace(cell.fields[0], type=ast.STR))
+        # The copies are checked as methods and fields of their own, but
+        # c.get() and this.v still resolve to the first declarations.
+        assert [str(v) for v in validate(program).violations] == [
+            "TYPE_ERROR Cell.get 6:20: cannot return Int from a Bool method",
+            "TYPE_ERROR Main.main 13:9: cannot assign Int to Bool",
+            "TYPE_RESOLVE Main.main 14:10: class Cell has no method nope",
+            "TYPE_RESOLVE Main.main 15:23: unknown class Missing",
+        ]
