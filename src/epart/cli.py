@@ -40,24 +40,30 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _read_source(path: str) -> str | None:
-    p = Path(path)
-    if not p.is_file():
-        return None
-    return p.read_text(encoding="utf-8")
+def _write_failed(e: OSError) -> int:
+    return _fail(f"cannot write {e.filename}: {e.strerror}")
 
 
-def _parse(source: str):
+def _parse_source(path: str):
     """Returns (program, exit_code); program is None when rejected.
 
-    Validation is left to the plan builders (compute_images,
-    whole_program_plan): their ValidationFailed is reported by main.
+    A source that is not UTF-8 text does not parse.  Validation is left to
+    the plan builders (compute_images, whole_program_plan): their
+    ValidationFailed is reported by main.
     """
+    p = Path(path)
+    if not p.is_file():
+        return None, _fail(f"source file not found: {path}")
     try:
-        return parse_program(source), EXIT_OK
+        return parse_program(p.read_text(encoding="utf-8")), EXIT_OK
+    except UnicodeDecodeError as e:
+        message = f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
     except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return None, EXIT_INVALID
+        message = str(e)
+    except OSError as e:
+        return None, _fail(f"cannot read {path}: {e.strerror}")
+    print(f"parse error: {message}", file=sys.stderr)
+    return None, EXIT_INVALID
 
 
 def _rejected(e: ValidationFailed) -> int:
@@ -101,30 +107,38 @@ def _run_to_fault(rt: DualRuntime, argv: list[str]):
         return rt.result(), str(e)
 
 
-def _emit_run_outputs(result, args) -> None:
+def _finish_run(result, fault: str | None, args) -> int:
+    """Print and write a run's outputs; the exit code of run and
+    run-unpartitioned."""
     for line in result.transcript:
         print(line)
-    if getattr(args, "trace", None) == "transitions":
+    if args.trace == "transitions":
         for ev in result.trace:
             print(ev.line(), file=sys.stderr)
-    if getattr(args, "metrics", None):
-        Path(args.metrics).write_text(result.metrics_text(), encoding="utf-8")
-    if getattr(args, "dump_fs", None):
-        _dump_fs(result.vfs, args.dump_fs)
+    if fault is not None:
+        print(fault, file=sys.stderr)
+    try:
+        if args.metrics:
+            Path(args.metrics).write_text(result.metrics_text(), encoding="utf-8")
+        if args.dump_fs:
+            _dump_fs(result.vfs, args.dump_fs)
+    except OSError as e:
+        return _write_failed(e)
+    return EXIT_OK if fault is None else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_partition(args) -> int:
-    source = _read_source(args.source)
-    if source is None:
-        return _fail(f"source file not found: {args.source}")
-    program, code = _parse(source)
+    program, code = _parse_source(args.source)
     if program is None:
         return code
     plan = compute_images(program)
-    files = emit(plan, args.out)
+    try:
+        files = emit(plan, args.out)
+    except OSError as e:
+        return _write_failed(e)
     names = {ann: [] for ann in Annotation}
     for cname, ann in plan.annotations.items():
         names[ann].append(cname)
@@ -159,17 +173,11 @@ def cmd_run(args) -> int:
                      "expected every-k=<positive int>")
     rt = DualRuntime(plan, model=model, gc_scan_every=int(m.group(1)))
     result, fault = _run_to_fault(rt, args.args)
-    _emit_run_outputs(result, args)
-    if fault is not None:
-        return _fail(fault)
-    return EXIT_OK
+    return _finish_run(result, fault, args)
 
 
 def cmd_run_unpartitioned(args) -> int:
-    source = _read_source(args.source)
-    if source is None:
-        return _fail(f"source file not found: {args.source}")
-    program, code = _parse(source)
+    program, code = _parse_source(args.source)
     if program is None:
         return code
     plan = whole_program_plan(program, enclave=True)
@@ -178,17 +186,11 @@ def cmd_run_unpartitioned(args) -> int:
         return code
     rt = DualRuntime(plan, model=model)
     result, fault = _run_to_fault(rt, args.args)
-    _emit_run_outputs(result, args)
-    if fault is not None:
-        return _fail(fault)
-    return EXIT_OK
+    return _finish_run(result, fault, args)
 
 
 def cmd_compare(args) -> int:
-    source = _read_source(args.source)
-    if source is None:
-        return _fail(f"source file not found: {args.source}")
-    program, code = _parse(source)
+    program, code = _parse_source(args.source)
     if program is None:
         return code
     reference_plan = whole_program_plan(program, enclave=False)
@@ -255,7 +257,10 @@ def cmd_bench(args) -> int:
         return code
     report = run_suite(args.suite, model=model, seed=args.seed)
     if args.out:
-        report.write(args.out)
+        try:
+            report.write(args.out)
+        except OSError as e:
+            return _write_failed(e)
         print(f"wrote {args.suite} report to {args.out}")
     else:
         print(report.to_csv(), end="")

@@ -1,9 +1,11 @@
 """Tokenizer for the annotated class language.
 
 One compiled master regex finds every token in a single pass; only malformed
-input takes a per-token path, to name the fault.  Identifiers follow
-str.isalpha/isalnum ("\\w" is exactly isalnum or "_") and numbers are runs of
-decimal digits of any script ("\\d" is exactly isdecimal), as int() reads them.
+input takes a per-token path, to name the fault.  Each match takes the blanks
+before its token too, so a blank costs no loop trip of its own: the token is
+the match's named group.  Identifiers follow str.isalpha/isalnum ("\\w" is
+exactly isalnum or "_") and numbers are runs of decimal digits of any script
+("\\d" is exactly isdecimal), as int() reads them.
 """
 
 from __future__ import annotations
@@ -39,19 +41,23 @@ class Token(NamedTuple):  # a tuple builds much faster than a frozen dataclass
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 _STR_BODY = r'[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*'
-_MASTER = re.compile("|".join([
-    r"(?P<ws>[ \t\r]+)",
+# Blanks before a token are part of its match.  Trailing blanks at the end of
+# the source match nothing, which is why `bad` excludes blanks: taking one
+# would make "x " end in an unexpected ' '.  Save for `bad`, the fallback,
+# no two alternatives start with the same character, so their order sets
+# only speed: the most frequent come first.
+_MASTER = re.compile(r"[ \t\r]*(?:" + "|".join([
+    "(?P<sym>" + "|".join(re.escape(s) for s in SYMBOLS) + ")",
     # Also matches a word that starts with a digit such as "²" or "½", which
     # str.isalpha rejects.
     r"(?P<ident>[^\W\d]\w*)",
-    "(?P<sym>" + "|".join(re.escape(s) for s in SYMBOLS) + ")",
     r"(?P<nl>\n)",
-    f'(?P<str>"{_STR_BODY}")',
     # A digit run that runs into a letter or a non-decimal digit is no token.
     r"(?P<int>\d+(?!\w))",
+    f'(?P<str>"{_STR_BODY}")',
     r"(?P<comment>#[^\n]*)",
-    r"(?P<bad>.)",
-]))
+    r"(?P<bad>[^ \t\r])",
+]) + ")")
 _STR_PREFIX = re.compile(_STR_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _WORD = re.compile(r"\w+")
@@ -90,34 +96,39 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # skips Token.__new__, a Python-level wrapper
     line, line_start = 1, 0
     eof_col = None
     for m in _MASTER.finditer(source):
         kind = m.lastgroup
-        if kind == "ws":
+        if kind == "sym":
+            append(new(Token, ("sym", m[kind], line,
+                               m.start(kind) - line_start + 1)))
             continue
-        if kind == "ident" and (m.group()[0].isalpha() or m.group()[0] == "_"):
-            text = m.group()
-            append(Token("keyword" if text in KEYWORDS else "ident", text,
-                         line, m.start() - line_start + 1))
-        elif kind == "sym" or kind == "int":
-            append(Token(kind, m.group(), line, m.start() - line_start + 1))
-        elif kind == "nl":
+        if kind == "nl":
             line += 1
             line_start = m.end()
+            continue
+        text = m[kind]
+        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text,
+                               line, m.start(kind) - line_start + 1)))
+        elif kind == "int":
+            append(new(Token, ("int", text, line, m.start(kind) - line_start + 1)))
         elif kind == "str":
-            text = m.group()[1:-1]
+            text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
-            append(Token("str", text, line, m.start() - line_start + 1))
+            append(new(Token, ("str", text, line, m.start(kind) - line_start + 1)))
         elif kind == "comment":
             if m.end() == len(source):
-                eof_col = m.start() - line_start + 1
+                eof_col = m.start(kind) - line_start + 1
         else:
-            offset, message = _malformed(source, m.start())
+            start = m.start(kind)
+            offset, message = _malformed(source, start)
             raise ParseError("syntax", message, line,
-                             m.start() - line_start + 1 + offset)
+                             start - line_start + 1 + offset)
     if eof_col is None:
         eof_col = len(source) - line_start + 1
-    append(Token("eof", "", line, eof_col))
+    append(new(Token, ("eof", "", line, eof_col)))
     return tokens

@@ -35,8 +35,9 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # advance never moves past the eof token, so pos is always in range.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -45,12 +46,12 @@ class _Parser:
         return tok
 
     def at_sym(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == text
+        t = self.tokens[self.pos]
+        return t[1] == text and t[0] == "sym"
 
     def at_kw(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "keyword" and t.text == text
+        t = self.tokens[self.pos]
+        return t[1] == text and t[0] == "keyword"
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
@@ -116,16 +117,17 @@ class _Parser:
         if cname.text in ast.BUILTIN_TYPE_NAMES:
             raise self.error(f"{cname.text!r} is a built-in type name", cname)
         self.expect_sym("{")
-        fields: list[FieldDecl] = []
-        methods: list[MethodDecl] = []
+        # Keyed by name, in declaration order, so a duplicate is one lookup.
+        fields: dict[str, FieldDecl] = {}
+        methods: dict[str, MethodDecl] = {}
         while not self.at_sym("}"):
             self.parse_member(cname.text, fields, methods)
         self.expect_sym("}")
-        return ClassDecl(cname.text, annotation, fields, methods,
-                         line=at.line, col=at.col)
+        return ClassDecl(cname.text, annotation, list(fields.values()),
+                         list(methods.values()), line=at.line, col=at.col)
 
-    def parse_member(self, class_name: str, fields: list[FieldDecl],
-                     methods: list[MethodDecl]) -> None:
+    def parse_member(self, class_name: str, fields: dict[str, FieldDecl],
+                     methods: dict[str, MethodDecl]) -> None:
         visibility = None
         if self.at_kw("public") or self.at_kw("private"):
             visibility = Visibility(self.advance().text)
@@ -142,38 +144,39 @@ class _Parser:
             self.advance()
             ftype = self.parse_type()
             self.expect_sym(";")
-            if any(f.name == name.text for f in fields):
+            if name.text in fields:
                 raise ParseError("duplicate_field",
                                  f"field {name.text} declared twice in {class_name}",
                                  name.line, name.col)
-            fields.append(FieldDecl(name.text, ftype,
-                                    visibility or Visibility.PRIVATE,
-                                    line=name.line, col=name.col))
+            fields[name.text] = FieldDecl(name.text, ftype,
+                                          visibility or Visibility.PRIVATE,
+                                          line=name.line, col=name.col)
             return
         if visibility is not None:
             raise self.error("visibility markers apply to fields only", name)
         method = self.parse_method(class_name, name, is_static)
-        if any(m.name == method.name for m in methods):
+        if method.name in methods:
             raise ParseError("duplicate_method",
                              f"method {method.name} declared twice in {class_name}",
                              name.line, name.col)
-        methods.append(method)
+        methods[method.name] = method
 
     def parse_method(self, class_name: str, name: Token, is_static: bool) -> MethodDecl:
         is_constructor = name.text == class_name
         self.expect_sym("(")
-        params: list[Param] = []
+        params: dict[str, Param] = {}
         while not self.at_sym(")"):
             if params:
                 self.expect_sym(",")
             pname = self.expect_ident("parameter name")
-            if any(p.name == pname.text for p in params):
+            if pname.text in params:
                 raise ParseError("duplicate_param",
                                  f"parameter {pname.text} declared twice",
                                  pname.line, pname.col)
             self.expect_sym(":")
             ptype = self.parse_type()
-            params.append(Param(pname.text, ptype, line=pname.line, col=pname.col))
+            params[pname.text] = Param(pname.text, ptype,
+                                       line=pname.line, col=pname.col)
         self.expect_sym(")")
         return_type = ast.UNIT
         if self.at_sym("->"):
@@ -184,7 +187,7 @@ class _Parser:
         if is_constructor and is_static:
             raise self.error("constructors cannot be static", name)
         body = self.parse_block()
-        return MethodDecl(name.text, params, return_type, body,
+        return MethodDecl(name.text, list(params.values()), return_type, body,
                           is_constructor=is_constructor, is_static=is_static,
                           line=name.line, col=name.col)
 
@@ -211,8 +214,9 @@ class _Parser:
         return body
 
     def parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if self.at_kw("var"):
+        t = self.tokens[self.pos]
+        kw = t.text if t.kind == "keyword" else None
+        if kw == "var":
             self.advance()
             name = self.expect_ident("variable name")
             declared = None
@@ -223,14 +227,14 @@ class _Parser:
             init = self.parse_expr()
             self.expect_sym(";")
             return VarDecl(name.text, declared, init, line=t.line, col=t.col)
-        if self.at_kw("return"):
+        if kw == "return":
             self.advance()
             value = None
             if not self.at_sym(";"):
                 value = self.parse_expr()
             self.expect_sym(";")
             return Return(value, line=t.line, col=t.col)
-        if self.at_kw("if"):
+        if kw == "if":
             self.advance()
             self.expect_sym("(")
             cond = self.parse_expr()
@@ -241,7 +245,7 @@ class _Parser:
                 self.advance()
                 else_body = self.parse_block()
             return If(cond, then_body, else_body, line=t.line, col=t.col)
-        if self.at_kw("while"):
+        if kw == "while":
             self.advance()
             self.expect_sym("(")
             cond = self.parse_expr()
@@ -266,24 +270,27 @@ class _Parser:
 
     def parse_compare(self) -> Expr:
         left = self.parse_additive()
-        while self.peek().kind == "sym" and self.peek().text in _COMPARE_OPS:
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos])[1] in _COMPARE_OPS and op[0] == "sym":
+            self.pos += 1
             right = self.parse_additive()
             left = Binary(op.text, left, right, line=op.line, col=op.col)
         return left
 
     def parse_additive(self) -> Expr:
         left = self.parse_multiplicative()
-        while self.peek().kind == "sym" and self.peek().text in _ADD_OPS:
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos])[1] in _ADD_OPS and op[0] == "sym":
+            self.pos += 1
             right = self.parse_multiplicative()
             left = Binary(op.text, left, right, line=op.line, col=op.col)
         return left
 
     def parse_multiplicative(self) -> Expr:
         left = self.parse_unary()
-        while self.peek().kind == "sym" and self.peek().text in _MUL_OPS:
-            op = self.advance()
+        tokens = self.tokens
+        while (op := tokens[self.pos])[1] in _MUL_OPS and op[0] == "sym":
+            self.pos += 1
             right = self.parse_unary()
             left = Binary(op.text, left, right, line=op.line, col=op.col)
         return left
@@ -324,8 +331,9 @@ class _Parser:
         return args
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
+        t = self.tokens[self.pos]
+        kind = t.kind
+        if kind == "int":
             self.advance()
             # int() refuses strings of more than 4300 digits, so count the
             # digits first, leading zeros of any script aside.
@@ -335,16 +343,17 @@ class _Parser:
             if len(digits) > _MAX_INT_DIGITS or int(digits) > _MAX_INT_LITERAL:
                 raise self.error("integer literal out of 64-bit range", t)
             return IntLit(int(digits), line=t.line, col=t.col)
-        if t.kind == "str":
+        if kind == "str":
             self.advance()
             return StrLit(t.text, line=t.line, col=t.col)
-        if self.at_kw("true") or self.at_kw("false"):
+        kw = t.text if kind == "keyword" else None
+        if kw == "true" or kw == "false":
             self.advance()
-            return BoolLit(t.text == "true", line=t.line, col=t.col)
-        if self.at_kw("this"):
+            return BoolLit(kw == "true", line=t.line, col=t.col)
+        if kw == "this":
             self.advance()
             return This(line=t.line, col=t.col)
-        if self.at_kw("new"):
+        if kw == "new":
             self.advance()
             cname = self.expect_ident("class name after 'new'")
             args = self.parse_args()
@@ -363,7 +372,7 @@ class _Parser:
                 elements.append(self.parse_expr())
             self.expect_sym("]")
             return ListLit(elements, line=t.line, col=t.col)
-        if t.kind == "ident":
+        if kind == "ident":
             if t.text in ast.BUILTIN_FUNCS:
                 self.advance()
                 if not self.at_sym("("):

@@ -7,20 +7,26 @@ Layout written to the output directory:
                                (direction, class, method), '#' header with the
                                tool version
 
+An expression or statement is its tag byte (its index in _EXPR_TAGS or
+_STMT_TAGS), then its fields in dataclass order, each by the codec its type
+annotation names in _FIELD_CODECS; positions are not stored.  The per-class
+tables are built once from dataclasses.fields.  Declarations, proxies and
+relays are written out by hand.
+
 Identical plans always produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from pathlib import Path
 
 from .._version import __version__
-from ..dsl import ast
 from ..dsl.ast import (
-    Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, Expr, ExprStmt,
+    Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, ExprStmt,
     FieldDecl, FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Param,
-    Return, Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
+    Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
 )
 from ..errors import FormatError, InterfaceMismatch
 from .model import MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod
@@ -35,347 +41,329 @@ INTERFACE_FILE = "interface.edl.txt"
 _ANN_CODE = {Annotation.TRUSTED: 0, Annotation.UNTRUSTED: 1, Annotation.NEUTRAL: 2}
 _ANN_FROM = {v: k for k, v in _ANN_CODE.items()}
 
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_TRUNCATED = "truncated image file"
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
 
-    def bytes_out(self) -> bytes:
-        return b"".join(self.parts)
+class _Writer(bytearray):
+    """The image being written.  Every writer function takes (w, value)."""
 
-    def u8(self, v: int) -> None:
-        self.parts.append(struct.pack("<B", v))
+    u8 = bytearray.append
 
     def u32(self, v: int) -> None:
-        self.parts.append(struct.pack("<I", v))
+        self += _U32.pack(v)
 
     def i64(self, v: int) -> None:
-        self.parts.append(struct.pack("<q", v))
+        self += _I64.pack(v)
 
     def s(self, v: str) -> None:
         data = v.encode("utf-8")
-        self.u32(len(data))
-        self.parts.append(data)
+        self += _U32.pack(len(data))
+        self += data
 
-    def seq(self, items, fn) -> None:
-        self.u32(len(items))
+    def seq(self, items, put) -> None:
+        self += _U32.pack(len(items))
         for item in items:
-            fn(item)
+            put(self, item)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads in place at an offset.  Every reader function takes (r)."""
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("truncated image file")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    __slots__ = ("data", "pos", "end")
+
+    def __init__(self, data: bytes, pos: int = 0):
+        self.data = data
+        self.pos = pos
+        self.end = len(data)
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= self.end:
+            raise FormatError(_TRUNCATED)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        pos = self.pos
+        if pos + 4 > self.end:
+            raise FormatError(_TRUNCATED)
+        self.pos = pos + 4
+        return _U32.unpack_from(self.data, pos)[0]
 
     def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+        pos = self.pos
+        if pos + 8 > self.end:
+            raise FormatError(_TRUNCATED)
+        self.pos = pos + 8
+        return _I64.unpack_from(self.data, pos)[0]
 
     def s(self) -> str:
-        n = self.u32()
+        start = self.pos + 4
+        if start > self.end:
+            raise FormatError(_TRUNCATED)
+        stop = start + _U32.unpack_from(self.data, start - 4)[0]
+        if stop > self.end:
+            raise FormatError(_TRUNCATED)
+        self.pos = stop
         try:
-            return self.take(n).decode("utf-8")
+            return self.data[start:stop].decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"bad string in image: {e}") from e
 
-    def seq(self, fn) -> list:
-        return [fn() for _ in range(self.u32())]
+    def seq(self, get) -> list:
+        return [get(self) for _ in range(self.u32())]
 
     def done(self) -> None:
-        if self.pos != len(self.data):
+        if self.pos != self.end:
             raise FormatError("trailing bytes in image file")
 
 
-# -- type / expression / statement encoding -----------------------------------
+# -- types, expressions and statements -------------------------------------------
 
-def _w_type(w: _Writer, t: TypeRef) -> None:
+def _put_type(w: _Writer, t: TypeRef) -> None:
     w.s(t.name)
     if t.elem is None:
         w.u8(0)
     else:
         w.u8(1)
-        _w_type(w, t.elem)
+        _put_type(w, t.elem)
 
 
-def _r_type(r: _Reader) -> TypeRef:
+def _get_type(r: _Reader) -> TypeRef:
     name = r.s()
     if r.u8():
-        return TypeRef(name, _r_type(r))
+        return TypeRef(name, _get_type(r))
     return TypeRef(name)
 
 
 _EXPR_TAGS = [IntLit, BoolLit, StrLit, Var, This, FieldGet, Unary, Binary, New,
               MethodCall, BuiltinCall, ListLit]
-_EXPR_TAG = {cls: i for i, cls in enumerate(_EXPR_TAGS)}
-
-
-def _w_expr(w: _Writer, e: Expr) -> None:
-    w.u8(_EXPR_TAG[type(e)])
-    if isinstance(e, IntLit):
-        w.i64(e.value)
-    elif isinstance(e, BoolLit):
-        w.u8(1 if e.value else 0)
-    elif isinstance(e, StrLit):
-        w.s(e.value)
-    elif isinstance(e, Var):
-        w.s(e.name)
-    elif isinstance(e, This):
-        pass
-    elif isinstance(e, FieldGet):
-        _w_expr(w, e.receiver)
-        w.s(e.field_name)
-    elif isinstance(e, Unary):
-        w.s(e.op)
-        _w_expr(w, e.operand)
-    elif isinstance(e, Binary):
-        w.s(e.op)
-        _w_expr(w, e.left)
-        _w_expr(w, e.right)
-    elif isinstance(e, New):
-        w.s(e.class_name)
-        w.seq(e.args, lambda a: _w_expr(w, a))
-    elif isinstance(e, MethodCall):
-        _w_expr(w, e.receiver)
-        w.s(e.method)
-        w.seq(e.args, lambda a: _w_expr(w, a))
-    elif isinstance(e, BuiltinCall):
-        w.s(e.name)
-        w.seq(e.args, lambda a: _w_expr(w, a))
-    elif isinstance(e, ListLit):
-        w.seq(e.elements, lambda a: _w_expr(w, a))
-    else:
-        raise TypeError(type(e).__name__)
-
-
-def _r_expr(r: _Reader) -> Expr:
-    tag = r.u8()
-    if tag >= len(_EXPR_TAGS):
-        raise FormatError(f"unknown expression tag {tag}")
-    cls = _EXPR_TAGS[tag]
-    if cls is IntLit:
-        return IntLit(r.i64())
-    if cls is BoolLit:
-        return BoolLit(r.u8() == 1)
-    if cls is StrLit:
-        return StrLit(r.s())
-    if cls is Var:
-        return Var(r.s())
-    if cls is This:
-        return This()
-    if cls is FieldGet:
-        return FieldGet(_r_expr(r), r.s())
-    if cls is Unary:
-        return Unary(r.s(), _r_expr(r))
-    if cls is Binary:
-        return Binary(r.s(), _r_expr(r), _r_expr(r))
-    if cls is New:
-        return New(r.s(), r.seq(lambda: _r_expr(r)))
-    if cls is MethodCall:
-        return MethodCall(_r_expr(r), r.s(), r.seq(lambda: _r_expr(r)))
-    if cls is BuiltinCall:
-        return BuiltinCall(r.s(), r.seq(lambda: _r_expr(r)))
-    if cls is ListLit:
-        return ListLit(r.seq(lambda: _r_expr(r)))
-    raise TypeError(cls.__name__)
-
-
 _STMT_TAGS = [VarDecl, Assign, ExprStmt, Return, If, While]
-_STMT_TAG = {cls: i for i, cls in enumerate(_STMT_TAGS)}
 
 
-def _w_stmt(w: _Writer, s: Stmt) -> None:
-    w.u8(_STMT_TAG[type(s)])
-    if isinstance(s, VarDecl):
-        w.s(s.name)
-        if s.declared_type is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            _w_type(w, s.declared_type)
-        _w_expr(w, s.init)
-    elif isinstance(s, Assign):
-        _w_expr(w, s.target)
-        _w_expr(w, s.value)
-    elif isinstance(s, ExprStmt):
-        _w_expr(w, s.expr)
-    elif isinstance(s, Return):
-        if s.value is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            _w_expr(w, s.value)
-    elif isinstance(s, If):
-        _w_expr(w, s.cond)
-        w.seq(s.then_body, lambda x: _w_stmt(w, x))
-        w.seq(s.else_body, lambda x: _w_stmt(w, x))
-    elif isinstance(s, While):
-        _w_expr(w, s.cond)
-        w.seq(s.body, lambda x: _w_stmt(w, x))
-    else:
-        raise TypeError(type(s).__name__)
+def _put_node(w: _Writer, node) -> None:
+    tag, fields = _NODE_PUT[node.__class__]
+    w.u8(tag)
+    for name, put in fields:
+        put(w, getattr(node, name))
 
 
-def _r_stmt(r: _Reader) -> Stmt:
+def _get_expr(r: _Reader):
     tag = r.u8()
-    if tag >= len(_STMT_TAGS):
+    if tag >= len(_EXPR_GET):
+        raise FormatError(f"unknown expression tag {tag}")
+    return _EXPR_GET[tag](r)
+
+
+def _get_stmt(r: _Reader):
+    tag = r.u8()
+    if tag >= len(_STMT_GET):
         raise FormatError(f"unknown statement tag {tag}")
-    cls = _STMT_TAGS[tag]
-    if cls is VarDecl:
-        name = r.s()
-        declared = _r_type(r) if r.u8() else None
-        return VarDecl(name, declared, _r_expr(r))
-    if cls is Assign:
-        target = _r_expr(r)
-        if not isinstance(target, (Var, FieldGet)):
-            raise FormatError("assignment target must be a variable or field")
-        return Assign(target, _r_expr(r))
-    if cls is ExprStmt:
-        return ExprStmt(_r_expr(r))
-    if cls is Return:
-        return Return(_r_expr(r) if r.u8() else None)
-    if cls is If:
-        return If(_r_expr(r), r.seq(lambda: _r_stmt(r)), r.seq(lambda: _r_stmt(r)))
-    if cls is While:
-        return While(_r_expr(r), r.seq(lambda: _r_stmt(r)))
-    raise TypeError(cls.__name__)
+    return _STMT_GET[tag](r)
+
+
+def _node_reader(cls, gets):
+    """Reads the fields of cls in order and builds it.  One closure per
+    arity: building an argument list per node would cost more."""
+    if not gets:
+        return lambda r: cls()
+    if len(gets) == 1:
+        (a,) = gets
+        return lambda r: cls(a(r))
+    if len(gets) == 2:
+        a, b = gets
+        return lambda r: cls(a(r), b(r))
+    a, b, c = gets
+    return lambda r: cls(a(r), b(r), c(r))
+
+
+def _get_target(r: _Reader):
+    target = _get_expr(r)
+    if not isinstance(target, (Var, FieldGet)):
+        raise FormatError("assignment target must be a variable or field")
+    return target
+
+
+def _optional(put, get):
+    """A presence byte (0 or 1), then the value when present."""
+    def put_optional(w: _Writer, v) -> None:
+        if v is None:
+            w.u8(0)
+        else:
+            w.u8(1)
+            put(w, v)
+    return put_optional, lambda r: get(r) if r.u8() else None
+
+
+def _sequence(put, get):
+    """A u32 count, then the items."""
+    return (lambda w, items: w.seq(items, put)), (lambda r: r.seq(get))
+
+
+# (writer, reader) by field type annotation.
+_FIELD_CODECS = {
+    "int": (_Writer.i64, _Reader.i64),
+    "bool": (lambda w, v: w.u8(1 if v else 0), lambda r: r.u8() == 1),
+    "str": (_Writer.s, _Reader.s),
+    "Expr": (_put_node, _get_expr),
+    "Union[Var, FieldGet]": (_put_node, _get_target),
+    "Optional[Expr]": _optional(_put_node, _get_expr),
+    "Optional[TypeRef]": _optional(_put_type, _get_type),
+    "list[Expr]": _sequence(_put_node, _get_expr),
+    "list[Stmt]": _sequence(_put_node, _get_stmt),
+}
+
+
+def _codecs(cls) -> list[tuple[str, tuple]]:
+    """(name, (writer, reader)) of each stored field; line and col are not."""
+    return [(f.name, _FIELD_CODECS[f.type])
+            for f in dataclasses.fields(cls) if f.compare]
+
+
+_NODE_PUT = {cls: (tag, [(name, put) for name, (put, _) in _codecs(cls)])
+             for tags in (_EXPR_TAGS, _STMT_TAGS) for tag, cls in enumerate(tags)}
+_EXPR_GET = [_node_reader(cls, [get for _, (_, get) in _codecs(cls)])
+             for cls in _EXPR_TAGS]
+_STMT_GET = [_node_reader(cls, [get for _, (_, get) in _codecs(cls)])
+             for cls in _STMT_TAGS]
 
 
 # -- declarations ---------------------------------------------------------------
 
-def _w_method(w: _Writer, m: MethodDecl) -> None:
+def _put_param(w: _Writer, p: Param) -> None:
+    w.s(p.name)
+    _put_type(w, p.type)
+
+
+def _put_method(w: _Writer, m: MethodDecl) -> None:
     w.s(m.name)
-    w.seq(m.params, lambda p: (w.s(p.name), _w_type(w, p.type)))
-    _w_type(w, m.return_type)
+    w.seq(m.params, _put_param)
+    _put_type(w, m.return_type)
     w.u8((1 if m.is_constructor else 0) | (2 if m.is_static else 0))
-    w.seq(m.body, lambda s: _w_stmt(w, s))
+    w.seq(m.body, _put_node)
 
 
-def _r_method(r: _Reader) -> MethodDecl:
+def _get_method(r: _Reader) -> MethodDecl:
     name = r.s()
-    params = r.seq(lambda: Param(r.s(), _r_type(r)))
-    ret = _r_type(r)
+    params = r.seq(lambda r: Param(r.s(), _get_type(r)))
+    ret = _get_type(r)
     flags = r.u8()
-    body = r.seq(lambda: _r_stmt(r))
+    body = r.seq(_get_stmt)
     return MethodDecl(name, params, ret, body,
                       is_constructor=bool(flags & 1), is_static=bool(flags & 2))
 
 
-def _w_class(w: _Writer, c: ClassDecl) -> None:
+def _put_field(w: _Writer, f: FieldDecl) -> None:
+    w.s(f.name)
+    _put_type(w, f.type)
+    w.u8(0 if f.visibility == Visibility.PRIVATE else 1)
+
+
+def _get_field(r: _Reader) -> FieldDecl:
+    return FieldDecl(r.s(), _get_type(r),
+                     Visibility.PRIVATE if r.u8() == 0 else Visibility.PUBLIC)
+
+
+def _put_class(w: _Writer, c: ClassDecl) -> None:
     w.s(c.name)
     w.u8(_ANN_CODE[c.annotation])
-    w.seq(c.fields, lambda f: (w.s(f.name), _w_type(w, f.type),
-                               w.u8(0 if f.visibility == Visibility.PRIVATE else 1)))
-    w.seq(c.methods, lambda m: _w_method(w, m))
+    w.seq(c.fields, _put_field)
+    w.seq(c.methods, _put_method)
 
 
-def _r_class(r: _Reader) -> ClassDecl:
+def _get_class(r: _Reader) -> ClassDecl:
     name = r.s()
     ann = _ANN_FROM.get(r.u8())
     if ann is None:
         raise FormatError("unknown annotation code")
-    fields = r.seq(lambda: FieldDecl(
-        r.s(), _r_type(r),
-        Visibility.PRIVATE if r.u8() == 0 else Visibility.PUBLIC))
-    methods = r.seq(lambda: _r_method(r))
-    return ClassDecl(name, ann, fields, methods)
+    return ClassDecl(name, ann, r.seq(_get_field), r.seq(_get_method))
 
 
-def _w_proxy(w: _Writer, p: ProxyClassDef) -> None:
+def _put_stub(w: _Writer, s: StubMethod) -> None:
+    w.s(s.name)
+    w.seq(s.params, lambda w, p: (w.s(p[0]), _put_type(w, p[1])))
+    _put_type(w, s.return_type)
+    w.u8(1 if s.is_constructor else 0)
+
+
+def _get_stub(r: _Reader) -> StubMethod:
+    name = r.s()
+    params = tuple(r.seq(lambda r: (r.s(), _get_type(r))))
+    ret = _get_type(r)
+    return StubMethod(name, params, ret, r.u8() == 1)
+
+
+def _put_proxy(w: _Writer, p: ProxyClassDef) -> None:
     w.s(p.class_name)
     w.s(p.direction)
-    w.seq(p.stubs, lambda s: (
-        w.s(s.name),
-        w.seq(s.params, lambda pr: (w.s(pr[0]), _w_type(w, pr[1]))),
-        _w_type(w, s.return_type),
-        w.u8(1 if s.is_constructor else 0)))
+    w.seq(p.stubs, _put_stub)
 
 
 _DIRECTIONS = {"ecall": "ecall", "ocall": "ocall"}
 _KINDS = {k.value: k for k in MarshalKind}
 
 
-def _r_enum(r: _Reader, values: dict, what: str):
+def _get_enum(r: _Reader, values: dict, what: str):
     text = r.s()
     if text not in values:
         raise FormatError(f"bad {what} {text!r}")
     return values[text]
 
 
-def _r_proxy(r: _Reader) -> ProxyClassDef:
+def _get_proxy(r: _Reader) -> ProxyClassDef:
     name = r.s()
-    direction = _r_enum(r, _DIRECTIONS, "transition direction")
-
-    def stub() -> StubMethod:
-        sname = r.s()
-        params = tuple(r.seq(lambda: (r.s(), _r_type(r))))
-        ret = _r_type(r)
-        return StubMethod(sname, params, ret, r.u8() == 1)
-
-    return ProxyClassDef(name, direction, tuple(r.seq(stub)))
+    direction = _get_enum(r, _DIRECTIONS, "transition direction")
+    return ProxyClassDef(name, direction, tuple(r.seq(_get_stub)))
 
 
-def _w_relay(w: _Writer, rel: RelayMethodDef) -> None:
+def _put_relay(w: _Writer, rel: RelayMethodDef) -> None:
     w.s(rel.class_name)
     w.s(rel.method_name)
     w.u8(1 if rel.is_constructor else 0)
     w.s(rel.direction)
-    w.seq(rel.param_kinds, lambda k: w.s(k.value))
+    w.seq(rel.param_kinds, lambda w, k: w.s(k.value))
     w.s(rel.return_kind.value)
 
 
-def _r_relay(r: _Reader) -> RelayMethodDef:
+def _get_relay(r: _Reader) -> RelayMethodDef:
     cname = r.s()
     mname = r.s()
     is_ctor = r.u8() == 1
-    direction = _r_enum(r, _DIRECTIONS, "transition direction")
-    kinds = tuple(r.seq(lambda: _r_enum(r, _KINDS, "marshal kind")))
-    ret = _r_enum(r, _KINDS, "marshal kind")
+    direction = _get_enum(r, _DIRECTIONS, "transition direction")
+    kinds = tuple(r.seq(lambda r: _get_enum(r, _KINDS, "marshal kind")))
+    ret = _get_enum(r, _KINDS, "marshal kind")
     return RelayMethodDef(cname, mname, is_ctor, direction, kinds, ret)
 
 
 # -- whole images ---------------------------------------------------------------
 
 def encode_image(plan: PartitionPlan, spec: ImageSpec) -> bytes:
-    w = _Writer()
-    w.parts.append(MAGIC)
+    w = _Writer(MAGIC)
     w.s(spec.side.value)
     w.s(__version__)
-    names = sorted(plan.class_ids, key=lambda n: plan.class_ids[n])
-    w.seq(names, w.s)
-    w.seq(list(plan.annotations),
-          lambda n: (w.s(n), w.u8(_ANN_CODE[plan.annotations[n]])))
-    w.seq(spec.classes, lambda c: _w_class(w, c))
-    w.seq(spec.proxies, lambda p: _w_proxy(w, p))
-    w.seq(spec.relays, lambda rel: _w_relay(w, rel))
-    w.seq(spec.entry_points, w.s)
-    return w.bytes_out()
+    w.seq(sorted(plan.class_ids, key=plan.class_ids.__getitem__), _Writer.s)
+    w.seq(list(plan.annotations.items()),
+          lambda w, item: (w.s(item[0]), w.u8(_ANN_CODE[item[1]])))
+    w.seq(spec.classes, _put_class)
+    w.seq(spec.proxies, _put_proxy)
+    w.seq(spec.relays, _put_relay)
+    w.seq(spec.entry_points, _Writer.s)
+    return bytes(w)
 
 
 def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int], str]:
     if not data.startswith(MAGIC):
         raise FormatError("bad magic: not an image file or unsupported version")
-    r = _Reader(data)
-    r.take(len(MAGIC))
+    r = _Reader(data, len(MAGIC))
     side_text = r.s()
     try:
         side = Annotation(side_text)
     except ValueError as e:
         raise FormatError(f"bad image side {side_text!r}") from e
     version = r.s()
-    names = r.seq(r.s)
+    names = r.seq(_Reader.s)
     class_ids = {n: i for i, n in enumerate(names)}
     annotations: dict[str, Annotation] = {}
     for _ in range(r.u32()):
@@ -385,10 +373,10 @@ def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[st
             raise FormatError("unknown annotation code")
         annotations[n] = _ANN_FROM[code]
     spec = ImageSpec(side)
-    spec.classes = r.seq(lambda: _r_class(r))
-    spec.proxies = r.seq(lambda: _r_proxy(r))
-    spec.relays = r.seq(lambda: _r_relay(r))
-    spec.entry_points = r.seq(r.s)
+    spec.classes = r.seq(_get_class)
+    spec.proxies = r.seq(_get_proxy)
+    spec.relays = r.seq(_get_relay)
+    spec.entry_points = r.seq(_Reader.s)
     r.done()
     return spec, annotations, class_ids, version
 

@@ -467,3 +467,40 @@ class TestEntryPoint:
     def test_no_command_shows_usage(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestOneLineFailures:
+    """Bad inputs and unwritable outputs end in one stderr line, never a
+    traceback."""
+
+    CASES = {
+        # name: (argv, exit code); {src}, {bad}, {plan}, {file} and {gone}
+        # are filled in below.
+        "partition-non-utf8": (["partition", "{bad}", "-o", "{gone}/p"], 2),
+        "compare-non-utf8": (["compare", "{bad}"], 2),
+        "run-unpartitioned-non-utf8": (["run-unpartitioned", "{bad}"], 2),
+        "partition-out-is-a-file": (["partition", "{src}", "-o", "{file}"], 1),
+        "run-metrics-missing-dir": (
+            ["run", "{plan}", "--metrics", "{gone}/m.txt"], 1),
+        "run-unpartitioned-metrics-missing-dir": (
+            ["run-unpartitioned", "{src}", "--metrics", "{gone}/m.txt"], 1),
+        "bench-out-missing-dir": (
+            ["bench", "--suite", "rmi", "--out", "{gone}/rmi.csv"], 1),
+    }
+
+    @pytest.mark.parametrize("argv,code", CASES.values(), ids=CASES.keys())
+    def test_one_line_and_exit_code(self, bank_dir, tmp_path, argv, code):
+        src, plan = bank_dir
+        bad = tmp_path / "latin1.ep"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        existing = tmp_path / "existing.txt"
+        existing.write_text("x")
+        paths = {"src": src, "bad": bad, "plan": plan, "file": existing,
+                 "gone": tmp_path / "missing"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "epart.cli",
+             *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epart.dsl import ast, parse_program
-from epart.dsl.lexer import tokenize
+from epart.dsl.lexer import KEYWORDS, SYMBOLS, tokenize
 from epart.errors import ParseError
 
 
@@ -193,3 +197,52 @@ class Main {
     def test_annotation_required(self):
         with pytest.raises(ParseError):
             parse_program("class Main { static main() { } }")
+
+    @pytest.mark.parametrize("decl,kind,message", [
+        ("x: Int;\n    x: Str;\n    x: Bool;", "duplicate_field",
+         "field x declared twice in Main"),
+        ("f() { }\n    f() { }\n    f() { }", "duplicate_method",
+         "method f declared twice in Main"),
+        ("f(a: Int, a: Int, a: Int) { }", "duplicate_param",
+         "parameter a declared twice"),
+    ])
+    def test_first_duplicate_is_reported(self, decl, kind, message):
+        src = f"@Untrusted\nclass Main {{\n    {decl}\n    static main() {{ }}\n}}"
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        e = exc.value
+        second = {"duplicate_field": (4, 5), "duplicate_method": (4, 5),
+                  "duplicate_param": (3, 15)}[kind]
+        assert (e.kind, e.message, (e.line, e.col)) == (kind, message, second)
+
+
+# A program that uses every statement and expression kind, and the offset of
+# each of its token starts: cut there, the input ends in any parser state.
+_PROGRAM = (Path(__file__).parent / "fixtures" / "every_node.ep").read_text(
+    encoding="utf-8")
+_LINE_STARTS = [0] + [i + 1 for i, c in enumerate(_PROGRAM) if c == "\n"]
+_CUTS = [_LINE_STARTS[t.line - 1] + t.col - 1 for t in tokenize(_PROGRAM)]
+_ATOMS = sorted(KEYWORDS) + SYMBOLS + [
+    "Main", "x", "List", "Int", "Str", "print", "gc", "main", "0", "42",
+    "9223372036854775808", '"s"', "@Untrusted", "@Neutral", " ", "\n",
+    "\t", "# c\n"]
+
+
+def _parses_or_raises_parse_error(source: str) -> None:
+    try:
+        program = parse_program(source)
+    except ParseError:
+        return
+    assert isinstance(program, ast.Program)
+
+
+def test_every_prefix_parses_or_raises_parse_error():
+    for cut in _CUTS:
+        _parses_or_raises_parse_error(_PROGRAM[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CUTS), st.lists(st.sampled_from(_ATOMS), max_size=12))
+def test_parse_returns_a_program_or_raises_parse_error(cut, atoms):
+    """Never IndexError or any other exception, even at the end of input."""
+    _parses_or_raises_parse_error(_PROGRAM[:cut] + " ".join(atoms))

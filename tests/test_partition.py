@@ -1,5 +1,8 @@
+import collections
+import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,11 @@ from epart.errors import (
 from epart.partition import (
     CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
 )
-from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
+from epart.partition.emit import (
+    _EXPR_TAGS, _STMT_TAGS, INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def plan_of(source: str):
@@ -150,18 +157,45 @@ class Main {
         assert new_stubs == base_stubs | {"quiet"}
 
 
+def _node_classes(value, seen: set) -> set:
+    """The classes of every dataclass instance reachable from value."""
+    if dataclasses.is_dataclass(value):
+        seen.add(type(value))
+        for f in dataclasses.fields(value):
+            _node_classes(getattr(value, f.name), seen)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _node_classes(item, seen)
+    return seen
+
+
+def _assert_roundtrip(plan, out_dir) -> None:
+    """emit then load_plan gives back equal images (positions aside)."""
+    emit(plan, out_dir)
+    loaded = load_plan(out_dir)
+    for side in (Annotation.TRUSTED, Annotation.UNTRUSTED):
+        image, back = plan.image(side), loaded.image(side)
+        assert back.classes == image.classes
+        assert back.proxies == image.proxies
+        assert back.relays == image.relays
+        assert back.entry_points == image.entry_points
+    assert loaded.descriptor == plan.descriptor
+    assert loaded.annotations == plan.annotations
+    assert loaded.class_ids == plan.class_ids
+
+
 class TestEmitLoad:
     def test_roundtrip(self, bank_plan, tmp_path):
-        emit(bank_plan, tmp_path)
-        loaded = load_plan(tmp_path)
-        assert [c.name for c in loaded.trusted_image.classes] == \
-            [c.name for c in bank_plan.trusted_image.classes]
-        assert [r.render() for r in loaded.descriptor.records] == \
-            [r.render() for r in bank_plan.descriptor.records]
-        assert loaded.annotations == bank_plan.annotations
-        assert loaded.class_ids == bank_plan.class_ids
-        assert loaded.untrusted_image.entry_points == \
-            bank_plan.untrusted_image.entry_points
+        _assert_roundtrip(bank_plan, tmp_path)
+
+    def test_roundtrip_over_corpus_with_every_node_kind(self, tmp_path):
+        seen: set = set()
+        for i, source in enumerate(generate_corpus(10, seed=5)):
+            plan = compute_images(parse_program(source))
+            _assert_roundtrip(plan, tmp_path / str(i))
+            for image in (plan.trusted_image, plan.untrusted_image):
+                _node_classes(image.classes, seen)
+        assert set(_EXPR_TAGS) | set(_STMT_TAGS) <= seen
 
     def test_emit_is_deterministic(self, bank_plan, tmp_path):
         a = tmp_path / "a"
@@ -202,11 +236,16 @@ class TestEmitLoad:
 
     def test_single_byte_mutations_load_or_raise_epart_errors(
             self, bank_plan, tmp_path):
-        """A tampered image never escapes load_plan as another exception."""
+        """A tampered image never escapes load_plan as another exception.
+
+        The outcome counts pin what the decoder rejects today; a stricter
+        loader changes them on purpose.
+        """
         emit(bank_plan, tmp_path)
         images = {n: (tmp_path / n).read_bytes()
                   for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
         rng = random.Random(0)
+        outcomes: collections.Counter = collections.Counter()
         for _ in range(3000):
             name = rng.choice(sorted(images))
             data = bytearray(images[name])
@@ -214,9 +253,12 @@ class TestEmitLoad:
             (tmp_path / name).write_bytes(bytes(data))
             try:
                 load_plan(tmp_path)
-            except EpartError:
-                pass
+                outcomes["loaded"] += 1
+            except EpartError as e:
+                outcomes[type(e).__name__] += 1
             (tmp_path / name).write_bytes(images[name])
+        assert outcomes == {"loaded": 618, "FormatError": 2346,
+                            "InterfaceMismatch": 36}
 
     def test_descriptor_stub_mismatch(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)
@@ -320,4 +362,22 @@ class Main {
                 "921dc47ce10df88994f40c9f0a78524b6bc6d0d6b5b8a504bc042a96bb6d9d25",
             UNTRUSTED_IMG:
                 "254b707014178ff5a4627d5ce45d5f192c09b718eb019a107c79598e7b0449e1",
+        }
+
+    def test_images_of_every_node_kind_are_frozen(self, tmp_path):
+        """The fixture holds all 12 expression and 6 statement kinds."""
+        source = (FIXTURES / "every_node.ep").read_text(encoding="utf-8")
+        plan = compute_images(parse_program(source))
+        assert _node_classes(
+            [plan.trusted_image.classes, plan.untrusted_image.classes],
+            set()) >= set(_EXPR_TAGS) | set(_STMT_TAGS)
+        files = emit(plan, tmp_path)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in files} == {
+            INTERFACE_FILE:
+                "1e853a3223318bc56cc7c56ff0443c7d891e9400f360b534507ff94357b0a085",
+            TRUSTED_IMG:
+                "15bd21cb3e26cbdddfdc7fe269f97cd8c0f3a42b508b4f30608592f64814e041",
+            UNTRUSTED_IMG:
+                "974c670e53e942c49bae79c7d2e5a8db8a56077465110dc38dedec40b589c7a7",
         }
