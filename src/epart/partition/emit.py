@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .._version import __version__
 from ..dsl.ast import (
+    BOOL, INT, STR, UNIT,
     Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, ExprStmt,
     FieldDecl, FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Param,
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
@@ -131,11 +132,16 @@ def _put_type(w: _Writer, t: TypeRef) -> None:
         _put_type(w, t.elem)
 
 
+# TypeRef is frozen, so one instance serves every use of a primitive type and
+# saves building one per parameter, field and return type.
+_PRIMITIVE_TYPES = {t.name: t for t in (INT, BOOL, STR, UNIT)}
+
+
 def _get_type(r: _Reader) -> TypeRef:
     name = r.s()
     if r.u8():
         return TypeRef(name, _get_type(r))
-    return TypeRef(name)
+    return _PRIMITIVE_TYPES.get(name) or TypeRef(name)
 
 
 _EXPR_TAGS = [IntLit, BoolLit, StrLit, Var, This, FieldGet, Unary, Binary, New,
