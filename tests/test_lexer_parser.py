@@ -35,6 +35,14 @@ class TestLexer:
         toks = tokenize("# a comment\nclass # trailing\nA")
         assert [t.text for t in toks if t.text] == ["class", "A"]
 
+    @pytest.mark.parametrize("source,expected", [
+        ("z( \t\r", [("ident", "z", 1, 1), ("sym", "(", 1, 2), ("eof", "", 1, 6)]),
+        ("x\n  ", [("ident", "x", 1, 1), ("eof", "", 2, 3)]),
+    ])
+    def test_trailing_blanks_belong_to_no_token(self, source, expected):
+        assert [(t.kind, t.text, t.line, t.col)
+                for t in tokenize(source)] == expected
+
     def test_string_escapes(self):
         toks = tokenize(r'"a\nb\t\"q\\"')
         assert toks[0].text == 'a\nb\t"q\\'

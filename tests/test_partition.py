@@ -8,7 +8,7 @@ import pytest
 
 from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
-from epart.dsl.ast import Annotation
+from epart.dsl.ast import Annotation, IntLit
 from epart.dsl.validate import _Checker
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
@@ -17,7 +17,8 @@ from epart.partition import (
     CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
 )
 from epart.partition.emit import (
-    _EXPR_TAGS, _STMT_TAGS, INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG,
+    _EXPR_TAGS, _STMT_TAGS, INTERFACE_FILE, MAGIC, TRUSTED_IMG, UNTRUSTED_IMG,
+    decode_image,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -221,8 +222,29 @@ class TestEmitLoad:
     def test_truncated_image(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)
         p = tmp_path / TRUSTED_IMG
-        p.write_bytes(p.read_bytes()[:-10])
+        data = p.read_bytes()
+        p.write_bytes(data[:-10])
         with pytest.raises(FormatError):
+            load_plan(tmp_path)
+        # Every cut after the magic runs out of bytes in the middle of a read.
+        for n in range(len(MAGIC), len(data)):
+            with pytest.raises(FormatError, match="^truncated image file$"):
+                decode_image(data[:n])
+
+    def test_assignment_target_must_be_a_variable_or_field(self, tmp_path):
+        plan = plan_of("""
+@Untrusted
+class Main {
+    static main() {
+        var x: Int = 1;
+        x = 2;
+    }
+}
+""")
+        assign = plan.untrusted_image.class_decl("Main").methods[0].body[1]
+        assign.target = IntLit(3)
+        emit(plan, tmp_path)
+        with pytest.raises(FormatError, match="assignment target must be"):
             load_plan(tmp_path)
 
     def test_swapped_images(self, bank_plan, tmp_path):
