@@ -26,6 +26,9 @@ _ANNOTATIONS = {a.value: a for a in Annotation}
 _COMPARE_OPS = {"<", "<=", ">", ">=", "==", "!="}
 _ADD_OPS = {"+", "-"}
 _MUL_OPS = {"*", "/", "%"}
+# The level of each binary operator, loosest first; all are left-associative.
+_LEVEL = {op: level for level, ops in enumerate((_COMPARE_OPS, _ADD_OPS, _MUL_OPS))
+          for op in ops}
 
 
 class _Parser:
@@ -265,33 +268,14 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_compare()
-
-    def parse_compare(self) -> Expr:
-        left = self.parse_additive()
-        tokens = self.tokens
-        while (op := tokens[self.pos])[1] in _COMPARE_OPS and op[0] == "sym":
-            self.pos += 1
-            right = self.parse_additive()
-            left = Binary(op.text, left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        tokens = self.tokens
-        while (op := tokens[self.pos])[1] in _ADD_OPS and op[0] == "sym":
-            self.pos += 1
-            right = self.parse_multiplicative()
-            left = Binary(op.text, left, right, line=op.line, col=op.col)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, level: int = 0) -> Expr:
+        """An operand, then each operator of this level or a tighter one with
+        its right operand, which binds only tighter operators."""
         left = self.parse_unary()
         tokens = self.tokens
-        while (op := tokens[self.pos])[1] in _MUL_OPS and op[0] == "sym":
+        while (op := tokens[self.pos])[0] == "sym" and _LEVEL.get(op[1], -1) >= level:
             self.pos += 1
-            right = self.parse_unary()
+            right = self.parse_expr(_LEVEL[op[1]] + 1)
             left = Binary(op.text, left, right, line=op.line, col=op.col)
         return left
 

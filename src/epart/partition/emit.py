@@ -7,19 +7,23 @@ Layout written to the output directory:
                                (direction, class, method), '#' header with the
                                tool version
 
-An expression or statement is its tag byte (its index in _EXPR_TAGS or
-_STMT_TAGS), then its fields in dataclass order, each by the codec its type
-annotation names in _FIELD_CODECS; positions are not stored.  The per-class
-tables are built once from dataclasses.fields.  Declarations, proxies and
-relays are written out by hand.
+One schema: a record is its fields in dataclass order, each by the codec its
+type annotation names in _FIELD_CODECS (positions are not stored); a node
+first has its tag, its index in _EXPR_TAGS or _STMT_TAGS.  MethodDecl alone
+is by hand: its two flags share one byte, between return type and body.
 
-Identical plans always produce byte-identical files.
+One encoding per value: a flag byte (a bool, or the presence of a list
+element type or an optional value) is 0 or 1, a code byte names one of its
+values, method flags are at most 3 and a header table names a class once.
+Anything else is a FormatError, so an image decodes and encodes back to the
+same bytes.  Identical plans always produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
+from collections import Counter
 from pathlib import Path
 
 from .._version import __version__
@@ -39,11 +43,9 @@ TRUSTED_IMG = "trusted.img"
 UNTRUSTED_IMG = "untrusted.img"
 INTERFACE_FILE = "interface.edl.txt"
 
-_ANN_CODE = {Annotation.TRUSTED: 0, Annotation.UNTRUSTED: 1, Annotation.NEUTRAL: 2}
-_ANN_FROM = {v: k for k, v in _ANN_CODE.items()}
-
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
+_pack_u32, _unpack_u32 = _U32.pack, _U32.unpack_from  # bound once: run per string
 _TRUNCATED = "truncated image file"
 
 
@@ -52,21 +54,13 @@ class _Writer(bytearray):
 
     u8 = bytearray.append
 
-    def u32(self, v: int) -> None:
-        self += _U32.pack(v)
-
     def i64(self, v: int) -> None:
         self += _I64.pack(v)
 
     def s(self, v: str) -> None:
-        data = v.encode("utf-8")
-        self += _U32.pack(len(data))
+        data = v.encode()
+        self += _pack_u32(len(data))
         self += data
-
-    def seq(self, items, put) -> None:
-        self += _U32.pack(len(items))
-        for item in items:
-            put(self, item)
 
 
 class _Reader:
@@ -91,7 +85,7 @@ class _Reader:
         if pos + 4 > self.end:
             raise FormatError(_TRUNCATED)
         self.pos = pos + 4
-        return _U32.unpack_from(self.data, pos)[0]
+        return _unpack_u32(self.data, pos)[0]
 
     def i64(self) -> int:
         pos = self.pos
@@ -104,7 +98,7 @@ class _Reader:
         start = self.pos + 4
         if start > self.end:
             raise FormatError(_TRUNCATED)
-        stop = start + _U32.unpack_from(self.data, start - 4)[0]
+        stop = start + _unpack_u32(self.data, start - 4)[0]
         if stop > self.end:
             raise FormatError(_TRUNCATED)
         self.pos = stop
@@ -112,13 +106,6 @@ class _Reader:
             return self.data[start:stop].decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"bad string in image: {e}") from e
-
-    def seq(self, get) -> list:
-        return [get(self) for _ in range(self.u32())]
-
-    def done(self) -> None:
-        if self.pos != self.end:
-            raise FormatError("trailing bytes in image file")
 
 
 # -- types, expressions and statements -------------------------------------------
@@ -139,9 +126,12 @@ _PRIMITIVE_TYPES = {t.name: t for t in (INT, BOOL, STR, UNIT)}
 
 def _get_type(r: _Reader) -> TypeRef:
     name = r.s()
-    if r.u8():
-        return TypeRef(name, _get_type(r))
-    return _PRIMITIVE_TYPES.get(name) or TypeRef(name)
+    flag = r.u8()
+    if not flag:
+        return _PRIMITIVE_TYPES.get(name) or TypeRef(name)
+    if flag != 1:
+        raise FormatError(f"bad flag byte {flag}")
+    return TypeRef(name, _get_type(r))
 
 
 _EXPR_TAGS = [IntLit, BoolLit, StrLit, Var, This, FieldGet, Unary, Binary, New,
@@ -170,21 +160,6 @@ def _get_stmt(r: _Reader):
     return _STMT_GET[tag](r)
 
 
-def _node_reader(cls, gets):
-    """Reads the fields of cls in order and builds it.  One closure per
-    arity: building an argument list per node would cost more."""
-    if not gets:
-        return lambda r: cls()
-    if len(gets) == 1:
-        (a,) = gets
-        return lambda r: cls(a(r))
-    if len(gets) == 2:
-        a, b = gets
-        return lambda r: cls(a(r), b(r))
-    a, b, c = gets
-    return lambda r: cls(a(r), b(r), c(r))
-
-
 def _get_target(r: _Reader):
     target = _get_expr(r)
     if not isinstance(target, (Var, FieldGet)):
@@ -195,152 +170,162 @@ def _get_target(r: _Reader):
 def _optional(put, get):
     """A presence byte (0 or 1), then the value when present."""
     def put_optional(w: _Writer, v) -> None:
-        if v is None:
-            w.u8(0)
-        else:
-            w.u8(1)
+        w.u8(v is not None)
+        if v is not None:
             put(w, v)
-    return put_optional, lambda r: get(r) if r.u8() else None
+
+    def get_optional(r: _Reader):
+        flag = r.u8()
+        if flag > 1:
+            raise FormatError(f"bad flag byte {flag}")
+        return get(r) if flag else None
+    return put_optional, get_optional
 
 
-def _sequence(put, get):
-    """A u32 count, then the items."""
-    return (lambda w, items: w.seq(items, put)), (lambda r: r.seq(get))
+def _sequence(put, get, frozen=False):
+    """A u32 count, then the items: a tuple when frozen, else a list."""
+    def put_items(w: _Writer, items) -> None:
+        w += _pack_u32(len(items))
+        for item in items:
+            put(w, item)
+
+    def get_items(r: _Reader):
+        items = [get(r) for _ in range(r.u32())]
+        return tuple(items) if frozen else items
+    return put_items, get_items
 
 
-# (writer, reader) by field type annotation.
+def _code(what: str, *values):
+    """A u8: the value's index in values."""
+    codes = {v: i for i, v in enumerate(values)}
+
+    def get(r: _Reader):
+        code = r.u8()
+        if code >= len(values):
+            raise FormatError(f"bad {what} byte {code}")
+        return values[code]
+    return (lambda w, v: w.u8(codes[v])), get
+
+
+def _one_of(what: str, values: dict):
+    """A string naming one of values (a dict by text; a MarshalKind is a str)."""
+    def get(r: _Reader):
+        text = r.s()
+        value = values.get(text)
+        if value is None:
+            raise FormatError(f"bad {what} {text!r}")
+        return value
+    return _Writer.s, get
+
+
+_DIRECTION = _one_of("transition direction", {"ecall": "ecall", "ocall": "ocall"})
+_get_side = _one_of("image side", {a.value: a for a in Annotation})[1]
+_MARSHAL_KIND = _one_of("marshal kind", {k.value: k for k in MarshalKind})
+
+# (writer, reader) by field type annotation; a record joins after its fields.
 _FIELD_CODECS = {
     "int": (_Writer.i64, _Reader.i64),
-    "bool": (lambda w, v: w.u8(1 if v else 0), lambda r: r.u8() == 1),
+    "bool": _code("flag", False, True),
     "str": (_Writer.s, _Reader.s),
+    "TypeRef": (_put_type, _get_type),
+    "Annotation": _code("annotation",
+                        Annotation.TRUSTED, Annotation.UNTRUSTED, Annotation.NEUTRAL),
+    "Visibility": _code("visibility", Visibility.PRIVATE, Visibility.PUBLIC),
+    "MarshalKind": _MARSHAL_KIND,
     "Expr": (_put_node, _get_expr),
     "Union[Var, FieldGet]": (_put_node, _get_target),
     "Optional[Expr]": _optional(_put_node, _get_expr),
     "Optional[TypeRef]": _optional(_put_type, _get_type),
     "list[Expr]": _sequence(_put_node, _get_expr),
     "list[Stmt]": _sequence(_put_node, _get_stmt),
+    "tuple[MarshalKind, ...]": _sequence(*_MARSHAL_KIND, frozen=True),
+    "tuple[tuple[str, TypeRef], ...]": _sequence(
+        lambda w, p: (w.s(p[0]), _put_type(w, p[1])),
+        lambda r: (r.s(), _get_type(r)), frozen=True),
 }
 
 
-def _codecs(cls) -> list[tuple[str, tuple]]:
-    """(name, (writer, reader)) of each stored field; line and col are not."""
-    return [(f.name, _FIELD_CODECS[f.type])
-            for f in dataclasses.fields(cls) if f.compare]
+def _reader(cls, gets):
+    """Reads the fields of cls in order and builds it.  One closure per
+    small arity: building an argument list per node would cost more."""
+    if not gets:
+        return lambda r: cls()
+    if len(gets) == 1:
+        (a,) = gets
+        return lambda r: cls(a(r))
+    if len(gets) == 2:
+        a, b = gets
+        return lambda r: cls(a(r), b(r))
+    if len(gets) == 3:
+        a, b, c = gets
+        return lambda r: cls(a(r), b(r), c(r))
+    if len(gets) == 4:
+        a, b, c, d = gets
+        return lambda r: cls(a(r), b(r), c(r), d(r))
+    return lambda r: cls(*[get(r) for get in gets])
 
 
-_NODE_PUT = {cls: (tag, [(name, put) for name, (put, _) in _codecs(cls)])
+def _fields(cls, **overrides):
+    """(name, writer) of each stored field of cls (line and col are not), and
+    a reader of them all.  A keyword names a field and the codec it uses."""
+    stored = [f for f in dataclasses.fields(cls) if f.compare]
+    codecs = [overrides.get(f.name) or _FIELD_CODECS[f.type] for f in stored]
+    return ([(f.name, put) for f, (put, _) in zip(stored, codecs)],
+            _reader(cls, [get for _, get in codecs]))
+
+
+def _record(cls, **overrides):
+    """(writer, reader) of an untagged record."""
+    puts, get = _fields(cls, **overrides)
+
+    def put_record(w: _Writer, value) -> None:
+        for name, put in puts:
+            put(w, getattr(value, name))
+    return put_record, get
+
+
+_NODE_PUT = {cls: (tag, _fields(cls)[0])
              for tags in (_EXPR_TAGS, _STMT_TAGS) for tag, cls in enumerate(tags)}
-_EXPR_GET = [_node_reader(cls, [get for _, (_, get) in _codecs(cls)])
-             for cls in _EXPR_TAGS]
-_STMT_GET = [_node_reader(cls, [get for _, (_, get) in _codecs(cls)])
-             for cls in _STMT_TAGS]
+_EXPR_GET = [_fields(cls)[1] for cls in _EXPR_TAGS]
+_STMT_GET = [_fields(cls)[1] for cls in _STMT_TAGS]
 
 
-# -- declarations ---------------------------------------------------------------
+# -- declarations, proxies and relays ---------------------------------------------
 
-def _put_param(w: _Writer, p: Param) -> None:
-    w.s(p.name)
-    _put_type(w, p.type)
+_put_params, _get_params = _FIELD_CODECS["list[Param]"] = _sequence(*_record(Param))
+_FIELD_CODECS["list[FieldDecl]"] = _sequence(*_record(FieldDecl))
+_put_body, _get_body = _FIELD_CODECS["list[Stmt]"]
 
 
 def _put_method(w: _Writer, m: MethodDecl) -> None:
+    """By hand: both flags share one byte, written before the body."""
     w.s(m.name)
-    w.seq(m.params, _put_param)
+    _put_params(w, m.params)
     _put_type(w, m.return_type)
     w.u8((1 if m.is_constructor else 0) | (2 if m.is_static else 0))
-    w.seq(m.body, _put_node)
+    _put_body(w, m.body)
 
 
 def _get_method(r: _Reader) -> MethodDecl:
-    name = r.s()
-    params = r.seq(lambda r: Param(r.s(), _get_type(r)))
-    ret = _get_type(r)
-    flags = r.u8()
-    body = r.seq(_get_stmt)
-    return MethodDecl(name, params, ret, body,
+    name, params, ret, flags = r.s(), _get_params(r), _get_type(r), r.u8()
+    if flags > 3:
+        raise FormatError(f"bad method flags byte {flags}")
+    return MethodDecl(name, params, ret, _get_body(r),
                       is_constructor=bool(flags & 1), is_static=bool(flags & 2))
 
 
-def _put_field(w: _Writer, f: FieldDecl) -> None:
-    w.s(f.name)
-    _put_type(w, f.type)
-    w.u8(0 if f.visibility == Visibility.PRIVATE else 1)
-
-
-def _get_field(r: _Reader) -> FieldDecl:
-    return FieldDecl(r.s(), _get_type(r),
-                     Visibility.PRIVATE if r.u8() == 0 else Visibility.PUBLIC)
-
-
-def _put_class(w: _Writer, c: ClassDecl) -> None:
-    w.s(c.name)
-    w.u8(_ANN_CODE[c.annotation])
-    w.seq(c.fields, _put_field)
-    w.seq(c.methods, _put_method)
-
-
-def _get_class(r: _Reader) -> ClassDecl:
-    name = r.s()
-    ann = _ANN_FROM.get(r.u8())
-    if ann is None:
-        raise FormatError("unknown annotation code")
-    return ClassDecl(name, ann, r.seq(_get_field), r.seq(_get_method))
-
-
-def _put_stub(w: _Writer, s: StubMethod) -> None:
-    w.s(s.name)
-    w.seq(s.params, lambda w, p: (w.s(p[0]), _put_type(w, p[1])))
-    _put_type(w, s.return_type)
-    w.u8(1 if s.is_constructor else 0)
-
-
-def _get_stub(r: _Reader) -> StubMethod:
-    name = r.s()
-    params = tuple(r.seq(lambda r: (r.s(), _get_type(r))))
-    ret = _get_type(r)
-    return StubMethod(name, params, ret, r.u8() == 1)
-
-
-def _put_proxy(w: _Writer, p: ProxyClassDef) -> None:
-    w.s(p.class_name)
-    w.s(p.direction)
-    w.seq(p.stubs, _put_stub)
-
-
-_DIRECTIONS = {"ecall": "ecall", "ocall": "ocall"}
-_KINDS = {k.value: k for k in MarshalKind}
-
-
-def _get_enum(r: _Reader, values: dict, what: str):
-    text = r.s()
-    if text not in values:
-        raise FormatError(f"bad {what} {text!r}")
-    return values[text]
-
-
-def _get_proxy(r: _Reader) -> ProxyClassDef:
-    name = r.s()
-    direction = _get_enum(r, _DIRECTIONS, "transition direction")
-    return ProxyClassDef(name, direction, tuple(r.seq(_get_stub)))
-
-
-def _put_relay(w: _Writer, rel: RelayMethodDef) -> None:
-    w.s(rel.class_name)
-    w.s(rel.method_name)
-    w.u8(1 if rel.is_constructor else 0)
-    w.s(rel.direction)
-    w.seq(rel.param_kinds, lambda w, k: w.s(k.value))
-    w.s(rel.return_kind.value)
-
-
-def _get_relay(r: _Reader) -> RelayMethodDef:
-    cname = r.s()
-    mname = r.s()
-    is_ctor = r.u8() == 1
-    direction = _get_enum(r, _DIRECTIONS, "transition direction")
-    kinds = tuple(r.seq(lambda r: _get_enum(r, _KINDS, "marshal kind")))
-    ret = _get_enum(r, _KINDS, "marshal kind")
-    return RelayMethodDef(cname, mname, is_ctor, direction, kinds, ret)
+_FIELD_CODECS["list[MethodDecl]"] = _sequence(_put_method, _get_method)
+_FIELD_CODECS["tuple[StubMethod, ...]"] = _sequence(*_record(StubMethod), frozen=True)
+_STRINGS = _put_strings, _get_strings = _sequence(_Writer.s, _Reader.s)
+_IMAGE_PARTS = [
+    ("classes", _sequence(*_record(ClassDecl))),
+    ("proxies", _sequence(*_record(ProxyClassDef, direction=_DIRECTION))),
+    ("relays", _sequence(*_record(RelayMethodDef, direction=_DIRECTION))),
+    ("entry_points", _STRINGS),
+]
+_put_ann, _get_ann = _FIELD_CODECS["Annotation"]
+_put_anns, _get_anns = _sequence(lambda w, item: (w.s(item[0]), _put_ann(w, item[1])),
+                                 lambda r: (r.s(), _get_ann(r)))
 
 
 # -- whole images ---------------------------------------------------------------
@@ -349,13 +334,10 @@ def encode_image(plan: PartitionPlan, spec: ImageSpec) -> bytes:
     w = _Writer(MAGIC)
     w.s(spec.side.value)
     w.s(__version__)
-    w.seq(sorted(plan.class_ids, key=plan.class_ids.__getitem__), _Writer.s)
-    w.seq(list(plan.annotations.items()),
-          lambda w, item: (w.s(item[0]), w.u8(_ANN_CODE[item[1]])))
-    w.seq(spec.classes, _put_class)
-    w.seq(spec.proxies, _put_proxy)
-    w.seq(spec.relays, _put_relay)
-    w.seq(spec.entry_points, _Writer.s)
+    _put_strings(w, sorted(plan.class_ids, key=plan.class_ids.__getitem__))
+    _put_anns(w, list(plan.annotations.items()))
+    for name, (put, _) in _IMAGE_PARTS:
+        put(w, getattr(spec, name))
     return bytes(w)
 
 
@@ -363,27 +345,17 @@ def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[st
     if not data.startswith(MAGIC):
         raise FormatError("bad magic: not an image file or unsupported version")
     r = _Reader(data, len(MAGIC))
-    side_text = r.s()
-    try:
-        side = Annotation(side_text)
-    except ValueError as e:
-        raise FormatError(f"bad image side {side_text!r}") from e
-    version = r.s()
-    names = r.seq(_Reader.s)
+    side, version = _get_side(r), r.s()
+    names = _get_strings(r)
     class_ids = {n: i for i, n in enumerate(names)}
-    annotations: dict[str, Annotation] = {}
-    for _ in range(r.u32()):
-        n = r.s()
-        code = r.u8()
-        if code not in _ANN_FROM:
-            raise FormatError("unknown annotation code")
-        annotations[n] = _ANN_FROM[code]
-    spec = ImageSpec(side)
-    spec.classes = r.seq(_get_class)
-    spec.proxies = r.seq(_get_proxy)
-    spec.relays = r.seq(_get_relay)
-    spec.entry_points = r.seq(_Reader.s)
-    r.done()
+    annotations = dict(pairs := _get_anns(r))
+    if len(class_ids) != len(names) or len(annotations) != len(pairs):
+        raise FormatError("a class name appears twice in an image table")
+    spec = ImageSpec(side)  # everything after the header, in dataclass order
+    for name, (_, get) in _IMAGE_PARTS:
+        setattr(spec, name, get(r))
+    if r.pos != r.end:
+        raise FormatError("trailing bytes in image file")
     return spec, annotations, class_ids, version
 
 
@@ -426,19 +398,17 @@ def emit(plan: PartitionPlan, out_dir: str | Path) -> list[Path]:
     """Write trusted.img, untrusted.img and interface.edl.txt into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = [
-        (out / TRUSTED_IMG, encode_image(plan, plan.trusted_image)),
-        (out / UNTRUSTED_IMG, encode_image(plan, plan.untrusted_image)),
-    ]
-    for path, data in files:
-        path.write_bytes(data)
-    iface = out / INTERFACE_FILE
-    iface.write_text(render_interface(plan.descriptor), encoding="utf-8")
-    return [files[0][0], files[1][0], iface]
+    images = [encode_image(plan, plan.trusted_image),
+              encode_image(plan, plan.untrusted_image)]
+    files = [out / TRUSTED_IMG, out / UNTRUSTED_IMG, out / INTERFACE_FILE]
+    files[0].write_bytes(images[0])
+    files[1].write_bytes(images[1])
+    files[2].write_text(render_interface(plan.descriptor), encoding="utf-8")
+    return files
 
 
 def load_plan(plan_dir: str | Path) -> PartitionPlan:
-    """Reload an emitted plan, checking stub/descriptor consistency."""
+    """Reload an emitted plan, checking it with check_interface."""
     d = Path(plan_dir)
     for name in (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE):
         if not (d / name).exists():
@@ -456,15 +426,19 @@ def load_plan(plan_dir: str | Path) -> PartitionPlan:
 
 
 def check_interface(plan: PartitionPlan) -> None:
-    """Every proxy stub present in an image needs exactly one descriptor record."""
-    recorded: dict[tuple[str, str], int] = {}
-    for rec in plan.descriptor.records:
-        key = (rec.class_name, rec.method_name)
-        recorded[key] = recorded.get(key, 0) + 1
+    """Every proxy stub present in an image needs exactly one descriptor
+    record, and every relay a method of a class of its own image."""
+    recorded = Counter((rec.class_name, rec.method_name)
+                       for rec in plan.descriptor.records)
     for spec in (plan.trusted_image, plan.untrusted_image):
+        methods = {(c.name, m.name) for c in spec.classes for m in c.methods}
+        for rel in spec.relays:
+            if (rel.class_name, rel.method_name) not in methods:
+                raise InterfaceMismatch(f"relay {rel.relay_id} has no method "
+                                        f"in the {spec.side.value.lower()} image")
         for proxy in spec.proxies:
             for stub in proxy.stubs:
-                count = recorded.get((proxy.class_name, stub.name), 0)
+                count = recorded[(proxy.class_name, stub.name)]
                 if count != 1:
                     what = "no interface record" if count == 0 \
                         else f"{count} interface records"

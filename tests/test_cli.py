@@ -190,6 +190,30 @@ class Main {
         err = capsys.readouterr().err
         assert err.startswith("bad plan: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("image, old, new, reason", [
+        # a list-element presence flag that is neither 0 nor 1
+        (TRUSTED_IMG, b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02",
+         "bad flag byte 2"),
+        # an annotation code past the three annotations
+        (UNTRUSTED_IMG, b"Account\x00", b"Account\x03", "bad annotation byte 3"),
+        # a relay renamed to a class of the same length the image lacks
+        (TRUSTED_IMG, b"\x07\x00\x00\x00Account\x0d\x00\x00\x00updateBalance",
+         b"\x07\x00\x00\x00Accoumt\x0d\x00\x00\x00updateBalance",
+         "relay Accoumt.updateBalance has no method in the trusted image"),
+    ])
+    def test_non_canonical_byte_or_stray_relay_is_a_bad_plan(
+            self, bank_dir, capsys, image, old, new, reason):
+        _, plan = bank_dir
+        img = plan / image
+        data = img.read_bytes()
+        assert old in data
+        img.write_bytes(data.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["run", str(plan)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad plan: {reason}\n"
+
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         src = tmp_path / "d.ep"
         src.write_text("""

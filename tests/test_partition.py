@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from epart._version import __version__
 from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
-from epart.dsl.ast import Annotation, IntLit
+from epart.dsl.ast import UNIT, Annotation, IntLit, MethodDecl, Visibility
 from epart.dsl.validate import _Checker
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
@@ -17,9 +18,11 @@ from epart.partition import (
     CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
 )
 from epart.partition.emit import (
-    _EXPR_TAGS, _STMT_TAGS, INTERFACE_FILE, MAGIC, TRUSTED_IMG, UNTRUSTED_IMG,
-    decode_image,
+    _EXPR_TAGS, _FIELD_CODECS, _STMT_TAGS, INTERFACE_FILE, MAGIC, TRUSTED_IMG,
+    UNTRUSTED_IMG, _Reader, _Writer, decode_image, encode_image,
 )
+from epart.partition.model import MarshalKind
+from epart.partition.plan import InterfaceDescriptor, PartitionPlan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,6 +173,23 @@ def _node_classes(value, seen: set) -> set:
     return seen
 
 
+def _single_byte_mutations(images: dict[str, bytes]):
+    """3000 seeded single-byte edits: (image name, offset, mutated bytes)."""
+    rng = random.Random(0)
+    for _ in range(3000):
+        name = rng.choice(sorted(images))
+        data = bytearray(images[name])
+        value = rng.randrange(256)  # drawn before the offset, as it always was
+        pos = rng.randrange(len(data))
+        data[pos] = value
+        yield name, pos, bytes(data)
+
+
+def _fixture_plan(name: str):
+    return compute_images(parse_program(
+        (FIXTURES / name).read_text(encoding="utf-8")))
+
+
 def _assert_roundtrip(plan, out_dir) -> None:
     """emit then load_plan gives back equal images (positions aside)."""
     emit(plan, out_dir)
@@ -230,6 +250,8 @@ class TestEmitLoad:
         for n in range(len(MAGIC), len(data)):
             with pytest.raises(FormatError, match="^truncated image file$"):
                 decode_image(data[:n])
+        with pytest.raises(FormatError, match="^trailing bytes in image file$"):
+            decode_image(data + b"\x00")
 
     def test_assignment_target_must_be_a_variable_or_field(self, tmp_path):
         plan = plan_of("""
@@ -266,21 +288,86 @@ class Main {
         emit(bank_plan, tmp_path)
         images = {n: (tmp_path / n).read_bytes()
                   for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
-        rng = random.Random(0)
         outcomes: collections.Counter = collections.Counter()
-        for _ in range(3000):
-            name = rng.choice(sorted(images))
-            data = bytearray(images[name])
-            data[rng.randrange(len(data))] = rng.randrange(256)
-            (tmp_path / name).write_bytes(bytes(data))
+        for name, _, data in _single_byte_mutations(images):
+            (tmp_path / name).write_bytes(data)
             try:
                 load_plan(tmp_path)
                 outcomes["loaded"] += 1
             except EpartError as e:
                 outcomes[type(e).__name__] += 1
             (tmp_path / name).write_bytes(images[name])
-        assert outcomes == {"loaded": 618, "FormatError": 2346,
-                            "InterfaceMismatch": 36}
+        assert outcomes == {"loaded": 455, "FormatError": 2392,
+                            "InterfaceMismatch": 153}
+
+    def test_accepted_mutations_encode_back_to_the_same_bytes(
+            self, bank_plan, tmp_path):
+        """Each value has one encoding: an image that decodes encodes again
+        to the bytes it came from.  The tool version is not part of the plan,
+        so an edit inside that string is the one exception."""
+        emit(bank_plan, tmp_path)
+        images = {n: (tmp_path / n).read_bytes()
+                  for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
+        version_spans = {}
+        for name, data in images.items():
+            start = len(MAGIC) + 4 + len(decode_image(data)[0].side.value)
+            version_spans[name] = range(start, start + 4 + len(__version__))
+        checked = 0
+        for name, pos, data in _single_byte_mutations(images):
+            if pos in version_spans[name]:
+                continue
+            try:
+                spec, annotations, class_ids, _ = decode_image(data)
+            except FormatError:
+                continue
+            plan = PartitionPlan(spec, spec, InterfaceDescriptor(),
+                                 annotations, class_ids)
+            assert encode_image(plan, spec) == data, (name, pos)
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("codec, good, bad", [
+        ("bool", b"\x01", b"\x02"),
+        ("Visibility", b"\x01", b"\x02"),
+        ("Annotation", b"\x02", b"\x03"),
+        ("Optional[Expr]", b"\x00", b"\xff"),
+        ("Optional[TypeRef]", b"\x00", b"\x02"),
+        ("TypeRef", b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02"),
+    ])
+    def test_a_flag_or_code_byte_has_one_encoding(self, codec, good, bad):
+        get = _FIELD_CODECS[codec][1]
+        reader = _Reader(good)
+        get(reader)
+        assert reader.pos == len(good)
+        with pytest.raises(FormatError, match=r"^bad \w+ byte \d+$"):
+            get(_Reader(bad))
+
+    @pytest.mark.parametrize("occurrence", [0, 1])  # class table, annotations
+    def test_a_header_table_names_a_class_once(self, bank_plan, occurrence):
+        data = encode_image(bank_plan, bank_plan.untrusted_image)
+        person, account = b"\x06\x00\x00\x00Person", b"\x07\x00\x00\x00Account"
+        at = -1
+        for _ in range(occurrence + 1):
+            at = data.index(person, at + 1)
+        with pytest.raises(FormatError, match="^a class name appears twice"):
+            decode_image(data[:at] + account + data[at + len(person):])
+
+    def test_method_flags_are_at_most_3(self):
+        put, get = _FIELD_CODECS["list[MethodDecl]"]
+        w = _Writer()
+        put(w, [MethodDecl("m", [], UNIT, [], is_constructor=True, is_static=True)])
+        data = bytes(w)
+        flags_at = len(data) - 5  # the flags byte, then the body's u32 count
+        assert data[flags_at] == 3
+        assert get(_Reader(data))[0].is_static
+        with pytest.raises(FormatError, match="^bad method flags byte 4$"):
+            get(_Reader(data[:flags_at] + b"\x04" + data[flags_at + 1:]))
+
+    def test_roundtrip_with_a_public_field(self, tmp_path):
+        plan = _fixture_plan("public_field.ep")
+        assert Visibility.PUBLIC in {
+            f.visibility for c in plan.trusted_image.classes for f in c.fields}
+        _assert_roundtrip(plan, tmp_path)
 
     def test_descriptor_stub_mismatch(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)
@@ -384,6 +471,48 @@ class Main {
                 "921dc47ce10df88994f40c9f0a78524b6bc6d0d6b5b8a504bc042a96bb6d9d25",
             UNTRUSTED_IMG:
                 "254b707014178ff5a4627d5ce45d5f192c09b718eb019a107c79598e7b0449e1",
+        }
+
+    def test_images_with_a_public_field_are_frozen(self, tmp_path):
+        """The one fixture with a public field (on a neutral class)."""
+        files = emit(_fixture_plan("public_field.ep"), tmp_path)
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in files} == {
+            INTERFACE_FILE:
+                "f1684494502b4a8e6da8024e6aca53289df08eb5e345a535d5317cc622c9fc02",
+            TRUSTED_IMG:
+                "9dbacae0b2186286c5c1355ef4b1b132f176cba0e357dcfea464e6b5adfafb94",
+            UNTRUSTED_IMG:
+                "b89c3ffc051cea50796a8bcf36061093a1bda25a5ce428e872ca05df733dcdfb",
+        }
+
+    def test_fixtures_cover_every_declaration_variant(self):
+        """Together the fixtures store every annotation, visibility and
+        (constructor, static) pair, every marshal kind as a parameter (a
+        Unit parameter does not validate) and as a return, and both
+        transition directions, on relays and on proxies."""
+        seen = collections.defaultdict(set)
+        for name in ("bank.ep", "every_node.ep", "public_field.ep"):
+            plan = _fixture_plan(name)
+            for image in (plan.trusted_image, plan.untrusted_image):
+                for c in image.classes:
+                    seen["annotation"].add(c.annotation)
+                    seen["visibility"] |= {f.visibility for f in c.fields}
+                    seen["flags"] |= {(m.is_constructor, m.is_static)
+                                      for m in c.methods}
+                for rel in image.relays:
+                    seen["param"] |= set(rel.param_kinds)
+                    seen["return"].add(rel.return_kind)
+                    seen["relay"].add(rel.direction)
+                seen["proxy"] |= {p.direction for p in image.proxies}
+        assert seen == {
+            "annotation": set(Annotation),
+            "visibility": set(Visibility),
+            "flags": {(True, False), (False, True), (False, False)},
+            "param": set(MarshalKind) - {MarshalKind.UNIT},
+            "return": set(MarshalKind),
+            "relay": {"ecall", "ocall"},
+            "proxy": {"ecall", "ocall"},
         }
 
     def test_images_of_every_node_kind_are_frozen(self, tmp_path):
