@@ -247,6 +247,11 @@ class ClassDecl:
 
 @dataclass
 class Program:
+    """A parsed program.  It is read-only once it has been checked: the first
+    validate/resolve keeps its one checker walk on the instance, and every
+    later consumer (compute_images, the baselines, the CLI) reuses it.  Code
+    that wants a changed program parses or builds a new one."""
+
     classes: list[ClassDecl]
 
     def main_location(self) -> tuple[ClassDecl, MethodDecl]:

@@ -6,6 +6,12 @@ ordered set of (class, method) targets it calls, from which the partitioner
 builds its call graphs.  validate() returns only the report and never raises
 on program content; analyze_calls() returns only the calls and raises when
 the program does not validate.
+
+The walk runs at most once per Program object: its results are kept, as
+immutable tuples, in the instance __dict__ under _CHECKED (not a dataclass
+field, so ==, repr and the image codec never see it), and every later
+validate/resolve/analyze_calls answers from there with fresh copies.  So a
+Program is read-only once it has been checked.
 """
 
 from __future__ import annotations
@@ -504,18 +510,34 @@ class _Checker:
                           f"{what}: cannot pass {t} for {p.name}: {p.type}")
 
 
+# Instance __dict__ key of a checked program's kept walk.
+_CHECKED = "_checked"
+
+
+def _checked(program: Program) -> tuple[tuple[Violation, ...],
+                                        dict[CallTarget, tuple[CallTarget, ...]]]:
+    """The program's violations and calls, walking the checker on first use."""
+    kept = program.__dict__.get(_CHECKED)
+    if kept is None:
+        checker = _Checker(program)
+        kept = (tuple(checker.run().violations),
+                {k: tuple(v) for k, v in checker.calls.items()})
+        program.__dict__[_CHECKED] = kept
+    return kept
+
+
 def resolve(program: Program) -> tuple[ValidationReport,
                                        dict[CallTarget, list[CallTarget]]]:
     """The violation report and the resolved call targets per (class, method),
     from one walk.  The calls are complete only when the report is ok."""
-    checker = _Checker(program)
-    report = checker.run()
-    return report, {k: list(v) for k, v in checker.calls.items()}
+    violations, calls = _checked(program)
+    return (ValidationReport(list(violations)),
+            {k: list(v) for k, v in calls.items()})
 
 
 def validate(program: Program) -> ValidationReport:
     """Check annotation placement, encapsulation and simple type correctness."""
-    return _Checker(program).run()
+    return ValidationReport(list(_checked(program)[0]))
 
 
 def analyze_calls(program: Program) -> dict[CallTarget, list[CallTarget]]:

@@ -7,6 +7,9 @@ Layout written to the output directory:
                                (direction, class, method), '#' header with the
                                tool version
 
+load_plan accepts only a plan written by this tool version: both images and
+the interface header must record it.
+
 One schema: a record is its fields in dataclass order, each by the codec its
 type annotation names in _FIELD_CODECS (positions are not stored); a node
 first has its tag, its index in _EXPR_TAGS or _STMT_TAGS.  MethodDecl alone
@@ -361,8 +364,11 @@ def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[st
 
 # -- interface descriptor ---------------------------------------------------------
 
+_INTERFACE_HEADER = f"# epart {__version__} interface"
+
+
 def render_interface(descriptor: InterfaceDescriptor) -> str:
-    lines = [f"# epart {__version__} interface"]
+    lines = [_INTERFACE_HEADER]
     lines += [rec.render() for rec in descriptor.records]
     return "\n".join(lines) + "\n"
 
@@ -407,19 +413,33 @@ def emit(plan: PartitionPlan, out_dir: str | Path) -> list[Path]:
     return files
 
 
+def _load_image(path: Path) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int]]:
+    spec, annotations, class_ids, version = decode_image(path.read_bytes())
+    if version != __version__:
+        raise FormatError(f"{path.name} was written by epart {version!r}, "
+                          f"not {__version__}")
+    return spec, annotations, class_ids
+
+
 def load_plan(plan_dir: str | Path) -> PartitionPlan:
-    """Reload an emitted plan, checking it with check_interface."""
+    """Reload an emitted plan written by this tool version, checking it with
+    check_interface."""
     d = Path(plan_dir)
     for name in (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE):
         if not (d / name).exists():
             raise FileNotFoundError(f"missing {name} in {d}")
-    trusted, ann_t, ids_t, _ = decode_image((d / TRUSTED_IMG).read_bytes())
-    untrusted, ann_u, ids_u, _ = decode_image((d / UNTRUSTED_IMG).read_bytes())
+    trusted, ann_t, ids_t = _load_image(d / TRUSTED_IMG)
+    untrusted, ann_u, ids_u = _load_image(d / UNTRUSTED_IMG)
     if trusted.side != Annotation.TRUSTED or untrusted.side != Annotation.UNTRUSTED:
         raise FormatError("image files have swapped or invalid sides")
     if ann_t != ann_u or ids_t != ids_u:
         raise FormatError("image files disagree on class tables")
-    descriptor = parse_interface((d / INTERFACE_FILE).read_text(encoding="utf-8"))
+    text = (d / INTERFACE_FILE).read_text(encoding="utf-8")
+    header = text.partition("\n")[0]
+    if header != _INTERFACE_HEADER:
+        raise FormatError(f"{INTERFACE_FILE} header {header!r} is not "
+                          f"{_INTERFACE_HEADER!r}")
+    descriptor = parse_interface(text)
     plan = PartitionPlan(trusted, untrusted, descriptor, ann_t, ids_t)
     check_interface(plan)
     return plan

@@ -1,7 +1,13 @@
 from dataclasses import replace
 
+import pytest
+
 from epart.dsl import analyze_calls, ast, parse_program, validate
 from epart.dsl.ast import ClassDecl
+from epart.dsl.validate import resolve
+from epart.errors import ValidationFailed
+from epart.partition import compute_images
+from epart.runtime import run_reference, run_unpartitioned
 
 
 def check(source: str) -> set[str]:
@@ -256,7 +262,9 @@ class Main {
             raise AssertionError(f"linear method scan for {name}")
 
         monkeypatch.setattr(ClassDecl, "method", scan)
-        assert [str(v) for v in validate(program).violations] == expected
+        # A fresh program: the first one's walk is kept and not run again.
+        assert [str(v) for v in validate(parse_program(self.SRC)).violations] \
+            == expected
 
     def test_first_declaration_of_a_name_wins(self):
         program = parse_program(self.SRC)
@@ -272,3 +280,52 @@ class Main {
             "TYPE_RESOLVE Main.main 14:10: class Cell has no method nope",
             "TYPE_RESOLVE Main.main 15:23: unknown class Missing",
         ]
+
+
+class TestOneWalkPerProgram:
+    """The checker walks a Program once; every consumer reuses that walk."""
+
+    def test_one_walk_across_every_consumer(self, bank_source, checker_runs):
+        program = parse_program(bank_source)
+        assert validate(program).ok
+        compute_images(program)
+        run_reference(program)
+        run_unpartitioned(program)
+        analyze_calls(program)
+        assert len(checker_runs) == 1
+        # A second program is a second walk, and the kept one changes
+        # nothing a consumer sees.
+        other = parse_program(bank_source)
+        assert compute_images(other) == compute_images(program)
+        assert resolve(other) == resolve(program)
+        assert len(checker_runs) == 2
+
+    def test_callers_get_their_own_copies(self):
+        program = parse_program(TestLookupTables.SRC)
+        report, calls = resolve(program)
+        violations = list(report.violations)
+        expected_calls = {k: list(v) for k, v in calls.items()}
+        assert violations and calls[("Main", "main")]
+
+        validate(program).violations.append(violations[0])
+        report.violations.clear()
+        calls[("Main", "main")].append(("Cell", "nope"))
+        calls[("Main", "extra")] = []
+        again, calls_again = resolve(program)
+        assert again.violations == violations
+        assert validate(program).violations == violations
+        assert calls_again == expected_calls
+
+        valid = parse_program(WRAP.format(body="        print(1);"))
+        analyze_calls(valid)[("Main", "main")].append(("Main", "main"))
+        assert analyze_calls(valid) == {("Main", "main"): []}
+
+    def test_invalid_program_fails_every_consumer_alike(self, checker_runs):
+        program = parse_program(TestLookupTables.SRC)
+        expected = [str(v) for v in validate(program).violations]
+        assert len(expected) == 3
+        for consumer in (compute_images, run_reference, run_unpartitioned):
+            with pytest.raises(ValidationFailed) as info:
+                consumer(program)
+            assert [str(v) for v in info.value.report.violations] == expected
+        assert len(checker_runs) == 1
