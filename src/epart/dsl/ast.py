@@ -1,7 +1,9 @@
 """AST for the annotated class language.
 
-Positions (line, col) are carried for diagnostics but excluded from equality,
-so nodes compare structurally.
+Each node carries pos, the source offset of the token its diagnostics point
+at; epart.dsl.lexer.line_col turns it into line:col.  A node built
+without source has pos -1, which prints as 0:0.  pos is excluded from
+equality, so nodes compare structurally, and from the image encoding.
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def list_of(elem: TypeRef) -> TypeRef:
 
 @dataclass
 class Expr:
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
 
 @dataclass
@@ -147,8 +148,7 @@ LIST_METHODS = {"get", "append", "len"}
 
 @dataclass
 class Stmt:
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
 
 @dataclass
@@ -197,8 +197,7 @@ class While(Stmt):
 class Param:
     name: str
     type: TypeRef
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
 
 @dataclass
@@ -206,8 +205,7 @@ class FieldDecl:
     name: str
     type: TypeRef
     visibility: Visibility = Visibility.PRIVATE
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
 
 @dataclass
@@ -218,8 +216,7 @@ class MethodDecl:
     body: list[Stmt]
     is_constructor: bool = False
     is_static: bool = False
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
 
 @dataclass
@@ -228,8 +225,7 @@ class ClassDecl:
     annotation: Annotation
     fields: list[FieldDecl]
     methods: list[MethodDecl]  # constructors included, in declaration order
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    pos: int = field(default=-1, compare=False, kw_only=True)
 
     @property
     def constructor(self) -> Optional[MethodDecl]:
@@ -245,12 +241,18 @@ class ClassDecl:
         return None
 
 
+# Instance __dict__ key of the source a parsed Program was read from: not a
+# dataclass field, so ==, repr and the image codec never see it.
+SOURCE = "_source"
+
+
 @dataclass
 class Program:
     """A parsed program.  It is read-only once it has been checked: the first
     validate/resolve keeps its one checker walk on the instance, and every
     later consumer (compute_images, the baselines, the CLI) reuses it.  Code
-    that wants a changed program parses or builds a new one."""
+    that wants a changed program parses or builds a new one.  The parser
+    keeps the source under SOURCE, against which node positions resolve."""
 
     classes: list[ClassDecl]
 

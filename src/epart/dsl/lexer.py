@@ -2,15 +2,21 @@
 
 One compiled master regex finds every token in a single pass; only malformed
 input takes a per-token path, to name the fault.  Each match takes the blanks
-before its token too, so a blank costs no loop trip of its own: the token is
-the match's named group.  Identifiers follow str.isalpha/isalnum ("\\w" is
-exactly isalnum or "_") and numbers are runs of decimal digits of any script
-("\\d" is exactly isdecimal), as int() reads them.
+before its token too, newlines included, so a blank costs no loop trip of its
+own: the token is the match's named group.  Identifiers follow
+str.isalpha/isalnum ("\\w" is exactly isalnum or "_") and numbers are runs of
+decimal digits of any script ("\\d" is exactly isdecimal), as int() reads
+them.
+
+A position is one offset into the source.  line_col turns it into the
+line:col a diagnostic prints, and nothing else computes either.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -29,34 +35,45 @@ SYMBOLS = [
 
 
 class Token(NamedTuple):  # a tuple builds much faster than a frozen dataclass
-    kind: str  # ident, int, str, keyword, sym, eof
+    kind: str  # ident, int, str, eof, or the keyword or symbol itself
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character in the source
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+
+@lru_cache(maxsize=1)
+def _line_starts(source: str) -> list[int]:
+    return [0] + [m.end() for m in re.finditer("\n", source)]
+
+
+def line_col(source: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset pos in source; (0, 0) for no
+    position (pos < 0).  Columns count code points."""
+    if pos < 0:
+        return 0, 0
+    starts = _line_starts(source)
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 _STR_BODY = r'[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*'
-# Blanks before a token are part of its match.  Trailing blanks at the end of
-# the source match nothing, which is why `bad` excludes blanks: taking one
-# would make "x " end in an unexpected ' '.  Save for `bad`, the fallback,
-# no two alternatives start with the same character, so their order sets
-# only speed: the most frequent come first.
-_MASTER = re.compile(r"[ \t\r]*(?:" + "|".join([
+# Blanks before a token are part of its match, and blanks that end the
+# source match `end`, so no blank starts a match: a run of them is scanned
+# once, not once per blank.  Save for `bad`, the fallback, no two
+# alternatives start with the same character, so their order sets only
+# speed: the most frequent come first.
+_MASTER = re.compile(r"[ \t\r\n]*(?:" + "|".join([
     "(?P<sym>" + "|".join(re.escape(s) for s in SYMBOLS) + ")",
     # Also matches a word that starts with a digit such as "²" or "½", which
     # str.isalpha rejects.
     r"(?P<ident>[^\W\d]\w*)",
-    r"(?P<nl>\n)",
     # A digit run that runs into a letter or a non-decimal digit is no token.
     r"(?P<int>\d+(?!\w))",
     f'(?P<str>"{_STR_BODY}")',
     r"(?P<comment>#[^\n]*)",
-    r"(?P<bad>[^ \t\r])",
+    r"(?P<end>\Z)",
+    r"(?P<bad>[^ \t\r\n])",
 ]) + ")")
 _STR_PREFIX = re.compile(_STR_BODY)
 _ESCAPE = re.compile(r"\\(.)")
@@ -90,45 +107,37 @@ def _malformed(source: str, i: int) -> tuple[int, str]:
 def tokenize(source: str) -> list[Token]:
     """Produce the token stream, ending with an eof token.
 
-    Raises ParseError("syntax") on any malformed input; never crashes.
-    Columns count code points from 1.  A comment does not advance the column,
-    so the eof token after a comment that ends the source sits at the '#'.
+    Raises ParseError("syntax") on any malformed input; never crashes.  The
+    eof token after a comment that ends the source sits at the '#'.
     """
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # skips Token.__new__, a Python-level wrapper
-    line, line_start = 1, 0
-    eof_col = None
+    eof_pos = len(source)
     for m in _MASTER.finditer(source):
         kind = m.lastgroup
-        if kind == "sym":
-            append(new(Token, ("sym", m[kind], line,
-                               m.start(kind) - line_start + 1)))
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
         text = m[kind]
-        if kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            append(new(Token, ("keyword" if text in KEYWORDS else "ident", text,
-                               line, m.start(kind) - line_start + 1)))
+        if kind == "sym":
+            append(new(Token, (text, text, m.start(kind))))
+        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            append(new(Token, (text if text in KEYWORDS else "ident", text,
+                               m.start(kind))))
         elif kind == "int":
-            append(new(Token, ("int", text, line, m.start(kind) - line_start + 1)))
+            append(new(Token, ("int", text, m.start(kind))))
         elif kind == "str":
             text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
-            append(new(Token, ("str", text, line, m.start(kind) - line_start + 1)))
+            append(new(Token, ("str", text, m.start(kind))))
         elif kind == "comment":
             if m.end() == len(source):
-                eof_col = m.start(kind) - line_start + 1
+                eof_pos = m.start(kind)
+        elif kind == "end":
+            break
         else:
             start = m.start(kind)
             offset, message = _malformed(source, start)
-            raise ParseError("syntax", message, line,
-                             start - line_start + 1 + offset)
-    if eof_col is None:
-        eof_col = len(source) - line_start + 1
-    append(new(Token, ("eof", "", line, eof_col)))
+            raise ParseError("syntax", message,
+                             *line_col(source, start + offset))
+    append(new(Token, ("eof", "", eof_pos)))
     return tokens

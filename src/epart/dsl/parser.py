@@ -3,7 +3,8 @@
 Parsing is total: any input either yields a Program or raises ParseError with a
 line/column position.  Structural duplicate checks (classes, methods, fields,
 params) and the single-main rule are enforced here; typing rules live in the
-validator.
+validator.  Nodes carry the offset of their token and the Program keeps its
+source, so the validator can place a violation too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .ast import (
     Program, Return, Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility,
     While,
 )
-from .lexer import Token, tokenize
+from .lexer import KEYWORDS, Token, line_col, tokenize
 
 _MAX_INT_LITERAL = 2**63 - 1
 _MAX_INT_DIGITS = len(str(_MAX_INT_LITERAL))
@@ -32,44 +33,36 @@ _LEVEL = {op: level for level, ops in enumerate((_COMPARE_OPS, _ADD_OPS, _MUL_OP
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = tokenize(source)
+        self.index = 0  # of the next token (a Token.pos is a source offset)
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self) -> Token:
-        # advance never moves past the eof token, so pos is always in range.
-        return self.tokens[self.pos]
+        # advance never moves past the eof token, so index is always in range.
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tokens[self.index]
         if tok.kind != "eof":
-            self.pos += 1
+            self.index += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        t = self.tokens[self.pos]
-        return t[1] == text and t[0] == "sym"
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.index][0] == kind
 
-    def at_kw(self, text: str) -> bool:
-        t = self.tokens[self.pos]
-        return t[1] == text and t[0] == "keyword"
+    def fail(self, kind: str, message: str, pos: int) -> ParseError:
+        return ParseError(kind, message, *line_col(self.source, pos))
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError("syntax", message, tok.line, tok.col)
+        return self.fail("syntax", message, (tok or self.peek()).pos)
 
-    def expect_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
+    def expect(self, kind: str) -> Token:
+        if not self.at(kind):
             t = self.peek()
-            raise self.error(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_kw(self, text: str) -> Token:
-        if not self.at_kw(text):
-            t = self.peek()
-            raise self.error(f"expected {text!r}, found {t.text or 'end of input'!r}")
+            raise self.error(f"expected {kind!r}, found {t.text or 'end of input'!r}")
         return self.advance()
 
     def expect_ident(self, what: str) -> Token:
@@ -88,101 +81,101 @@ class _Parser:
         while not self.peek().kind == "eof":
             c = self.parse_class()
             if c.name in seen:
-                raise ParseError("duplicate_class", f"class {c.name} declared twice",
-                                 c.line, c.col)
+                raise self.fail("duplicate_class", f"class {c.name} declared twice",
+                                c.pos)
             seen.add(c.name)
             classes.append(c)
         program = Program(classes)
         self._check_main(program)
+        program.__dict__[ast.SOURCE] = self.source
         return program
 
     def _check_main(self, program: Program) -> None:
         mains = [(c, m) for c in program.classes for m in c.methods if m.name == "main"]
         if not mains:
-            tok = self.peek()
-            raise ParseError("no_main", "program declares no main method",
-                             tok.line, tok.col)
+            raise self.fail("no_main", "program declares no main method",
+                            self.peek().pos)
         if len(mains) > 1:
             c, m = mains[1]
-            raise ParseError("multiple_main",
-                             f"main declared again in class {c.name}", m.line, m.col)
+            raise self.fail("multiple_main",
+                            f"main declared again in class {c.name}", m.pos)
 
     def parse_class(self) -> ClassDecl:
-        at = self.expect_sym("@")
+        at = self.expect("@")
         name_tok = self.advance()
         if name_tok.text not in _ANNOTATIONS:
             raise self.error(
                 f"expected Trusted, Untrusted or Neutral after '@', found {name_tok.text!r}",
                 name_tok)
         annotation = _ANNOTATIONS[name_tok.text]
-        self.expect_kw("class")
+        self.expect("class")
         cname = self.expect_ident("class name")
         if cname.text in ast.BUILTIN_TYPE_NAMES:
             raise self.error(f"{cname.text!r} is a built-in type name", cname)
-        self.expect_sym("{")
+        self.expect("{")
         # Keyed by name, in declaration order, so a duplicate is one lookup.
         fields: dict[str, FieldDecl] = {}
         methods: dict[str, MethodDecl] = {}
-        while not self.at_sym("}"):
+        while not self.at("}"):
             self.parse_member(cname.text, fields, methods)
-        self.expect_sym("}")
+        self.expect("}")
         return ClassDecl(cname.text, annotation, list(fields.values()),
-                         list(methods.values()), line=at.line, col=at.col)
+                         list(methods.values()), pos=at.pos)
 
     def parse_member(self, class_name: str, fields: dict[str, FieldDecl],
                      methods: dict[str, MethodDecl]) -> None:
         visibility = None
-        if self.at_kw("public") or self.at_kw("private"):
+        if self.at("public") or self.at("private"):
             visibility = Visibility(self.advance().text)
         is_static = False
-        if self.at_kw("static"):
+        if self.at("static"):
             if visibility is not None:
                 raise self.error("visibility markers apply to fields only")
             is_static = True
             self.advance()
         name = self.expect_ident("member name")
-        if self.at_sym(":"):
+        if self.at(":"):
             if is_static:
                 raise self.error("fields cannot be static", name)
             self.advance()
             ftype = self.parse_type()
-            self.expect_sym(";")
+            self.expect(";")
             if name.text in fields:
-                raise ParseError("duplicate_field",
-                                 f"field {name.text} declared twice in {class_name}",
-                                 name.line, name.col)
+                raise self.fail("duplicate_field",
+                                f"field {name.text} declared twice in {class_name}",
+                                name.pos)
             fields[name.text] = FieldDecl(name.text, ftype,
                                           visibility or Visibility.PRIVATE,
-                                          line=name.line, col=name.col)
+                                          pos=name.pos)
             return
         if visibility is not None:
             raise self.error("visibility markers apply to fields only", name)
         method = self.parse_method(class_name, name, is_static)
         if method.name in methods:
-            raise ParseError("duplicate_method",
-                             f"method {method.name} declared twice in {class_name}",
-                             name.line, name.col)
+            raise self.fail("duplicate_method",
+                            f"method {method.name} declared twice in {class_name}",
+                            name.pos)
         methods[method.name] = method
 
     def parse_method(self, class_name: str, name: Token, is_static: bool) -> MethodDecl:
         is_constructor = name.text == class_name
-        self.expect_sym("(")
+        self.expect("(")
         params: dict[str, Param] = {}
-        while not self.at_sym(")"):
+        while not self.at(")"):
             if params:
-                self.expect_sym(",")
+                self.expect(",")
             pname = self.expect_ident("parameter name")
             if pname.text in params:
-                raise ParseError("duplicate_param",
-                                 f"parameter {pname.text} declared twice",
-                                 pname.line, pname.col)
-            self.expect_sym(":")
+                raise self.fail("duplicate_param",
+                                f"parameter {pname.text} declared twice",
+                                pname.pos)
+            self.expect(":")
             ptype = self.parse_type()
             params[pname.text] = Param(pname.text, ptype,
-                                       line=pname.line, col=pname.col)
-        self.expect_sym(")")
+                                       pos=pname.pos)
+        self.expect(")")
         return_type = ast.UNIT
-        if self.at_sym("->"):
+        if self.at("->"):
             if is_constructor:
                 raise self.error("constructors cannot declare a return type")
             self.advance()
@@ -192,7 +185,7 @@ class _Parser:
         body = self.parse_block()
         return MethodDecl(name.text, list(params.values()), return_type, body,
                           is_constructor=is_constructor, is_static=is_static,
-                          line=name.line, col=name.col)
+                          pos=name.pos)
 
     def parse_type(self) -> TypeRef:
         t = self.peek()
@@ -200,71 +193,71 @@ class _Parser:
             raise self.error(f"expected a type, found {t.text or 'end of input'!r}")
         self.advance()
         if t.text == "List":
-            self.expect_sym("[")
+            self.expect("[")
             elem = self.parse_type()
-            self.expect_sym("]")
+            self.expect("]")
             return ast.list_of(elem)
         return TypeRef(t.text)
 
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> list[Stmt]:
-        self.expect_sym("{")
+        self.expect("{")
         body: list[Stmt] = []
-        while not self.at_sym("}"):
+        while not self.at("}"):
             body.append(self.parse_stmt())
-        self.expect_sym("}")
+        self.expect("}")
         return body
 
     def parse_stmt(self) -> Stmt:
-        t = self.tokens[self.pos]
-        kw = t.text if t.kind == "keyword" else None
-        if kw == "var":
+        t = self.tokens[self.index]
+        kind = t.kind
+        if kind == "var":
             self.advance()
             name = self.expect_ident("variable name")
             declared = None
-            if self.at_sym(":"):
+            if self.at(":"):
                 self.advance()
                 declared = self.parse_type()
-            self.expect_sym("=")
+            self.expect("=")
             init = self.parse_expr()
-            self.expect_sym(";")
-            return VarDecl(name.text, declared, init, line=t.line, col=t.col)
-        if kw == "return":
+            self.expect(";")
+            return VarDecl(name.text, declared, init, pos=t.pos)
+        if kind == "return":
             self.advance()
             value = None
-            if not self.at_sym(";"):
+            if not self.at(";"):
                 value = self.parse_expr()
-            self.expect_sym(";")
-            return Return(value, line=t.line, col=t.col)
-        if kw == "if":
+            self.expect(";")
+            return Return(value, pos=t.pos)
+        if kind == "if":
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             cond = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             then_body = self.parse_block()
             else_body: list[Stmt] = []
-            if self.at_kw("else"):
+            if self.at("else"):
                 self.advance()
                 else_body = self.parse_block()
-            return If(cond, then_body, else_body, line=t.line, col=t.col)
-        if kw == "while":
+            return If(cond, then_body, else_body, pos=t.pos)
+        if kind == "while":
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             cond = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             body = self.parse_block()
-            return While(cond, body, line=t.line, col=t.col)
+            return While(cond, body, pos=t.pos)
         expr = self.parse_expr()
-        if self.at_sym("="):
+        if self.at("="):
             eq = self.advance()
             if not isinstance(expr, (Var, FieldGet)):
                 raise self.error("invalid assignment target", eq)
             value = self.parse_expr()
-            self.expect_sym(";")
-            return Assign(expr, value, line=t.line, col=t.col)
-        self.expect_sym(";")
-        return ExprStmt(expr, line=t.line, col=t.col)
+            self.expect(";")
+            return Assign(expr, value, pos=t.pos)
+        self.expect(";")
+        return ExprStmt(expr, pos=t.pos)
 
     # -- expressions ----------------------------------------------------------
 
@@ -273,50 +266,62 @@ class _Parser:
         its right operand, which binds only tighter operators."""
         left = self.parse_unary()
         tokens = self.tokens
-        while (op := tokens[self.pos])[0] == "sym" and _LEVEL.get(op[1], -1) >= level:
-            self.pos += 1
-            right = self.parse_expr(_LEVEL[op[1]] + 1)
-            left = Binary(op.text, left, right, line=op.line, col=op.col)
+        while (op_level := _LEVEL.get((op := tokens[self.index])[0], -1)) >= level:
+            self.index += 1
+            right = self.parse_expr(op_level + 1)
+            left = Binary(op.text, left, right, pos=op.pos)
         return left
 
     def parse_unary(self) -> Expr:
-        if self.at_sym("-"):
+        if self.at("-"):
             op = self.advance()
             operand = self.parse_unary()
-            return Unary("-", operand, line=op.line, col=op.col)
+            return Unary("-", operand, pos=op.pos)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
-        while self.at_sym("."):
+        while self.at("."):
             dot = self.advance()
             name = self.peek()
             if name.kind == "ident":
                 self.advance()
-            elif name.kind == "keyword":
+            elif name.kind in KEYWORDS:
                 raise self.error(f"{name.text!r} cannot follow '.'", name)
             else:
                 raise self.error("expected member name after '.'", name)
-            if self.at_sym("("):
+            if self.at("("):
                 args = self.parse_args()
-                expr = MethodCall(expr, name.text, args, line=dot.line, col=dot.col)
+                expr = MethodCall(expr, name.text, args, pos=dot.pos)
             else:
-                expr = FieldGet(expr, name.text, line=dot.line, col=dot.col)
+                expr = FieldGet(expr, name.text, pos=dot.pos)
         return expr
 
     def parse_args(self) -> list[Expr]:
-        self.expect_sym("(")
+        self.expect("(")
         args: list[Expr] = []
-        while not self.at_sym(")"):
+        while not self.at(")"):
             if args:
-                self.expect_sym(",")
+                self.expect(",")
             args.append(self.parse_expr())
-        self.expect_sym(")")
+        self.expect(")")
         return args
 
     def parse_primary(self) -> Expr:
-        t = self.tokens[self.pos]
+        t = self.tokens[self.index]
         kind = t.kind
+        if kind == "ident":
+            self.advance()
+            if t.text in ast.BUILTIN_FUNCS:
+                if not self.at("("):
+                    raise self.error(f"builtin {t.text!r} must be called", t)
+                args = self.parse_args()
+                return BuiltinCall(t.text, args, pos=t.pos)
+            if self.at("("):
+                raise self.error(
+                    f"unknown function {t.text!r}; only builtins can be called "
+                    "without a receiver", t)
+            return Var(t.text, pos=t.pos)
         if kind == "int":
             self.advance()
             # int() refuses strings of more than 4300 digits, so count the
@@ -326,52 +331,38 @@ class _Parser:
             digits = digits.lstrip("0") or "0"
             if len(digits) > _MAX_INT_DIGITS or int(digits) > _MAX_INT_LITERAL:
                 raise self.error("integer literal out of 64-bit range", t)
-            return IntLit(int(digits), line=t.line, col=t.col)
+            return IntLit(int(digits), pos=t.pos)
         if kind == "str":
             self.advance()
-            return StrLit(t.text, line=t.line, col=t.col)
-        kw = t.text if kind == "keyword" else None
-        if kw == "true" or kw == "false":
+            return StrLit(t.text, pos=t.pos)
+        if kind == "this":
             self.advance()
-            return BoolLit(kw == "true", line=t.line, col=t.col)
-        if kw == "this":
+            return This(pos=t.pos)
+        if kind == "true" or kind == "false":
             self.advance()
-            return This(line=t.line, col=t.col)
-        if kw == "new":
+            return BoolLit(kind == "true", pos=t.pos)
+        if kind == "new":
             self.advance()
             cname = self.expect_ident("class name after 'new'")
             args = self.parse_args()
-            return New(cname.text, args, line=t.line, col=t.col)
-        if self.at_sym("("):
+            return New(cname.text, args, pos=t.pos)
+        if kind == "(":
             self.advance()
             expr = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return expr
-        if self.at_sym("["):
+        if kind == "[":
             self.advance()
             elements: list[Expr] = []
-            while not self.at_sym("]"):
+            while not self.at("]"):
                 if elements:
-                    self.expect_sym(",")
+                    self.expect(",")
                 elements.append(self.parse_expr())
-            self.expect_sym("]")
-            return ListLit(elements, line=t.line, col=t.col)
-        if kind == "ident":
-            if t.text in ast.BUILTIN_FUNCS:
-                self.advance()
-                if not self.at_sym("("):
-                    raise self.error(f"builtin {t.text!r} must be called", t)
-                args = self.parse_args()
-                return BuiltinCall(t.text, args, line=t.line, col=t.col)
-            self.advance()
-            if self.at_sym("("):
-                raise self.error(
-                    f"unknown function {t.text!r}; only builtins can be called "
-                    "without a receiver", t)
-            return Var(t.text, line=t.line, col=t.col)
+            self.expect("]")
+            return ListLit(elements, pos=t.pos)
         raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
 
 
 def parse_program(source: str) -> Program:
     """Parse source text into a Program or raise ParseError."""
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(source).parse_program()

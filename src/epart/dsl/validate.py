@@ -25,6 +25,7 @@ from .ast import (
     FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Program, Return,
     Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, While,
 )
+from .lexer import line_col
 
 # Rule identifiers attached to violations.
 ENCAPSULATION = "ENCAPSULATION"
@@ -105,9 +106,9 @@ class _Checker:
     # -- helpers -------------------------------------------------------------
 
     def fail(self, rule: str, cls: str, method: str | None, node, message: str) -> None:
+        line, col = line_col(self.program.__dict__.get(ast.SOURCE, ""), node.pos)
         self.report.violations.append(
-            Violation(rule, cls, method, getattr(node, "line", 0),
-                      getattr(node, "col", 0), message))
+            Violation(rule, cls, method, line, col, message))
 
     def check_typeref(self, t: TypeRef, cls: str, method: str | None, node,
                       allow_unit: bool = False) -> bool:

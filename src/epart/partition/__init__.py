@@ -10,8 +10,7 @@ from .model import (
     generate_proxies, relay_direction, synthesize_relays,
 )
 from .plan import (
-    ImageSpec, InterfaceDescriptor, InterfaceRecord, PartitionPlan, compute_images,
-    whole_program_plan,
+    ImageSpec, InterfaceDescriptor, PartitionPlan, compute_images, whole_program_plan,
 )
 
 __all__ = [
@@ -20,6 +19,6 @@ __all__ = [
     "load_plan", "parse_interface", "render_interface",
     "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
     "generate_proxies", "relay_direction", "synthesize_relays",
-    "ImageSpec", "InterfaceDescriptor", "InterfaceRecord", "PartitionPlan",
-    "compute_images", "whole_program_plan",
+    "ImageSpec", "InterfaceDescriptor", "PartitionPlan", "compute_images",
+    "whole_program_plan",
 ]

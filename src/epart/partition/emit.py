@@ -38,7 +38,7 @@ from ..dsl.ast import (
 )
 from ..errors import FormatError, InterfaceMismatch
 from .model import MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod
-from .plan import ImageSpec, InterfaceDescriptor, InterfaceRecord, PartitionPlan
+from .plan import ImageSpec, InterfaceDescriptor, PartitionPlan
 
 MAGIC = b"EPIMG\x01"
 
@@ -374,7 +374,7 @@ def render_interface(descriptor: InterfaceDescriptor) -> str:
 
 
 def parse_interface(text: str) -> InterfaceDescriptor:
-    records: list[InterfaceRecord] = []
+    records: list[RelayMethodDef] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -391,8 +391,8 @@ def parse_interface(text: str) -> InterfaceDescriptor:
             kinds_text = args[:-1]
             kinds = tuple(MarshalKind(k) for k in kinds_text.split(",")) \
                 if kinds_text else ()
-            records.append(InterfaceRecord(direction, cname, mname, kinds,
-                                           MarshalKind(ret.strip())))
+            records.append(RelayMethodDef(cname, mname, cname == mname, direction,
+                                          kinds, MarshalKind(ret.strip())))
         except ValueError as e:
             raise FormatError(f"bad interface record {line!r}: {e}") from e
     return InterfaceDescriptor(records)

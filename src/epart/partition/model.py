@@ -91,6 +91,17 @@ class RelayMethodDef:
     def relay_id(self) -> str:
         return f"{self.class_name}.{self.method_name}"
 
+    def render(self) -> str:
+        """The relay's line in the interface descriptor."""
+        kinds = ",".join(k.value for k in self.param_kinds)
+        return (f"{self.direction} {self.relay_id}"
+                f"({kinds}) -> {self.return_kind.value}")
+
+    @property
+    def sort_key(self) -> tuple[str, str, str]:
+        """The descriptor's order: (direction, class, method)."""
+        return (self.direction, self.class_name, self.method_name)
+
 
 def _stub_for(m: MethodDecl) -> StubMethod:
     return StubMethod(m.name, tuple((p.name, p.type) for p in m.params),

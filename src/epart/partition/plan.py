@@ -22,38 +22,15 @@ from ..errors import ValidationFailed
 from . import callgraph
 from .callgraph import CONCRETE, PROXY, Node
 from .model import (
-    MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, annotation_map,
-    generate_proxies, synthesize_relays,
+    ProxyClassDef, RelayMethodDef, annotation_map, generate_proxies, synthesize_relays,
 )
-
-
-@dataclass(frozen=True)
-class InterfaceRecord:
-    direction: str  # "ecall" or "ocall"
-    class_name: str
-    method_name: str
-    param_kinds: tuple[MarshalKind, ...]
-    return_kind: MarshalKind
-
-    def render(self) -> str:
-        kinds = ",".join(k.value for k in self.param_kinds)
-        return (f"{self.direction} {self.class_name}.{self.method_name}"
-                f"({kinds}) -> {self.return_kind.value}")
-
-    @property
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.direction, self.class_name, self.method_name)
 
 
 @dataclass
 class InterfaceDescriptor:
-    records: list[InterfaceRecord] = field(default_factory=list)
+    """The relays of both images, sorted by RelayMethodDef.sort_key."""
 
-    def lookup(self, class_name: str, method_name: str) -> InterfaceRecord | None:
-        for r in self.records:
-            if r.class_name == class_name and r.method_name == method_name:
-                return r
-        return None
+    records: list[RelayMethodDef] = field(default_factory=list)
 
 
 @dataclass
@@ -209,10 +186,8 @@ def compute_images(program: Program) -> PartitionPlan:
     trusted_image = build_image(Annotation.TRUSTED, g_t)
     untrusted_image = build_image(Annotation.UNTRUSTED, g_u)
 
-    records = [InterfaceRecord(r.direction, r.class_name, r.method_name,
-                               r.param_kinds, r.return_kind)
-               for r in trusted_image.relays + untrusted_image.relays]
-    descriptor = InterfaceDescriptor(sorted(records, key=lambda r: r.sort_key))
+    descriptor = InterfaceDescriptor(sorted(
+        trusted_image.relays + untrusted_image.relays, key=lambda r: r.sort_key))
 
     class_ids = {name: i for i, name in enumerate(sorted(annotations))}
     return PartitionPlan(trusted_image, untrusted_image, descriptor,

@@ -5,7 +5,9 @@ seeded one-character edits of the fixtures.  For each input the digest takes the
 stream as (kind, text, line, col), or the lexer's ParseError as (kind,
 message, line, col); then str(ParseError), or every AST node's (class, line,
 col) in field-walk order; then every violation string.  A change to any
-token, position, diagnostic or violation changes the digest.
+token, position, diagnostic or violation changes the digest.  Tokens are
+read through the golden table's lex(), so in the vocabulary the digest was
+first taken in, and node offsets through line_col.
 """
 
 import dataclasses
@@ -15,9 +17,9 @@ from pathlib import Path
 
 from epart.bench import generate_corpus
 from epart.dsl import parse_program, validate
-from epart.dsl.lexer import tokenize
+from epart.dsl.lexer import line_col
 from epart.errors import ParseError
-from test_lexer_golden import ALPHABET
+from test_lexer_golden import ALPHABET, lex
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.ep"))
 
@@ -45,11 +47,11 @@ def _edits(sources: list[str], count: int, seed: int) -> list[str]:
 _FIELDS: dict[type, tuple] = {}
 
 
-def _nodes(node, out: list) -> None:
+def _nodes(source: str, node, out: list) -> None:
     """(class, line, col) of node and of every positioned node below it."""
     if type(node) is list:
         for item in node:
-            _nodes(item, out)
+            _nodes(source, item, out)
         return
     names = _FIELDS.get(type(node))
     if names is None:
@@ -58,25 +60,21 @@ def _nodes(node, out: list) -> None:
             if dataclasses.is_dataclass(node) else ()
     if not names:
         return
-    if "line" in names:
-        out.append((type(node).__name__, node.line, node.col))
+    if "pos" in names:
+        out.append((type(node).__name__, *line_col(source, node.pos)))
     for name in names:
-        _nodes(getattr(node, name), out)
+        _nodes(source, getattr(node, name), out)
 
 
 def _observe(source: str) -> list:
-    seen: list = []
-    try:
-        seen.append([(t.kind, t.text, t.line, t.col) for t in tokenize(source)])
-    except ParseError as e:
-        seen.append((e.kind, e.message, e.line, e.col))
+    seen = [lex(source)]
     try:
         program = parse_program(source)
     except ParseError as e:
         seen.append(str(e))
         return seen
     nodes: list = []
-    _nodes(program, nodes)
+    _nodes(source, program, nodes)
     seen.append(nodes)
     seen.append([str(v) for v in validate(program).violations])
     return seen

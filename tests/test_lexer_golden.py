@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epart.dsl.lexer import tokenize
+from epart.dsl.lexer import KEYWORDS, SYMBOLS, line_col, tokenize
 from epart.errors import ParseError
 
 GOLDEN = [
@@ -196,9 +196,19 @@ GOLDEN = [
 ]
 
 
+_SYMBOLS = set(SYMBOLS)
+
+
+def _kind(kind: str) -> str:
+    return "sym" if kind in _SYMBOLS else "keyword" if kind in KEYWORDS else kind
+
+
 def lex(source: str):
+    """The token stream in the golden table's terms: keywords and symbols as
+    "keyword" and "sym", offsets as line and column."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+        return [(_kind(t.kind), t.text, *line_col(source, t.pos))
+                for t in tokenize(source)]
     except ParseError as e:
         return (e.kind, e.message, e.line, e.col)
 

@@ -35,6 +35,11 @@ class TestPlacement:
     def test_main_in_trusted_class(self):
         rules = check("@Trusted\nclass Main { static main() { } }")
         assert "MAIN_PLACEMENT" in rules
+        # Built from constructors, with no source: no position, shown as 0:0.
+        main = ast.MethodDecl("main", [], ast.UNIT, [], is_static=True)
+        built = ast.Program([ClassDecl("Main", ast.Annotation.TRUSTED, [], [main])])
+        assert [str(v) for v in validate(built).violations] == [
+            "MAIN_PLACEMENT Main.main 0:0: main cannot live in a trusted class"]
 
     def test_main_in_neutral_class_ok(self):
         assert check("@Neutral\nclass Main { static main() { } }") == set()
