@@ -1,7 +1,7 @@
 """AST for the annotated class language.
 
 Each node carries pos, the source offset of the token its diagnostics point
-at; epart.dsl.lexer.line_col turns it into line:col.  A node built
+at, and epart.dsl.lexer.line_col turns it into line:col.  A node built
 without source has pos -1, which prints as 0:0.  pos is excluded from
 equality, so nodes compare structurally, and from the image encoding.
 """

@@ -269,7 +269,7 @@ def _reader(cls, gets):
 
 
 def _fields(cls, **overrides):
-    """(name, writer) of each stored field of cls (line and col are not), and
+    """(name, writer) of each stored field of cls (pos is not), and
     a reader of them all.  A keyword names a field and the codec it uses."""
     stored = [f for f in dataclasses.fields(cls) if f.compare]
     codecs = [overrides.get(f.name) or _FIELD_CODECS[f.type] for f in stored]

@@ -1,13 +1,14 @@
 """One digest of everything the front end shows for a seeded corpus.
 
 The corpus is the three fixtures, 20 generate_corpus programs and 1,500
-seeded one-character edits of the fixtures.  For each input the digest takes the token
-stream as (kind, text, line, col), or the lexer's ParseError as (kind,
-message, line, col); then str(ParseError), or every AST node's (class, line,
-col) in field-walk order; then every violation string.  A change to any
-token, position, diagnostic or violation changes the digest.  Tokens are
-read through the golden table's lex(), so in the vocabulary the digest was
-first taken in, and node offsets through line_col.
+seeded one-character edits of the fixtures.  For each input the digest
+takes the token stream as (kind, text, line, col), or the lexer's
+ParseError as (kind, message, line, col); then str(ParseError), or every
+AST node's (class, line, col) in field-walk order; then every violation
+string.  A change to any token, position, diagnostic or violation changes
+the digest.  Tokens are read through the golden table's lex(), so in the
+vocabulary the digest was first taken in, and node offsets through
+line_col.
 """
 
 import dataclasses
@@ -44,6 +45,8 @@ def _edits(sources: list[str], count: int, seed: int) -> list[str]:
     return out
 
 
+# Field names per node class: calling dataclasses.fields() per node made the
+# walk 3.5 times slower.
 _FIELDS: dict[type, tuple] = {}
 
 
