@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Param, Program, TypeRef
+from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Program, TypeRef
 
 
 class MarshalKind(str, Enum):

@@ -460,9 +460,10 @@ class DualRuntime:
 
     # -- garbage collection hooks -------------------------------------------
 
-    def safepoint(self, iso: Isolate) -> None:
-        if iso.bytes_since_gc >= self.gc_threshold:
-            self._collect(iso, force_scan=False)
+    def threshold_gc(self, iso: Isolate) -> None:
+        """The collection the interpreter asks for once an isolate has
+        allocated gc_threshold bytes since its last one."""
+        self._collect(iso, force_scan=False)
 
     def explicit_gc(self, iso: Isolate) -> None:
         self._collect(iso, force_scan=True)

@@ -133,11 +133,10 @@ class GcStats:
 
 
 class Frame:
-    __slots__ = ("where", "env", "this", "temps")
+    __slots__ = ("env", "this", "temps")
 
-    def __init__(self, where: str, env: dict | None = None, this=None):
-        self.where = where
-        self.env: dict[str, object] = env if env is not None else {}
+    def __init__(self, env: dict[str, object], this=None):
+        self.env = env
         self.this = this
         self.temps: list = []
 

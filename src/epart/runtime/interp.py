@@ -2,13 +2,25 @@
 
 The interpreter is deliberately unaware of transitions: anything that crosses
 the isolate boundary (constructing through a proxy class, invoking a proxy
-object, the host builtins print/file_write/file_read, safepoint policy) is
+object, the host builtins print/file_write/file_read, a collection) is
 delegated to a context object supplied by the surrounding runtime.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  What is fixed for a run is
 worked out once: the EPC-scaled price of a field access, and each class's
 method table, built on the first call into the class.
+
+Returns are values, not exceptions.  A statement handler returns None to
+fall through, or a one-element box (value,) for `return`; exec_block,
+exec_if and exec_while pass the box up unchanged and call_method unboxes
+it.  There is a safepoint after every statement that falls through and
+after every loop iteration, but none on the way out of a `return`.  The
+safepoint test is inline: the isolate's bytes_since_gc against the
+runtime's gc_threshold, read once.  The interpreter calls into the runtime
+only to collect.
+
+Int arithmetic range-checks inline and calls wrap64 only on overflow.  Str
+`+` faults once its result would be longer than MAX_STR_CHARS.
 
 Garbage collection may only run at statement boundaries, so every heap value
 produced mid-expression is parked in the current frame's temp list until the
@@ -38,6 +50,9 @@ def ensure_recursion_headroom() -> None:
     if sys.getrecursionlimit() < _RECURSION_HEADROOM:
         sys.setrecursionlimit(_RECURSION_HEADROOM)
 
+# The longest Str a program may build; a longer `+` result is a fault.
+MAX_STR_CHARS = 16 << 20
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -46,12 +61,6 @@ def wrap64(v: int) -> int:
     if _I64_MIN <= v <= _I64_MAX:
         return v
     return ((v - _I64_MIN) & ((1 << 64) - 1)) + _I64_MIN
-
-
-class ReturnSignal(Exception):
-    def __init__(self, value):
-        super().__init__("return")
-        self.value = value
 
 
 def render_value(v) -> str:
@@ -72,6 +81,7 @@ class Interpreter:
         self.classes = classes
         self.proxy_names = proxy_names
         self.context = context
+        self.gc_threshold = context.gc_threshold
         self.field_cost = isolate.model.scaled(
             isolate.model.field_access_cost, isolate.trusted)
         # class name -> method name -> first declaration of that name
@@ -113,58 +123,75 @@ class Interpreter:
 
     def call_method(self, decl: ast.ClassDecl, method: ast.MethodDecl,
                     this: InstanceObj | None, args: list):
-        iso = self.isolate
-        if len(iso.frames) >= MAX_FRAMES:
+        frames = self.isolate.frames
+        if len(frames) >= MAX_FRAMES:
             raise DslRuntimeError(f"call stack exhausted at {decl.name}.{method.name}")
-        frame = Frame(f"{decl.name}.{method.name}", this=this)
+        env = {}
         for p, v in zip(method.params, args):
-            frame.env[p.name] = v
-        iso.frames.append(frame)
+            env[p.name] = v
+        frame = Frame(env, this)
+        frames.append(frame)
         try:
-            try:
-                self.exec_block(method.body, frame)
-                result = None
-            except ReturnSignal as r:
-                result = r.value
-            if result is None and not method.is_constructor \
-                    and method.return_type != ast.UNIT:
-                raise DslRuntimeError(
-                    f"{frame.where} finished without returning a value")
+            box = self.exec_block(method.body, frame)
         except DslRuntimeError as e:
-            e.trace.append(f"at {frame.where}")
+            e.trace.append(f"at {decl.name}.{method.name}")
             raise
         except RecursionError:
             raise DslRuntimeError("call stack exhausted",
-                                  trace=[f"at {frame.where}"]) from None
+                                  trace=[f"at {decl.name}.{method.name}"]) from None
         finally:
-            iso.frames.pop()
+            frames.pop()
+        result = None if box is None else box[0]
+        if result is None and not method.is_constructor \
+                and method.return_type != ast.UNIT:
+            where = f"{decl.name}.{method.name}"
+            raise DslRuntimeError(f"{where} finished without returning a value",
+                                  trace=[f"at {where}"])
         return result
 
     # -- statements --------------------------------------------------------
 
-    def exec_block(self, stmts: list[ast.Stmt], frame: Frame) -> None:
-        safepoint, iso = self.context.safepoint, self.isolate
+    def exec_block(self, stmts: list[ast.Stmt], frame: Frame):
+        """None when the block falls through, else the box of its return."""
+        iso, threshold = self.isolate, self.gc_threshold
         for s in stmts:
-            _EXEC[s.__class__](self, s, frame)
-            safepoint(iso)
+            box = _EXEC[s.__class__](self, s, frame)
+            if box is not None:
+                return box
+            if iso.bytes_since_gc >= threshold:
+                self.context.threshold_gc(iso)
+        return None
 
-    def exec_if(self, s: ast.If, frame: Frame) -> None:
-        if self.eval_bool(s.cond, frame):
-            self.exec_block(s.then_body, frame)
-        else:
-            self.exec_block(s.else_body, frame)
+    def exec_if(self, s: ast.If, frame: Frame):
+        cond = s.cond
+        v = _EVAL[cond.__class__](self, cond, frame)
+        if v.__class__ is not bool:
+            raise DslRuntimeError("condition is not a Bool")
+        return self.exec_block(s.then_body if v else s.else_body, frame)
 
-    def exec_while(self, s: ast.While, frame: Frame) -> None:
-        safepoint, iso = self.context.safepoint, self.isolate
-        while self.eval_bool(s.cond, frame):
-            self.exec_block(s.body, frame)
-            safepoint(iso)
+    def exec_while(self, s: ast.While, frame: Frame):
+        iso, threshold = self.isolate, self.gc_threshold
+        cond, body = s.cond, s.body
+        test = _EVAL[cond.__class__]
+        while True:
+            v = test(self, cond, frame)
+            if v.__class__ is not bool:
+                raise DslRuntimeError("condition is not a Bool")
+            if not v:
+                return None
+            box = self.exec_block(body, frame)
+            if box is not None:
+                return box
+            if iso.bytes_since_gc >= threshold:
+                self.context.threshold_gc(iso)
 
     def exec_var_decl(self, s: ast.VarDecl, frame: Frame) -> None:
-        frame.env[s.name] = self.eval(s.init, frame)
+        init = s.init
+        frame.env[s.name] = _EVAL[init.__class__](self, init, frame)
 
     def exec_assign(self, s: ast.Assign, frame: Frame) -> None:
-        value = self.eval(s.value, frame)
+        value = s.value
+        value = _EVAL[value.__class__](self, value, frame)
         target = s.target
         if target.__class__ is ast.Var:
             frame.env[target.name] = value
@@ -178,22 +205,16 @@ class Interpreter:
             raise ValueError(f"bad assignment target {target!r}")
 
     def exec_expr(self, s: ast.ExprStmt, frame: Frame) -> None:
-        self.eval(s.expr, frame)
+        e = s.expr
+        _EVAL[e.__class__](self, e, frame)
 
-    def exec_return(self, s: ast.Return, frame: Frame) -> None:
-        value = self.eval(s.value, frame) if s.value is not None else None
-        raise ReturnSignal(value)
+    def exec_return(self, s: ast.Return, frame: Frame) -> tuple:
+        e = s.value
+        if e is None:
+            return (None,)
+        return (_EVAL[e.__class__](self, e, frame),)
 
     # -- expressions ---------------------------------------------------------
-
-    def eval_bool(self, e: ast.Expr, frame: Frame) -> bool:
-        v = _EVAL[e.__class__](self, e, frame)
-        if v.__class__ is not bool:
-            raise DslRuntimeError("condition is not a Bool")
-        return v
-
-    def eval(self, e: ast.Expr, frame: Frame):
-        return _EVAL[e.__class__](self, e, frame)
 
     def eval_literal(self, e: ast.IntLit, frame: Frame):
         return e.value
@@ -221,7 +242,8 @@ class Interpreter:
         return v
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
-        return wrap64(-self.eval(e.operand, frame))
+        operand = e.operand
+        return wrap64(-_EVAL[operand.__class__](self, operand, frame))
 
     def eval_binary(self, e: ast.Binary, frame: Frame):
         right = e.right
@@ -272,7 +294,7 @@ class Interpreter:
                 finally:
                     del temps[base:]
 
-        receiver = self.eval(receiver, frame)
+        receiver = _EVAL[receiver.__class__](self, receiver, frame)
         temps.append(receiver)
         args = self.eval_args(e.args, frame)
         try:
@@ -343,8 +365,28 @@ class Interpreter:
 
 def _add(left, right):
     if left.__class__ is str:
-        return left + right
-    return wrap64(left + right)
+        v = left + right
+        if len(v) > MAX_STR_CHARS:
+            raise DslRuntimeError(f"string longer than {MAX_STR_CHARS >> 20} MiB")
+        return v
+    v = left + right
+    if _I64_MIN <= v <= _I64_MAX:
+        return v
+    return wrap64(v)
+
+
+def _sub(left: int, right: int) -> int:
+    v = left - right
+    if _I64_MIN <= v <= _I64_MAX:
+        return v
+    return wrap64(v)
+
+
+def _mul(left: int, right: int) -> int:
+    v = left * right
+    if _I64_MIN <= v <= _I64_MAX:
+        return v
+    return wrap64(v)
 
 
 def _quotient(left: int, right: int) -> int:
@@ -355,11 +397,22 @@ def _quotient(left: int, right: int) -> int:
     return -q if (left < 0) != (right < 0) else q
 
 
+def _div(left: int, right: int) -> int:
+    return wrap64(_quotient(left, right))
+
+
+def _rem(left: int, right: int) -> int:
+    """Remainder of truncating division: it takes the dividend's sign."""
+    if right == 0:
+        raise DslRuntimeError("division by zero")
+    r = left % right  # floored: takes the divisor's sign
+    if r and (left < 0) != (right < 0):
+        return r - right
+    return r
+
+
 _BINARY = {
-    "+": _add, "-": lambda left, right: wrap64(left - right),
-    "*": lambda left, right: wrap64(left * right),
-    "/": lambda left, right: wrap64(_quotient(left, right)),
-    "%": lambda left, right: wrap64(left - _quotient(left, right) * right),
+    "+": _add, "-": _sub, "*": _mul, "/": _div, "%": _rem,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "==": operator.eq, "!=": operator.ne,
 }

@@ -7,10 +7,16 @@ method) are reached by editing the AST after the plans are built, as a
 tampered or hand-built image would.
 """
 
+import subprocess
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epart.bench import generate_program
+from epart.cli import main
 from epart.dsl import ast, parse_program
 from epart.errors import DslRuntimeError
 from epart.partition import compute_images, whole_program_plan
@@ -44,13 +50,18 @@ def nodes_in(program, method, kind):
             for n in walk(s) if n.__class__ is kind]
 
 
+def mode_plans(program):
+    """A partitioned, a reference and an enclave plan of program."""
+    return [compute_images(program),
+            whole_program_plan(program, enclave=False),
+            whole_program_plan(program, enclave=True)]
+
+
 def run_modes(source: str, mutate=None, **kwargs):
     """(transcript, fault message) of a partitioned, a reference and an
     enclave run."""
     program = parse_program(source)
-    plans = [compute_images(program),
-             whole_program_plan(program, enclave=False),
-             whole_program_plan(program, enclave=True)]
+    plans = mode_plans(program)
     if mutate is not None:
         mutate(program)
     out = []
@@ -102,6 +113,67 @@ class Late {
     p: Peer;
     Late() { }
     get() -> Peer { return this.p; }
+}
+"""
+
+FLOW = """
+@Neutral
+class Flow {
+    n: Int;
+    Flow(n: Int) { this.n = n; }
+    static first(limit: Int) -> Int {
+        var i: Int = 0;
+        if (limit > 0) {
+            while (true) {
+                i = i + 1;
+                if (i * i > limit) {
+                    print(i);
+                    return i;
+                }
+                print(i * 10);
+            }
+            print(-1);
+        }
+        print(-2);
+        return 0;
+    }
+    find(limit: Int) -> Int {
+        var i: Int = this.n;
+        if (limit > i) {
+            while (i < limit) {
+                if (i % 7 == 0) {
+                    return i;
+                    print(-3);
+                }
+                i = i + 1;
+            }
+            print(-4);
+        } else {
+            print(-5);
+        }
+        print(-6);
+        return -1;
+    }
+    static count(k: Int) {
+        var i: Int = 0;
+        while (true) {
+            i = i + 1;
+            if (i > k) {
+                return;
+            }
+            print(i);
+        }
+        print(-7);
+    }
+    static lost(k: Int) -> Int {
+        var i: Int = k;
+        while (i > 0) {
+            i = i - 1;
+            if (i == 100) {
+                return i;
+            }
+        }
+    }
 }
 """
 
@@ -182,6 +254,27 @@ CASES = {
         var xs: List[Str] = ["a"];
         print(xs.get(-1));"""),
         None, [], "list index -1 out of range for length 1"),
+    "early return from a while in an if, static method": (main_of("""
+        print(Flow.first(10));
+        print(Flow.first(0));""", FLOW),
+        None, ["10", "20", "30", "4", "4", "-2", "0"], None),
+    "early return from a while in an if, instance method": (main_of("""
+        var f: Flow = new Flow(8);
+        print(f.find(30));
+        print(f.find(10));
+        print(f.find(3));""", FLOW),
+        None, ["14", "-4", "-6", "-1", "-5", "-6", "-1"], None),
+    "return; in a loop of a Unit method": (main_of("""
+        Flow.count(2);
+        Flow.count(0);
+        print(9);""", FLOW),
+        None, ["1", "2", "9"], None),
+    # The validator has no return-path rule, so this program is valid.
+    "a loop ends without return": (main_of("""
+        print(Flow.lost(1000));
+        print(Flow.lost(3));
+        print(8);""", FLOW),
+        None, ["100"], "Flow.lost finished without returning a value"),
 }
 
 
@@ -228,6 +321,98 @@ class Main {
 }
 """
     assert run_modes(source, gc_threshold=1) == [(["3", "5"], None)] * 3
+
+
+def test_missing_return_traces_every_frame():
+    program = parse_program(main_of("print(Flow.lost(3));", FLOW))
+    for plan in mode_plans(program):
+        with pytest.raises(DslRuntimeError) as info:
+            DualRuntime(plan).run_main([])
+        assert info.value.formatted().splitlines() == [
+            "runtime error: Flow.lost finished without returning a value",
+            "  at Flow.lost", "  at Main.main"]
+
+
+POOL = """
+@Trusted
+class Pool {
+    Pool() { }
+    fill(k: Int) -> Box {
+        var xs: List[Box] = [];
+        var i: Int = 0;
+        while (true) {
+            var b: Box = new Box(i);
+            xs.append(b);
+            i = i + 1;
+            if (i == k) {
+                return new Box(xs.len() + b.get());
+            }
+        }
+    }
+}
+"""
+
+
+def test_return_in_a_loop_at_every_safepoint():
+    # At gc_threshold=1 every safepoint that follows an allocation collects,
+    # so a safepoint added or lost on a return path moves these counts.
+    program = parse_program(main_of("""
+        var p: Pool = new Pool();
+        print(p.fill(5).get());
+        print(p.fill(40).get());""", BOX + POOL))
+    got = []
+    for plan in mode_plans(program):
+        res = DualRuntime(plan, gc_threshold=1).run_main([])
+        got.append((res.transcript,
+                    {side: (m.gc_runs, m.gc_cycles, m.simulated_cycles)
+                     for side, m in res.metrics.items()}))
+    assert got == [
+        (["9", "79"], {"trusted": (94, 462208, 465156),
+                       "untrusted": (3, 240, 39644)}),
+        (["9", "79"], {"untrusted": (95, 115584, 116280)}),
+        (["9", "79"], {"trusted": (95, 462336, 491385),
+                       "untrusted": (0, 0, 0)}),
+    ]
+
+
+# -- the Str length bound ------------------------------------------------------
+
+# Seed-2 progen programs that grow a string geometrically; without the bound
+# they need more than 7 GB.
+RUNAWAY_STR = [generate_program(2 * 10007 + i) for i in (162, 188)]
+
+
+@pytest.mark.parametrize("source", RUNAWAY_STR, ids=["162", "188"])
+def test_a_runaway_string_faults_in_every_mode(source):
+    assert interp.MAX_STR_CHARS == 16 << 20
+    for plan in mode_plans(parse_program(source)):
+        start = time.perf_counter()
+        with pytest.raises(DslRuntimeError) as info:
+            DualRuntime(plan).run_main([])
+        assert time.perf_counter() - start < 1.0
+        assert info.value.formatted().splitlines()[0] == \
+            "runtime error: string longer than 16 MiB"
+
+
+@pytest.mark.parametrize("source", RUNAWAY_STR, ids=["162", "188"])
+def test_a_runaway_string_is_one_line_at_the_cli(source, tmp_path, capsys):
+    src = tmp_path / "runaway.ep"
+    src.write_text(source)
+    start = time.perf_counter()
+    assert main(["compare", str(src)]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS: ")
+    assert "both runs stop with: runtime error: string longer than 16 MiB" \
+        in out.splitlines()
+    assert main(["partition", str(src), "-o", str(tmp_path / "plan")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "epart.cli", "run", str(tmp_path / "plan")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "runtime error: string longer than 16 MiB", "  at Main.main"]
 
 
 # -- random Int expressions against a plain-Python oracle --------------------
