@@ -36,6 +36,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
+from .._files import write_file
 from ..dsl import parse_program
 from ..partition import compute_images
 from ..runtime import CostModel, DualRuntime, run_reference
@@ -76,8 +77,7 @@ class BenchReport:
         return buf.getvalue()
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+        write_file(path, self.to_csv().encode("utf-8"))
 
     def value(self, metric: str):
         """Look up a row by its first column (metric/value suites)."""

@@ -22,6 +22,7 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
+from ._files import write_file
 from .bench import SUITES, run_suite
 from .dsl import parse_program
 from .dsl.ast import Annotation
@@ -90,7 +91,7 @@ def _dump_fs(vfs: dict[str, str], out_dir: str) -> None:
     for path in sorted(vfs):
         target = root / path.lstrip("/")
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(vfs[path], encoding="utf-8")
+        write_file(target, vfs[path].encode("utf-8"))
 
 
 def _run_to_fault(rt: DualRuntime, argv: list[str]):
@@ -119,7 +120,7 @@ def _finish_run(result, fault: str | None, args) -> int:
         print(fault, file=sys.stderr)
     try:
         if args.metrics:
-            Path(args.metrics).write_text(result.metrics_text(), encoding="utf-8")
+            write_file(args.metrics, result.metrics_text().encode("utf-8"))
         if args.dump_fs:
             _dump_fs(result.vfs, args.dump_fs)
     except OSError as e:
@@ -156,6 +157,8 @@ def _load_plan_arg(plan_dir: str):
         return load_plan(plan_dir), EXIT_OK
     except FileNotFoundError as e:
         return None, _fail(str(e))
+    except OSError as e:
+        return None, _fail(f"cannot read {e.filename}: {e.strerror}")
     except EpartError as e:
         return None, _fail(f"bad plan: {e}")
 

@@ -25,10 +25,12 @@ same bytes.  Identical plans always produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import struct
 from collections import Counter
 from pathlib import Path
 
+from .._files import write_file
 from .._version import __version__
 from ..dsl.ast import (
     BOOL, INT, STR, UNIT,
@@ -407,34 +409,51 @@ def emit(plan: PartitionPlan, out_dir: str | Path) -> list[Path]:
     images = [encode_image(plan, plan.trusted_image),
               encode_image(plan, plan.untrusted_image)]
     files = [out / TRUSTED_IMG, out / UNTRUSTED_IMG, out / INTERFACE_FILE]
-    files[0].write_bytes(images[0])
-    files[1].write_bytes(images[1])
-    files[2].write_text(render_interface(plan.descriptor), encoding="utf-8")
+    write_file(files[0], images[0])
+    write_file(files[1], images[1])
+    write_file(files[2], render_interface(plan.descriptor).encode("utf-8"))
     return files
 
 
-def _load_image(path: Path) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int]]:
-    spec, annotations, class_ids, version = decode_image(path.read_bytes())
+def _read_plan_file(d: Path, name: str) -> bytes:
+    try:
+        return (d / name).read_bytes()
+    except OSError as e:
+        # The errors for which Path.exists() says False.
+        if e.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            raise FileNotFoundError(f"missing {name} in {d}") from None
+        raise
+
+
+def _load_image(name: str, data: bytes
+                ) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int]]:
+    spec, annotations, class_ids, version = decode_image(data)
     if version != __version__:
-        raise FormatError(f"{path.name} was written by epart {version!r}, "
+        raise FormatError(f"{name} was written by epart {version!r}, "
                           f"not {__version__}")
     return spec, annotations, class_ids
 
 
 def load_plan(plan_dir: str | Path) -> PartitionPlan:
     """Reload an emitted plan written by this tool version, checking it with
-    check_interface."""
+    check_interface.  All three files are read before any is decoded, so a
+    missing file is reported before a corrupt one."""
     d = Path(plan_dir)
-    for name in (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE):
-        if not (d / name).exists():
-            raise FileNotFoundError(f"missing {name} in {d}")
-    trusted, ann_t, ids_t = _load_image(d / TRUSTED_IMG)
-    untrusted, ann_u, ids_u = _load_image(d / UNTRUSTED_IMG)
+    t_data, u_data, i_data = (_read_plan_file(d, name) for name in
+                              (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE))
+    trusted, ann_t, ids_t = _load_image(TRUSTED_IMG, t_data)
+    untrusted, ann_u, ids_u = _load_image(UNTRUSTED_IMG, u_data)
     if trusted.side != Annotation.TRUSTED or untrusted.side != Annotation.UNTRUSTED:
         raise FormatError("image files have swapped or invalid sides")
     if ann_t != ann_u or ids_t != ids_u:
         raise FormatError("image files disagree on class tables")
-    text = (d / INTERFACE_FILE).read_text(encoding="utf-8")
+    try:
+        text = i_data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{INTERFACE_FILE} is not UTF-8 text "
+                          f"({e.reason} at byte {e.start})") from None
+    # Universal newlines, as a text-mode read gives.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     header = text.partition("\n")[0]
     if header != _INTERFACE_HEADER:
         raise FormatError(f"{INTERFACE_FILE} header {header!r} is not "

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -469,6 +470,47 @@ class TestBenchCommand:
         assert exc.value.code == 2
 
 
+class TestOutputsOverwriteLongerFiles:
+    """--metrics, --dump-fs and bench --out leave exactly the new bytes in a
+    file that held more."""
+
+    def test_metrics_and_dump_fs(self, tmp_path, capsys):
+        src = tmp_path / "w.ep"
+        src.write_text("""
+@Untrusted
+class Main {
+    static main() {
+        file_write("/data/report.txt", "hi");
+    }
+}
+""")
+        plan = tmp_path / "p"
+        assert main(["partition", str(src), "-o", str(plan)]) == 0
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        fresh.mkdir()
+        (used / "fs" / "data").mkdir(parents=True)
+        (used / "m.txt").write_text("#" * 10000)
+        (used / "fs" / "data" / "report.txt").write_text("#" * 10000)
+        for command in (["run", str(plan)], ["run-unpartitioned", str(src)]):
+            for d in (fresh, used):
+                assert main(command + ["--metrics", str(d / "m.txt"),
+                                       "--dump-fs", str(d / "fs")]) == 0
+            assert (used / "m.txt").read_bytes() == \
+                (fresh / "m.txt").read_bytes()
+            assert (used / "fs" / "data" / "report.txt").read_bytes() == b"hi"
+
+    def test_bench_out(self, tmp_path, capsys):
+        fresh, used = tmp_path / "fresh.csv", tmp_path / "used.csv"
+        used.write_text("#" * 10000)
+        for out in (fresh, used):
+            assert main(["bench", "--suite", "rmi", "--out", str(out)]) == 0
+        assert used.read_bytes() == fresh.read_bytes()
+
+    def test_metrics_to_a_device(self, bank_dir, capsys):
+        _, plan = bank_dir
+        assert main(["run", str(plan), "--metrics", os.devnull]) == 0
+
+
 class TestInspectCommand:
     def test_trusted_image(self, bank_dir, capsys):
         _, plan = bank_dir
@@ -544,3 +586,12 @@ class TestOneLineFailures:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_an_unreadable_plan_file(self, bank_dir, capsys):
+        _, plan = bank_dir
+        (plan / TRUSTED_IMG).unlink()
+        (plan / TRUSTED_IMG).mkdir()
+        capsys.readouterr()
+        assert main(["run", str(plan)]) == 1
+        assert capsys.readouterr().err == \
+            f"cannot read {plan / TRUSTED_IMG}: Is a directory\n"

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import os
 import random
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from epart.partition.emit import (
 )
 from epart.partition.model import MarshalKind
 from epart.partition.plan import InterfaceDescriptor, PartitionPlan
+from epart.runtime import DualRuntime
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -231,6 +233,35 @@ class TestEmitLoad:
         with pytest.raises(FileNotFoundError):
             load_plan(tmp_path)
 
+    def test_a_missing_file_is_reported_before_a_corrupt_one(
+            self, bank_plan, tmp_path):
+        emit(bank_plan, tmp_path)
+        (tmp_path / TRUSTED_IMG).write_bytes(b"XXXX")
+        (tmp_path / UNTRUSTED_IMG).unlink()
+        with pytest.raises(FileNotFoundError,
+                           match=f"^missing {UNTRUSTED_IMG} in {tmp_path}$"):
+            load_plan(tmp_path)
+
+    def test_a_plan_dir_that_is_a_file_misses_the_trusted_image(
+            self, tmp_path):
+        (tmp_path / "f").write_bytes(b"")
+        with pytest.raises(FileNotFoundError, match=f"^missing {TRUSTED_IMG} "):
+            load_plan(tmp_path / "f")
+
+    def test_interface_that_is_not_utf8(self, bank_plan, tmp_path):
+        emit(bank_plan, tmp_path)
+        with open(tmp_path / INTERFACE_FILE, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(FormatError, match=f"^{INTERFACE_FILE} is not UTF-8 "
+                                              "text \\(invalid start byte"):
+            load_plan(tmp_path)
+
+    def test_interface_with_crlf_line_ends_loads(self, bank_plan, tmp_path):
+        emit(bank_plan, tmp_path)
+        iface = tmp_path / INTERFACE_FILE
+        iface.write_bytes(iface.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_plan(tmp_path).descriptor == bank_plan.descriptor
+
     def test_corrupt_magic(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)
         p = tmp_path / TRUSTED_IMG
@@ -376,6 +407,78 @@ class Main {
         iface.write_text("\n".join(dropped) + "\n")
         with pytest.raises(InterfaceMismatch):
             load_plan(tmp_path)
+
+
+def _plan_files(d: Path) -> dict[str, bytes]:
+    return {name: (d / name).read_bytes()
+            for name in (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE)}
+
+
+def _outputs(plan):
+    result = DualRuntime(plan).run_main()
+    return result.transcript, result.vfs, result.metrics_text()
+
+
+def _emit_over(plan, used_dir: Path, fresh_dir: Path) -> int:
+    """emit into a used directory writes what emit writes into a fresh one,
+    and the plan loads and runs as the one in memory.  Returns how many of
+    the three files were cut shorter."""
+    old = {name: len(data) for name, data in _plan_files(used_dir).items()}
+    emit(plan, used_dir)
+    emit(plan, fresh_dir)
+    new = _plan_files(used_dir)
+    assert new == _plan_files(fresh_dir)
+    assert _outputs(load_plan(used_dir)) == _outputs(plan)
+    return sum(old[name] > len(data) for name, data in new.items())
+
+
+class TestEmitOverAnExistingPlan:
+    """emit rewrites an existing plan's files in place; what they hold
+    afterwards is exactly what a fresh directory gets."""
+
+    def test_a_smaller_plan_over_a_larger_one(self, tmp_path):
+        used = tmp_path / "used"
+        emit(_fixture_plan("every_node.ep"), used)
+        assert _emit_over(_fixture_plan("bank.ep"), used,
+                          tmp_path / "fresh") == 3
+
+    def test_a_corpus_in_sequence_into_one_directory(self, tmp_path):
+        used = tmp_path / "used"
+        emit(_fixture_plan("every_node.ep"), used)
+        cut = 0
+        for i, source in enumerate(generate_corpus(20, seed=0)):
+            cut += _emit_over(plan_of(source), used, tmp_path / str(i))
+        assert cut >= 20
+
+    def test_file_modes(self, bank_plan, tmp_path):
+        old_umask = os.umask(0o027)
+        try:
+            files = emit(bank_plan, tmp_path)
+        finally:
+            os.umask(old_umask)
+        for f in files:
+            assert f.stat().st_mode & 0o777 == 0o640
+        files[0].chmod(0o600)
+        emit(bank_plan, tmp_path)
+        assert [f.stat().st_mode & 0o777 for f in files] == [0o600, 0o640, 0o640]
+
+    def test_links_are_written_through(self, bank_plan, tmp_path):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        real, linked = elsewhere / "real.img", elsewhere / "linked.txt"
+        real.write_bytes(b"x" * 5000)
+        linked.write_bytes(b"y" * 5000)
+        (out / TRUSTED_IMG).symlink_to(real)
+        os.link(linked, out / INTERFACE_FILE)
+        emit(bank_plan, out)
+        emit(bank_plan, tmp_path / "fresh")
+        assert (out / TRUSTED_IMG).is_symlink()
+        assert real.read_bytes() == (tmp_path / "fresh" / TRUSTED_IMG).read_bytes()
+        assert os.path.samefile(linked, out / INTERFACE_FILE)
+        assert linked.read_bytes() == \
+            (tmp_path / "fresh" / INTERFACE_FILE).read_bytes()
+        assert load_plan(out).descriptor == bank_plan.descriptor
 
 
 class TestCorpusSoundness:
