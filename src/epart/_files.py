@@ -5,12 +5,13 @@ every byte from offset 0 and then cuts the file to the new length.  The
 result is what a truncating open leaves: the same inode (so hard links and
 symlinks are written through), an existing file's mode, 0o666 & ~umask for a
 new file, and exactly the new bytes.  Truncating a file that holds data to
-zero first costs far more on ext4 (tens of times more per small file at the
-median, hundreds at p95; see benchruns/pr13), likely because ext4 starts
+zero first costs far more on ext4: about eight times as much per small file
+in a tight loop, and stalls of milliseconds when other work runs between
+writes (benchruns/pr13/README.md).  That is likely because ext4 starts
 writeback on close after a truncate to zero (auto_da_alloc).
 
-Neither way is crash-atomic: a write cut short leaves a mix of old and new
-bytes.
+Like a truncating open, this is not crash-atomic: a write cut short leaves
+a mix of old and new bytes.
 """
 
 from __future__ import annotations

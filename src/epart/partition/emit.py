@@ -419,7 +419,7 @@ def _read_plan_file(d: Path, name: str) -> bytes:
     try:
         return (d / name).read_bytes()
     except OSError as e:
-        # The errors for which Path.exists() says False.
+        # No file there: no entry, a component not a directory, a link loop.
         if e.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
             raise FileNotFoundError(f"missing {name} in {d}") from None
         raise
