@@ -1,6 +1,12 @@
+from pathlib import Path
+
+import pytest
+
+from epart.bench import generate_program
 from epart.dsl import parse_program
+from epart.errors import EpartError
 from epart.partition import compute_images
-from epart.runtime import DualRuntime
+from epart.runtime import DEFAULT_GC_THRESHOLD, DualRuntime
 from epart.runtime.costmodel import CostModel
 from epart.runtime.heap import (
     TRUSTED, UNTRUSTED, InstanceObj, Isolate, WeakSlot,
@@ -184,3 +190,41 @@ class TestMirrorPrimitives:
         assert rt.remove_calls == 1
         rt.force_gc(UNTRUSTED, scan=True)
         assert rt.remove_calls == 1  # nothing new to report
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _invariant_sources():
+    yield "bank", (FIXTURES / "bank.ep").read_text(encoding="utf-8")
+    yield "every_node", (FIXTURES / "every_node.ep").read_text(encoding="utf-8")
+    for i in range(20):
+        yield f"progen{i}", generate_program(i)
+
+
+_INVARIANT_PLANS = [pytest.param(compute_images(parse_program(src)), id=name)
+                    for name, src in _invariant_sources()]
+
+
+class TestCounterInvariants:
+    """Each counter that another structure also holds agrees with it."""
+
+    @pytest.mark.parametrize("gc_scan_every", [1, 3])
+    @pytest.mark.parametrize("gc_threshold", [256, DEFAULT_GC_THRESHOLD])
+    @pytest.mark.parametrize("plan", _INVARIANT_PLANS)
+    def test_counters_match_their_sources(self, plan, gc_threshold,
+                                          gc_scan_every):
+        rt = DualRuntime(plan, gc_threshold=gc_threshold,
+                         gc_scan_every=gc_scan_every)
+        try:
+            rt.run_main([])
+        except EpartError:
+            pass  # a faulting program leaves its state to check all the same
+        res = rt.result()
+        for side, m in res.metrics.items():
+            by_source = res.cycles_by_source[side]
+            assert m.live_proxies == len(rt.live_proxy_hashes(side))
+            assert m.mirror_registry_size == len(rt.registry_hashes(side))
+            assert m.simulated_cycles == sum(by_source.values())
+            assert m.gc_cycles == by_source.get("gc", 0)
+
