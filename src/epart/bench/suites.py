@@ -227,9 +227,9 @@ def _suite_rmi(model: CostModel, ops: int = 100) -> BenchReport:
     t_local = rt.construct(TRUSTED, "THolder", [])
     u_local = rt.construct(UNTRUSTED, "UHolder", [])
     u_proxy = rt.construct(TRUSTED, "UHolder", [])
-    bytes_before = rt.isolates[UNTRUSTED].metrics.bytes_serialized
+    bytes_before = rt.isolates[UNTRUSTED].bytes_serialized
     cross_out_in = _call_cost(rt, UNTRUSTED, t_proxy, 1)
-    arg_bytes = rt.isolates[UNTRUSTED].metrics.bytes_serialized - bytes_before
+    arg_bytes = rt.isolates[UNTRUSTED].bytes_serialized - bytes_before
     cross_out_in = _call_cost(rt, UNTRUSTED, t_proxy, ops)
     cross_in_out = _call_cost(rt, TRUSTED, u_proxy, ops)
     local_in = _call_cost(rt, TRUSTED, t_local, ops)
@@ -289,20 +289,20 @@ def _suite_rmi_serialization(model: CostModel, invocations: int = 10000,
         return _source_cycles(rt, UNTRUSTED, "transition", "serialize")
 
     before_cycles = boundary_cycles()
-    before_bytes = rt.isolates[UNTRUSTED].metrics.bytes_serialized
+    before_bytes = rt.isolates[UNTRUSTED].bytes_serialized
     for _ in range(invocations):
         rt.call(UNTRUSTED, sink, "ping", [], pin=False)
     ping_cycles = boundary_cycles() - before_cycles
-    ping_bytes = rt.isolates[UNTRUSTED].metrics.bytes_serialized - before_bytes
+    ping_bytes = rt.isolates[UNTRUSTED].bytes_serialized - before_bytes
 
     before_cycles = boundary_cycles()
     before_serialize = _source_cycles(rt, UNTRUSTED, "serialize")
-    before_bytes = rt.isolates[UNTRUSTED].metrics.bytes_serialized
+    before_bytes = rt.isolates[UNTRUSTED].bytes_serialized
     for _ in range(invocations):
         rt.call(UNTRUSTED, sink, "take", [payload], pin=False)
     take_cycles = boundary_cycles() - before_cycles
     serialize_delta = _source_cycles(rt, UNTRUSTED, "serialize") - before_serialize
-    take_bytes = rt.isolates[UNTRUSTED].metrics.bytes_serialized - before_bytes
+    take_bytes = rt.isolates[UNTRUSTED].bytes_serialized - before_bytes
 
     payload_bytes = take_bytes // invocations
     rep = BenchReport("rmi_serialization", ["metric", "value"])
@@ -453,14 +453,14 @@ def _suite_gc_consistency(model: CostModel, cycles: int = 1000) -> BenchReport:
     for i in range(cycles):
         rt.construct(UNTRUSTED, "Cell", [])
         reg_c = len(trusted.registry)
-        live_c = untrusted.live_proxy_count()
+        live_c = untrusted.metrics.live_proxies
         rt.clear_pins(UNTRUSTED)
         rt.force_gc(UNTRUSTED, scan=False)
         reg_s = len(trusted.registry)
-        live_s = untrusted.live_proxy_count()
+        live_s = untrusted.metrics.live_proxies
         rt.force_gc(UNTRUSTED, scan=True)
         reg_f = len(trusted.registry)
-        live_f = untrusted.live_proxy_count()
+        live_f = untrusted.metrics.live_proxies
         rep.add(i, reg_c, live_c, reg_c == live_c,
                 reg_s, live_s, reg_s >= live_s,
                 reg_f, live_f, reg_f == live_f,

@@ -10,7 +10,7 @@ from .dual import (
 )
 from .heap import (
     TRUSTED, UNTRUSTED, Frame, GcStats, HeapObject, InstanceObj, Isolate,
-    ListObj, MetricCounters, ProxyObj, WeakSlot, other_side,
+    ListObj, MetricCounters, ProxyObj, other_side,
 )
 from .interp import Interpreter, wrap64
 
@@ -19,7 +19,7 @@ __all__ = [
     "DualRuntime", "ExecutionResult", "Frame", "GcStats", "HeapObject",
     "InstanceObj", "Interpreter", "Isolate", "ListObj",
     "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "TRUSTED",
-    "TraceEvent", "UNTRUSTED", "WeakSlot", "load_model",
+    "TraceEvent", "UNTRUSTED", "load_model",
     "other_side", "parse_model", "run_main", "run_reference",
     "run_unpartitioned", "wrap64",
 ]

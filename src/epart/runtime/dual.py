@@ -22,7 +22,7 @@ hashes back, letting the home side drop the mirror.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..dsl import ast
 from ..errors import (
@@ -128,11 +128,9 @@ class DualRuntime:
         self.transcript: list[str] = []
         self.vfs: dict[str, str] = {}
         self.trace: list[TraceEvent] = []
-        self.seq = 0
         self.depth = 0
         self.shim_ocalls = 0
         self.remove_calls = 0
-        self._pin_counter = 0
 
     # -- program entry -------------------------------------------------------
 
@@ -159,8 +157,7 @@ class DualRuntime:
         return ExecutionResult(
             transcript=list(self.transcript),
             vfs=dict(self.vfs),
-            metrics={side: replace(iso.metrics)
-                     for side, iso in self.isolates.items()},
+            metrics={side: iso.metrics for side, iso in self.isolates.items()},
             trace=list(self.trace),
             shim_ocalls=self.shim_ocalls,
             remove_calls=self.remove_calls,
@@ -202,28 +199,26 @@ class DualRuntime:
         self.pin(side, lst)
         return lst
 
-    def pin(self, side: str, value) -> str:
+    def pin(self, side: str, value) -> None:
         """Root a value the host holds so a collection cannot reclaim it."""
-        self._pin_counter += 1
-        key = f"pin{self._pin_counter}"
-        self.isolates[side].pins[key] = value
-        return key
+        self.isolates[side].pins.append(value)
 
     def clear_pins(self, side: str) -> None:
         self.isolates[side].pins.clear()
 
     def force_gc(self, side: str, scan: bool = True) -> GcStats:
-        return self._collect(self.isolates[side], force_scan=scan)
+        return self.collect(self.isolates[side], scan)
 
     def total_cycles(self) -> int:
-        return sum(iso.metrics.simulated_cycles for iso in self.isolates.values())
+        return sum(sum(iso.cycles_by_source.values())
+                   for iso in self.isolates.values())
 
     def registry_hashes(self, side: str) -> set[int]:
         return set(self.isolates[side].registry)
 
     def live_proxy_hashes(self, side: str) -> set[int]:
         iso = self.isolates[side]
-        return {h for h, slot in iso.proxy_table.items() if slot.get() is not None}
+        return {h for h, p in iso.proxy_table.items() if not p.swept}
 
     # -- marshaling ----------------------------------------------------------
 
@@ -322,11 +317,9 @@ class DualRuntime:
             if obj is None:
                 raise StaleMirror(h)
             return obj
-        slot = iso.proxy_table.get(h)
-        if slot is not None:
-            live = slot.get()
-            if live is not None:
-                return live
+        proxy = iso.proxy_table.get(h)
+        if proxy is not None and not proxy.swept:
+            return proxy
         name = self.class_names.get(class_id)
         if name is None:
             raise MarshalError(f"unknown class id {class_id}")
@@ -358,17 +351,16 @@ class DualRuntime:
                 f"entering {relay.relay_id}")
         target = self.isolates[other_side(caller.side)]
         if relay.direction == "ecall":
-            caller.metrics.ecalls += 1
+            caller.ecalls += 1
             cost = self.model.ecall_cost
         else:
-            caller.metrics.ocalls += 1
+            caller.ocalls += 1
             cost = self.model.ocall_cost
         caller.charge("transition", cost)
         if request:
             caller.charge_serialize(len(request))
-        self.seq += 1
-        event = TraceEvent(self.seq, relay.direction, kind, relay.relay_id,
-                           hash_value, len(request), cost)
+        event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
+                           relay.relay_id, hash_value, len(request), cost)
         self.trace.append(event)
         self.depth += 1
         try:
@@ -460,15 +452,9 @@ class DualRuntime:
 
     # -- garbage collection hooks -------------------------------------------
 
-    def threshold_gc(self, iso: Isolate) -> None:
-        """The collection the interpreter asks for once an isolate has
-        allocated gc_threshold bytes since its last one."""
-        self._collect(iso, force_scan=False)
-
-    def explicit_gc(self, iso: Isolate) -> None:
-        self._collect(iso, force_scan=True)
-
-    def _collect(self, iso: Isolate, force_scan: bool) -> GcStats:
+    def collect(self, iso: Isolate, force_scan: bool) -> GcStats:
+        """Collect `iso`'s heap; scan for swept proxies when forced (gc(),
+        force_gc) or every gc_scan_every collections (gc_threshold ones)."""
         stats = iso.gc_collect()
         if force_scan or iso.collections_since_scan >= self.gc_scan_every:
             self._scan_cleared_proxies(iso)
@@ -478,8 +464,9 @@ class DualRuntime:
     def _scan_cleared_proxies(self, iso: Isolate) -> None:
         """Report swept proxies so the other side can drop their mirrors."""
         direction = "ecall" if iso.side == UNTRUSTED else "ocall"
-        for h, slot in iso.pop_cleared_proxies():
-            relay = RelayMethodDef(slot.referent.class_name, "release", False,
+        for proxy in iso.pop_cleared_proxies():
+            h = proxy.hash_value
+            relay = RelayMethodDef(proxy.class_name, "release", False,
                                    direction, (), _UNIT)
             self.remove_calls += 1
             self.cross(iso, relay, "remove", h, [],

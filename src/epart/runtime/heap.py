@@ -1,14 +1,15 @@
 """Heap objects, per-isolate state, and the mark-sweep collector.
 
 Each isolate owns an explicit heap (a list of objects), an execution stack of
-frames, the mirror-proxy registry (strong GC roots), and weak bookkeeping for
-the proxies it created.  Weakness is modeled directly: a WeakSlot reads None
-once its referent has been swept, without relying on the host GC.
+frames, the mirror-proxy registry (strong GC roots), and a table of the
+proxies it created.  The table does not keep its proxies alive: the collector
+does not trace it, and a proxy it sweeps stays in the table marked swept
+until a scan drops it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from ..dsl.ast import ClassDecl
 from .costmodel import CostModel
@@ -93,20 +94,6 @@ class ListObj(HeapObject):
         return f"<list of {len(self.items)}>"
 
 
-class WeakSlot:
-    """Weak reference: reads None after its referent is swept."""
-
-    __slots__ = ("referent",)
-
-    def __init__(self, referent: HeapObject):
-        self.referent = referent
-
-    def get(self) -> HeapObject | None:
-        if self.referent.swept:
-            return None
-        return self.referent
-
-
 @dataclass
 class MetricCounters:
     ecalls: int = 0
@@ -152,25 +139,38 @@ class Isolate:
         self.heap: list[HeapObject] = []
         self.frames: list[Frame] = []
         # values the host API handed out; GC roots outside any frame.
-        self.pins: dict[str, object] = {}
+        self.pins: list = []
         # hash -> mirror object; strong references, GC roots.
         self.registry: dict[int, HeapObject] = {}
         # mirror object -> hash, for reusing pairings on the return path.
         self.pair_hash: dict[HeapObject, int] = {}
-        # hash -> weak slot of each proxy this isolate created, in adoption
-        # order: proxy reuse looks here, the GC helper's scan drops the
-        # cleared slots.
-        self.proxy_table: dict[int, WeakSlot] = {}
-        self.metrics = MetricCounters()
+        # hash -> each proxy this isolate created, in adoption order: proxy
+        # reuse looks here, the GC helper's scan drops the swept ones.  Not
+        # a GC root.
+        self.proxy_table: dict[int, ProxyObj] = {}
         self.cycles_by_source: dict[str, int] = {}
+        self.ecalls = 0
+        self.ocalls = 0
+        self.bytes_serialized = 0
+        self.allocations = 0
+        self.gc_runs = 0
         self.hash_counter = 0
         self.bytes_since_gc = 0
         self.collections_since_scan = 0
 
+    @property
+    def metrics(self) -> MetricCounters:
+        """A snapshot of the counters, computed from their sources on read."""
+        by_source = self.cycles_by_source
+        return MetricCounters(
+            self.ecalls, self.ocalls, self.bytes_serialized, self.allocations,
+            self.gc_runs, by_source.get("gc", 0), len(self.registry),
+            sum(not p.swept for p in self.proxy_table.values()),
+            sum(by_source.values()))
+
     # -- cost accounting ----------------------------------------------------
 
     def charge(self, source: str, cycles: int) -> None:
-        self.metrics.simulated_cycles += cycles
         self.cycles_by_source[source] = self.cycles_by_source.get(source, 0) + cycles
 
     def charge_scaled(self, source: str, base: int) -> int:
@@ -179,7 +179,7 @@ class Isolate:
         return cycles
 
     def charge_serialize(self, nbytes: int) -> None:
-        self.metrics.bytes_serialized += nbytes
+        self.bytes_serialized += nbytes
         self.charge("serialize", self.model.serialize_per_byte * nbytes)
 
     # -- allocation -----------------------------------------------------------
@@ -188,7 +188,7 @@ class Isolate:
         self.heap.append(obj)
         self.bytes_since_gc += obj.size_bytes()
         if charged:
-            self.metrics.allocations += 1
+            self.allocations += 1
             self.charge_scaled("alloc", self.model.alloc_cost)
         return obj
 
@@ -206,12 +206,10 @@ class Isolate:
     def register_mirror(self, h: int, obj: HeapObject) -> None:
         self.registry[h] = obj
         self.pair_hash[obj] = h
-        self.metrics.mirror_registry_size = len(self.registry)
 
     def remove_mirror(self, h: int) -> bool:
         """Drop a registry entry; no-op when absent (removal is idempotent)."""
         obj = self.registry.pop(h, None)
-        self.metrics.mirror_registry_size = len(self.registry)
         if obj is None:
             return False
         if self.pair_hash.get(obj) == h:
@@ -220,14 +218,10 @@ class Isolate:
 
     def adopt_proxy(self, proxy: ProxyObj) -> None:
         """Track a proxy created in this isolate (new or rebound hash)."""
-        # A hash is only rebound once its old proxy is swept; the new slot
+        # A hash is only rebound once its old proxy is swept; the new proxy
         # moves to the end of the adoption order.
         self.proxy_table.pop(proxy.hash_value, None)
-        self.proxy_table[proxy.hash_value] = WeakSlot(proxy)
-        self.metrics.live_proxies += 1
-
-    def live_proxy_count(self) -> int:
-        return self.metrics.live_proxies
+        self.proxy_table[proxy.hash_value] = proxy
 
     # -- garbage collection -----------------------------------------------------
 
@@ -235,8 +229,8 @@ class Isolate:
         """Stop-the-world mark-sweep over this isolate's heap.
 
         Roots: every frame's locals, receiver and evaluation temporaries, the
-        host's pins, plus the mirror-proxy registry values.  Weak structures
-        (proxy table, weak list) are deliberately not traced.
+        host's pins, plus the mirror-proxy registry values.  The proxy table
+        is deliberately not traced.
         """
         grey: list[HeapObject] = []
 
@@ -251,7 +245,7 @@ class Isolate:
                 push(v)
             for v in frame.temps:
                 push(v)
-        for v in self.pins.values():
+        for v in self.pins:
             push(v)
         for v in self.registry.values():
             push(v)
@@ -278,23 +272,21 @@ class Isolate:
                 obj.swept = True
                 swept_objects += 1
                 swept_bytes += obj.size_bytes()
-                if isinstance(obj, ProxyObj):
-                    self.metrics.live_proxies -= 1
         self.heap = live
 
         cycles = self.model.scaled(
             (swept_bytes + live_bytes) * self.model.field_access_cost, self.trusted)
-        self.metrics.gc_runs += 1
-        self.metrics.gc_cycles += cycles
+        self.gc_runs += 1
         self.charge("gc", cycles)
         self.bytes_since_gc = 0
         self.collections_since_scan += 1
         return GcStats(swept_objects, swept_bytes, len(live), live_bytes, cycles)
 
-    def pop_cleared_proxies(self) -> list[tuple[int, WeakSlot]]:
-        """Drop the slots of swept proxies; returns them in adoption order."""
-        cleared = [(h, s) for h, s in self.proxy_table.items() if s.get() is None]
+    def pop_cleared_proxies(self) -> list[ProxyObj]:
+        """Drop the swept proxies from the table; returns them in adoption
+        order."""
+        cleared = [p for p in self.proxy_table.values() if p.swept]
         if cleared:
-            self.proxy_table = {h: s for h, s in self.proxy_table.items()
-                                if s.get() is not None}
+            self.proxy_table = {h: p for h, p in self.proxy_table.items()
+                                if not p.swept}
         return cleared

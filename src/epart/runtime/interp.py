@@ -159,7 +159,7 @@ class Interpreter:
             if box is not None:
                 return box
             if iso.bytes_since_gc >= threshold:
-                self.context.threshold_gc(iso)
+                self.context.collect(iso, force_scan=False)
         return None
 
     def exec_if(self, s: ast.If, frame: Frame):
@@ -183,7 +183,7 @@ class Interpreter:
             if box is not None:
                 return box
             if iso.bytes_since_gc >= threshold:
-                self.context.threshold_gc(iso)
+                self.context.collect(iso, force_scan=False)
 
     def exec_var_decl(self, s: ast.VarDecl, frame: Frame) -> None:
         init = s.init
@@ -346,7 +346,7 @@ class Interpreter:
                 iso.charge_scaled("compute", units * iso.model.compute_unit_cost)
                 return None
             if e.name == "gc":
-                self.context.explicit_gc(iso)
+                self.context.collect(iso, force_scan=True)
                 return None
             raise ValueError(f"unknown builtin {e.name}")
         finally:

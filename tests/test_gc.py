@@ -9,7 +9,7 @@ from epart.partition import compute_images
 from epart.runtime import DEFAULT_GC_THRESHOLD, DualRuntime
 from epart.runtime.costmodel import CostModel
 from epart.runtime.heap import (
-    TRUSTED, UNTRUSTED, InstanceObj, Isolate, WeakSlot,
+    TRUSTED, UNTRUSTED, InstanceObj, Isolate,
 )
 
 NO_GC = 1 << 60
@@ -172,14 +172,20 @@ class TestMirrorPrimitives:
         assert iso.remove_mirror(0x8000000000000001) is False
         assert iso.metrics.mirror_registry_size == 0
 
-    def test_weak_slot_clears_after_sweep(self, bank_plan):
-        rt = DualRuntime(bank_plan, gc_threshold=NO_GC)
+    def test_swept_proxy_stays_in_the_table_until_a_scan(self, bank_plan):
+        rt = DualRuntime(bank_plan, gc_threshold=NO_GC, gc_scan_every=1 << 30)
+        iso = rt.isolates[UNTRUSTED]
         proxy = rt.construct(UNTRUSTED, "Account", ["X", 1])
-        slot = WeakSlot(proxy)
-        assert slot.get() is proxy
+        h = proxy.hash_value
+        assert iso.proxy_table == {h: proxy}
+        assert iso.metrics.live_proxies == 1
         rt.clear_pins(UNTRUSTED)
         rt.force_gc(UNTRUSTED, scan=False)
-        assert slot.get() is None
+        assert proxy.swept and iso.proxy_table[h] is proxy
+        assert iso.metrics.live_proxies == 0
+        assert rt.live_proxy_hashes(UNTRUSTED) == set()
+        rt.force_gc(UNTRUSTED, scan=True)
+        assert iso.proxy_table == {}
 
     def test_cleared_entries_reported_once(self, bank_plan):
         rt = DualRuntime(bank_plan, gc_threshold=NO_GC)
@@ -228,3 +234,52 @@ class TestCounterInvariants:
             assert m.simulated_cycles == sum(by_source.values())
             assert m.gc_cycles == by_source.get("gc", 0)
 
+
+KEEPER_SRC = """
+@Trusted
+class Cell {
+    v: Int;
+    Cell(v: Int) { this.v = v; }
+    get() -> Int { return this.v; }
+}
+@Trusted
+class Keeper {
+    cell: Cell;
+    Keeper() { this.cell = new Cell(7); }
+    give() -> Cell { return this.cell; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var k: Keeper = new Keeper();
+        print(k.give().get());
+    }
+}
+"""
+
+
+class TestProxyRebinding:
+    def test_a_swept_proxy_is_rebound_on_the_next_return(self):
+        rt = DualRuntime(plan_of(KEEPER_SRC), gc_threshold=NO_GC,
+                         gc_scan_every=1 << 30)
+        iso = rt.isolates[UNTRUSTED]
+        keeper = rt.construct(UNTRUSTED, "Keeper", [])
+        first = rt.call(UNTRUSTED, keeper, "give", [], pin=False)
+        h = first.hash_value
+        rt.force_gc(UNTRUSTED, scan=False)
+        assert first.swept
+        assert h not in rt.live_proxy_hashes(UNTRUSTED)
+
+        second = rt.call(UNTRUSTED, keeper, "give", [])
+        assert second is not first and not second.swept
+        assert second.hash_value == h
+        assert iso.proxy_table[h] is second
+        assert rt.live_proxy_hashes(UNTRUSTED) == {keeper.hash_value, h}
+        assert iso.metrics.live_proxies == 2
+
+        trace_len = len(rt.trace)
+        rt.force_gc(UNTRUSTED, scan=True)
+        assert not [ev for ev in rt.trace[trace_len:] if ev.hash_value == h]
+        assert rt.remove_calls == 0
+        assert h in rt.registry_hashes(TRUSTED)
+        assert rt.call(UNTRUSTED, second, "get", []) == 7
