@@ -86,12 +86,19 @@ def _load_model_arg(path: str | None):
         return None, _fail(f"bad cost model: {e}")
 
 
-def _dump_fs(vfs: dict[str, str], out_dir: str) -> None:
+def _dump_fs(vfs: dict[str, str], out_dir: str) -> int:
+    """Write each VFS file under out_dir; writes none when a path has a
+    `..` component, which could land it outside out_dir."""
+    paths = sorted(vfs)
+    for path in paths:
+        if ".." in path.split("/"):
+            return _fail(f"cannot dump {path}: the path leaves {out_dir}")
     root = Path(out_dir)
-    for path in sorted(vfs):
+    for path in paths:
         target = root / path.lstrip("/")
         target.parent.mkdir(parents=True, exist_ok=True)
         write_file(target, vfs[path].encode("utf-8"))
+    return EXIT_OK
 
 
 def _run_to_fault(rt: DualRuntime, argv: list[str]):
@@ -121,8 +128,8 @@ def _finish_run(result, fault: str | None, args) -> int:
     try:
         if args.metrics:
             write_file(args.metrics, result.metrics_text().encode("utf-8"))
-        if args.dump_fs:
-            _dump_fs(result.vfs, args.dump_fs)
+        if args.dump_fs and _dump_fs(result.vfs, args.dump_fs):
+            return EXIT_ERROR
     except OSError as e:
         return _write_failed(e)
     return EXIT_OK if fault is None else EXIT_ERROR

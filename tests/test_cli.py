@@ -470,6 +470,58 @@ class TestBenchCommand:
         assert exc.value.code == 2
 
 
+class TestDumpFsStaysInsideDir:
+    """A VFS path with a `..` component is refused before any file is
+    written, so --dump-fs never writes outside its directory."""
+
+    SRC = """
+@Untrusted
+class Main {
+    static main() {
+        file_write("/a/ok.txt", "fine");
+        file_write("BAD", "boo");
+        print("done");
+    }
+}
+"""
+
+    def runnable(self, tmp_path, source, command):
+        src = tmp_path / "e.ep"
+        src.write_text(source)
+        if command == "run-unpartitioned":
+            return src
+        plan = tmp_path / "p"
+        assert main(["partition", str(src), "-o", str(plan)]) == 0
+        return plan
+
+    @pytest.mark.parametrize("bad", ["/../../escaped.txt",
+                                     "/data/../../escaped.txt"])
+    @pytest.mark.parametrize("command", ["run", "run-unpartitioned"])
+    def test_a_path_that_climbs_is_refused(self, tmp_path, capsys, command,
+                                           bad):
+        target = self.runnable(tmp_path, self.SRC.replace("BAD", bad),
+                               command)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out" / "a" / "b"
+        assert main([command, str(target), "--dump-fs", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "done\n"
+        assert captured.err == f"cannot dump {bad}: the path leaves {out}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "run-unpartitioned"])
+    def test_dot_components_stay_where_they_point(self, tmp_path, capsys,
+                                                  command):
+        source = self.SRC.replace("BAD", "/./data/./r.txt")
+        target = self.runnable(tmp_path, source, command)
+        out = tmp_path / "out"
+        assert main([command, str(target), "--dump-fs", str(out)]) == 0
+        assert sorted(p.relative_to(out).as_posix()
+                      for p in out.rglob("*.txt")) == ["a/ok.txt", "data/r.txt"]
+        assert (out / "data" / "r.txt").read_text() == "boo"
+
+
 class TestOutputsOverwriteLongerFiles:
     """--metrics, --dump-fs and bench --out leave exactly the new bytes in a
     file that held more."""
