@@ -181,7 +181,8 @@ def cmd_run(args) -> int:
     if not m or int(m.group(1)) < 1:
         return _fail(f"bad --gc-scan value {args.gc_scan!r}, "
                      "expected every-k=<positive int>")
-    rt = DualRuntime(plan, model=model, gc_scan_every=int(m.group(1)))
+    rt = DualRuntime(plan, model=model, gc_scan_every=int(m.group(1)),
+                     trace=args.trace == "transitions")
     result, fault = _run_to_fault(rt, args.args)
     return _finish_run(result, fault, args)
 
@@ -194,7 +195,7 @@ def cmd_run_unpartitioned(args) -> int:
     model, code = _load_model_arg(args.model)
     if code:
         return code
-    rt = DualRuntime(plan, model=model)
+    rt = DualRuntime(plan, model=model, trace=args.trace == "transitions")
     result, fault = _run_to_fault(rt, args.args)
     return _finish_run(result, fault, args)
 

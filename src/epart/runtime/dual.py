@@ -10,7 +10,9 @@ __host__.file_write and __host__.file_read, and <Class>.release for a
 mirror whose proxy was swept.  The caller pays the ecall/ocall cost,
 arguments travel as canonical wire bytes, and serialization is charged to
 whichever side encoded the bytes.  Transition framing (context and hash
-words) rides for free; unit responses carry no payload at all.
+words) rides for free; unit responses carry no payload at all.  A runtime
+built with trace=True also keeps one TraceEvent per crossing; without it a
+crossing does only the work it bills.
 
 Object identity across the boundary is a 64-bit hash minted by an
 object's home isolate at first exposure.  The home side keeps the hash
@@ -35,7 +37,7 @@ from . import wire
 from .costmodel import CostModel
 from .heap import (
     TRUSTED, UNTRUSTED, UNSET, GcStats, HeapObject, InstanceObj, Isolate,
-    ListObj, MetricCounters, ProxyObj, other_side,
+    ListObj, MetricCounters, ProxyObj,
 )
 from .interp import Interpreter, ensure_recursion_headroom
 
@@ -97,7 +99,7 @@ class DualRuntime:
 
     def __init__(self, plan: PartitionPlan, model: CostModel | None = None,
                  gc_scan_every: int = 1,
-                 gc_threshold: int = DEFAULT_GC_THRESHOLD):
+                 gc_threshold: int = DEFAULT_GC_THRESHOLD, trace: bool = False):
         if gc_scan_every < 1:
             raise ValueError("gc_scan_every must be at least 1")
         ensure_recursion_headroom()
@@ -108,7 +110,8 @@ class DualRuntime:
 
         self.isolates: dict[str, Isolate] = {}
         self.classes: dict[str, dict[str, ast.ClassDecl]] = {}
-        self.relays: dict[str, dict[str, object]] = {}
+        # image side -> (class, method) -> the relay that image serves
+        self.relays: dict[str, dict[tuple[str, str], RelayMethodDef]] = {}
         self.interps: dict[str, Interpreter] = {}
         # Interpreters reach the runtime through a weak proxy, so a dropped
         # runtime and its heaps are freed at once, not by the cyclic GC.
@@ -119,15 +122,23 @@ class DualRuntime:
                 continue
             self.isolates[side] = Isolate(side, self.model)
             self.classes[side] = {c.name: c for c in image.classes}
-            self.relays[side] = {r.relay_id: r for r in image.relays}
+            self.relays[side] = {(r.class_name, r.method_name): r
+                                 for r in image.relays}
             self.interps[side] = Interpreter(
                 self.isolates[side], self.classes[side],
                 {p.class_name for p in image.proxies}, context)
         self.class_names = {i: n for n, i in plan.class_ids.items()}
+        # side -> the isolate its crossings land on
+        isolates = self.isolates
+        self.peers = {TRUSTED: isolates[UNTRUSTED],
+                      UNTRUSTED: isolates[TRUSTED]} if len(isolates) == 2 else {}
+        # (class, direction) -> <Class>.release, built on first use
+        self.release_relays: dict[tuple[str, str], RelayMethodDef] = {}
 
         self.transcript: list[str] = []
         self.vfs: dict[str, str] = {}
-        self.trace: list[TraceEvent] = []
+        self.traced = trace
+        self.trace: list[TraceEvent] = []  # stays empty unless traced
         self.depth = 0
         self.shim_ocalls = 0
         self.remove_calls = 0
@@ -224,30 +235,14 @@ class DualRuntime:
 
     def lower_value(self, iso: Isolate, value, _seen: set[int] | None = None):
         """Runtime value -> wire value, minting hashes for home objects."""
-        if isinstance(value, str):
+        cls = value.__class__  # exact classes: a bool is not an int here
+        if cls is str:
             return ("str", value)
-        if value is None:
-            return wire.UNIT
-        if isinstance(value, bool):
-            return ("bool", value)
-        if isinstance(value, int):
+        if cls is int:
             return ("int", value)
-        if isinstance(value, ProxyObj):
-            return ("href", value.hash_value,
-                    self.plan.class_ids[value.class_name])
-        if isinstance(value, ListObj):
-            seen = _seen if _seen is not None else set()
-            if id(value) in seen:
-                raise MarshalError("cyclic value cannot cross the boundary")
-            seen.add(id(value))
-            items = [("str", v) if type(v) is str
-                     else self.lower_value(iso, v, seen)
-                     for v in value.items]
-            seen.discard(id(value))
-            return ("list", items)
-        if isinstance(value, InstanceObj):
+        if cls is InstanceObj:
             decl = value.decl
-            if decl.annotation == ast.Annotation.NEUTRAL:
+            if decl.annotation is ast.Annotation.NEUTRAL:
                 seen = _seen if _seen is not None else set()
                 if id(value) in seen:
                     raise MarshalError("cyclic value cannot cross the boundary")
@@ -267,15 +262,35 @@ class DualRuntime:
                 h = iso.mint_hash()
                 iso.register_mirror(h, value)
             return ("href", h, self.plan.class_ids[decl.name])
+        if cls is ProxyObj:
+            return ("href", value.hash_value,
+                    self.plan.class_ids[value.class_name])
+        if cls is ListObj:
+            seen = _seen if _seen is not None else set()
+            if id(value) in seen:
+                raise MarshalError("cyclic value cannot cross the boundary")
+            seen.add(id(value))
+            items = [("str", v) if v.__class__ is str
+                     else self.lower_value(iso, v, seen)
+                     for v in value.items]
+            seen.discard(id(value))
+            return ("list", items)
+        if cls is bool:
+            return ("bool", value)
+        if value is None:
+            return wire.UNIT
         raise MarshalError(f"cannot marshal {value!r}")
 
     def materialize(self, iso: Isolate, wv):
         """Wire value -> runtime value on `iso`; allocations are uncharged."""
         kind = wv[0]
-        if kind == "unit":
-            return None
         if kind in ("int", "bool", "str"):
             return wv[1]
+        if kind == "href":
+            _, h, class_id = wv
+            return self._resolve_href(iso, h, class_id)
+        if kind == "unit":
+            return None
         if kind == "list":
             lst = ListObj([item[1] if item[0] == "str"
                            else self.materialize(iso, item)
@@ -294,9 +309,6 @@ class DualRuntime:
             for f, fwv in zip(decl.fields, fields):
                 obj.values[f.name] = self.materialize(iso, fwv)
             return obj
-        if kind == "href":
-            _, h, class_id = wv
-            return self._resolve_href(iso, h, class_id)
         raise MarshalError(f"unknown wire value kind {kind!r}")
 
     def _decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
@@ -330,15 +342,17 @@ class DualRuntime:
 
     # -- transitions ----------------------------------------------------------
 
-    def cross(self, caller: Isolate, relay: RelayMethodDef, kind: str,
-              hash_value: int, args: list, serve):
-        """Call `relay` on the other isolate; returns (result, hash_out).
+    def cross(self, caller: Isolate, target: Isolate, relay: RelayMethodDef,
+              kind: str, hash_value: int, args: list, serve):
+        """Call `relay` on `target`, the caller's peer; returns (result,
+        hash_out).
 
         The one boundary crossing; `kind` only labels the trace.  A nonzero
-        hash_value names the far side's mirror the relay runs on, which must
-        be registered before any argument lands there.  serve(target,
-        values) runs the relay's body there and returns (result, hash_out);
-        a hash_out that is not None becomes the trace event's hash.
+        hash_value names the target's mirror the relay runs on, which must
+        be registered before any argument lands there.  serve, a runtime
+        method (target, relay, hash_value, values), runs the relay's body
+        there and returns (result, hash_out); a hash_out that is not None
+        becomes the trace event's hash.
         """
         # Loops: for the few values of a call, cheaper than a comprehension.
         request = b""
@@ -349,7 +363,6 @@ class DualRuntime:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
                 f"entering {relay.relay_id}")
-        target = self.isolates[other_side(caller.side)]
         if relay.direction == "ecall":
             caller.ecalls += 1
             cost = self.model.ecall_cost
@@ -359,9 +372,11 @@ class DualRuntime:
         caller.charge("transition", cost)
         if request:
             caller.charge_serialize(len(request))
-        event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
-                           relay.relay_id, hash_value, len(request), cost)
-        self.trace.append(event)
+        event = None
+        if self.traced:
+            event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
+                               relay.relay_id, hash_value, len(request), cost)
+            self.trace.append(event)
         self.depth += 1
         try:
             if hash_value and hash_value not in target.registry:
@@ -369,7 +384,7 @@ class DualRuntime:
             values = wire.decode_sequence(request, len(relay.param_kinds))
             for i, v in enumerate(values):
                 values[i] = v[1] if v[0] == "str" else self.materialize(target, v)
-            result, hash_out = serve(target, values)
+            result, hash_out = serve(target, relay, hash_value, values)
             response = b"" if relay.return_kind is _UNIT \
                 else wire.encode(self.lower_value(target, result))
         except DslRuntimeError as e:
@@ -379,63 +394,72 @@ class DualRuntime:
             self.depth -= 1
         if response:
             target.charge_serialize(len(response))
-        event.nbytes += len(response)
-        if hash_out is not None:
-            event.hash_value = hash_out
+        if event is not None:
+            event.nbytes += len(response)
+            if hash_out is not None:
+                event.hash_value = hash_out
         if not response:
             return None, hash_out
         return self.materialize(caller, wire.decode(response)), hash_out
 
-    def _relay(self, target_side: str, relay_id: str) -> RelayMethodDef:
-        relay = self.relays[target_side].get(relay_id)
+    def _relay(self, target: Isolate, class_name: str,
+               method_name: str) -> RelayMethodDef:
+        relay = self.relays[target.side].get((class_name, method_name))
         if relay is None:
-            raise InterfaceMismatch(
-                f"no relay {relay_id} in the {target_side} image")
+            raise InterfaceMismatch(f"no relay {class_name}.{method_name} "
+                                    f"in the {target.side} image")
         return relay
 
     def remote_new(self, iso: Isolate, class_name: str, args: list) -> ProxyObj:
         """`new` on a proxy class: run the constructor relay, bind the hash."""
-        relay = self._relay(other_side(iso.side), f"{class_name}.{class_name}")
-
-        def serve(target: Isolate, values: list):
-            obj = self.interps[target.side].instantiate(
-                self.classes[target.side][class_name], values)
-            h = target.mint_hash()
-            target.register_mirror(h, obj)
-            return None, h
-
-        _, h = self.cross(iso, relay, "ctor", 0, args, serve)
+        target = self.peers[iso.side]
+        relay = self._relay(target, class_name, class_name)
+        _, h = self.cross(iso, target, relay, "ctor", 0, args,
+                          self._new_mirror)
         proxy = ProxyObj(class_name, h)
         iso.alloc(proxy, charged=True)
         iso.adopt_proxy(proxy)
         return proxy
 
+    def _new_mirror(self, target: Isolate, relay: RelayMethodDef,
+                    hash_value: int, values: list):
+        """A constructor relay's body: build the object, register its hash."""
+        interp = self.interps[target.side]
+        obj = interp.instantiate(interp.classes[relay.class_name], values)
+        h = target.mint_hash()
+        target.register_mirror(h, obj)
+        return None, h
+
     def remote_invoke(self, iso: Isolate, proxy: ProxyObj, method_name: str,
                       args: list):
         """Proxy method call: relay looks the mirror up and dispatches."""
-        relay = self._relay(other_side(iso.side),
-                            f"{proxy.class_name}.{method_name}")
+        target = self.peers[iso.side]
+        relay = self._relay(target, proxy.class_name, method_name)
+        return self.cross(iso, target, relay, "invoke", proxy.hash_value,
+                          args, self._invoke_mirror)[0]
 
-        def serve(target: Isolate, values: list):
-            decl = self.classes[target.side][proxy.class_name]
-            interp = self.interps[target.side]
-            return interp.call_method(
-                decl, interp.method(decl, method_name),
-                target.registry[proxy.hash_value], values), None
-
-        return self.cross(iso, relay, "invoke", proxy.hash_value, args,
-                          serve)[0]
+    def _invoke_mirror(self, target: Isolate, relay: RelayMethodDef,
+                       hash_value: int, values: list):
+        """An instance relay's body: the method on the hash's mirror."""
+        interp = self.interps[target.side]
+        decl = interp.classes[relay.class_name]
+        return interp.call_method(
+            decl, interp.method(decl, relay.method_name),
+            target.registry[hash_value], values), None
 
     def host_call(self, iso: Isolate, name: str, args: list):
         """A host builtin: direct when untrusted, else a shim ocall."""
-        if not iso.trusted:
-            return _HOST[name][1](self, iso, args)
         relay, service = _HOST[name]
+        if not iso.trusted:
+            return service(self, iso, args)
         self.shim_ocalls += 1
-        # Defaults, not closure cells, which the direct path would pay for too.
-        return self.cross(iso, relay, "shim", 0, args,
-                          lambda target, values, rt=self, service=service:
-                          (service(rt, target, values), None))[0]
+        return self.cross(iso, self.peers[iso.side], relay, "shim", 0, args,
+                          self._serve_host)[0]
+
+    def _serve_host(self, target: Isolate, relay: RelayMethodDef,
+                    hash_value: int, values: list):
+        """A shim relay's body: the host service of that name."""
+        return _HOST[relay.method_name][1](self, target, values), None
 
     def _print(self, iso: Isolate, args: list) -> None:
         self.transcript.append(args[0])
@@ -463,29 +487,43 @@ class DualRuntime:
 
     def _scan_cleared_proxies(self, iso: Isolate) -> None:
         """Report swept proxies so the other side can drop their mirrors."""
+        cleared = iso.pop_cleared_proxies()
+        if not cleared:
+            return
+        target = self.peers[iso.side]
         direction = "ecall" if iso.side == UNTRUSTED else "ocall"
-        for proxy in iso.pop_cleared_proxies():
-            h = proxy.hash_value
-            relay = RelayMethodDef(proxy.class_name, "release", False,
-                                   direction, (), _UNIT)
+        releases = self.release_relays
+        for proxy in cleared:
+            key = (proxy.class_name, direction)
+            relay = releases.get(key)
+            if relay is None:
+                relay = releases[key] = RelayMethodDef(
+                    proxy.class_name, "release", False, direction, (), _UNIT)
             self.remove_calls += 1
-            self.cross(iso, relay, "remove", h, [],
-                       lambda target, values, h=h: (target.remove_mirror(h),
-                                                    None))
+            self.cross(iso, target, relay, "remove", proxy.hash_value, [],
+                       self._release_mirror)
+
+    def _release_mirror(self, target: Isolate, relay: RelayMethodDef,
+                        hash_value: int, values: list):
+        """A release relay's body: drop the hash's registry entry."""
+        target.remove_mirror(hash_value)
+        return None, None
 
 
 def run_unpartitioned(program: ast.Program, argv: list[str] | None = None,
-                      model: CostModel | None = None) -> ExecutionResult:
+                      model: CostModel | None = None,
+                      trace: bool = False) -> ExecutionResult:
     """Whole program inside the enclave, host builtins shimmed out."""
     plan = whole_program_plan(program, enclave=True)
-    return DualRuntime(plan, model).run_main(argv)
+    return DualRuntime(plan, model, trace=trace).run_main(argv)
 
 
 def run_reference(program: ast.Program, argv: list[str] | None = None,
-                  model: CostModel | None = None) -> ExecutionResult:
+                  model: CostModel | None = None,
+                  trace: bool = False) -> ExecutionResult:
     """Plain host run: no enclave, no shim; the behavioral reference."""
     plan = whole_program_plan(program, enclave=False)
-    return DualRuntime(plan, model).run_main(argv)
+    return DualRuntime(plan, model, trace=trace).run_main(argv)
 
 
 # Host services by builtin name: the shim relay trusted code calls through,

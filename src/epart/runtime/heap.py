@@ -51,10 +51,12 @@ class InstanceObj(HeapObject):
 
     __slots__ = ("decl", "values")
 
-    def __init__(self, decl: ClassDecl):
+    def __init__(self, decl: ClassDecl, values: dict | None = None):
+        """values, when given, is the new object's own field dict."""
         super().__init__()
         self.decl = decl
-        self.values: dict[str, object] = {f.name: UNSET for f in decl.fields}
+        self.values: dict[str, object] = values if values is not None \
+            else {f.name: UNSET for f in decl.fields}
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES + _SLOT_BYTES * len(self.decl.fields)

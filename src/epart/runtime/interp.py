@@ -7,8 +7,9 @@ delegated to a context object supplied by the surrounding runtime.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  What is fixed for a run is
-worked out once: the EPC-scaled price of a field access, and each class's
-method table, built on the first call into the class.
+worked out once: the EPC-scaled price of a field access, each class's
+method table, built on the first call into the class, and each class's
+layout (field defaults and constructor), built on its first instantiation.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -86,6 +87,9 @@ class Interpreter:
             isolate.model.field_access_cost, isolate.trusted)
         # class name -> method name -> first declaration of that name
         self.method_tables: dict[str, dict[str, ast.MethodDecl]] = {}
+        # class name -> (field defaults, List field names, constructor)
+        self.layouts: dict[str, tuple[dict, tuple[str, ...],
+                                      ast.MethodDecl | None]] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -100,23 +104,18 @@ class Interpreter:
 
     def instantiate(self, decl: ast.ClassDecl, args: list,
                     charged: bool = True) -> InstanceObj:
+        layout = self.layouts.get(decl.name)
+        if layout is None:
+            layout = self.layouts[decl.name] = _layout(decl)
+        defaults, list_fields, ctor = layout
         iso = self.isolate
-        obj = InstanceObj(decl)
+        obj = InstanceObj(decl, dict(defaults))
         iso.alloc(obj, charged=charged)
-        for f in decl.fields:
-            t = f.type
-            if t == ast.INT:
-                obj.values[f.name] = 0
-            elif t == ast.BOOL:
-                obj.values[f.name] = False
-            elif t == ast.STR:
-                obj.values[f.name] = ""
-            elif t.name == "List":
-                lst = ListObj()
-                iso.alloc(lst, charged=charged)
-                obj.values[f.name] = lst
-            # class-typed fields stay UNSET until assigned
-        ctor = decl.constructor
+        values = obj.values
+        for name in list_fields:  # each List field gets its own empty list
+            lst = ListObj()
+            iso.alloc(lst, charged=charged)
+            values[name] = lst
         if ctor is not None:
             self.call_method(decl, ctor, obj, args)
         return obj
@@ -361,6 +360,26 @@ class Interpreter:
             return lst
         finally:
             del frame.temps[base:]
+
+
+def _layout(decl: ast.ClassDecl) -> tuple[dict, tuple[str, ...],
+                                          ast.MethodDecl | None]:
+    """A new instance's field values before its constructor runs, the
+    List-typed fields among them, and the constructor."""
+    defaults: dict[str, object] = {f.name: UNSET for f in decl.fields}
+    list_fields = []
+    for f in decl.fields:
+        t = f.type
+        if t == ast.INT:
+            defaults[f.name] = 0
+        elif t == ast.BOOL:
+            defaults[f.name] = False
+        elif t == ast.STR:
+            defaults[f.name] = ""
+        elif t.name == "List":
+            list_fields.append(f.name)
+        # class-typed fields stay UNSET until assigned
+    return defaults, tuple(list_fields), decl.constructor
 
 
 def _add(left, right):

@@ -170,7 +170,7 @@ def test_criterion_10_determinism(bank_source, bank_plan, tmp_path):
         (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes()
         for f in (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE))
 
-    runs = [DualRuntime(bank_plan).run_main() for _ in range(2)]
+    runs = [DualRuntime(bank_plan, trace=True).run_main() for _ in range(2)]
     runs_same = (
         runs[0].transcript == runs[1].transcript
         and runs[0].metrics_text() == runs[1].metrics_text()

@@ -13,7 +13,7 @@ corpus behind the frozen output digest never sends.
 import pytest
 
 from epart.dsl import parse_program
-from epart.errors import StaleMirror
+from epart.errors import InterfaceMismatch, StaleMirror
 from epart.partition import compute_images
 from epart.runtime import TRUSTED, UNTRUSTED, DualRuntime
 
@@ -170,7 +170,7 @@ def plan():
 
 
 def test_every_crossing_kind_is_frozen(plan):
-    res = DualRuntime(plan, gc_threshold=64).run_main()
+    res = DualRuntime(plan, gc_threshold=64, trace=True).run_main()
     assert res.transcript == ["ping", "hello", "r", "c", "pt", "done"]
     assert res.vfs == {"/vault.txt": "hello"}
     assert [ev.line() for ev in res.trace] == TRACE
@@ -180,7 +180,7 @@ def test_every_crossing_kind_is_frozen(plan):
 
 def test_invoke_on_a_released_mirror_adopts_nothing(plan):
     """The mirror is looked up before any argument lands on the target."""
-    rt = DualRuntime(plan)
+    rt = DualRuntime(plan, trace=True)
     vault = rt.construct(UNTRUSTED, "Vault", [7])
     handle = rt.construct(UNTRUSTED, "Handle", [100])
     point = rt.construct(UNTRUSTED, "Point", [2, "pt"])
@@ -197,3 +197,29 @@ def test_invoke_on_a_released_mirror_adopts_nothing(plan):
         "2 ECALL invoke Vault.store hash=0x8000000000000001 bytes=69 "
         "cycles=13100",
     ]
+
+
+def test_a_missing_relay_is_an_interface_mismatch(plan):
+    """The host API reaches relays by names no checker saw.  A name the
+    far image does not serve, declared or pruned, fails before crossing."""
+    rt = DualRuntime(plan)
+    vault = rt.construct(UNTRUSTED, "Vault", [7])
+    cell = rt.call(UNTRUSTED, vault, "cellOf", [])
+    handle = rt.construct(TRUSTED, "Handle", [1])
+    before = {side: (iso.ecalls, iso.ocalls) for side, iso in rt.isolates.items()}
+    attempts = [
+        (lambda: rt.call(UNTRUSTED, vault, "open", []),
+         "no relay Vault.open in the trusted image"),
+        (lambda: rt.call(UNTRUSTED, cell, "get", []),
+         "no relay Cell.get in the trusted image"),
+        (lambda: rt.construct(UNTRUSTED, "Cell", [3]),
+         "no relay Cell.Cell in the trusted image"),
+        (lambda: rt.call(TRUSTED, handle, "pong", [2]),
+         "no relay Handle.pong in the untrusted image"),
+    ]
+    for attempt, message in attempts:
+        with pytest.raises(InterfaceMismatch) as exc:
+            attempt()
+        assert str(exc.value) == message
+    assert {side: (iso.ecalls, iso.ocalls)
+            for side, iso in rt.isolates.items()} == before

@@ -124,7 +124,7 @@ class TestCollections:
 
     def test_explicit_gc_emits_remove_transitions(self):
         src = CHURN_SRC.replace("d.churnTrusted(2);", "d.churnTrusted(3);")
-        rt = DualRuntime(plan_of(src), gc_threshold=NO_GC)
+        rt = DualRuntime(plan_of(src), gc_threshold=NO_GC, trace=True)
         res = rt.run_main()
         removes = [ev for ev in res.trace if ev.kind == "remove"]
         assert len(removes) == 3 == res.remove_calls
@@ -261,7 +261,7 @@ class Main {
 class TestProxyRebinding:
     def test_a_swept_proxy_is_rebound_on_the_next_return(self):
         rt = DualRuntime(plan_of(KEEPER_SRC), gc_threshold=NO_GC,
-                         gc_scan_every=1 << 30)
+                         gc_scan_every=1 << 30, trace=True)
         iso = rt.isolates[UNTRUSTED]
         keeper = rt.construct(UNTRUSTED, "Keeper", [])
         first = rt.call(UNTRUSTED, keeper, "give", [], pin=False)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,12 @@ from epart.errors import (
 )
 from epart.partition import compute_images, whole_program_plan
 from epart.runtime import (
-    MAX_TRANSITION_DEPTH, DualRuntime, run_reference, run_unpartitioned,
+    MAX_TRANSITION_DEPTH, DualRuntime, run_main, run_reference,
+    run_unpartitioned,
 )
 from epart.runtime.heap import TRUSTED, UNTRUSTED, InstanceObj, ProxyObj
+
+from test_boundary import SRC as BOUNDARY_SRC
 
 
 def plan_of(source: str):
@@ -59,7 +63,7 @@ class TestBankExecution:
         assert balances == {"Alice": 75, "Bob": 50}
 
     def test_trace(self, bank_plan):
-        res = DualRuntime(bank_plan).run_main()
+        res = DualRuntime(bank_plan, trace=True).run_main()
         assert len(res.trace) == 6
         assert all(ev.direction == "ecall" for ev in res.trace)
         assert res.trace[0].line() == (
@@ -385,7 +389,7 @@ class Main {
 """
 
     def test_trusted_io_and_print_go_through_shims(self):
-        res = run_dual(self.WRITER_SRC)
+        res = run_dual(self.WRITER_SRC, trace=True)
         assert res.transcript == ["starting", "payload"]
         assert res.vfs == {"/data/out.txt": "payload"}
         assert res.shim_ocalls == 4
@@ -414,7 +418,7 @@ class Main {
     }
 }
 """ % ("x" * 4096)
-        res = run_dual(src)
+        res = run_dual(src, trace=True)
         shims = [ev for ev in res.trace if ev.kind == "shim"]
         assert len(shims) == 1
         assert shims[0].nbytes == 4101  # tag + length + 4096 chars
@@ -458,14 +462,16 @@ class TestWholeProgramModes:
             "trusted": {"alloc": 280, "field": 144}, "untrusted": {}}
 
     def test_writer_reference(self):
-        res = run_reference(parse_program(TestHostShims.WRITER_SRC))
+        res = run_reference(parse_program(TestHostShims.WRITER_SRC),
+                            trace=True)
         assert res.total_cycles == 2010
         assert res.cycles_by_source == {"untrusted": {"alloc": 10, "io": 2000}}
         assert list(res.metrics) == ["untrusted"]
         assert res.trace == []
 
     def test_writer_unpartitioned(self):
-        res = run_unpartitioned(parse_program(TestHostShims.WRITER_SRC))
+        res = run_unpartitioned(parse_program(TestHostShims.WRITER_SRC),
+                                trace=True)
         assert res.total_cycles == 54865
         assert res.cycles_by_source == {
             "trusted": {"alloc": 40, "transition": 52400, "serialize": 365},
@@ -573,9 +579,68 @@ class Main {
         assert text.endswith("  at Main.main")
 
 
+def _observed(rt: DualRuntime, argv: list[str]):
+    """Everything a run shows but its trace: transcript, files, metrics,
+    cycles by source and the fault text, if any."""
+    try:
+        rt.run_main(argv)
+        fault = ""
+    except DslRuntimeError as e:
+        fault = e.formatted()
+    except EpartError as e:
+        fault = str(e)
+    r = rt.result()
+    return (r.transcript, r.vfs, r.metrics_text(), r.cycles_by_source,
+            fault), r.trace
+
+
+class TestTraceIsOptIn:
+    """Tracing only records: on or off, a run does and bills the same."""
+
+    SOURCES = ([p.read_text(encoding="utf-8") for p in
+                sorted((Path(__file__).parent / "fixtures").glob("*.ep"))]
+               + [BOUNDARY_SRC] + [generate_program(i) for i in range(20)])
+
+    @staticmethod
+    def runtimes(program, trace: bool):
+        return {
+            "dual": DualRuntime(compute_images(program), trace=trace),
+            "dual-small-gc": DualRuntime(compute_images(program),
+                                         gc_threshold=64, trace=trace),
+            "reference": DualRuntime(
+                whole_program_plan(program, enclave=False), trace=trace),
+            "unpartitioned": DualRuntime(
+                whole_program_plan(program, enclave=True), trace=trace),
+        }
+
+    def test_tracing_changes_nothing_else(self):
+        assert len(self.SOURCES) == 24
+        crossings = 0
+        for source in self.SOURCES:
+            program = parse_program(source)
+            untraced = self.runtimes(program, False)
+            traced = self.runtimes(program, True)
+            for mode, rt in untraced.items():
+                seen, trace = _observed(rt, [])
+                assert trace == [] and rt.trace == [], mode
+                seen_traced, trace = _observed(traced[mode], [])
+                assert seen_traced == seen, mode
+                crossings += len(trace)
+        assert crossings > 0
+
+    def test_runners_pass_the_trace_keyword(self, bank_plan):
+        writer = parse_program(TestHostShims.WRITER_SRC)
+        assert run_unpartitioned(writer).trace == []
+        assert [ev.kind for ev in run_unpartitioned(writer, trace=True).trace] \
+            == ["shim"] * 4
+        assert run_main(bank_plan).trace == []
+        assert len(run_main(bank_plan, trace=True).trace) == 6
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, bank_plan):
-        runs = [DualRuntime(bank_plan).run_main() for _ in range(2)]
+        runs = [DualRuntime(bank_plan, trace=True).run_main()
+                for _ in range(2)]
         assert runs[0].metrics_text() == runs[1].metrics_text()
         assert [ev.line() for ev in runs[0].trace] == \
             [ev.line() for ev in runs[1].trace]
@@ -626,11 +691,13 @@ class TestDeterminism:
         digest = hashlib.sha256()
         for source in sources:
             program = parse_program(source)
-            for rt in (DualRuntime(compute_images(program)),
-                       DualRuntime(whole_program_plan(program, enclave=False)),
-                       DualRuntime(whole_program_plan(program, enclave=True)),
+            for rt in (DualRuntime(compute_images(program), trace=True),
+                       DualRuntime(whole_program_plan(program, enclave=False),
+                                   trace=True),
+                       DualRuntime(whole_program_plan(program, enclave=True),
+                                   trace=True),
                        DualRuntime(compute_images(program), gc_threshold=256,
-                                   gc_scan_every=2)):
+                                   gc_scan_every=2, trace=True)):
                 try:
                     rt.run_main([])
                     fault = ""
