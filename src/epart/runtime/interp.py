@@ -366,19 +366,17 @@ def _layout(decl: ast.ClassDecl) -> tuple[dict, tuple[str, ...],
                                           ast.MethodDecl | None]:
     """A new instance's field values before its constructor runs, the
     List-typed fields among them, and the constructor."""
-    defaults: dict[str, object] = {f.name: UNSET for f in decl.fields}
+    defaults: dict[str, object] = {}
     list_fields = []
     for f in decl.fields:
         t = f.type
-        if t == ast.INT:
-            defaults[f.name] = 0
-        elif t == ast.BOOL:
-            defaults[f.name] = False
-        elif t == ast.STR:
-            defaults[f.name] = ""
-        elif t.name == "List":
-            list_fields.append(f.name)
-        # class-typed fields stay UNSET until assigned
+        # t == ast.INT, BOOL or STR, without a dataclass compare
+        if t.elem is None and t.name in _PRIMITIVE_DEFAULTS:
+            defaults[f.name] = _PRIMITIVE_DEFAULTS[t.name]
+        else:  # List and class-typed fields; the latter stay UNSET
+            defaults[f.name] = UNSET
+            if t.name == "List":
+                list_fields.append(f.name)
     return defaults, tuple(list_fields), decl.constructor
 
 
@@ -435,6 +433,9 @@ _BINARY = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "==": operator.eq, "!=": operator.ne,
 }
+
+# A primitive field's value before its constructor runs.
+_PRIMITIVE_DEFAULTS = {"Int": 0, "Bool": False, "Str": ""}
 
 # Builtins served by the host, through the context's one host hook.
 _HOST_BUILTINS = frozenset({"print", "file_write", "file_read"})
