@@ -9,7 +9,8 @@ Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  What is fixed for a run is
 worked out once: the EPC-scaled price of a field access, each class's
 method table, built on the first call into the class, and each class's
-layout (field defaults and constructor), built on its first instantiation.
+layout (field defaults and constructor), kept from its second
+instantiation.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -87,9 +88,10 @@ class Interpreter:
             isolate.model.field_access_cost, isolate.trusted)
         # class name -> method name -> first declaration of that name
         self.method_tables: dict[str, dict[str, ast.MethodDecl]] = {}
-        # class name -> (field defaults, List field names, constructor)
+        # class name -> (field defaults, List field names, constructor),
+        # or False after the class's first instantiation
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
-                                      ast.MethodDecl | None]] = {}
+                                      ast.MethodDecl | None] | bool] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -106,6 +108,12 @@ class Interpreter:
                     charged: bool = True) -> InstanceObj:
         layout = self.layouts.get(decl.name)
         if layout is None:
+            # Kept from the second instantiation on: a class built once
+            # leaves no layout behind to bring the cyclic GC's next pass
+            # forward.
+            self.layouts[decl.name] = False
+            layout = _layout(decl)
+        elif layout is False:
             layout = self.layouts[decl.name] = _layout(decl)
         defaults, list_fields, ctor = layout
         iso = self.isolate
