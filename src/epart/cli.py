@@ -304,8 +304,8 @@ def cmd_inspect(args) -> int:
     print(f"entry points ({len(image.entry_points)}):")
     for e in image.entry_points:
         print(f"  {e}")
-    print(f"interface descriptor ({len(plan.descriptor.records)} records):")
-    for rec in plan.descriptor.records:
+    print(f"interface descriptor ({len(plan.descriptor)} records):")
+    for rec in plan.descriptor:
         print(f"  {rec.render()}")
     return EXIT_OK
 

@@ -40,7 +40,8 @@ class FormatError(EpartError):
 
 
 class InterfaceMismatch(EpartError):
-    """An image references a transition stub with no descriptor record."""
+    """A plan's relays, proxies, entry points, annotations or interface file
+    do not fit together."""
 
 
 class MarshalError(EpartError):

@@ -3,22 +3,19 @@
 from .callgraph import CONCRETE, PROXY, CallGraph, Node, build_call_graph, reachable_set
 from .emit import (
     INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG, check_interface, emit, load_plan,
-    parse_interface, render_interface,
+    render_interface,
 )
 from .model import (
     MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, classify,
     generate_proxies, relay_direction, synthesize_relays,
 )
-from .plan import (
-    ImageSpec, InterfaceDescriptor, PartitionPlan, compute_images, whole_program_plan,
-)
+from .plan import ImageSpec, PartitionPlan, compute_images, whole_program_plan
 
 __all__ = [
     "CONCRETE", "PROXY", "CallGraph", "Node", "build_call_graph", "reachable_set",
     "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "check_interface", "emit",
-    "load_plan", "parse_interface", "render_interface",
+    "load_plan", "render_interface",
     "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
     "generate_proxies", "relay_direction", "synthesize_relays",
-    "ImageSpec", "InterfaceDescriptor", "PartitionPlan", "compute_images",
-    "whole_program_plan",
+    "ImageSpec", "PartitionPlan", "compute_images", "whole_program_plan",
 ]

@@ -7,8 +7,10 @@ Layout written to the output directory:
                                (direction, class, method), '#' header with the
                                tool version
 
-load_plan accepts only a plan written by this tool version: both images and
-the interface header must record it.
+The interface and the class-id table are derived from the images and the
+annotations.  load_plan checks the stored copies against what it derives and
+parses neither.  It accepts only a plan written by this tool version: both
+images and the interface header must record it.
 
 One schema: a record is its fields in dataclass order, each by the codec its
 type annotation names in _FIELD_CODECS (positions are not stored); a node
@@ -39,8 +41,10 @@ from ..dsl.ast import (
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
 )
 from ..errors import FormatError, InterfaceMismatch
-from .model import MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod
-from .plan import ImageSpec, InterfaceDescriptor, PartitionPlan
+from .model import (
+    MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, relay_direction,
+)
+from .plan import ImageSpec, PartitionPlan
 
 MAGIC = b"EPIMG\x01"
 
@@ -339,29 +343,31 @@ def encode_image(plan: PartitionPlan, spec: ImageSpec) -> bytes:
     w = _Writer(MAGIC)
     w.s(spec.side.value)
     w.s(__version__)
-    _put_strings(w, sorted(plan.class_ids, key=plan.class_ids.__getitem__))
+    _put_strings(w, sorted(plan.annotations))  # the class-id table
     _put_anns(w, list(plan.annotations.items()))
     for name, (put, _) in _IMAGE_PARTS:
         put(w, getattr(spec, name))
     return bytes(w)
 
 
-def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int], str]:
+def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], str]:
     if not data.startswith(MAGIC):
         raise FormatError("bad magic: not an image file or unsupported version")
     r = _Reader(data, len(MAGIC))
     side, version = _get_side(r), r.s()
     names = _get_strings(r)
-    class_ids = {n: i for i, n in enumerate(names)}
     annotations = dict(pairs := _get_anns(r))
-    if len(class_ids) != len(names) or len(annotations) != len(pairs):
+    if len(set(names)) != len(names) or len(annotations) != len(pairs):
         raise FormatError("a class name appears twice in an image table")
+    if names != sorted(annotations):
+        raise FormatError("the class table does not list the annotated classes "
+                          "in sorted order")
     spec = ImageSpec(side)  # everything after the header, in dataclass order
     for name, (_, get) in _IMAGE_PARTS:
         setattr(spec, name, get(r))
     if r.pos != r.end:
         raise FormatError("trailing bytes in image file")
-    return spec, annotations, class_ids, version
+    return spec, annotations, version
 
 
 # -- interface descriptor ---------------------------------------------------------
@@ -369,35 +375,10 @@ def decode_image(data: bytes) -> tuple[ImageSpec, dict[str, Annotation], dict[st
 _INTERFACE_HEADER = f"# epart {__version__} interface"
 
 
-def render_interface(descriptor: InterfaceDescriptor) -> str:
+def render_interface(descriptor: list[RelayMethodDef]) -> str:
     lines = [_INTERFACE_HEADER]
-    lines += [rec.render() for rec in descriptor.records]
+    lines += [rec.render() for rec in descriptor]
     return "\n".join(lines) + "\n"
-
-
-def parse_interface(text: str) -> InterfaceDescriptor:
-    records: list[RelayMethodDef] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            direction, rest = line.split(" ", 1)
-            if direction not in ("ecall", "ocall"):
-                raise ValueError(f"bad direction {direction!r}")
-            target, ret = rest.split(" -> ")
-            head, args = target.split("(", 1)
-            if not args.endswith(")"):
-                raise ValueError("missing ')'")
-            cname, mname = head.split(".")
-            kinds_text = args[:-1]
-            kinds = tuple(MarshalKind(k) for k in kinds_text.split(",")) \
-                if kinds_text else ()
-            records.append(RelayMethodDef(cname, mname, cname == mname, direction,
-                                          kinds, MarshalKind(ret.strip())))
-        except ValueError as e:
-            raise FormatError(f"bad interface record {line!r}: {e}") from e
-    return InterfaceDescriptor(records)
 
 
 # -- public API --------------------------------------------------------------------
@@ -425,28 +406,30 @@ def _read_plan_file(d: Path, name: str) -> bytes:
         raise
 
 
-def _load_image(name: str, data: bytes
-                ) -> tuple[ImageSpec, dict[str, Annotation], dict[str, int]]:
-    spec, annotations, class_ids, version = decode_image(data)
+def _load_image(name: str, data: bytes) -> tuple[ImageSpec, dict[str, Annotation]]:
+    spec, annotations, version = decode_image(data)
     if version != __version__:
         raise FormatError(f"{name} was written by epart {version!r}, "
                           f"not {__version__}")
-    return spec, annotations, class_ids
+    return spec, annotations
 
 
 def load_plan(plan_dir: str | Path) -> PartitionPlan:
-    """Reload an emitted plan written by this tool version, checking it with
-    check_interface.  All three files are read before any is decoded, so a
-    missing file is reported before a corrupt one."""
+    """Reload an emitted plan written by this tool version, checking its
+    images with check_interface and its interface file against the one they
+    render.  All three files are read before any is decoded, so a missing
+    file is reported before a corrupt one."""
     d = Path(plan_dir)
     t_data, u_data, i_data = (_read_plan_file(d, name) for name in
                               (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE))
-    trusted, ann_t, ids_t = _load_image(TRUSTED_IMG, t_data)
-    untrusted, ann_u, ids_u = _load_image(UNTRUSTED_IMG, u_data)
+    trusted, ann_t = _load_image(TRUSTED_IMG, t_data)
+    untrusted, ann_u = _load_image(UNTRUSTED_IMG, u_data)
     if trusted.side != Annotation.TRUSTED or untrusted.side != Annotation.UNTRUSTED:
         raise FormatError("image files have swapped or invalid sides")
-    if ann_t != ann_u or ids_t != ids_u:
+    if ann_t != ann_u:
         raise FormatError("image files disagree on class tables")
+    plan = PartitionPlan(trusted, untrusted, ann_t)
+    check_interface(plan)
     try:
         text = i_data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -458,28 +441,42 @@ def load_plan(plan_dir: str | Path) -> PartitionPlan:
     if header != _INTERFACE_HEADER:
         raise FormatError(f"{INTERFACE_FILE} header {header!r} is not "
                           f"{_INTERFACE_HEADER!r}")
-    descriptor = parse_interface(text)
-    plan = PartitionPlan(trusted, untrusted, descriptor, ann_t, ids_t)
-    check_interface(plan)
+    if text != render_interface(plan.descriptor):
+        raise InterfaceMismatch(f"{INTERFACE_FILE} does not list the images' relays")
     return plan
 
 
 def check_interface(plan: PartitionPlan) -> None:
-    """Every proxy stub present in an image needs exactly one descriptor
-    record, and every relay a method of a class of its own image."""
-    recorded = Counter((rec.class_name, rec.method_name)
-                       for rec in plan.descriptor.records)
-    for spec in (plan.trusted_image, plan.untrusted_image):
+    """Every class of an image has the annotation the plan's table gives it,
+    every relay is a method of a class of its own image, and every proxy
+    stub has exactly one relay in the other image; both cross in the
+    direction their class's annotation gives."""
+    annotations = plan.annotations
+    images = (plan.trusted_image, plan.untrusted_image)
+    for spec, far in zip(images, reversed(images)):
+        side = spec.side.value.lower()
+        for c in spec.classes:
+            if annotations.get(c.name) != c.annotation:
+                raise InterfaceMismatch(f"class {c.name} in the {side} image is "
+                                        "not in the annotation table as declared")
         methods = {(c.name, m.name) for c in spec.classes for m in c.methods}
         for rel in spec.relays:
             if (rel.class_name, rel.method_name) not in methods:
                 raise InterfaceMismatch(f"relay {rel.relay_id} has no method "
-                                        f"in the {spec.side.value.lower()} image")
+                                        f"in the {side} image")
+            if rel.direction != relay_direction(annotations.get(rel.class_name)):
+                raise InterfaceMismatch(f"relay {rel.relay_id} is an {rel.direction}, "
+                                        "against its class's annotation")
+        relays = Counter((rel.class_name, rel.method_name) for rel in far.relays)
         for proxy in spec.proxies:
+            if proxy.direction != relay_direction(annotations.get(proxy.class_name)):
+                raise InterfaceMismatch(f"proxy {proxy.class_name} is an "
+                                        f"{proxy.direction} proxy, against its "
+                                        "class's annotation")
             for stub in proxy.stubs:
-                count = recorded[(proxy.class_name, stub.name)]
+                count = relays[(proxy.class_name, stub.name)]
                 if count != 1:
-                    what = "no interface record" if count == 0 \
-                        else f"{count} interface records"
+                    what = "no relay" if count == 0 else f"{count} relays"
                     raise InterfaceMismatch(
-                        f"stub {proxy.class_name}.{stub.name} has {what}")
+                        f"stub {proxy.class_name}.{stub.name} in the {side} "
+                        f"image has {what} in the other image")

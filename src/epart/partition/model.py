@@ -42,9 +42,13 @@ def classify(t: TypeRef, annotations: dict[str, Annotation]) -> MarshalKind:
     return MarshalKind.HREF
 
 
-def relay_direction(annotation: Annotation) -> str:
-    """Relays of trusted classes are entered by ecall, untrusted ones by ocall."""
-    return "ecall" if annotation == Annotation.TRUSTED else "ocall"
+_ENTERED_BY = {Annotation.TRUSTED: "ecall", Annotation.UNTRUSTED: "ocall"}
+
+
+def relay_direction(annotation: Annotation | None) -> str | None:
+    """Relays of trusted classes are entered by ecall, untrusted ones by
+    ocall.  None for a neutral class: nothing crosses into one."""
+    return _ENTERED_BY.get(annotation)
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class RelayMethodDef:
     def render(self) -> str:
         """The relay's line in the interface descriptor."""
         kinds = ",".join(k.value for k in self.param_kinds)
-        return (f"{self.direction} {self.relay_id}"
+        return (f"{self.direction} {self.class_name}.{self.method_name}"
                 f"({kinds}) -> {self.return_kind.value}")
 
     @property

@@ -27,13 +27,6 @@ from .model import (
 
 
 @dataclass
-class InterfaceDescriptor:
-    """The relays of both images, sorted by RelayMethodDef.sort_key."""
-
-    records: list[RelayMethodDef] = field(default_factory=list)
-
-
-@dataclass
 class ImageSpec:
     """One native image: concrete classes, surviving proxies and relays."""
 
@@ -58,14 +51,26 @@ class ImageSpec:
 
 @dataclass
 class PartitionPlan:
+    """Two images and the annotations; everything else is derived."""
+
     trusted_image: ImageSpec | None      # None: no enclave at all
     untrusted_image: ImageSpec
-    descriptor: InterfaceDescriptor
     annotations: dict[str, Annotation]   # every program class, declaration order
-    class_ids: dict[str, int]            # stable ids for the wire format
+    class_ids: dict[str, int] = field(init=False)  # stable ids for the wire format
+
+    def __post_init__(self) -> None:
+        self.class_ids = {name: i for i, name in enumerate(sorted(self.annotations))}
 
     def image(self, side: Annotation) -> ImageSpec | None:
         return self.trusted_image if side == Annotation.TRUSTED else self.untrusted_image
+
+    @property
+    def descriptor(self) -> list[RelayMethodDef]:
+        """The interface: both images' relays, sorted by RelayMethodDef.sort_key.
+        Built on each read, so it always lists the images' relays."""
+        images = (self.trusted_image, self.untrusted_image)
+        return sorted((r for image in images if image for r in image.relays),
+                      key=lambda r: r.sort_key)
 
 
 def _type_class_names(t: TypeRef) -> set[str]:
@@ -183,15 +188,8 @@ def compute_images(program: Program) -> PartitionPlan:
             spec.entry_points = ["main"] + spec.entry_points
         return spec
 
-    trusted_image = build_image(Annotation.TRUSTED, g_t)
-    untrusted_image = build_image(Annotation.UNTRUSTED, g_u)
-
-    descriptor = InterfaceDescriptor(sorted(
-        trusted_image.relays + untrusted_image.relays, key=lambda r: r.sort_key))
-
-    class_ids = {name: i for i, name in enumerate(sorted(annotations))}
-    return PartitionPlan(trusted_image, untrusted_image, descriptor,
-                         dict(annotations), class_ids)
+    return PartitionPlan(build_image(Annotation.TRUSTED, g_t),
+                         build_image(Annotation.UNTRUSTED, g_u), annotations)
 
 
 def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
@@ -205,13 +203,10 @@ def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
     report = validate(program)
     if not report.ok:
         raise ValidationFailed(report)
-    annotations = annotation_map(program)
     side = Annotation.TRUSTED if enclave else Annotation.UNTRUSTED
     whole = ImageSpec(side, list(program.classes), entry_points=["main"])
     if enclave:
         trusted, untrusted = whole, ImageSpec(Annotation.UNTRUSTED)
     else:
         trusted, untrusted = None, whole
-    class_ids = {name: i for i, name in enumerate(sorted(annotations))}
-    return PartitionPlan(trusted, untrusted, InterfaceDescriptor(),
-                         annotations, class_ids)
+    return PartitionPlan(trusted, untrusted, annotation_map(program))

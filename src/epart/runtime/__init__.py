@@ -10,7 +10,7 @@ from .dual import (
 )
 from .heap import (
     TRUSTED, UNTRUSTED, Frame, GcStats, HeapObject, InstanceObj, Isolate,
-    ListObj, MetricCounters, ProxyObj, other_side,
+    ListObj, MetricCounters, ProxyObj,
 )
 from .interp import Interpreter, wrap64
 
@@ -19,9 +19,8 @@ __all__ = [
     "DualRuntime", "ExecutionResult", "Frame", "GcStats", "HeapObject",
     "InstanceObj", "Interpreter", "Isolate", "ListObj",
     "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "TRUSTED",
-    "TraceEvent", "UNTRUSTED", "load_model",
-    "other_side", "parse_model", "run_main", "run_reference",
-    "run_unpartitioned", "wrap64",
+    "TraceEvent", "UNTRUSTED", "load_model", "parse_model", "run_main",
+    "run_reference", "run_unpartitioned", "wrap64",
 ]
 
 

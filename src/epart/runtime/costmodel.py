@@ -33,10 +33,14 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.epc_penalty < 1:
-            raise ValueError(f"epc_penalty must be >= 1, got {self.epc_penalty!r}")
+            if not isinstance(v, int) or not 0 <= v <= 2**63 - 1:
+                raise ValueError(f"{name} must be an integer in [0, 2**63 - 1], "
+                                 f"got {v!r}")
+        # False for nan.  With prices and penalty bounded, every product
+        # that scaled() rounds is a finite float.
+        if not 1 <= self.epc_penalty <= 1e6:
+            raise ValueError(f"epc_penalty must be a number in [1, 1e6], "
+                             f"got {self.epc_penalty!r}")
 
     def scaled(self, base: int, trusted: bool) -> int:
         """Price memory-bound work, applying the EPC penalty in the enclave."""

@@ -18,10 +18,6 @@ TRUSTED = "trusted"
 UNTRUSTED = "untrusted"
 
 
-def other_side(side: str) -> str:
-    return UNTRUSTED if side == TRUSTED else TRUSTED
-
-
 class _Unset:
     """Sentinel for class-typed fields before first assignment."""
 

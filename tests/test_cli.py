@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,82 @@ class Main {
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"bad plan: {reason}\n"
+
+    @staticmethod
+    def _bad_plan(plan, capsys) -> str:
+        """Run a tampered plan: exit 1 and no stdout.  Returns stderr."""
+        capsys.readouterr()
+        assert main(["run", str(plan)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("old, new", [
+        ("(ser,prim)", "(prim,prim)"),                  # a marshal kind
+        ("ecall Account.Account(", "ocall Account.Account("),  # a direction
+        ("-> unit\necall AccountRegistry.AccountRegistry() -> unit\n",
+         "-> unit\n"),                                   # a record dropped
+        ("(href) -> unit\n",
+         "(href) -> unit\nocall Ghost.haunt(prim) -> unit\n"),  # an extra record
+        ("(href) -> unit\n", "(href) -> unit\n# a note\n"),    # a comment
+        ("(href) -> unit\n", "(href) -> unit\n\n"),           # a blank line
+        ("interface\n", "interface\n\n"),              # a blank line in front
+        ("ecall Account.Account(ser,prim) -> unit\n"
+         "ecall Account.updateBalance(prim) -> unit\n",
+         "ecall Account.updateBalance(prim) -> unit\n"
+         "ecall Account.Account(ser,prim) -> unit\n"),  # two records swapped
+    ], ids=["marshal-kind", "direction", "dropped", "extra", "comment",
+            "blank-line", "blank-line-in-front", "reordered"])
+    def test_an_interface_that_is_not_the_images_relays_is_a_bad_plan(
+            self, bank_dir, capsys, old, new):
+        _, plan = bank_dir
+        path = plan / INTERFACE_FILE
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        assert self._bad_plan(plan, capsys) == \
+            f"bad plan: {INTERFACE_FILE} does not list the images' relays\n"
+
+    @pytest.mark.parametrize("tables, reason", [
+        (1, "the class table does not list the annotated classes in sorted "
+            "order"),
+        (2, "class Account in the trusted image is not in the annotation "
+            "table as declared"),
+    ], ids=["class-table", "class-and-annotation-tables"])
+    def test_a_class_renamed_in_both_images_tables_is_a_bad_plan(
+            self, bank_dir, capsys, tables, reason):
+        """An image's header is its class table, then its annotation table,
+        so the first Account names the class in one and the second in the
+        other.  Its declaration keeps its name, and Accoumt sorts where
+        Account did."""
+        _, plan = bank_dir
+        for name in (TRUSTED_IMG, UNTRUSTED_IMG):
+            img = plan / name
+            img.write_bytes(img.read_bytes().replace(
+                b"\x07\x00\x00\x00Account", b"\x07\x00\x00\x00Accoumt",
+                tables))
+        assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
+
+    @pytest.mark.parametrize("image, reason", [
+        (TRUSTED_IMG, "relay Account.Account is an ocall, against its "
+                      "class's annotation"),
+        (UNTRUSTED_IMG, "proxy Account is an ocall proxy, against its "
+                        "class's annotation"),
+    ], ids=["relay", "proxy"])
+    def test_a_direction_against_the_annotation_is_a_bad_plan(
+            self, bank_dir, capsys, image, reason):
+        """The first ecall of trusted.img is Account's constructor relay, of
+        untrusted.img Account's proxy.  The interface is edited to match,
+        so only the annotation tells the flip apart."""
+        _, plan = bank_dir
+        img = plan / image
+        img.write_bytes(img.read_bytes().replace(b"ecall", b"ocall", 1))
+        if image == TRUSTED_IMG:
+            path = plan / INTERFACE_FILE
+            header, *records = path.read_text().replace(
+                "ecall Account.Account(", "ocall Account.Account(").splitlines()
+            path.write_text("\n".join([header] + sorted(records)) + "\n")
+        assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         src = tmp_path / "d.ep"
@@ -563,6 +640,64 @@ class Main {
         assert main(["run", str(plan), "--metrics", os.devnull]) == 0
 
 
+class TestModelFile:
+    """--model FILE: a good file reprices the run; a bad one is one
+    `bad cost model:` line and exit 1, before anything runs."""
+
+    def test_a_good_model_reprices_the_run(self, bank_dir, tmp_path, capsys):
+        _, plan = bank_dir
+        model = tmp_path / "model.txt"
+        model.write_text("# cheaper transitions\necall_cost = 100\n"
+                         "epc_penalty = 2.5\n")
+        runs = []
+        for extra in ([], ["--model", str(model)]):
+            metrics = tmp_path / f"m{len(runs)}.txt"
+            capsys.readouterr()
+            assert main(["run", str(plan), "--metrics", str(metrics)] + extra) == 0
+            runs.append((capsys.readouterr().out, metrics.read_text()))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] != runs[1][1]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("bogus = 1", "line 1: unknown cost model key 'bogus'"),
+        ("epc_penalty = nan", "epc_penalty must be a number in [1, 1e6], got nan"),
+        ("epc_penalty = inf", "epc_penalty must be a number in [1, 1e6], got inf"),
+        ("epc_penalty = 1e308",
+         "epc_penalty must be a number in [1, 1e6], got 1e+308"),
+        ("epc_penalty = 1000001",
+         "epc_penalty must be a number in [1, 1e6], got 1000001.0"),
+        ("ecall_cost = 9223372036854775808",
+         "ecall_cost must be an integer in [0, 2**63 - 1], "
+         "got 9223372036854775808"),
+    ], ids=["unknown-key", "nan", "inf", "1e308", "above-1e6", "price-2**63"])
+    @pytest.mark.parametrize("command", [
+        ["run", "{plan}"], ["run-unpartitioned", "{src}"], ["compare", "{src}"],
+        ["bench", "--suite", "gc_perf"],
+    ], ids=["run", "run-unpartitioned", "compare", "bench"])
+    def test_a_bad_model_is_one_line(self, bank_dir, tmp_path, capsys,
+                                     command, text, reason):
+        src, plan = bank_dir
+        model = tmp_path / "model.txt"
+        model.write_text(text + "\n")
+        argv = [a.format(src=src, plan=plan) for a in command]
+        capsys.readouterr()
+        assert main(argv + ["--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad cost model: {reason}\n"
+
+    def test_the_largest_model_runs(self, bank_dir, tmp_path, capsys):
+        _, plan = bank_dir
+        model = tmp_path / "model.txt"
+        model.write_text("".join(f"{key} = {2**63 - 1}\n" for key in (
+            "ecall_cost", "ocall_cost", "alloc_cost", "field_access_cost",
+            "serialize_per_byte", "compute_unit_cost", "io_write_cost"))
+            + "epc_penalty = 1e6\n")
+        capsys.readouterr()
+        assert main(["run", str(plan), "--model", str(model)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestInspectCommand:
     def test_trusted_image(self, bank_dir, capsys):
         _, plan = bank_dir
@@ -647,3 +782,31 @@ class TestOneLineFailures:
         assert main(["run", str(plan)]) == 1
         assert capsys.readouterr().err == \
             f"cannot read {plan / TRUSTED_IMG}: Is a directory\n"
+
+
+class TestFrozenStdout:
+    """What partition and inspect print for each fixture, byte for byte.
+
+    Each golden file in tests/fixtures/stdout/ is a transcript: a `$ epart
+    ...` line for each command, then the command's stdout.
+    """
+
+    COMMANDS = (["partition", "{name}.ep", "-o", "plan"],
+                ["inspect", "plan", "trusted"],
+                ["inspect", "plan", "untrusted"])
+
+    @pytest.mark.parametrize("name", ["bank", "every_node", "public_field"])
+    def test_partition_and_inspect(self, name, tmp_path, monkeypatch, capsys):
+        fixtures = Path(__file__).parent / "fixtures"
+        (tmp_path / f"{name}.ep").write_bytes((fixtures / f"{name}.ep").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        transcript = []
+        for command in self.COMMANDS:
+            argv = [a.format(name=name) for a in command]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            transcript.append(f"$ epart {' '.join(argv)}\n{captured.out}")
+        golden = fixtures / "stdout" / f"{name}.txt"
+        assert "".join(transcript) == golden.read_bytes().decode("utf-8")

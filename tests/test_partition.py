@@ -16,14 +16,15 @@ from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
 )
 from epart.partition import (
-    CONCRETE, PROXY, build_call_graph, compute_images, emit, load_plan,
+    CONCRETE, PROXY, build_call_graph, check_interface, compute_images, emit,
+    load_plan,
 )
 from epart.partition.emit import (
     _EXPR_TAGS, _FIELD_CODECS, _STMT_TAGS, INTERFACE_FILE, MAGIC, TRUSTED_IMG,
     UNTRUSTED_IMG, _Reader, _Writer, decode_image, encode_image,
 )
 from epart.partition.model import MarshalKind
-from epart.partition.plan import InterfaceDescriptor, PartitionPlan
+from epart.partition.plan import PartitionPlan
 from epart.runtime import DualRuntime
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -41,7 +42,7 @@ class TestBankImages:
             ["Person", "Main"]
 
     def test_descriptor_records(self, bank_plan):
-        lines = [r.render() for r in bank_plan.descriptor.records]
+        lines = [r.render() for r in bank_plan.descriptor]
         assert lines == [
             "ecall Account.Account(ser,prim) -> unit",
             "ecall Account.updateBalance(prim) -> unit",
@@ -114,7 +115,7 @@ class Main {
         assert u_proxy is not None
         assert {s.name for s in u_proxy.stubs} == {"U", "feed"}
         records = {(r.direction, r.class_name, r.method_name)
-                   for r in plan.descriptor.records}
+                   for r in plan.descriptor}
         assert ("ocall", "U", "feed") in records
         assert ("ocall", "U", "unused") not in records
 
@@ -152,7 +153,7 @@ class Main {
         plan = plan_of(src)
         assert plan.untrusted_image.proxy_def("T") is None
         assert plan.trusted_image.proxy_def("U") is None
-        assert plan.descriptor.records == []
+        assert plan.descriptor == []
 
     def test_adding_a_call_revives_the_proxy(self):
         revived = self.SRC.replace("t.pull();", "t.pull();\n        t.quiet();")
@@ -328,8 +329,8 @@ class Main {
             except EpartError as e:
                 outcomes[type(e).__name__] += 1
             (tmp_path / name).write_bytes(images[name])
-        assert outcomes == {"loaded": 450, "FormatError": 2397,
-                            "InterfaceMismatch": 153}
+        assert outcomes == {"loaded": 441, "FormatError": 2397,
+                            "InterfaceMismatch": 162}
 
     def test_accepted_mutations_encode_back_to_the_same_bytes(
             self, bank_plan, tmp_path):
@@ -348,11 +349,10 @@ class Main {
             if pos in version_spans[name]:
                 continue
             try:
-                spec, annotations, class_ids, _ = decode_image(data)
+                spec, annotations, _ = decode_image(data)
             except FormatError:
                 continue
-            plan = PartitionPlan(spec, spec, InterfaceDescriptor(),
-                                 annotations, class_ids)
+            plan = PartitionPlan(spec, spec, annotations)
             assert encode_image(plan, spec) == data, (name, pos)
             checked += 1
         assert checked > 0
@@ -408,6 +408,24 @@ class Main {
         iface.write_text("\n".join(dropped) + "\n")
         with pytest.raises(InterfaceMismatch):
             load_plan(tmp_path)
+
+    def test_a_stub_needs_its_relay_in_the_other_image(self, bank_plan):
+        """Account's class and relays moved into the untrusted image: each
+        stub still has one relay among both images', but none on the far
+        side of its proxy."""
+        t, u = bank_plan.trusted_image, bank_plan.untrusted_image
+        moved = dataclasses.replace(
+            u, classes=u.classes + [t.class_decl("Account")],
+            relays=[r for r in t.relays if r.class_name == "Account"])
+        kept = dataclasses.replace(
+            t, classes=[c for c in t.classes if c.name != "Account"],
+            relays=[r for r in t.relays if r.class_name != "Account"])
+        plan = PartitionPlan(kept, moved, bank_plan.annotations)
+        assert plan.descriptor == bank_plan.descriptor
+        with pytest.raises(InterfaceMismatch, match=re.escape(
+                "stub Account.Account in the untrusted image has no relay "
+                "in the other image")):
+            check_interface(plan)
 
 
 def _plan_files(d: Path) -> dict[str, bytes]:
@@ -501,13 +519,9 @@ class TestCorpusSoundness:
                 concrete = {c.name for c in image.classes}
                 for proxy in image.proxies:
                     assert proxy.class_name not in concrete
-            # every surviving stub has exactly one descriptor record
-            recorded = collections.Counter((r.class_name, r.method_name)
-                                           for r in plan.descriptor.records)
-            for image in (plan.trusted_image, plan.untrusted_image):
-                for proxy in image.proxies:
-                    for stub in proxy.stubs:
-                        assert recorded[(proxy.class_name, stub.name)] == 1
+            # every surviving stub has exactly one relay in the other image,
+            # and relays and proxies cross as their annotations say
+            check_interface(plan)
 
 
 class TestSingleResolution:
