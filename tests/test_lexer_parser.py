@@ -1,3 +1,4 @@
+import random
 import time
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epart.bench import generate_corpus
 from epart.dsl import ast, parse_program
 from epart.dsl.lexer import KEYWORDS, SYMBOLS, line_col, tokenize
 from epart.errors import ParseError
@@ -232,6 +234,29 @@ class Main {
                   "duplicate_param": (3, 15)}[kind]
         assert (e.kind, e.message, (e.line, e.col)) == (kind, message, second)
 
+    @pytest.mark.parametrize("source,kind,message,line_col", [
+        ("@Untrusted\nclass Main {\n    static main() { var print = 1; }\n}",
+         "syntax", "'print' is a reserved builtin name", (3, 25)),
+        ("@Neutral\nclass Int { }\n@Untrusted\nclass Main { static main() { } }",
+         "syntax", "'Int' is a built-in type name", (2, 7)),
+        ("@Untrusted\nclass Main {\n    static x: Int;\n    static main() { }\n}",
+         "syntax", "fields cannot be static", (3, 12)),
+        ("@Untrusted\nclass Main {\n    static Main() { }\n    static main() { }\n}",
+         "syntax", "constructors cannot be static", (3, 12)),
+        ("@Untrusted\nclass Main {\n    Main() -> Int { }\n    static main() { }\n}",
+         "syntax", "constructors cannot declare a return type", (3, 12)),
+        ("@Neutral\nclass A {\n    static main() { }\n}\n"
+         "@Untrusted\nclass C {\n    static main() { }\n}",
+         "multiple_main", "main declared again in class C", (7, 12)),
+        ("@Untrusted\nclass Main {\n    static main() { var x = this.class; }\n}",
+         "syntax", "'class' cannot follow '.'", (3, 34)),
+    ])
+    def test_declaration_diagnostics(self, source, kind, message, line_col):
+        with pytest.raises(ParseError) as exc:
+            parse_program(source)
+        e = exc.value
+        assert (e.kind, e.message, (e.line, e.col)) == (kind, message, line_col)
+
 
 # A program that uses every statement and expression kind, and the offset of
 # each of its token starts: cut there, the input ends in any parser state.
@@ -262,3 +287,35 @@ def test_every_prefix_parses_or_raises_parse_error():
 def test_parse_returns_a_program_or_raises_parse_error(cut, atoms):
     """Never IndexError or any other exception, even at the end of input."""
     _parses_or_raises_parse_error(_PROGRAM[:cut] + " ".join(atoms))
+
+
+def _token_edits(sources: list[str], count: int, seed: int) -> list[str]:
+    """count sources, each one of sources with one token deleted, duplicated
+    or swapped with the next, at a seeded place.  A token is cut out with the
+    blanks and comments that follow it, so its neighbours stay apart."""
+    rng = random.Random(seed)
+    cuts = [[t.pos for t in tokenize(s)] for s in sources]
+    out = []
+    for _ in range(count):
+        k = rng.randrange(len(sources))
+        src, starts = sources[k], cuts[k] + [len(sources[k])]
+        i = rng.randrange(len(starts) - 2)
+        a, b, c = starts[i], starts[i + 1], starts[i + 2]
+        op = rng.randrange(3)
+        if op == 0:
+            out.append(src[:a] + src[b:])
+        elif op == 1:
+            out.append(src[:b] + src[a:b] + src[b:])
+        else:
+            out.append(src[:a] + src[b:c] + src[a:b] + src[c:])
+    return out
+
+
+def test_token_edits_parse_or_raise_parse_error():
+    """Never IndexError or any other exception when a token goes missing,
+    comes twice or trades places."""
+    fixtures = [p.read_text(encoding="utf-8")
+                for p in sorted((Path(__file__).parent / "fixtures").glob("*.ep"))]
+    sources = fixtures + generate_corpus(20, seed=3)
+    for source in _token_edits(sources, 800, seed=5):
+        _parses_or_raises_parse_error(source)
