@@ -1,12 +1,13 @@
 """Tokenizer for the annotated class language.
 
-One compiled master regex finds every token in a single pass; only malformed
-input takes a per-token path, to name the fault.  Each match takes the blanks
-before its token too, newlines included, so a blank costs no loop trip of its
-own: the token is the match's named group.  Identifiers follow
-str.isalpha/isalnum ("\\w" is exactly isalnum or "_") and numbers are runs of
-decimal digits of any script ("\\d" is exactly isdecimal), as int() reads
-them.
+scan finds every token in one pass of one compiled master regex and keeps
+them as three parallel lists, which the parser reads by index; tokenize zips
+them into Tokens.  Only malformed input takes a per-token path, to name the
+fault.  Each match takes the blanks before its token too, newlines included,
+so a blank costs no loop trip of its own: the token is the match's named
+group.  Identifiers follow str.isalpha/isalnum ("\\w" is exactly isalnum or
+"_") and numbers are runs of decimal digits of any script ("\\d" is exactly
+isdecimal), as int() reads them.
 
 A position is one offset into the source.  line_col turns it into the
 line:col a diagnostic prints, and nothing else computes either.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -38,6 +39,9 @@ class Token(NamedTuple):  # a tuple builds much faster than a frozen dataclass
     kind: str  # ident, int, str, eof, or the keyword or symbol itself
     text: str
     pos: int  # offset of the token's first character in the source
+
+
+_new_token = partial(tuple.__new__, Token)  # skips Token.__new__, a Python wrapper
 
 
 @lru_cache(maxsize=1)
@@ -104,34 +108,36 @@ def _malformed(source: str, i: int) -> tuple[int, str]:
     return 0, f"unexpected character {ch!r}"
 
 
-def tokenize(source: str) -> list[Token]:
-    """Produce the token stream, ending with an eof token.
+def scan(source: str) -> tuple[list[str], list[str], list[int]]:
+    """The token stream as three parallel lists, kinds, texts and positions,
+    each ending with the eof entry.
 
     Raises ParseError("syntax") on any malformed input; never crashes.  The
-    eof token after a comment that ends the source sits at the '#'.
+    eof entry after a comment that ends the source sits at the '#'.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # skips Token.__new__, a Python-level wrapper
+    kinds: list[str] = []
+    texts: list[str] = []
+    positions: list[int] = []
+    add_kind, add_text, add_pos = kinds.append, texts.append, positions.append
     eof_pos = len(source)
     for m in _MASTER.finditer(source):
         kind = m.lastgroup
         text = m[kind]
         if kind == "sym":
-            append(new(Token, (text, text, m.start(kind))))
+            add_kind(text)
         elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            append(new(Token, (text if text in KEYWORDS else "ident", text,
-                               m.start(kind))))
+            add_kind(text if text in KEYWORDS else "ident")
         elif kind == "int":
-            append(new(Token, ("int", text, m.start(kind))))
+            add_kind("int")
         elif kind == "str":
+            add_kind("str")
             text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
-            append(new(Token, ("str", text, m.start(kind))))
         elif kind == "comment":
             if m.end() == len(source):
                 eof_pos = m.start(kind)
+            continue
         elif kind == "end":
             break
         else:
@@ -139,5 +145,14 @@ def tokenize(source: str) -> list[Token]:
             offset, message = _malformed(source, start)
             raise ParseError("syntax", message,
                              *line_col(source, start + offset))
-    append(new(Token, ("eof", "", eof_pos)))
-    return tokens
+        add_text(text)
+        add_pos(m.start(kind))
+    kinds.append("eof")
+    texts.append("")
+    positions.append(eof_pos)
+    return kinds, texts, positions
+
+
+def tokenize(source: str) -> list[Token]:
+    """scan's lists as one Token per entry, ending with the eof token."""
+    return list(map(_new_token, zip(*scan(source))))

@@ -1,6 +1,8 @@
 """Recursive-descent parser producing the class-language AST.
 
-Parsing is total: any input either yields a Program or raises ParseError with a
+It reads the lexer's scan lists, kinds, texts and positions, by index: a token
+is passed around as its index into them, and no Token is built.  Parsing is
+total: any input either yields a Program or raises ParseError with a
 line/column position.  Structural duplicate checks (classes, methods, fields,
 params) and the single-main rule are enforced here; typing rules live in the
 validator.  Nodes carry the offset of their token and the Program keeps its
@@ -17,7 +19,7 @@ from .ast import (
     Program, Return, Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility,
     While,
 )
-from .lexer import KEYWORDS, Token, line_col, tokenize
+from .lexer import KEYWORDS, line_col, scan
 
 _MAX_INT_LITERAL = 2**63 - 1
 _MAX_INT_DIGITS = len(str(_MAX_INT_LITERAL))
@@ -35,50 +37,43 @@ _LEVEL = {op: level for level, ops in enumerate((_COMPARE_OPS, _ADD_OPS, _MUL_OP
 class _Parser:
     def __init__(self, source: str):
         self.source = source
-        self.tokens = tokenize(source)
-        self.index = 0  # of the next token (a Token.pos is a source offset)
+        self.kinds, self.texts, self.positions = scan(source)
+        self.i = 0  # the next token; only a match moves it, and eof matches none
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        # advance never moves past the eof token, so index is always in range.
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "eof":
-            self.index += 1
-        return tok
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.index][0] == kind
 
     def fail(self, kind: str, message: str, pos: int) -> ParseError:
         return ParseError(kind, message, *line_col(self.source, pos))
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        return self.fail("syntax", message, (tok or self.peek()).pos)
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        return self.fail("syntax", message, self.positions[self.i if i is None else i])
 
-    def expect(self, kind: str) -> Token:
-        if not self.at(kind):
-            t = self.peek()
-            raise self.error(f"expected {kind!r}, found {t.text or 'end of input'!r}")
-        return self.advance()
+    def expected(self, what: str) -> ParseError:
+        found = self.texts[self.i] or "end of input"
+        return self.error(f"expected {what}, found {found!r}")
 
-    def expect_ident(self, what: str) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise self.error(f"expected {what}, found {t.text or 'end of input'!r}")
-        if t.text in ast.BUILTIN_FUNCS:
-            raise self.error(f"{t.text!r} is a reserved builtin name")
-        return self.advance()
+    def expect(self, kind: str) -> int:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.expected(repr(kind))
+        self.i = i + 1
+        return i
+
+    def expect_ident(self, what: str) -> int:
+        i = self.i
+        if self.kinds[i] != "ident":
+            raise self.expected(what)
+        if self.texts[i] in ast.BUILTIN_FUNCS:
+            raise self.error(f"{self.texts[i]!r} is a reserved builtin name")
+        self.i = i + 1
+        return i
 
     # -- program structure --------------------------------------------------
 
     def parse_program(self) -> Program:
         classes: list[ClassDecl] = []
         seen: set[str] = set()
-        while not self.peek().kind == "eof":
+        while self.kinds[self.i] != "eof":
             c = self.parse_class()
             if c.name in seen:
                 raise self.fail("duplicate_class", f"class {c.name} declared twice",
@@ -94,7 +89,7 @@ class _Parser:
         mains = [(c, m) for c in program.classes for m in c.methods if m.name == "main"]
         if not mains:
             raise self.fail("no_main", "program declares no main method",
-                            self.peek().pos)
+                            self.positions[self.i])
         if len(mains) > 1:
             c, m = mains[1]
             raise self.fail("multiple_main",
@@ -102,162 +97,157 @@ class _Parser:
 
     def parse_class(self) -> ClassDecl:
         at = self.expect("@")
-        name_tok = self.advance()
-        if name_tok.text not in _ANNOTATIONS:
-            raise self.error(
-                f"expected Trusted, Untrusted or Neutral after '@', found {name_tok.text!r}",
-                name_tok)
-        annotation = _ANNOTATIONS[name_tok.text]
+        annotation = _ANNOTATIONS.get(self.texts[self.i])
+        if annotation is None:
+            raise self.error("expected Trusted, Untrusted or Neutral after '@', "
+                             f"found {self.texts[self.i]!r}")
+        self.i += 1
         self.expect("class")
-        cname = self.expect_ident("class name")
-        if cname.text in ast.BUILTIN_TYPE_NAMES:
-            raise self.error(f"{cname.text!r} is a built-in type name", cname)
+        c = self.expect_ident("class name")
+        cname = self.texts[c]
+        if cname in ast.BUILTIN_TYPE_NAMES:
+            raise self.error(f"{cname!r} is a built-in type name", c)
         self.expect("{")
         # Keyed by name, in declaration order, so a duplicate is one lookup.
         fields: dict[str, FieldDecl] = {}
         methods: dict[str, MethodDecl] = {}
-        while not self.at("}"):
-            self.parse_member(cname.text, fields, methods)
-        self.expect("}")
-        return ClassDecl(cname.text, annotation, list(fields.values()),
-                         list(methods.values()), pos=at.pos)
+        while self.kinds[self.i] != "}":
+            self.parse_member(cname, fields, methods)
+        self.i += 1
+        return ClassDecl(cname, annotation, list(fields.values()),
+                         list(methods.values()), pos=self.positions[at])
 
     def parse_member(self, class_name: str, fields: dict[str, FieldDecl],
                      methods: dict[str, MethodDecl]) -> None:
+        kinds, texts = self.kinds, self.texts
         visibility = None
-        if self.at("public") or self.at("private"):
-            visibility = Visibility(self.advance().text)
-        is_static = False
-        if self.at("static"):
+        if kinds[self.i] in ("public", "private"):
+            visibility = Visibility(texts[self.i])
+            self.i += 1
+        is_static = kinds[self.i] == "static"
+        if is_static:
             if visibility is not None:
                 raise self.error("visibility markers apply to fields only")
-            is_static = True
-            self.advance()
-        name = self.expect_ident("member name")
-        if self.at(":"):
+            self.i += 1
+        n = self.expect_ident("member name")
+        name, pos = texts[n], self.positions[n]
+        if kinds[self.i] == ":":
             if is_static:
-                raise self.error("fields cannot be static", name)
-            self.advance()
+                raise self.error("fields cannot be static", n)
+            self.i += 1
             ftype = self.parse_type()
             self.expect(";")
-            if name.text in fields:
+            if name in fields:
                 raise self.fail("duplicate_field",
-                                f"field {name.text} declared twice in {class_name}",
-                                name.pos)
-            fields[name.text] = FieldDecl(name.text, ftype,
-                                          visibility or Visibility.PRIVATE,
-                                          pos=name.pos)
+                                f"field {name} declared twice in {class_name}", pos)
+            fields[name] = FieldDecl(name, ftype, visibility or Visibility.PRIVATE,
+                                     pos=pos)
             return
         if visibility is not None:
-            raise self.error("visibility markers apply to fields only", name)
-        method = self.parse_method(class_name, name, is_static)
-        if method.name in methods:
+            raise self.error("visibility markers apply to fields only", n)
+        method = self.parse_method(class_name, n, is_static)
+        if name in methods:
             raise self.fail("duplicate_method",
-                            f"method {method.name} declared twice in {class_name}",
-                            name.pos)
-        methods[method.name] = method
+                            f"method {name} declared twice in {class_name}", pos)
+        methods[name] = method
 
-    def parse_method(self, class_name: str, name: Token, is_static: bool) -> MethodDecl:
-        is_constructor = name.text == class_name
+    def parse_method(self, class_name: str, n: int, is_static: bool) -> MethodDecl:
+        name = self.texts[n]
+        is_constructor = name == class_name
         self.expect("(")
         params: dict[str, Param] = {}
-        while not self.at(")"):
+        kinds = self.kinds
+        while kinds[self.i] != ")":
             if params:
                 self.expect(",")
-            pname = self.expect_ident("parameter name")
-            if pname.text in params:
+            p = self.expect_ident("parameter name")
+            pname, ppos = self.texts[p], self.positions[p]
+            if pname in params:
                 raise self.fail("duplicate_param",
-                                f"parameter {pname.text} declared twice",
-                                pname.pos)
+                                f"parameter {pname} declared twice", ppos)
             self.expect(":")
-            ptype = self.parse_type()
-            params[pname.text] = Param(pname.text, ptype,
-                                       pos=pname.pos)
-        self.expect(")")
+            params[pname] = Param(pname, self.parse_type(), pos=ppos)
+        self.i += 1
         return_type = ast.UNIT
-        if self.at("->"):
+        if kinds[self.i] == "->":
             if is_constructor:
                 raise self.error("constructors cannot declare a return type")
-            self.advance()
+            self.i += 1
             return_type = self.parse_type()
         if is_constructor and is_static:
-            raise self.error("constructors cannot be static", name)
-        body = self.parse_block()
-        return MethodDecl(name.text, list(params.values()), return_type, body,
+            raise self.error("constructors cannot be static", n)
+        return MethodDecl(name, list(params.values()), return_type, self.parse_block(),
                           is_constructor=is_constructor, is_static=is_static,
-                          pos=name.pos)
+                          pos=self.positions[n])
 
     def parse_type(self) -> TypeRef:
-        t = self.peek()
-        if t.kind != "ident":
-            raise self.error(f"expected a type, found {t.text or 'end of input'!r}")
-        self.advance()
-        if t.text == "List":
+        i = self.i
+        if self.kinds[i] != "ident":
+            raise self.expected("a type")
+        self.i = i + 1
+        if self.texts[i] == "List":
             self.expect("[")
             elem = self.parse_type()
             self.expect("]")
             return ast.list_of(elem)
-        return TypeRef(t.text)
+        return TypeRef(self.texts[i])
 
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> list[Stmt]:
         self.expect("{")
+        kinds = self.kinds
         body: list[Stmt] = []
-        while not self.at("}"):
+        while kinds[self.i] != "}":
             body.append(self.parse_stmt())
-        self.expect("}")
+        self.i += 1
         return body
 
     def parse_stmt(self) -> Stmt:
-        t = self.tokens[self.index]
-        kind = t.kind
+        i = self.i
+        kinds = self.kinds
+        kind, pos = kinds[i], self.positions[i]
         if kind == "var":
-            self.advance()
-            name = self.expect_ident("variable name")
+            self.i = i + 1
+            name = self.texts[self.expect_ident("variable name")]
             declared = None
-            if self.at(":"):
-                self.advance()
+            if kinds[self.i] == ":":
+                self.i += 1
                 declared = self.parse_type()
             self.expect("=")
             init = self.parse_expr()
             self.expect(";")
-            return VarDecl(name.text, declared, init, pos=t.pos)
+            return VarDecl(name, declared, init, pos=pos)
         if kind == "return":
-            self.advance()
+            self.i = i + 1
             value = None
-            if not self.at(";"):
+            if kinds[self.i] != ";":
                 value = self.parse_expr()
             self.expect(";")
-            return Return(value, pos=t.pos)
-        if kind == "if":
-            self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            then_body = self.parse_block()
-            else_body: list[Stmt] = []
-            if self.at("else"):
-                self.advance()
-                else_body = self.parse_block()
-            return If(cond, then_body, else_body, pos=t.pos)
-        if kind == "while":
-            self.advance()
+            return Return(value, pos=pos)
+        if kind == "if" or kind == "while":
+            self.i = i + 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_block()
-            return While(cond, body, pos=t.pos)
+            if kind == "while":
+                return While(cond, body, pos=pos)
+            else_body: list[Stmt] = []
+            if kinds[self.i] == "else":
+                self.i += 1
+                else_body = self.parse_block()
+            return If(cond, body, else_body, pos=pos)
         expr = self.parse_expr()
-        if self.at("="):
-            eq = self.advance()
+        if kinds[self.i] == "=":
             if not isinstance(expr, (Var, FieldGet)):
-                raise self.error("invalid assignment target", eq)
+                raise self.error("invalid assignment target")
+            self.i += 1
             value = self.parse_expr()
             self.expect(";")
-            return Assign(expr, value, pos=t.pos)
+            return Assign(expr, value, pos=pos)
         self.expect(";")
-        return ExprStmt(expr, pos=t.pos)
+        return ExprStmt(expr, pos=pos)
 
     # -- expressions ----------------------------------------------------------
 
@@ -265,102 +255,97 @@ class _Parser:
         """An operand, then each operator of this level or a tighter one with
         its right operand, which binds only tighter operators."""
         left = self.parse_unary()
-        tokens = self.tokens
-        while (op_level := _LEVEL.get((op := tokens[self.index])[0], -1)) >= level:
-            self.index += 1
+        kinds = self.kinds
+        while (op_level := _LEVEL.get(kinds[i := self.i], -1)) >= level:
+            self.i = i + 1
             right = self.parse_expr(op_level + 1)
-            left = Binary(op.text, left, right, pos=op.pos)
+            # An operator's kind is its text.
+            left = Binary(kinds[i], left, right, pos=self.positions[i])
         return left
 
     def parse_unary(self) -> Expr:
-        if self.at("-"):
-            op = self.advance()
-            operand = self.parse_unary()
-            return Unary("-", operand, pos=op.pos)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
+        """A minus, or an operand followed by field reads and method calls."""
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] == "-":
+            self.i = i + 1
+            return Unary("-", self.parse_unary(), pos=self.positions[i])
         expr = self.parse_primary()
-        while self.at("."):
-            dot = self.advance()
-            name = self.peek()
-            if name.kind == "ident":
-                self.advance()
-            elif name.kind in KEYWORDS:
-                raise self.error(f"{name.text!r} cannot follow '.'", name)
+        while kinds[dot := self.i] == ".":
+            # Neither dot nor a matched name is eof, so n + 1 is in range.
+            n = dot + 1
+            if kinds[n] != "ident":
+                raise self.error(f"{self.texts[n]!r} cannot follow '.'"
+                                 if kinds[n] in KEYWORDS
+                                 else "expected member name after '.'", n)
+            if kinds[n + 1] == "(":
+                self.i = n + 2
+                expr = MethodCall(expr, self.texts[n], self.parse_exprs(")"),
+                                  pos=self.positions[dot])
             else:
-                raise self.error("expected member name after '.'", name)
-            if self.at("("):
-                args = self.parse_args()
-                expr = MethodCall(expr, name.text, args, pos=dot.pos)
-            else:
-                expr = FieldGet(expr, name.text, pos=dot.pos)
+                self.i = n + 1
+                expr = FieldGet(expr, self.texts[n], pos=self.positions[dot])
         return expr
 
-    def parse_args(self) -> list[Expr]:
-        self.expect("(")
-        args: list[Expr] = []
-        while not self.at(")"):
-            if args:
+    def parse_exprs(self, close: str) -> list[Expr]:
+        """Comma-separated expressions, up to and past the close token."""
+        kinds = self.kinds
+        items: list[Expr] = []
+        while kinds[self.i] != close:
+            if items:
                 self.expect(",")
-            args.append(self.parse_expr())
-        self.expect(")")
-        return args
+            items.append(self.parse_expr())
+        self.i += 1
+        return items
 
     def parse_primary(self) -> Expr:
-        t = self.tokens[self.index]
-        kind = t.kind
+        i = self.i
+        kind, text, pos = self.kinds[i], self.texts[i], self.positions[i]
         if kind == "ident":
-            self.advance()
-            if t.text in ast.BUILTIN_FUNCS:
-                if not self.at("("):
-                    raise self.error(f"builtin {t.text!r} must be called", t)
-                args = self.parse_args()
-                return BuiltinCall(t.text, args, pos=t.pos)
-            if self.at("("):
+            call = self.kinds[i + 1] == "("
+            if text in ast.BUILTIN_FUNCS:
+                if not call:
+                    raise self.error(f"builtin {text!r} must be called", i)
+                self.i = i + 2
+                return BuiltinCall(text, self.parse_exprs(")"), pos=pos)
+            if call:
                 raise self.error(
-                    f"unknown function {t.text!r}; only builtins can be called "
-                    "without a receiver", t)
-            return Var(t.text, pos=t.pos)
+                    f"unknown function {text!r}; only builtins can be called "
+                    "without a receiver", i)
+            self.i = i + 1
+            return Var(text, pos=pos)
         if kind == "int":
-            self.advance()
+            self.i = i + 1
             # int() refuses strings of more than 4300 digits, so count the
             # digits first, leading zeros of any script aside.
-            digits = t.text if t.text.isascii() \
-                else "".join(str(int(c)) for c in t.text)
+            digits = text if text.isascii() else "".join(str(int(c)) for c in text)
             digits = digits.lstrip("0") or "0"
             if len(digits) > _MAX_INT_DIGITS or int(digits) > _MAX_INT_LITERAL:
-                raise self.error("integer literal out of 64-bit range", t)
-            return IntLit(int(digits), pos=t.pos)
+                raise self.error("integer literal out of 64-bit range", i)
+            return IntLit(int(digits), pos=pos)
         if kind == "str":
-            self.advance()
-            return StrLit(t.text, pos=t.pos)
+            self.i = i + 1
+            return StrLit(text, pos=pos)
         if kind == "this":
-            self.advance()
-            return This(pos=t.pos)
+            self.i = i + 1
+            return This(pos=pos)
         if kind == "true" or kind == "false":
-            self.advance()
-            return BoolLit(kind == "true", pos=t.pos)
+            self.i = i + 1
+            return BoolLit(kind == "true", pos=pos)
         if kind == "new":
-            self.advance()
-            cname = self.expect_ident("class name after 'new'")
-            args = self.parse_args()
-            return New(cname.text, args, pos=t.pos)
+            self.i = i + 1
+            cname = self.texts[self.expect_ident("class name after 'new'")]
+            self.expect("(")
+            return New(cname, self.parse_exprs(")"), pos=pos)
         if kind == "(":
-            self.advance()
+            self.i = i + 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
         if kind == "[":
-            self.advance()
-            elements: list[Expr] = []
-            while not self.at("]"):
-                if elements:
-                    self.expect(",")
-                elements.append(self.parse_expr())
-            self.expect("]")
-            return ListLit(elements, pos=t.pos)
-        raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
+            self.i = i + 1
+            return ListLit(self.parse_exprs("]"), pos=pos)
+        raise self.expected("an expression")
 
 
 def parse_program(source: str) -> Program:
