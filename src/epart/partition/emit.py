@@ -448,9 +448,13 @@ def load_plan(plan_dir: str | Path) -> PartitionPlan:
 
 def check_interface(plan: PartitionPlan) -> None:
     """Every class of an image has the annotation the plan's table gives it,
-    every relay is a method of a class of its own image, and every proxy
-    stub has exactly one relay in the other image; both cross in the
-    direction their class's annotation gives."""
+    and no @Trusted class is in the untrusted image.  Every relay is a
+    method of a class of its own image and is entered in that image's own
+    direction, ecall into the trusted image and ocall into the untrusted one.
+    Every proxy stub has exactly one relay in the other image; relays and
+    proxies cross in the direction their class's annotation gives.  The
+    trusted image may hold @Untrusted classes: the enclave baseline of
+    whole_program_plan holds every class."""
     annotations = plan.annotations
     images = (plan.trusted_image, plan.untrusted_image)
     for spec, far in zip(images, reversed(images)):
@@ -480,3 +484,14 @@ def check_interface(plan: PartitionPlan) -> None:
                     raise InterfaceMismatch(
                         f"stub {proxy.class_name}.{stub.name} in the {side} "
                         f"image has {what} in the other image")
+    # Which side holds what is checked once every name resolves, so that a
+    # stub left without its relay is named as such.
+    for c in plan.untrusted_image.classes:
+        if c.annotation == Annotation.TRUSTED:
+            raise InterfaceMismatch(f"class {c.name} is @Trusted but in the "
+                                    "untrusted image")
+    for spec in images:
+        for rel in spec.relays:
+            if rel.direction != relay_direction(spec.side):
+                raise InterfaceMismatch(f"relay {rel.relay_id} is an {rel.direction} "
+                                        f"in the {spec.side.value.lower()} image")

@@ -9,6 +9,7 @@ the model prices identically on both sides.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,11 @@ class CostModel:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(CostModel)}
+# ASCII only: int() and float() also read other scripts' digits and "_".  nan
+# and inf read as floats, for the range check to name them.
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                    r"|nan|inf|infinity)", re.ASCII | re.IGNORECASE)
 
 
 def parse_model(text: str) -> CostModel:
@@ -68,9 +74,12 @@ def parse_model(text: str) -> CostModel:
             raise ValueError(f"line {lineno}: unknown cost model key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        is_float = key == "epc_penalty"
+        if not (_FLOAT if is_float else _INT).fullmatch(val):
+            raise ValueError(f"line {lineno}: bad value for {key}: {val!r}")
         try:
-            values[key] = float(val) if key == "epc_penalty" else int(val)
-        except ValueError as e:
+            values[key] = float(val) if is_float else int(val)
+        except ValueError as e:  # more digits than int() reads
             raise ValueError(f"line {lineno}: bad value for {key}: {val!r}") from e
     return CostModel(**values)  # type: ignore[arg-type]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from epart._version import __version__
 from epart.cli import main
+from epart.partition import compute_images, emit, load_plan, whole_program_plan
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 
 DIVERGENT_SRC = """
@@ -319,6 +321,47 @@ class Main {
                 "ecall Account.Account(", "ocall Account.Account(").splitlines()
             path.write_text("\n".join([header] + sorted(records)) + "\n")
         assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
+
+    def test_a_trusted_class_in_the_untrusted_image_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys):
+        """Account and its relays moved into untrusted.img, its proxy
+        dropped: every name resolves, and the images agree with the
+        interface, but the ledger would run outside the enclave."""
+        plan = compute_images(bank_program)
+        t, u = plan.trusted_image, plan.untrusted_image
+        account = t.class_decl("Account")
+        t.classes.remove(account)
+        u.classes.append(account)
+        for rel in [r for r in t.relays if r.class_name == "Account"]:
+            t.relays.remove(rel)
+            u.relays.append(rel)
+        u.proxies.remove(u.proxy_def("Account"))
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == \
+            "bad plan: class Account is @Trusted but in the untrusted image\n"
+
+    def test_an_ocall_relay_in_the_trusted_image_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys):
+        """The enclave baseline holds the @Untrusted Person, so an ocall relay
+        of Person names a method there and agrees with its annotation; but
+        an ocall enters the untrusted image, not the trusted one."""
+        plan = whole_program_plan(bank_program, enclave=True)
+        relay = compute_images(bank_program).trusted_image.relays[0]
+        plan.trusted_image.relays.append(dataclasses.replace(
+            relay, class_name="Person", method_name="transfer", direction="ocall"))
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == \
+            "bad plan: relay Person.transfer is an ocall in the trusted image\n"
+
+    def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
+        """whole_program_plan(enclave=True) puts @Untrusted classes in the
+        trusted image on purpose."""
+        plan = whole_program_plan(bank_program, enclave=True)
+        emit(plan, tmp_path)
+        assert load_plan(tmp_path).annotations == plan.annotations
+        capsys.readouterr()
+        assert main(["run", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
         src = tmp_path / "d.ep"
@@ -669,7 +712,13 @@ class TestModelFile:
         ("ecall_cost = 9223372036854775808",
          "ecall_cost must be an integer in [0, 2**63 - 1], "
          "got 9223372036854775808"),
-    ], ids=["unknown-key", "nan", "inf", "1e308", "above-1e6", "price-2**63"])
+        ("ecall_cost = \u0663", "line 1: bad value for ecall_cost: '\u0663'"),
+        ("alloc_cost = 1_000", "line 1: bad value for alloc_cost: '1_000'"),
+        ("epc_penalty = \u0662.5", "line 1: bad value for epc_penalty: '\u0662.5'"),
+        ("epc_penalty = 1_0.5", "line 1: bad value for epc_penalty: '1_0.5'"),
+    ], ids=["unknown-key", "nan", "inf", "1e308", "above-1e6", "price-2**63",
+            "arabic-indic-price", "underscore-price", "arabic-indic-penalty",
+            "underscore-penalty"])
     @pytest.mark.parametrize("command", [
         ["run", "{plan}"], ["run-unpartitioned", "{src}"], ["compare", "{src}"],
         ["bench", "--suite", "gc_perf"],
