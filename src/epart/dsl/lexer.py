@@ -153,6 +153,12 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, positions
 
 
+def str_token_source(source: str, pos: int) -> str:
+    """The source text of the str token at pos: its quotes, and its escapes
+    as written."""
+    return source[pos:_STR_PREFIX.match(source, pos + 1).end() + 1]
+
+
 def tokenize(source: str) -> list[Token]:
     """scan's lists as one Token per entry, ending with the eof token."""
     return list(map(_new_token, zip(*scan(source))))

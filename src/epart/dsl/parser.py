@@ -19,7 +19,7 @@ from .ast import (
     Program, Return, Stmt, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility,
     While,
 )
-from .lexer import KEYWORDS, line_col, scan
+from .lexer import KEYWORDS, line_col, scan, str_token_source
 
 _MAX_INT_LITERAL = 2**63 - 1
 _MAX_INT_DIGITS = len(str(_MAX_INT_LITERAL))
@@ -49,7 +49,14 @@ class _Parser:
         return self.fail("syntax", message, self.positions[self.i if i is None else i])
 
     def expected(self, what: str) -> ParseError:
-        found = self.texts[self.i] or "end of input"
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "eof":
+            found = "end of input"
+        elif kind == "str":
+            found = str_token_source(self.source, self.positions[i])
+        else:
+            found = self.texts[i]
         return self.error(f"expected {what}, found {found!r}")
 
     def expect(self, kind: str) -> int:
@@ -97,10 +104,10 @@ class _Parser:
 
     def parse_class(self) -> ClassDecl:
         at = self.expect("@")
-        annotation = _ANNOTATIONS.get(self.texts[self.i])
+        annotation = _ANNOTATIONS.get(self.texts[self.i]) \
+            if self.kinds[self.i] == "ident" else None
         if annotation is None:
-            raise self.error("expected Trusted, Untrusted or Neutral after '@', "
-                             f"found {self.texts[self.i]!r}")
+            raise self.expected("Trusted, Untrusted or Neutral after '@'")
         self.i += 1
         self.expect("class")
         c = self.expect_ident("class name")

@@ -180,85 +180,88 @@ class _Checker:
     def check_body(self, cls: ClassDecl, m: MethodDecl, body: list[Stmt],
                    env: dict[str, TypeRef]) -> None:
         for st in body:
-            self.check_stmt(cls, m, st, env)
+            _CHECK[st.__class__](self, cls, m, st, env)
 
-    def check_stmt(self, cls: ClassDecl, m: MethodDecl, st: Stmt,
-                   env: dict[str, TypeRef]) -> None:
+    def check_var_decl(self, cls: ClassDecl, m: MethodDecl, st: VarDecl,
+                       env: dict[str, TypeRef]) -> None:
         name = m.name
-        if isinstance(st, VarDecl):
-            t = self.infer(cls, m, st.init, env)
-            if st.name in env:
-                self.fail(TYPE_ERROR, cls.name, name, st,
-                          f"variable {st.name} already declared")
-            if st.declared_type is not None:
-                if self.check_typeref(st.declared_type, cls.name, name, st):
-                    if t is not None and not assignable(t, st.declared_type):
-                        self.fail(TYPE_ERROR, cls.name, name, st,
-                                  f"cannot assign {t} to {st.declared_type}")
-                env[st.name] = st.declared_type
-            else:
-                if t is not None and _is_list_none(t):
+        t = _INFER[st.init.__class__](self, cls, m, st.init, env)
+        if st.name in env:
+            self.fail(TYPE_ERROR, cls.name, name, st,
+                      f"variable {st.name} already declared")
+        if st.declared_type is not None:
+            if self.check_typeref(st.declared_type, cls.name, name, st):
+                if t is not None and not assignable(t, st.declared_type):
                     self.fail(TYPE_ERROR, cls.name, name, st,
-                              "empty list needs a declared list type")
-                env[st.name] = t or ast.INT
-            return
-        if isinstance(st, Assign):
-            vt = self.infer(cls, m, st.value, env)
-            if isinstance(st.target, Var):
-                if st.target.name not in env:
-                    self.fail(TYPE_RESOLVE, cls.name, name, st.target,
-                              f"unknown variable {st.target.name}")
-                    return
-                dst = env[st.target.name]
-            else:
-                dst = self.check_field_target(cls, m, st.target, env)
-                if dst is None:
-                    return
-            if vt is not None and not assignable(vt, dst):
+                              f"cannot assign {t} to {st.declared_type}")
+            env[st.name] = st.declared_type
+        else:
+            if t is not None and _is_list_none(t):
                 self.fail(TYPE_ERROR, cls.name, name, st,
-                          f"cannot assign {vt} to {dst}")
-            return
-        if isinstance(st, ExprStmt):
-            self.infer(cls, m, st.expr, env)
-            return
-        if isinstance(st, Return):
-            if m.is_constructor:
-                if st.value is not None:
-                    self.fail(TYPE_ERROR, cls.name, name, st,
-                              "constructors cannot return a value")
+                          "empty list needs a declared list type")
+            env[st.name] = t or ast.INT
+
+    def check_assign(self, cls: ClassDecl, m: MethodDecl, st: Assign,
+                     env: dict[str, TypeRef]) -> None:
+        vt = _INFER[st.value.__class__](self, cls, m, st.value, env)
+        if st.target.__class__ is Var:
+            if st.target.name not in env:
+                self.fail(TYPE_RESOLVE, cls.name, m.name, st.target,
+                          f"unknown variable {st.target.name}")
                 return
-            if st.value is None:
-                if m.return_type != ast.UNIT:
-                    self.fail(TYPE_ERROR, cls.name, name, st,
-                              f"return needs a {m.return_type} value")
+            dst = env[st.target.name]
+        else:
+            dst = self.check_field_target(cls, m, st.target, env)
+            if dst is None:
                 return
-            t = self.infer(cls, m, st.value, env)
-            if m.return_type == ast.UNIT:
+        if vt is not None and not assignable(vt, dst):
+            self.fail(TYPE_ERROR, cls.name, m.name, st,
+                      f"cannot assign {vt} to {dst}")
+
+    def check_expr_stmt(self, cls: ClassDecl, m: MethodDecl, st: ExprStmt,
+                        env: dict[str, TypeRef]) -> None:
+        _INFER[st.expr.__class__](self, cls, m, st.expr, env)
+
+    def check_return(self, cls: ClassDecl, m: MethodDecl, st: Return,
+                     env: dict[str, TypeRef]) -> None:
+        name = m.name
+        if m.is_constructor:
+            if st.value is not None:
                 self.fail(TYPE_ERROR, cls.name, name, st,
-                          "unit method cannot return a value")
-            elif t is not None and not assignable(t, m.return_type):
+                          "constructors cannot return a value")
+            return
+        if st.value is None:
+            if m.return_type != ast.UNIT:
                 self.fail(TYPE_ERROR, cls.name, name, st,
-                          f"cannot return {t} from a {m.return_type} method")
+                          f"return needs a {m.return_type} value")
             return
-        if isinstance(st, If):
-            t = self.infer(cls, m, st.cond, env)
-            if t is not None and t != ast.BOOL:
-                self.fail(TYPE_ERROR, cls.name, name, st, "if condition must be Bool")
-            self.check_body(cls, m, st.then_body, env)
-            self.check_body(cls, m, st.else_body, env)
-            return
-        if isinstance(st, While):
-            t = self.infer(cls, m, st.cond, env)
-            if t is not None and t != ast.BOOL:
-                self.fail(TYPE_ERROR, cls.name, name, st, "while condition must be Bool")
-            self.check_body(cls, m, st.body, env)
-            return
-        raise TypeError(f"unknown statement {type(st).__name__}")
+        t = _INFER[st.value.__class__](self, cls, m, st.value, env)
+        if m.return_type == ast.UNIT:
+            self.fail(TYPE_ERROR, cls.name, name, st,
+                      "unit method cannot return a value")
+        elif t is not None and not assignable(t, m.return_type):
+            self.fail(TYPE_ERROR, cls.name, name, st,
+                      f"cannot return {t} from a {m.return_type} method")
+
+    def check_if(self, cls: ClassDecl, m: MethodDecl, st: If,
+                 env: dict[str, TypeRef]) -> None:
+        t = _INFER[st.cond.__class__](self, cls, m, st.cond, env)
+        if t is not None and t != ast.BOOL:
+            self.fail(TYPE_ERROR, cls.name, m.name, st, "if condition must be Bool")
+        self.check_body(cls, m, st.then_body, env)
+        self.check_body(cls, m, st.else_body, env)
+
+    def check_while(self, cls: ClassDecl, m: MethodDecl, st: While,
+                    env: dict[str, TypeRef]) -> None:
+        t = _INFER[st.cond.__class__](self, cls, m, st.cond, env)
+        if t is not None and t != ast.BOOL:
+            self.fail(TYPE_ERROR, cls.name, m.name, st, "while condition must be Bool")
+        self.check_body(cls, m, st.body, env)
 
     def check_field_target(self, cls: ClassDecl, m: MethodDecl, fg: FieldGet,
                            env: dict[str, TypeRef]) -> TypeRef | None:
         """Field writes must go through this; returns the field type."""
-        if not isinstance(fg.receiver, This):
+        if fg.receiver.__class__ is not This:
             self.fail(FIELD_ACCESS, cls.name, m.name, fg,
                       "fields of other objects cannot be accessed directly")
             return None
@@ -277,58 +280,57 @@ class _Checker:
     def record_call(self, cls: ClassDecl, m: MethodDecl, target: CallTarget) -> None:
         self.calls[(cls.name, m.name)][target] = None
 
-    def infer(self, cls: ClassDecl, m: MethodDecl, e: Expr,
-              env: dict[str, TypeRef]) -> TypeRef | None:
-        name = m.name
-        if isinstance(e, IntLit):
-            return ast.INT
-        if isinstance(e, BoolLit):
-            return ast.BOOL
-        if isinstance(e, StrLit):
-            return ast.STR
-        if isinstance(e, This):
-            if m.is_static:
-                self.fail(TYPE_ERROR, cls.name, name, e, "no this in a static method")
-                return None
-            return TypeRef(cls.name)
-        if isinstance(e, Var):
-            if e.name in env:
-                return env[e.name]
-            self.fail(TYPE_RESOLVE, cls.name, name, e, f"unknown variable {e.name}")
+    def infer_int(self, cls: ClassDecl, m: MethodDecl, e: IntLit,
+                  env: dict[str, TypeRef]) -> TypeRef:
+        return ast.INT
+
+    def infer_bool(self, cls: ClassDecl, m: MethodDecl, e: BoolLit,
+                   env: dict[str, TypeRef]) -> TypeRef:
+        return ast.BOOL
+
+    def infer_str(self, cls: ClassDecl, m: MethodDecl, e: StrLit,
+                  env: dict[str, TypeRef]) -> TypeRef:
+        return ast.STR
+
+    def infer_this(self, cls: ClassDecl, m: MethodDecl, e: This,
+                   env: dict[str, TypeRef]) -> TypeRef | None:
+        if m.is_static:
+            self.fail(TYPE_ERROR, cls.name, m.name, e, "no this in a static method")
             return None
-        if isinstance(e, FieldGet):
-            return self.check_field_target(cls, m, e, env)
-        if isinstance(e, Unary):
-            t = self.infer(cls, m, e.operand, env)
-            if t is not None and t != ast.INT:
-                self.fail(TYPE_ERROR, cls.name, name, e, "unary '-' needs an Int")
-            return ast.INT
-        if isinstance(e, Binary):
-            return self.infer_binary(cls, m, e, env)
-        if isinstance(e, ListLit):
-            elem: TypeRef | None = None
-            for el in e.elements:
-                t = self.infer(cls, m, el, env)
-                if t is None:
-                    continue
-                if elem is None or (_is_list_none(elem) and t.name == "List"):
-                    elem = t
-                elif not assignable(t, elem):
-                    self.fail(TYPE_ERROR, cls.name, name, el,
-                              f"list elements disagree: {elem} vs {t}")
-            return TypeRef("List", elem)
-        if isinstance(e, New):
-            return self.infer_new(cls, m, e, env)
-        if isinstance(e, MethodCall):
-            return self.infer_call(cls, m, e, env)
-        if isinstance(e, BuiltinCall):
-            return self.infer_builtin(cls, m, e, env)
-        raise TypeError(f"unknown expression {type(e).__name__}")
+        return TypeRef(cls.name)
+
+    def infer_var(self, cls: ClassDecl, m: MethodDecl, e: Var,
+                  env: dict[str, TypeRef]) -> TypeRef | None:
+        if e.name in env:
+            return env[e.name]
+        self.fail(TYPE_RESOLVE, cls.name, m.name, e, f"unknown variable {e.name}")
+        return None
+
+    def infer_unary(self, cls: ClassDecl, m: MethodDecl, e: Unary,
+                    env: dict[str, TypeRef]) -> TypeRef:
+        t = _INFER[e.operand.__class__](self, cls, m, e.operand, env)
+        if t is not None and t != ast.INT:
+            self.fail(TYPE_ERROR, cls.name, m.name, e, "unary '-' needs an Int")
+        return ast.INT
+
+    def infer_list_lit(self, cls: ClassDecl, m: MethodDecl, e: ListLit,
+                       env: dict[str, TypeRef]) -> TypeRef:
+        elem: TypeRef | None = None
+        for el in e.elements:
+            t = _INFER[el.__class__](self, cls, m, el, env)
+            if t is None:
+                continue
+            if elem is None or (_is_list_none(elem) and t.name == "List"):
+                elem = t
+            elif not assignable(t, elem):
+                self.fail(TYPE_ERROR, cls.name, m.name, el,
+                          f"list elements disagree: {elem} vs {t}")
+        return TypeRef("List", elem)
 
     def infer_binary(self, cls: ClassDecl, m: MethodDecl, e: Binary,
                      env: dict[str, TypeRef]) -> TypeRef | None:
-        lt = self.infer(cls, m, e.left, env)
-        rt = self.infer(cls, m, e.right, env)
+        lt = _INFER[e.left.__class__](self, cls, m, e.left, env)
+        rt = _INFER[e.right.__class__](self, cls, m, e.right, env)
         if lt is None or rt is None:
             return None
         if e.op == "+":
@@ -379,7 +381,7 @@ class _Checker:
     def infer_call(self, cls: ClassDecl, m: MethodDecl, e: MethodCall,
                    env: dict[str, TypeRef]) -> TypeRef | None:
         # Static dispatch: a bare name that is no local binding but names a class.
-        if isinstance(e.receiver, Var) and e.receiver.name not in env \
+        if e.receiver.__class__ is Var and e.receiver.name not in env \
                 and e.receiver.name in self.classes:
             target_cls = self.classes[e.receiver.name]
             target = self.methods.get((target_cls.name, e.method))
@@ -402,7 +404,7 @@ class _Checker:
                             f"{target_cls.name}.{e.method}")
             self.record_call(cls, m, (target_cls.name, target.name))
             return target.return_type
-        rt = self.infer(cls, m, e.receiver, env)
+        rt = _INFER[e.receiver.__class__](self, cls, m, e.receiver, env)
         if rt is None:
             return None
         if rt.name == "List":
@@ -442,7 +444,7 @@ class _Checker:
             if len(e.args) != 1:
                 self.fail(TYPE_ERROR, cls.name, m.name, e, "get takes one Int index")
             else:
-                t = self.infer(cls, m, e.args[0], env)
+                t = _INFER[e.args[0].__class__](self, cls, m, e.args[0], env)
                 if t is not None and t != ast.INT:
                     self.fail(TYPE_ERROR, cls.name, m.name, e, "get index must be Int")
             if elem is None:
@@ -454,7 +456,7 @@ class _Checker:
             if len(e.args) != 1:
                 self.fail(TYPE_ERROR, cls.name, m.name, e, "append takes one value")
                 return ast.UNIT
-            t = self.infer(cls, m, e.args[0], env)
+            t = _INFER[e.args[0].__class__](self, cls, m, e.args[0], env)
             if elem is not None and t is not None and not assignable(t, elem):
                 self.fail(TYPE_ERROR, cls.name, m.name, e,
                           f"cannot append {t} to {list_type}")
@@ -465,7 +467,7 @@ class _Checker:
 
     def infer_builtin(self, cls: ClassDecl, m: MethodDecl, e: BuiltinCall,
                       env: dict[str, TypeRef]) -> TypeRef | None:
-        argts = [self.infer(cls, m, a, env) for a in e.args]
+        argts = [_INFER[a.__class__](self, cls, m, a, env) for a in e.args]
 
         def want(n: int, types: list[TypeRef | None]) -> bool:
             if len(e.args) != n:
@@ -505,10 +507,25 @@ class _Checker:
             self.fail(TYPE_ERROR, cls.name, m.name, e,
                       f"{what} takes {len(params)} argument(s), got {len(args)}")
         for p, a in zip(params, args):
-            t = self.infer(cls, m, a, env)
+            t = _INFER[a.__class__](self, cls, m, a, env)
             if t is not None and not assignable(t, p.type):
                 self.fail(TYPE_ERROR, cls.name, m.name, a,
                           f"{what}: cannot pass {t} for {p.name}: {p.type}")
+
+
+_CHECK = {
+    VarDecl: _Checker.check_var_decl, Assign: _Checker.check_assign,
+    ExprStmt: _Checker.check_expr_stmt, Return: _Checker.check_return,
+    If: _Checker.check_if, While: _Checker.check_while,
+}
+_INFER = {
+    IntLit: _Checker.infer_int, BoolLit: _Checker.infer_bool,
+    StrLit: _Checker.infer_str, This: _Checker.infer_this,
+    Var: _Checker.infer_var, FieldGet: _Checker.check_field_target,
+    Unary: _Checker.infer_unary, Binary: _Checker.infer_binary,
+    ListLit: _Checker.infer_list_lit, New: _Checker.infer_new,
+    MethodCall: _Checker.infer_call, BuiltinCall: _Checker.infer_builtin,
+}
 
 
 # Instance __dict__ key of a checked program's kept walk.

@@ -6,10 +6,15 @@ object, the host builtins print/file_write/file_read, a collection) is
 delegated to a context object supplied by the surrounding runtime.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
-handler, _BINARY each operator to its function.  What is fixed for a run is
-worked out once: the EPC-scaled price of a field access, each class's
-method table, built on the first call into the class, and each class's
-layout (field defaults and constructor), kept from its second
+handler, _BINARY each operator to its function.  Leaf operands skip the
+table: a literal, or a Var bound in frame.env, is read at its use site (a
+binary operand, a call argument, the value of a declaration, assignment or
+return), and so is a call receiver that is a bound Var.  An unbound Var
+still goes through eval_var, for its fault.  What is fixed for a run is worked out once: the EPC-scaled price of
+a field access, charged straight into the isolate's cycles_by_source, each
+class's method table, built on the first call into the class (a call reads
+a hit from method_tables itself and leaves a miss to method), and each
+class's layout (field defaults and constructor), kept from its second
 instantiation.
 
 Returns are values, not exceptions.  A statement handler returns None to
@@ -27,9 +32,10 @@ Int arithmetic range-checks inline and calls wrap64 only on overflow.  Str
 Garbage collection may only run at statement boundaries, so every heap value
 produced mid-expression is parked in the current frame's temp list until the
 expression completes.  That keeps receivers and argument values alive across
-re-entrant callbacks from the other isolate.  A binary node's left operand
-is not parked when its right operand is a leaf (_LEAVES), since evaluating a
-leaf never reaches a safepoint.
+re-entrant callbacks from the other isolate.  Two values are not parked: a
+value read straight from frame.env, which is already a root, and a binary
+node's left operand when its right operand is a leaf (_LEAVES), since
+evaluating a leaf never reaches a safepoint.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class Interpreter:
         self.gc_threshold = context.gc_threshold
         self.field_cost = isolate.model.scaled(
             isolate.model.field_access_cost, isolate.trusted)
+        # charged inline, as Isolate.charge would
+        self.cycles_by_source = isolate.cycles_by_source
         # class name -> method name -> first declaration of that name
         self.method_tables: dict[str, dict[str, ast.MethodDecl]] = {}
         # class name -> (field defaults, List field names, constructor),
@@ -193,21 +201,34 @@ class Interpreter:
                 self.context.collect(iso, force_scan=False)
 
     def exec_var_decl(self, s: ast.VarDecl, frame: Frame) -> None:
-        init = s.init
-        frame.env[s.name] = _EVAL[init.__class__](self, init, frame)
+        init, env = s.init, frame.env
+        cls = init.__class__
+        if cls is _VAR and init.name in env:
+            env[s.name] = env[init.name]
+        elif cls in _LITERALS:
+            env[s.name] = init.value
+        else:
+            env[s.name] = _EVAL[cls](self, init, frame)
 
     def exec_assign(self, s: ast.Assign, frame: Frame) -> None:
-        value = s.value
-        value = _EVAL[value.__class__](self, value, frame)
+        value, env = s.value, frame.env
+        cls = value.__class__
+        if cls is _VAR and value.name in env:
+            value = env[value.name]
+        elif cls in _LITERALS:
+            value = value.value
+        else:
+            value = _EVAL[cls](self, value, frame)
         target = s.target
-        if target.__class__ is ast.Var:
-            frame.env[target.name] = value
+        if target.__class__ is _VAR:
+            env[target.name] = value
         elif target.__class__ is ast.FieldGet:
             this = frame.this
             if this is None:
                 raise DslRuntimeError("field assignment outside an instance method")
             this.values[target.field_name] = value
-            self.isolate.charge("field", self.field_cost)
+            by_source = self.cycles_by_source
+            by_source["field"] = by_source.get("field", 0) + self.field_cost
         else:
             raise ValueError(f"bad assignment target {target!r}")
 
@@ -219,7 +240,12 @@ class Interpreter:
         e = s.value
         if e is None:
             return (None,)
-        return (_EVAL[e.__class__](self, e, frame),)
+        cls, env = e.__class__, frame.env
+        if cls is _VAR and e.name in env:
+            return (env[e.name],)
+        if cls in _LITERALS:
+            return (e.value,)
+        return (_EVAL[cls](self, e, frame),)
 
     # -- expressions ---------------------------------------------------------
 
@@ -245,7 +271,8 @@ class Interpreter:
         if v is UNSET:
             raise DslRuntimeError(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
-        self.isolate.charge("field", self.field_cost)
+        by_source = self.cycles_by_source
+        by_source["field"] = by_source.get("field", 0) + self.field_cost
         return v
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
@@ -253,26 +280,44 @@ class Interpreter:
         return wrap64(-_EVAL[operand.__class__](self, operand, frame))
 
     def eval_binary(self, e: ast.Binary, frame: Frame):
-        right = e.right
-        if right.__class__ in _LEAVES:
-            left = _EVAL[e.left.__class__](self, e.left, frame)
-            right = _EVAL[right.__class__](self, right, frame)
+        left, right, env = e.left, e.right, frame.env
+        cls = left.__class__
+        if cls is _VAR and left.name in env:
+            left = env[left.name]
+        elif cls in _LITERALS:
+            left = left.value
+        elif right.__class__ in _LEAVES:
+            left = _EVAL[cls](self, left, frame)
         else:
             temps = frame.temps
             base = len(temps)
-            left = _EVAL[e.left.__class__](self, e.left, frame)
+            left = _EVAL[cls](self, left, frame)
             temps.append(left)
             right = _EVAL[right.__class__](self, right, frame)
             del temps[base:]
+            return _BINARY[e.op](left, right)
+        cls = right.__class__
+        if cls is _VAR and right.name in env:
+            right = env[right.name]
+        elif cls in _LITERALS:
+            right = right.value
+        else:
+            right = _EVAL[cls](self, right, frame)
         return _BINARY[e.op](left, right)
 
     def eval_args(self, args: list[ast.Expr], frame: Frame) -> list:
         values = []
-        temps = frame.temps
+        temps, env = frame.temps, frame.env
         for a in args:
-            v = _EVAL[a.__class__](self, a, frame)
-            temps.append(v)
-            values.append(v)
+            cls = a.__class__
+            if cls is _VAR and a.name in env:
+                values.append(env[a.name])
+            elif cls in _LITERALS:
+                values.append(a.value)
+            else:
+                v = _EVAL[cls](self, a, frame)
+                temps.append(v)
+                values.append(v)
         return values
 
     def eval_new(self, e: ast.New, frame: Frame):
@@ -290,19 +335,28 @@ class Interpreter:
         temps = frame.temps
         base = len(temps)
         receiver = e.receiver
-        # Static dispatch: receiver is a bare class name, never a binding.
-        if receiver.__class__ is ast.Var and receiver.name not in frame.env:
-            decl = self.classes.get(receiver.name)
-            if decl is not None:
-                method = self.method(decl, e.method)
+        if receiver.__class__ is _VAR:
+            env = frame.env
+            if receiver.name in env:
+                receiver = env[receiver.name]
+            else:
+                # Static dispatch: receiver is a bare class name, never a
+                # binding.
+                decl = self.classes.get(receiver.name)
+                if decl is None:  # neither a binding nor a class
+                    return self.eval_var(receiver, frame)  # raises
+                try:
+                    method = self.method_tables[decl.name][e.method]
+                except KeyError:
+                    method = self.method(decl, e.method)
                 args = self.eval_args(e.args, frame)
                 try:
                     return self.call_method(decl, method, None, args)
                 finally:
                     del temps[base:]
-
-        receiver = _EVAL[receiver.__class__](self, receiver, frame)
-        temps.append(receiver)
+        else:
+            receiver = _EVAL[receiver.__class__](self, receiver, frame)
+            temps.append(receiver)
         args = self.eval_args(e.args, frame)
         try:
             cls = receiver.__class__
@@ -313,27 +367,30 @@ class Interpreter:
                                                   e.method, args)
             if cls is InstanceObj:
                 decl = receiver.decl
-                return self.call_method(decl, self.method(decl, e.method),
-                                        receiver, args)
+                try:
+                    method = self.method_tables[decl.name][e.method]
+                except KeyError:
+                    method = self.method(decl, e.method)
+                return self.call_method(decl, method, receiver, args)
             raise DslRuntimeError(f"cannot call {e.method} on {receiver!r}")
         finally:
             del temps[base:]
 
     def eval_list_method(self, lst: ListObj, e: ast.MethodCall, args: list):
-        iso = self.isolate
+        by_source = self.cycles_by_source
         if e.method == "len":
-            iso.charge("field", self.field_cost)
+            by_source["field"] = by_source.get("field", 0) + self.field_cost
             return len(lst.items)
         if e.method == "get":
             idx = args[0]
             if not 0 <= idx < len(lst.items):
                 raise DslRuntimeError(
                     f"list index {idx} out of range for length {len(lst.items)}")
-            iso.charge("field", self.field_cost)
+            by_source["field"] = by_source.get("field", 0) + self.field_cost
             return lst.items[idx]
         if e.method == "append":
-            iso.grow_list(lst, args[0])
-            iso.charge("field", self.field_cost)
+            self.isolate.grow_list(lst, args[0])
+            by_source["field"] = by_source.get("field", 0) + self.field_cost
             return None
         raise ValueError(f"unknown list method {e.method}")
 
@@ -451,6 +508,10 @@ _HOST_BUILTINS = frozenset({"print", "file_write", "file_read"})
 # Node kinds whose evaluation never reaches a safepoint.
 _LEAVES = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit, ast.Var, ast.This,
                      ast.FieldGet})
+# Leaves read at their use site, with no handler call: a literal's value,
+# and a Var bound in frame.env.
+_LITERALS = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit})
+_VAR = ast.Var
 
 _EVAL = {
     ast.IntLit: Interpreter.eval_literal, ast.BoolLit: Interpreter.eval_literal,

@@ -24,7 +24,7 @@ from test_lexer_golden import ALPHABET, lex
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.ep"))
 
-DIGEST = "22cc51114836694e3323d1ba6d71e17522eee477d4041b3dcd19aa06ac91388f"
+DIGEST = "a009ebfa6a5ce42cea2ba9a57e3b3998815b65c5d0fac68690918060082e90c7"
 
 
 def _edits(sources: list[str], count: int, seed: int) -> list[str]:

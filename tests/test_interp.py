@@ -81,8 +81,8 @@ def set_cond(program, kind, expr):
         node.cond = expr
 
 
-def rename_var(program, old, new):
-    for node in nodes_in(program, "main", ast.Var):
+def rename_var(program, old, new, method="main"):
+    for node in nodes_in(program, method, ast.Var):
         if node.name == old:
             node.name = new
 
@@ -284,6 +284,42 @@ def test_semantics_in_all_modes(name):
     assert run_modes(source, mutate) == [(transcript, fault)] * 3
 
 
+# Every site that reads a bound Var inline sends an unbound one through
+# eval_var, for the same fault and trace.  Each body binds x; renaming the
+# uses of x to y leaves y unbound there.
+UNBOUND_SITES = {
+    "binary left operand": "var x: Int = 1; print(x + 1);",
+    "binary right operand": "var x: Int = 1; print(1 + x);",
+    "binary left operand before a call": "var x: Int = 1; print(x + Util.twice(1));",
+    "call argument": "var x: Int = 1; print(Util.twice(x));",
+    "later call argument": "var x: Int = 1; print(Util.add(2, x));",
+    "call receiver": "var x: Box = new Box(3); print(x.get());",
+    "declaration value": "var x: Int = 1; var z: Int = x; print(z);",
+    "assignment value": "var x: Int = 1; var z: Int = 0; z = x; print(z);",
+    "return value": "print(Util.back(4));",
+}
+UNBOUND_CLASSES = BOX.replace("static twice", """static add(a: Int, b: Int) -> Int { return a + b; }
+    static back(x: Int) -> Int { return x; }
+    static twice""")
+
+
+@pytest.mark.parametrize("site", list(UNBOUND_SITES))
+def test_an_unbound_variable_faults_at_every_inline_site(site):
+    program = parse_program(main_of("print(0);\n" + UNBOUND_SITES[site],
+                                    UNBOUND_CLASSES))
+    plans = mode_plans(program)
+    method = "back" if site == "return value" else "main"
+    rename_var(program, "x", "y", method)
+    trace = ["  at Util.back"] if method == "back" else []
+    for plan in plans:
+        rt = DualRuntime(plan)
+        with pytest.raises(DslRuntimeError) as info:
+            rt.run_main([])
+        assert rt.result().transcript == ["0"]
+        assert info.value.formatted().splitlines() == [
+            "runtime error: unbound variable y", *trace, "  at Main.main"]
+
+
 def test_every_node_kind_has_a_handler():
     def concrete(base):
         out = set()
@@ -321,6 +357,38 @@ class Main {
 }
 """
     assert run_modes(source, gc_threshold=1) == [(["3", "5"], None)] * 3
+
+
+def test_a_local_argument_stays_rooted_across_a_collection():
+    # A local passed as an argument is read straight from the frame's
+    # bindings and not parked in its temporaries; the bindings root it
+    # while a later argument collects.
+    source = """
+@Trusted
+class Box {
+    v: Int;
+    Box(v: Int) { this.v = v; }
+    get() -> Int { return this.v; }
+}
+@Neutral
+class Util {
+    static f() -> Int { gc(); return 2; }
+    static g(b: Box, n: Int) -> Int { return b.get() + n; }
+    static h(b: Box, c: Box, n: Int) -> Int { return b.get() + c.get() + n; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box(1);
+        print(Util.g(b, Util.f()));
+        print(Util.h(b, new Box(4), Util.f() + Util.f()));
+        print(b.get() + Util.f());
+    }
+}
+"""
+    for threshold in (1, 64):
+        assert run_modes(source, gc_threshold=threshold) == \
+            [(["3", "9", "3"], None)] * 3
 
 
 def test_missing_return_traces_every_frame():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epart.bench import generate_corpus
+from epart.cli import main
 from epart.dsl import ast, parse_program
 from epart.dsl.lexer import KEYWORDS, SYMBOLS, line_col, tokenize
 from epart.errors import ParseError
@@ -217,6 +218,16 @@ class Main {
         with pytest.raises(ParseError):
             parse_program("class Main { static main() { } }")
 
+    def test_a_quoted_annotation_exits_2_with_one_line(self, tmp_path, capsys):
+        src = tmp_path / "quoted.ep"
+        src.write_text('@"Untrusted" class Main { static main() { } }')
+        assert main(["partition", str(src), "-o", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "parse error: syntax at 1:2: expected Trusted, Untrusted "
+            "or Neutral after '@', found '\"Untrusted\"'"]
+
     @pytest.mark.parametrize("decl,kind,message", [
         ("x: Int;\n    x: Str;\n    x: Bool;", "duplicate_field",
          "field x declared twice in Main"),
@@ -250,6 +261,19 @@ class Main {
          "multiple_main", "main declared again in class C", (7, 12)),
         ("@Untrusted\nclass Main {\n    static main() { var x = this.class; }\n}",
          "syntax", "'class' cannot follow '.'", (3, 34)),
+        # The annotation is an identifier, not a string with its text.
+        ('@"Untrusted" class Main { static main() { } }', "syntax",
+         "expected Trusted, Untrusted or Neutral after '@', found '\"Untrusted\"'",
+         (1, 2)),
+        ("@", "syntax", "expected Trusted, Untrusted or Neutral after '@', "
+         "found 'end of input'", (1, 2)),
+        # A string token is shown as written; only eof is "end of input".
+        ('@Untrusted\nclass Main {\n    static main() { var x: Int = 1 ""; }\n}',
+         "syntax", "expected ';', found '\"\"'", (3, 36)),
+        ('@Untrusted\nclass Main {\n    static main() { print(1 "a\\n"); }\n}',
+         "syntax", "expected ',', found '\"a\\\\n\"'", (3, 29)),
+        ("@Untrusted\nclass Main {\n    static main() { print(1",
+         "syntax", "expected ',', found 'end of input'", (3, 28)),
     ])
     def test_declaration_diagnostics(self, source, kind, message, line_col):
         with pytest.raises(ParseError) as exc:

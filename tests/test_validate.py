@@ -4,7 +4,7 @@ import pytest
 
 from epart.dsl import analyze_calls, ast, parse_program, validate
 from epart.dsl.ast import ClassDecl
-from epart.dsl.validate import resolve
+from epart.dsl.validate import _CHECK, _INFER, resolve
 from epart.errors import ValidationFailed
 from epart.partition import compute_images
 from epart.runtime import run_reference, run_unpartitioned
@@ -285,6 +285,16 @@ class Main {
             "TYPE_RESOLVE Main.main 14:10: class Cell has no method nope",
             "TYPE_RESOLVE Main.main 15:23: unknown class Missing",
         ]
+
+    def test_every_node_kind_has_a_handler(self):
+        def concrete(base):
+            out = set()
+            for sub in base.__subclasses__():
+                out |= {sub} | concrete(sub)
+            return out
+
+        assert set(_INFER) == concrete(ast.Expr)
+        assert set(_CHECK) == concrete(ast.Stmt)
 
 
 class TestOneWalkPerProgram:
