@@ -1,6 +1,7 @@
 """Semantic validation: annotation rules, encapsulation, simple type checking.
 
-One walk of the program resolves every name and call.  resolve() returns
+One walk of the program resolves every name and call; it dispatches on
+each node's class through the _CHECK and _INFER tables.  resolve() returns
 both of its results: the report of rule violations and, for each method, the
 ordered set of (class, method) targets it calls, from which the partitioner
 builds its call graphs.  validate() returns only the report and never raises

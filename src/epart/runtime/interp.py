@@ -10,12 +10,17 @@ handler, _BINARY each operator to its function.  Leaf operands skip the
 table: a literal, or a Var bound in frame.env, is read at its use site (a
 binary operand, a call argument, the value of a declaration, assignment or
 return), and so is a call receiver that is a bound Var.  An unbound Var
-still goes through eval_var, for its fault.  What is fixed for a run is worked out once: the EPC-scaled price of
-a field access, charged straight into the isolate's cycles_by_source, each
-class's method table, built on the first call into the class (a call reads
-a hit from method_tables itself and leaves a miss to method), and each
-class's layout (field defaults and constructor), kept from its second
-instantiation.
+still goes through eval_var, for its fault.
+
+What is fixed for a run is worked out once: the EPC-scaled price of a field
+access, charged straight into the isolate's cycles_by_source; each class's
+method table, built on the first call into the class; and each class's
+layout (field defaults and constructor), kept from its second
+instantiation.  A call reads a hit from method_tables itself and leaves a
+miss to method, which builds the table or faults.  It tests for the hit
+rather than catching a KeyError, because the first call into every class
+misses, and a program that calls each of many classes once would pay for
+an exception per class.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -345,9 +350,10 @@ class Interpreter:
                 decl = self.classes.get(receiver.name)
                 if decl is None:  # neither a binding nor a class
                     return self.eval_var(receiver, frame)  # raises
-                try:
-                    method = self.method_tables[decl.name][e.method]
-                except KeyError:
+                table = self.method_tables.get(decl.name)
+                if table is not None and e.method in table:
+                    method = table[e.method]
+                else:
                     method = self.method(decl, e.method)
                 args = self.eval_args(e.args, frame)
                 try:
@@ -367,9 +373,10 @@ class Interpreter:
                                                   e.method, args)
             if cls is InstanceObj:
                 decl = receiver.decl
-                try:
-                    method = self.method_tables[decl.name][e.method]
-                except KeyError:
+                table = self.method_tables.get(decl.name)
+                if table is not None and e.method in table:
+                    method = table[e.method]
+                else:
                     method = self.method(decl, e.method)
                 return self.call_method(decl, method, receiver, args)
             raise DslRuntimeError(f"cannot call {e.method} on {receiver!r}")

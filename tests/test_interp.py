@@ -177,6 +177,20 @@ class Flow {
 }
 """
 
+# Util gains the methods the unbound-variable cases call.
+UNBOUND = BOX.replace("static twice", """static add(a: Int, b: Int) -> Int { return a + b; }
+    static back(x: Int) -> Int { return x; }
+    static twice""")
+
+
+def unbound_case(body: str, method: str = "main"):
+    """A case whose body reads x at one site that reads a bound Var inline.
+    Renaming the reads of x in method to y leaves y unbound there, and the
+    site must fault as eval_var does."""
+    return (main_of("print(0);\n" + body, UNBOUND),
+            lambda p: rename_var(p, "x", "y", method), ["0"], "unbound variable y")
+
+
 CASES = {
     "int operators": (main_of("""
         var a: Int = 7;
@@ -228,6 +242,24 @@ CASES = {
         var x: Int = 1;
         print(x);"""),
         lambda p: rename_var(p, "x", "y"), [], "unbound variable y"),
+    "unbound variable as a binary left operand":
+        unbound_case("var x: Int = 1; print(x + 1);"),
+    "unbound variable as a binary right operand":
+        unbound_case("var x: Int = 1; print(1 + x);"),
+    "unbound variable as a binary left operand before a call":
+        unbound_case("var x: Int = 1; print(x + Util.twice(1));"),
+    "unbound variable as a call argument":
+        unbound_case("var x: Int = 1; print(Util.twice(x));"),
+    "unbound variable as a later call argument":
+        unbound_case("var x: Int = 1; print(Util.add(2, x));"),
+    "unbound variable as a call receiver":
+        unbound_case("var x: Box = new Box(3); print(x.get());"),
+    "unbound variable as a declaration value":
+        unbound_case("var x: Int = 1; var z: Int = x; print(z);"),
+    "unbound variable as an assignment value":
+        unbound_case("var x: Int = 1; var z: Int = 0; z = x; print(z);"),
+    "unbound variable as a return value":
+        unbound_case("print(Util.back(4));", "back"),
     "field read before assignment": (main_of("""
         var l: Late = new Late();
         print(1);
@@ -282,42 +314,6 @@ CASES = {
 def test_semantics_in_all_modes(name):
     source, mutate, transcript, fault = CASES[name]
     assert run_modes(source, mutate) == [(transcript, fault)] * 3
-
-
-# Every site that reads a bound Var inline sends an unbound one through
-# eval_var, for the same fault and trace.  Each body binds x; renaming the
-# uses of x to y leaves y unbound there.
-UNBOUND_SITES = {
-    "binary left operand": "var x: Int = 1; print(x + 1);",
-    "binary right operand": "var x: Int = 1; print(1 + x);",
-    "binary left operand before a call": "var x: Int = 1; print(x + Util.twice(1));",
-    "call argument": "var x: Int = 1; print(Util.twice(x));",
-    "later call argument": "var x: Int = 1; print(Util.add(2, x));",
-    "call receiver": "var x: Box = new Box(3); print(x.get());",
-    "declaration value": "var x: Int = 1; var z: Int = x; print(z);",
-    "assignment value": "var x: Int = 1; var z: Int = 0; z = x; print(z);",
-    "return value": "print(Util.back(4));",
-}
-UNBOUND_CLASSES = BOX.replace("static twice", """static add(a: Int, b: Int) -> Int { return a + b; }
-    static back(x: Int) -> Int { return x; }
-    static twice""")
-
-
-@pytest.mark.parametrize("site", list(UNBOUND_SITES))
-def test_an_unbound_variable_faults_at_every_inline_site(site):
-    program = parse_program(main_of("print(0);\n" + UNBOUND_SITES[site],
-                                    UNBOUND_CLASSES))
-    plans = mode_plans(program)
-    method = "back" if site == "return value" else "main"
-    rename_var(program, "x", "y", method)
-    trace = ["  at Util.back"] if method == "back" else []
-    for plan in plans:
-        rt = DualRuntime(plan)
-        with pytest.raises(DslRuntimeError) as info:
-            rt.run_main([])
-        assert rt.result().transcript == ["0"]
-        assert info.value.formatted().splitlines() == [
-            "runtime error: unbound variable y", *trace, "  at Main.main"]
 
 
 def test_every_node_kind_has_a_handler():
