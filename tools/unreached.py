@@ -1,6 +1,6 @@
 """List the lines of src/epart that no test in tests/ runs.
 
-    python3 tools/unreached.py [--root DIR] [--list] [-- PYTEST_ARGS ...]
+    python3 tools/unreached.py [--root DIR] [--list]
 
 Runs the tests/ suite in this process under a stdlib line tracer
 (sys.settrace), which records only frames whose code lives under
@@ -36,7 +36,7 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def trace_suite(root: Path, pytest_args: list[str]) -> tuple[int, set]:
+def trace_suite(root: Path) -> tuple[int, set]:
     """Run the suite under the tracer: (pytest's exit code, hits)."""
     prefix = str(root / "src" / "epart") + os.sep
     hits: set[tuple[str, int]] = set()
@@ -63,8 +63,7 @@ def trace_suite(root: Path, pytest_args: list[str]) -> tuple[int, set]:
 
     sys.settrace(tracer)
     try:
-        code = pytest.main([str(root / "tests"), "-q", "-p", "no:cacheprovider",
-                            *pytest_args])
+        code = pytest.main([str(root / "tests"), "-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
     return int(code), hits
@@ -76,10 +75,9 @@ def main(argv=None) -> int:
                     help="checkout to trace (default: this one)")
     ap.add_argument("--list", action="store_true",
                     help="print every unreached line")
-    ap.add_argument("pytest_args", nargs="*", help="passed on to pytest")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    code, hits = trace_suite(root, args.pytest_args)
+    code, hits = trace_suite(root)
 
     per_file = []
     for path in sorted((root / "src" / "epart").rglob("*.py")):
