@@ -220,6 +220,13 @@ CASES = {
         print(7 % 2); print(-7 % 2); print(7 % -2); print(-7 % -2);
         print(6 / -3); print(-6 % 3);"""),
         None, ["3", "-3", "-3", "3", "1", "-1", "1", "-1", "-2", "0"], None),
+    "division overflows only at MIN / -1": (main_of("""
+        var max: Int = 9223372036854775807;
+        var min: Int = -9223372036854775807 - 1;
+        print(min / -1); print(min / 1); print(min / -2); print(max / -1);
+        print(-max / -1); print(min / min); print(0 / -1);"""),
+        None, [str(I64_MIN), str(I64_MIN), str(1 << 62), str(-I64_MAX),
+               str(I64_MAX), "1", "0"], None),
     "division by zero": (main_of("""
         var z: Int = 0;
         print(1);
@@ -260,6 +267,12 @@ CASES = {
         unbound_case("var x: Int = 1; var z: Int = 0; z = x; print(z);"),
     "unbound variable as a return value":
         unbound_case("print(Util.back(4));", "back"),
+    "compute of a negative unit count": (main_of("""
+        compute(0);
+        print(1);
+        compute(-1);
+        print(2);"""),
+        None, ["1"], "compute of a negative unit count"),
     "field read before assignment": (main_of("""
         var l: Late = new Late();
         print(1);
@@ -437,6 +450,16 @@ def test_return_in_a_loop_at_every_safepoint():
         (["9", "79"], {"trusted": (95, 462336, 491385),
                        "untrusted": (0, 0, 0)}),
     ]
+
+
+def test_a_negative_compute_is_one_line_at_the_cli(tmp_path, capsys):
+    src = tmp_path / "negative.ep"
+    src.write_text(main_of("print(1); compute(-1);"))
+    assert main(["run-unpartitioned", str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["1"]
+    assert err.splitlines() == [
+        "runtime error: compute of a negative unit count", "  at Main.main"]
 
 
 # -- the Str length bound ------------------------------------------------------

@@ -227,6 +227,108 @@ class Main {
         assert check_main("        gc();") == set()
 
 
+# Every checker diagnostic that the tests above do not reach, with its exact
+# text; the neutral P and the field x give the cases something to call.
+DIAGNOSTIC = """
+@Neutral
+class P {{
+    P() {{ }}
+    go() {{ }}
+    static helper() {{ }}
+}}
+@Untrusted
+class Main {{
+    x: Int;
+{members}
+    static main() {{
+{body}
+    }}
+}}
+"""
+
+
+def diag(members: str, body: str) -> str:
+    return DIAGNOSTIC.format(members=members, body="        " + body)
+
+
+DIAGNOSTICS = {
+    "main returns a value": (
+        "@Untrusted\nclass Main { static main() -> Int { return 1; } }",
+        ["MAIN_SIGNATURE Main.main 2:21: main returns unit"]),
+    "Unit is not a value type": (
+        diag("", "var u: Unit = 1;"),
+        ["TYPE_ERROR Main.main 13:9: Unit is not a value type"]),
+    "variable already declared": (
+        diag("", "var x: Int = 1; var x: Int = 2;"),
+        ["TYPE_ERROR Main.main 13:25: variable x already declared"]),
+    "empty list without a declared type": (
+        diag("", "var xs = [];"),
+        ["TYPE_ERROR Main.main 13:9: empty list needs a declared list type"]),
+    "constructor returns a value": (
+        diag("    Main() { return 1; }", ""),
+        ["TYPE_ERROR Main.Main 11:14: constructors cannot return a value"]),
+    "unit method returns a value": (
+        diag("    f() { return 1; }", ""),
+        ["TYPE_ERROR Main.f 11:11: unit method cannot return a value"]),
+    "this in a static method": (
+        diag("", "var m: Main = this;"),
+        ["TYPE_ERROR Main.main 13:23: no this in a static method"]),
+    "a field of this in a static method": (
+        diag("", "this.x = 1; print(this.x);"),
+        ["TYPE_ERROR Main.main 13:13: no this in a static method",
+         "TYPE_ERROR Main.main 13:31: no this in a static method"]),
+    "list elements disagree": (
+        diag("", "var xs: List[Int] = [nope, 1, true];"),
+        ["TYPE_RESOLVE Main.main 13:30: unknown variable nope",
+         "TYPE_ERROR Main.main 13:39: list elements disagree: Int vs Bool"]),
+    "'-' on a Str": (
+        diag("", 'var n: Int = 1 - "a";'),
+        ["TYPE_ERROR Main.main 13:24: '-' needs Int operands, got Int and Str"]),
+    "instance method called statically": (
+        diag("", "P.go();"),
+        ["TYPE_ERROR Main.main 13:10: P.go is not static"]),
+    "static method called on an instance": (
+        diag("", "var p: P = new P(); p.helper();"),
+        ["TYPE_ERROR Main.main 13:30: static P.helper called on an instance"]),
+    "constructor called as a method": (
+        diag("", "var p: P = new P(); p.P();"),
+        ["TYPE_ERROR Main.main 13:30: constructors are invoked with new"]),
+    "len with an argument": (
+        diag("", "var xs: List[Int] = []; print(xs.len(1));"),
+        ["TYPE_ERROR Main.main 13:41: len takes no arguments"]),
+    "get without an index": (
+        diag("", "var xs: List[Int] = []; print(xs.get());"),
+        ["TYPE_ERROR Main.main 13:41: get takes one Int index"]),
+    "get with a Bool index": (
+        diag("", "var xs: List[Int] = []; print(xs.get(true));"),
+        ["TYPE_ERROR Main.main 13:41: get index must be Int"]),
+    "get from an empty literal": (
+        diag("", "print([].get(0));"),
+        ["TYPE_ERROR Main.main 13:17: cannot get from a list of unknown element type"]),
+    "append without a value": (
+        diag("", "var xs: List[Int] = []; xs.append();"),
+        ["TYPE_ERROR Main.main 13:35: append takes one value"]),
+    "builtin arity": (
+        diag("", "gc(1); file_read();"),
+        ["TYPE_ERROR Main.main 13:9: gc takes 0 argument(s)",
+         "TYPE_ERROR Main.main 13:16: file_read takes 1 argument(s)"]),
+    "List[Int] to List[Bool]": (
+        diag("", "var xs: List[Int] = [1]; var ys: List[Bool] = xs;"),
+        ["TYPE_ERROR Main.main 13:34: cannot assign List[Int] to List[Bool]"]),
+    "a list to an undeclared empty list": (
+        diag("", "var xs = []; xs = [1];"),
+        ["TYPE_ERROR Main.main 13:9: empty list needs a declared list type",
+         "TYPE_ERROR Main.main 13:22: cannot assign List[Int] to List[None]"]),
+}
+
+
+@pytest.mark.parametrize("name", list(DIAGNOSTICS))
+def test_diagnostic_text(name):
+    source, expected = DIAGNOSTICS[name]
+    assert [str(v) for v in validate(parse_program(source)).violations] \
+        == expected
+
+
 class TestCallAnalysis:
     def test_resolved_targets(self, bank_program):
         calls = analyze_calls(bank_program)

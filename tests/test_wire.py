@@ -116,6 +116,18 @@ class TestCanonicity:
         with pytest.raises(MarshalError):
             wire.decode(b"\x01\x01\x00")
 
+    @pytest.mark.parametrize("data, message", [
+        (bytes([0x02]), "truncated Bool"),
+        (b"\x03\x01\x00", "truncated Str length"),
+        (b"\x04\x01\x00", "truncated List count"),
+        (b"\x04\x01\x00\x00\x00\x03\x01", "truncated Str length"),
+        (b"\x04\x01\x00\x00\x00\x03\x05\x00\x00\x00ab", "truncated Str payload"),
+    ])
+    def test_truncation_names_the_value(self, data, message):
+        with pytest.raises(MarshalError) as info:
+            wire.decode(data)
+        assert str(info.value) == message
+
     def test_non_canonical_bool(self):
         with pytest.raises(MarshalError):
             wire.decode(b"\x02\x02")
