@@ -138,8 +138,16 @@ class ListLit(Expr):
     elements: list[Expr] = field(default_factory=list)
 
 
-BUILTIN_FUNCS = {"print", "file_write", "file_read", "compute", "gc"}
-LIST_METHODS = {"get", "append", "len"}
+# Each builtin's parameter types and result type; a None parameter takes
+# any Int, Bool or Str.  The keys are the reserved builtin names.
+BUILTINS: dict[str, tuple[tuple[TypeRef | None, ...], TypeRef]] = {
+    "print": ((None,), UNIT),
+    "file_write": ((STR, STR), UNIT),
+    "file_read": ((STR,), STR),
+    "compute": ((INT,), UNIT),
+    "gc": ((), UNIT),
+}
+BUILTIN_FUNCS = frozenset(BUILTINS)
 
 
 # ---------------------------------------------------------------------------

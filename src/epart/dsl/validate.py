@@ -89,10 +89,15 @@ def assignable(src: TypeRef, dst: TypeRef) -> bool:
 
 
 class _Checker:
-    """Walks one program; collects violations and resolved call targets."""
+    """Walks one program; collects violations and resolved call targets.
+
+    check_class and check_method set the class, the method (None for a
+    class's fields), the local types and the call targets being walked, so
+    each handler takes only its node; nested blocks share the one env."""
 
     def __init__(self, program: Program):
         self.program = program
+        self.source = program.__dict__.get(ast.SOURCE, "")
         self.report = ValidationReport()
         self.classes = {c.name: c for c in program.classes}
         # (class name, member name) -> the member's first declaration
@@ -103,30 +108,34 @@ class _Checker:
         self.constructors = {c.name: c.constructor for c in program.classes}
         # (class, method) -> its call targets, in first-call order (dict keys)
         self.calls: dict[CallTarget, dict[CallTarget, None]] = {}
+        self.cls: ClassDecl | None = None
+        self.m: MethodDecl | None = None
+        self.env: dict[str, TypeRef] = {}
+        self.targets: dict[CallTarget, None] = {}
 
     # -- helpers -------------------------------------------------------------
 
-    def fail(self, rule: str, cls: str, method: str | None, node, message: str) -> None:
-        line, col = line_col(self.program.__dict__.get(ast.SOURCE, ""), node.pos)
+    def fail(self, rule: str, node, message: str) -> None:
+        line, col = line_col(self.source, node.pos)
+        method = None if self.m is None else self.m.name
         self.report.violations.append(
-            Violation(rule, cls, method, line, col, message))
+            Violation(rule, self.cls.name, method, line, col, message))
 
-    def check_typeref(self, t: TypeRef, cls: str, method: str | None, node,
-                      allow_unit: bool = False) -> bool:
+    def check_typeref(self, t: TypeRef, node, allow_unit: bool = False) -> bool:
         if t.name == "Unit":
             if not allow_unit:
-                self.fail(TYPE_ERROR, cls, method, node, "Unit is not a value type")
+                self.fail(TYPE_ERROR, node, "Unit is not a value type")
                 return False
             return True
         if t.name == "List":
             if t.elem is None:
-                self.fail(TYPE_ERROR, cls, method, node, "List requires an element type")
+                self.fail(TYPE_ERROR, node, "List requires an element type")
                 return False
-            return self.check_typeref(t.elem, cls, method, node)
+            return self.check_typeref(t.elem, node)
         if t.name in ("Int", "Bool", "Str"):
             return True
         if t.name not in self.classes:
-            self.fail(TYPE_RESOLVE, cls, method, node, f"unknown type {t.name}")
+            self.fail(TYPE_RESOLVE, node, f"unknown type {t.name}")
             return False
         return True
 
@@ -138,200 +147,176 @@ class _Checker:
         return self.report
 
     def check_class(self, cls: ClassDecl) -> None:
+        self.cls, self.m = cls, None
         annotated = cls.annotation in (Annotation.TRUSTED, Annotation.UNTRUSTED)
         for f in cls.fields:
-            self.check_typeref(f.type, cls.name, None, f)
+            self.check_typeref(f.type, f)
             if annotated and f.visibility == ast.Visibility.PUBLIC:
-                self.fail(ENCAPSULATION, cls.name, None, f,
+                self.fail(ENCAPSULATION, f,
                           f"annotated class {cls.name} exposes public field {f.name}")
         for m in cls.methods:
-            self.check_method(cls, m)
+            self.check_method(m)
 
-    def check_method(self, cls: ClassDecl, m: MethodDecl) -> None:
+    def check_method(self, m: MethodDecl) -> None:
+        cls = self.cls
+        self.m = m
         annotated = cls.annotation in (Annotation.TRUSTED, Annotation.UNTRUSTED)
         if m.name == "main":
             if cls.annotation == Annotation.TRUSTED:
-                self.fail(MAIN_PLACEMENT, cls.name, m.name, m,
-                          "main cannot live in a trusted class")
+                self.fail(MAIN_PLACEMENT, m, "main cannot live in a trusted class")
             if not m.is_static:
-                self.fail(MAIN_SIGNATURE, cls.name, m.name, m, "main must be static")
+                self.fail(MAIN_SIGNATURE, m, "main must be static")
             if m.return_type != ast.UNIT:
-                self.fail(MAIN_SIGNATURE, cls.name, m.name, m, "main returns unit")
+                self.fail(MAIN_SIGNATURE, m, "main returns unit")
             ok_params = len(m.params) == 0 or (
                 len(m.params) == 1 and m.params[0].type == ast.list_of(ast.STR))
             if not ok_params:
-                self.fail(MAIN_SIGNATURE, cls.name, m.name, m,
+                self.fail(MAIN_SIGNATURE, m,
                           "main takes no parameters or a single List[Str]")
         elif m.is_static and annotated:
-            self.fail(STATIC_PLACEMENT, cls.name, m.name, m,
+            self.fail(STATIC_PLACEMENT, m,
                       "static methods are allowed only on neutral classes")
 
-        env: dict[str, TypeRef] = {}
+        self.env = env = {}
         for p in m.params:
-            self.check_typeref(p.type, cls.name, m.name, p)
+            self.check_typeref(p.type, p)
             env[p.name] = p.type
         if not m.is_constructor:
-            self.check_typeref(m.return_type, cls.name, m.name, m, allow_unit=True)
+            self.check_typeref(m.return_type, m, allow_unit=True)
 
-        self.calls[(cls.name, m.name)] = {}
-        self.check_body(cls, m, m.body, env)
+        self.targets = self.calls[(cls.name, m.name)] = {}
+        self.check_body(m.body)
 
     # -- statements ----------------------------------------------------------
 
-    def check_body(self, cls: ClassDecl, m: MethodDecl, body: list[Stmt],
-                   env: dict[str, TypeRef]) -> None:
+    def check_body(self, body: list[Stmt]) -> None:
         for st in body:
-            _CHECK[st.__class__](self, cls, m, st, env)
+            _CHECK[st.__class__](self, st)
 
-    def check_var_decl(self, cls: ClassDecl, m: MethodDecl, st: VarDecl,
-                       env: dict[str, TypeRef]) -> None:
-        name = m.name
-        t = _INFER[st.init.__class__](self, cls, m, st.init, env)
+    def check_var_decl(self, st: VarDecl) -> None:
+        t = _INFER[st.init.__class__](self, st.init)
+        env = self.env
         if st.name in env:
-            self.fail(TYPE_ERROR, cls.name, name, st,
-                      f"variable {st.name} already declared")
+            self.fail(TYPE_ERROR, st, f"variable {st.name} already declared")
         if st.declared_type is not None:
-            if self.check_typeref(st.declared_type, cls.name, name, st):
+            if self.check_typeref(st.declared_type, st):
                 if t is not None and not assignable(t, st.declared_type):
-                    self.fail(TYPE_ERROR, cls.name, name, st,
+                    self.fail(TYPE_ERROR, st,
                               f"cannot assign {t} to {st.declared_type}")
             env[st.name] = st.declared_type
         else:
             if t is not None and _is_list_none(t):
-                self.fail(TYPE_ERROR, cls.name, name, st,
-                          "empty list needs a declared list type")
+                self.fail(TYPE_ERROR, st, "empty list needs a declared list type")
             env[st.name] = t or ast.INT
 
-    def check_assign(self, cls: ClassDecl, m: MethodDecl, st: Assign,
-                     env: dict[str, TypeRef]) -> None:
-        vt = _INFER[st.value.__class__](self, cls, m, st.value, env)
-        if st.target.__class__ is Var:
-            if st.target.name not in env:
-                self.fail(TYPE_RESOLVE, cls.name, m.name, st.target,
-                          f"unknown variable {st.target.name}")
+    def check_assign(self, st: Assign) -> None:
+        vt = _INFER[st.value.__class__](self, st.value)
+        target = st.target
+        if target.__class__ is Var:
+            dst = self.env.get(target.name)
+            if dst is None:
+                self.fail(TYPE_RESOLVE, target, f"unknown variable {target.name}")
                 return
-            dst = env[st.target.name]
         else:
-            dst = self.check_field_target(cls, m, st.target, env)
+            dst = self.check_field_target(target)
             if dst is None:
                 return
         if vt is not None and not assignable(vt, dst):
-            self.fail(TYPE_ERROR, cls.name, m.name, st,
-                      f"cannot assign {vt} to {dst}")
+            self.fail(TYPE_ERROR, st, f"cannot assign {vt} to {dst}")
 
-    def check_expr_stmt(self, cls: ClassDecl, m: MethodDecl, st: ExprStmt,
-                        env: dict[str, TypeRef]) -> None:
-        _INFER[st.expr.__class__](self, cls, m, st.expr, env)
+    def check_expr_stmt(self, st: ExprStmt) -> None:
+        _INFER[st.expr.__class__](self, st.expr)
 
-    def check_return(self, cls: ClassDecl, m: MethodDecl, st: Return,
-                     env: dict[str, TypeRef]) -> None:
-        name = m.name
+    def check_return(self, st: Return) -> None:
+        m = self.m
         if m.is_constructor:
             if st.value is not None:
-                self.fail(TYPE_ERROR, cls.name, name, st,
-                          "constructors cannot return a value")
+                self.fail(TYPE_ERROR, st, "constructors cannot return a value")
             return
         if st.value is None:
             if m.return_type != ast.UNIT:
-                self.fail(TYPE_ERROR, cls.name, name, st,
-                          f"return needs a {m.return_type} value")
+                self.fail(TYPE_ERROR, st, f"return needs a {m.return_type} value")
             return
-        t = _INFER[st.value.__class__](self, cls, m, st.value, env)
+        t = _INFER[st.value.__class__](self, st.value)
         if m.return_type == ast.UNIT:
-            self.fail(TYPE_ERROR, cls.name, name, st,
-                      "unit method cannot return a value")
+            self.fail(TYPE_ERROR, st, "unit method cannot return a value")
         elif t is not None and not assignable(t, m.return_type):
-            self.fail(TYPE_ERROR, cls.name, name, st,
+            self.fail(TYPE_ERROR, st,
                       f"cannot return {t} from a {m.return_type} method")
 
-    def check_if(self, cls: ClassDecl, m: MethodDecl, st: If,
-                 env: dict[str, TypeRef]) -> None:
-        t = _INFER[st.cond.__class__](self, cls, m, st.cond, env)
+    def check_if(self, st: If) -> None:
+        t = _INFER[st.cond.__class__](self, st.cond)
         if t is not None and t != ast.BOOL:
-            self.fail(TYPE_ERROR, cls.name, m.name, st, "if condition must be Bool")
-        self.check_body(cls, m, st.then_body, env)
-        self.check_body(cls, m, st.else_body, env)
+            self.fail(TYPE_ERROR, st, "if condition must be Bool")
+        self.check_body(st.then_body)
+        self.check_body(st.else_body)
 
-    def check_while(self, cls: ClassDecl, m: MethodDecl, st: While,
-                    env: dict[str, TypeRef]) -> None:
-        t = _INFER[st.cond.__class__](self, cls, m, st.cond, env)
+    def check_while(self, st: While) -> None:
+        t = _INFER[st.cond.__class__](self, st.cond)
         if t is not None and t != ast.BOOL:
-            self.fail(TYPE_ERROR, cls.name, m.name, st, "while condition must be Bool")
-        self.check_body(cls, m, st.body, env)
+            self.fail(TYPE_ERROR, st, "while condition must be Bool")
+        self.check_body(st.body)
 
-    def check_field_target(self, cls: ClassDecl, m: MethodDecl, fg: FieldGet,
-                           env: dict[str, TypeRef]) -> TypeRef | None:
-        """Field writes must go through this; returns the field type."""
+    def check_field_target(self, fg: FieldGet) -> TypeRef | None:
+        """Field reads and writes go through this; returns the field type."""
         if fg.receiver.__class__ is not This:
-            self.fail(FIELD_ACCESS, cls.name, m.name, fg,
+            self.fail(FIELD_ACCESS, fg,
                       "fields of other objects cannot be accessed directly")
             return None
-        if m.is_static:
-            self.fail(TYPE_ERROR, cls.name, m.name, fg, "no this in a static method")
+        if self.m.is_static:
+            self.fail(TYPE_ERROR, fg, "no this in a static method")
             return None
-        f = self.fields.get((cls.name, fg.field_name))
+        f = self.fields.get((self.cls.name, fg.field_name))
         if f is None:
-            self.fail(TYPE_RESOLVE, cls.name, m.name, fg,
-                      f"class {cls.name} has no field {fg.field_name}")
+            self.fail(TYPE_RESOLVE, fg,
+                      f"class {self.cls.name} has no field {fg.field_name}")
             return None
         return f.type
 
     # -- expressions ----------------------------------------------------------
 
-    def record_call(self, cls: ClassDecl, m: MethodDecl, target: CallTarget) -> None:
-        self.calls[(cls.name, m.name)][target] = None
-
-    def infer_int(self, cls: ClassDecl, m: MethodDecl, e: IntLit,
-                  env: dict[str, TypeRef]) -> TypeRef:
+    def infer_int(self, e: IntLit) -> TypeRef:
         return ast.INT
 
-    def infer_bool(self, cls: ClassDecl, m: MethodDecl, e: BoolLit,
-                   env: dict[str, TypeRef]) -> TypeRef:
+    def infer_bool(self, e: BoolLit) -> TypeRef:
         return ast.BOOL
 
-    def infer_str(self, cls: ClassDecl, m: MethodDecl, e: StrLit,
-                  env: dict[str, TypeRef]) -> TypeRef:
+    def infer_str(self, e: StrLit) -> TypeRef:
         return ast.STR
 
-    def infer_this(self, cls: ClassDecl, m: MethodDecl, e: This,
-                   env: dict[str, TypeRef]) -> TypeRef | None:
-        if m.is_static:
-            self.fail(TYPE_ERROR, cls.name, m.name, e, "no this in a static method")
+    def infer_this(self, e: This) -> TypeRef | None:
+        if self.m.is_static:
+            self.fail(TYPE_ERROR, e, "no this in a static method")
             return None
-        return TypeRef(cls.name)
+        return TypeRef(self.cls.name)
 
-    def infer_var(self, cls: ClassDecl, m: MethodDecl, e: Var,
-                  env: dict[str, TypeRef]) -> TypeRef | None:
-        if e.name in env:
-            return env[e.name]
-        self.fail(TYPE_RESOLVE, cls.name, m.name, e, f"unknown variable {e.name}")
-        return None
+    def infer_var(self, e: Var) -> TypeRef | None:
+        t = self.env.get(e.name)
+        if t is None:
+            self.fail(TYPE_RESOLVE, e, f"unknown variable {e.name}")
+        return t
 
-    def infer_unary(self, cls: ClassDecl, m: MethodDecl, e: Unary,
-                    env: dict[str, TypeRef]) -> TypeRef:
-        t = _INFER[e.operand.__class__](self, cls, m, e.operand, env)
+    def infer_unary(self, e: Unary) -> TypeRef:
+        t = _INFER[e.operand.__class__](self, e.operand)
         if t is not None and t != ast.INT:
-            self.fail(TYPE_ERROR, cls.name, m.name, e, "unary '-' needs an Int")
+            self.fail(TYPE_ERROR, e, "unary '-' needs an Int")
         return ast.INT
 
-    def infer_list_lit(self, cls: ClassDecl, m: MethodDecl, e: ListLit,
-                       env: dict[str, TypeRef]) -> TypeRef:
+    def infer_list_lit(self, e: ListLit) -> TypeRef:
         elem: TypeRef | None = None
         for el in e.elements:
-            t = _INFER[el.__class__](self, cls, m, el, env)
+            t = _INFER[el.__class__](self, el)
             if t is None:
                 continue
             if elem is None or (_is_list_none(elem) and t.name == "List"):
                 elem = t
             elif not assignable(t, elem):
-                self.fail(TYPE_ERROR, cls.name, m.name, el,
-                          f"list elements disagree: {elem} vs {t}")
+                self.fail(TYPE_ERROR, el, f"list elements disagree: {elem} vs {t}")
         return TypeRef("List", elem)
 
-    def infer_binary(self, cls: ClassDecl, m: MethodDecl, e: Binary,
-                     env: dict[str, TypeRef]) -> TypeRef | None:
-        lt = _INFER[e.left.__class__](self, cls, m, e.left, env)
-        rt = _INFER[e.right.__class__](self, cls, m, e.right, env)
+    def infer_binary(self, e: Binary) -> TypeRef | None:
+        lt = _INFER[e.left.__class__](self, e.left)
+        rt = _INFER[e.right.__class__](self, e.right)
         if lt is None or rt is None:
             return None
         if e.op == "+":
@@ -339,178 +324,143 @@ class _Checker:
                 return ast.INT
             if lt == ast.STR and rt == ast.STR:
                 return ast.STR
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
+            self.fail(TYPE_ERROR, e,
                       f"'+' needs two Ints or two Strs, got {lt} and {rt}")
             return None
         if e.op in ("-", "*", "/", "%"):
             if lt == ast.INT and rt == ast.INT:
                 return ast.INT
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
+            self.fail(TYPE_ERROR, e,
                       f"{e.op!r} needs Int operands, got {lt} and {rt}")
             return None
         if e.op in ("<", "<=", ">", ">="):
             if lt == ast.INT and rt == ast.INT:
                 return ast.BOOL
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      f"{e.op!r} compares Ints, got {lt} and {rt}")
+            self.fail(TYPE_ERROR, e, f"{e.op!r} compares Ints, got {lt} and {rt}")
             return ast.BOOL
-        if e.op in ("==", "!="):
-            if lt == rt and lt in (ast.INT, ast.BOOL, ast.STR):
-                return ast.BOOL
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      f"{e.op!r} compares Int, Bool or Str values of one type")
+        # "==" or "!="
+        if lt == rt and lt in (ast.INT, ast.BOOL, ast.STR):
             return ast.BOOL
-        raise ValueError(f"unknown operator {e.op}")
+        self.fail(TYPE_ERROR, e,
+                  f"{e.op!r} compares Int, Bool or Str values of one type")
+        return ast.BOOL
 
-    def infer_new(self, cls: ClassDecl, m: MethodDecl, e: New,
-                  env: dict[str, TypeRef]) -> TypeRef | None:
+    def infer_new(self, e: New) -> TypeRef | None:
         target = self.classes.get(e.class_name)
         if target is None:
-            self.fail(TYPE_RESOLVE, cls.name, m.name, e,
-                      f"unknown class {e.class_name}")
+            self.fail(TYPE_RESOLVE, e, f"unknown class {e.class_name}")
             return None
         ctor = self.constructors[target.name]
         if ctor is None:
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      f"class {e.class_name} has no constructor")
+            self.fail(TYPE_ERROR, e, f"class {e.class_name} has no constructor")
             return TypeRef(e.class_name)
-        self.check_args(cls, m, e, ctor.params, e.args, env,
-                        f"constructor {e.class_name}")
-        self.record_call(cls, m, (target.name, ctor.name))
+        self.check_args(e, ctor.params, f"constructor {e.class_name}")
+        self.targets[(target.name, ctor.name)] = None
         return TypeRef(e.class_name)
 
-    def infer_call(self, cls: ClassDecl, m: MethodDecl, e: MethodCall,
-                   env: dict[str, TypeRef]) -> TypeRef | None:
+    def infer_call(self, e: MethodCall) -> TypeRef | None:
+        receiver = e.receiver
         # Static dispatch: a bare name that is no local binding but names a class.
-        if e.receiver.__class__ is Var and e.receiver.name not in env \
-                and e.receiver.name in self.classes:
-            target_cls = self.classes[e.receiver.name]
-            target = self.methods.get((target_cls.name, e.method))
+        if receiver.__class__ is Var and receiver.name not in self.env \
+                and receiver.name in self.classes:
+            target_cls = self.classes[receiver.name]
+            target = self.method_of(target_cls, e)
             if target is None:
-                self.fail(TYPE_RESOLVE, cls.name, m.name, e,
-                          f"class {target_cls.name} has no method {e.method}")
                 return None
             if not target.is_static:
-                self.fail(TYPE_ERROR, cls.name, m.name, e,
-                          f"{target_cls.name}.{e.method} is not static")
+                self.fail(TYPE_ERROR, e, f"{target_cls.name}.{e.method} is not static")
                 return None
             if target_cls.annotation != Annotation.NEUTRAL:
                 # Only neutral statics exist in both images; main in
                 # particular is an entry point, not a callable.
-                self.fail(STATIC_PLACEMENT, cls.name, m.name, e,
+                self.fail(STATIC_PLACEMENT, e,
                           f"static {target_cls.name}.{e.method} is only "
                           "callable on a neutral class")
                 return None
-            self.check_args(cls, m, e, target.params, e.args, env,
-                            f"{target_cls.name}.{e.method}")
-            self.record_call(cls, m, (target_cls.name, target.name))
-            return target.return_type
-        rt = _INFER[e.receiver.__class__](self, cls, m, e.receiver, env)
-        if rt is None:
-            return None
-        if rt.name == "List":
-            return self.infer_list_method(cls, m, e, rt, env)
-        target_cls = self.classes.get(rt.name)
-        if target_cls is None:
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      f"type {rt} has no methods")
-            return None
-        target = self.methods.get((target_cls.name, e.method))
-        if target is None:
-            self.fail(TYPE_RESOLVE, cls.name, m.name, e,
-                      f"class {target_cls.name} has no method {e.method}")
-            return None
-        if target.is_static:
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      f"static {target_cls.name}.{e.method} called on an instance")
-            return None
-        if target.is_constructor:
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
-                      "constructors are invoked with new")
-            return None
-        self.check_args(cls, m, e, target.params, e.args, env,
-                        f"{target_cls.name}.{e.method}")
-        self.record_call(cls, m, (target_cls.name, target.name))
+        else:
+            rt = _INFER[receiver.__class__](self, receiver)
+            if rt is None:
+                return None
+            if rt.name == "List":
+                return self.infer_list_method(e, rt)
+            target_cls = self.classes.get(rt.name)
+            if target_cls is None:
+                self.fail(TYPE_ERROR, e, f"type {rt} has no methods")
+                return None
+            target = self.method_of(target_cls, e)
+            if target is None:
+                return None
+            if target.is_static:
+                self.fail(TYPE_ERROR, e,
+                          f"static {target_cls.name}.{e.method} called on an instance")
+                return None
+            if target.is_constructor:
+                self.fail(TYPE_ERROR, e, "constructors are invoked with new")
+                return None
+        self.check_args(e, target.params, f"{target_cls.name}.{e.method}")
+        self.targets[(target_cls.name, target.name)] = None
         return target.return_type
 
-    def infer_list_method(self, cls: ClassDecl, m: MethodDecl, e: MethodCall,
-                          list_type: TypeRef,
-                          env: dict[str, TypeRef]) -> TypeRef | None:
+    def method_of(self, target_cls: ClassDecl, e: MethodCall) -> MethodDecl | None:
+        target = self.methods.get((target_cls.name, e.method))
+        if target is None:
+            self.fail(TYPE_RESOLVE, e,
+                      f"class {target_cls.name} has no method {e.method}")
+        return target
+
+    def infer_list_method(self, e: MethodCall, list_type: TypeRef) -> TypeRef | None:
         elem = list_type.elem
         if e.method == "len":
             if e.args:
-                self.fail(TYPE_ERROR, cls.name, m.name, e, "len takes no arguments")
+                self.fail(TYPE_ERROR, e, "len takes no arguments")
             return ast.INT
         if e.method == "get":
             if len(e.args) != 1:
-                self.fail(TYPE_ERROR, cls.name, m.name, e, "get takes one Int index")
+                self.fail(TYPE_ERROR, e, "get takes one Int index")
             else:
-                t = _INFER[e.args[0].__class__](self, cls, m, e.args[0], env)
+                t = _INFER[e.args[0].__class__](self, e.args[0])
                 if t is not None and t != ast.INT:
-                    self.fail(TYPE_ERROR, cls.name, m.name, e, "get index must be Int")
+                    self.fail(TYPE_ERROR, e, "get index must be Int")
             if elem is None:
-                self.fail(TYPE_ERROR, cls.name, m.name, e,
+                self.fail(TYPE_ERROR, e,
                           "cannot get from a list of unknown element type")
-                return None
             return elem
         if e.method == "append":
             if len(e.args) != 1:
-                self.fail(TYPE_ERROR, cls.name, m.name, e, "append takes one value")
+                self.fail(TYPE_ERROR, e, "append takes one value")
                 return ast.UNIT
-            t = _INFER[e.args[0].__class__](self, cls, m, e.args[0], env)
+            t = _INFER[e.args[0].__class__](self, e.args[0])
             if elem is not None and t is not None and not assignable(t, elem):
-                self.fail(TYPE_ERROR, cls.name, m.name, e,
-                          f"cannot append {t} to {list_type}")
+                self.fail(TYPE_ERROR, e, f"cannot append {t} to {list_type}")
             return ast.UNIT
-        self.fail(TYPE_RESOLVE, cls.name, m.name, e,
-                  f"lists have no method {e.method}")
+        self.fail(TYPE_RESOLVE, e, f"lists have no method {e.method}")
         return None
 
-    def infer_builtin(self, cls: ClassDecl, m: MethodDecl, e: BuiltinCall,
-                      env: dict[str, TypeRef]) -> TypeRef | None:
-        argts = [_INFER[a.__class__](self, cls, m, a, env) for a in e.args]
+    def infer_builtin(self, e: BuiltinCall) -> TypeRef:
+        argts = [_INFER[a.__class__](self, a) for a in e.args]
+        params, result = ast.BUILTINS[e.name]
+        if len(argts) != len(params):
+            self.fail(TYPE_ERROR, e, f"{e.name} takes {len(params)} argument(s)")
+            return result
+        for got, want in zip(argts, params):
+            if got is None:
+                continue
+            if want is None:
+                if got not in (ast.INT, ast.BOOL, ast.STR):
+                    self.fail(TYPE_ERROR, e, f"{e.name} takes an Int, Bool or Str")
+            elif got != want:
+                self.fail(TYPE_ERROR, e, f"{e.name} argument must be {want}, got {got}")
+        return result
 
-        def want(n: int, types: list[TypeRef | None]) -> bool:
-            if len(e.args) != n:
-                self.fail(TYPE_ERROR, cls.name, m.name, e,
-                          f"{e.name} takes {n} argument(s)")
-                return False
-            for got, exp in zip(argts, types):
-                if got is not None and exp is not None and got != exp:
-                    self.fail(TYPE_ERROR, cls.name, m.name, e,
-                              f"{e.name} argument must be {exp}, got {got}")
-            return True
-
-        if e.name == "print":
-            if want(1, [None]) and argts[0] is not None and \
-                    argts[0] not in (ast.INT, ast.BOOL, ast.STR):
-                self.fail(TYPE_ERROR, cls.name, m.name, e,
-                          "print takes an Int, Bool or Str")
-            return ast.UNIT
-        if e.name == "file_write":
-            want(2, [ast.STR, ast.STR])
-            return ast.UNIT
-        if e.name == "file_read":
-            want(1, [ast.STR])
-            return ast.STR
-        if e.name == "compute":
-            want(1, [ast.INT])
-            return ast.UNIT
-        if e.name == "gc":
-            want(0, [])
-            return ast.UNIT
-        raise ValueError(f"unknown builtin {e.name}")
-
-    def check_args(self, cls: ClassDecl, m: MethodDecl, e: Expr,
-                   params: list[ast.Param], args: list[Expr],
-                   env: dict[str, TypeRef], what: str) -> None:
+    def check_args(self, e: Expr, params: list[ast.Param], what: str) -> None:
+        args = e.args
         if len(params) != len(args):
-            self.fail(TYPE_ERROR, cls.name, m.name, e,
+            self.fail(TYPE_ERROR, e,
                       f"{what} takes {len(params)} argument(s), got {len(args)}")
         for p, a in zip(params, args):
-            t = _INFER[a.__class__](self, cls, m, a, env)
+            t = _INFER[a.__class__](self, a)
             if t is not None and not assignable(t, p.type):
-                self.fail(TYPE_ERROR, cls.name, m.name, a,
+                self.fail(TYPE_ERROR, a,
                           f"{what}: cannot pass {t} for {p.name}: {p.type}")
 
 

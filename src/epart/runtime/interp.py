@@ -117,8 +117,7 @@ class Interpreter:
             raise DslRuntimeError(f"{decl.name} has no method {name}")
         return table[name]
 
-    def instantiate(self, decl: ast.ClassDecl, args: list,
-                    charged: bool = True) -> InstanceObj:
+    def instantiate(self, decl: ast.ClassDecl, args: list) -> InstanceObj:
         layout = self.layouts.get(decl.name)
         if layout is None:
             # Kept from the second instantiation on: a class built once
@@ -131,11 +130,11 @@ class Interpreter:
         defaults, list_fields, ctor = layout
         iso = self.isolate
         obj = InstanceObj(decl, dict(defaults))
-        iso.alloc(obj, charged=charged)
+        iso.alloc(obj)
         values = obj.values
         for name in list_fields:  # each List field gets its own empty list
             lst = ListObj()
-            iso.alloc(lst, charged=charged)
+            iso.alloc(lst)
             values[name] = lst
         if ctor is not None:
             self.call_method(decl, ctor, obj, args)
@@ -227,15 +226,13 @@ class Interpreter:
         target = s.target
         if target.__class__ is _VAR:
             env[target.name] = value
-        elif target.__class__ is ast.FieldGet:
+        else:  # a FieldGet: parser and image decoder allow nothing else
             this = frame.this
             if this is None:
                 raise DslRuntimeError("field assignment outside an instance method")
             this.values[target.field_name] = value
             by_source = self.cycles_by_source
             by_source["field"] = by_source.get("field", 0) + self.field_cost
-        else:
-            raise ValueError(f"bad assignment target {target!r}")
 
     def exec_expr(self, s: ast.ExprStmt, frame: Frame) -> None:
         e = s.expr
@@ -478,16 +475,16 @@ def _mul(left: int, right: int) -> int:
     return wrap64(v)
 
 
-def _quotient(left: int, right: int) -> int:
+def _div(left: int, right: int) -> int:
     """Division truncating toward zero, as on the JVM."""
     if right == 0:
         raise DslRuntimeError("division by zero")
     q = abs(left) // abs(right)
-    return -q if (left < 0) != (right < 0) else q
-
-
-def _div(left: int, right: int) -> int:
-    return wrap64(_quotient(left, right))
+    if (left < 0) != (right < 0):
+        return -q
+    if q > _I64_MAX:  # MIN / -1, the one quotient out of range
+        return wrap64(q)
+    return q
 
 
 def _rem(left: int, right: int) -> int:
