@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -397,6 +398,11 @@ class Main {
 
         assert set(_INFER) == concrete(ast.Expr)
         assert set(_CHECK) == concrete(ast.Stmt)
+        # The walker holds the class, method and locals; a handler takes
+        # only its node.
+        for handler in [*_CHECK.values(), *_INFER.values()]:
+            assert len(inspect.signature(handler).parameters) == 2, \
+                handler.__name__
 
 
 class TestOneWalkPerProgram:
