@@ -99,6 +99,15 @@ class Unary(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
+# The binary operators by precedence level, loosest first; all are
+# left-associative.
+BINARY_OPS: tuple[tuple[str, ...], ...] = (
+    ("<", "<=", ">", ">=", "==", "!="),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+
+
 @dataclass
 class Binary(Expr):
     op: str = "+"

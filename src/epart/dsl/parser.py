@@ -26,12 +26,8 @@ _MAX_INT_DIGITS = len(str(_MAX_INT_LITERAL))
 
 _ANNOTATIONS = {a.value: a for a in Annotation}
 
-_COMPARE_OPS = {"<", "<=", ">", ">=", "==", "!="}
-_ADD_OPS = {"+", "-"}
-_MUL_OPS = {"*", "/", "%"}
-# The level of each binary operator, loosest first; all are left-associative.
-_LEVEL = {op: level for level, ops in enumerate((_COMPARE_OPS, _ADD_OPS, _MUL_OPS))
-          for op in ops}
+# The level of each binary operator, loosest first.
+_LEVEL = {op: level for level, ops in enumerate(ast.BINARY_OPS) for op in ops}
 
 
 class _Parser:

@@ -6,8 +6,7 @@ from .emit import (
     render_interface,
 )
 from .model import (
-    MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, classify,
-    generate_proxies, relay_direction, synthesize_relays,
+    MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, classify, relay_direction,
 )
 from .plan import ImageSpec, PartitionPlan, compute_images, whole_program_plan
 
@@ -16,6 +15,6 @@ __all__ = [
     "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "check_interface", "emit",
     "load_plan", "render_interface",
     "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
-    "generate_proxies", "relay_direction", "synthesize_relays",
+    "relay_direction",
     "ImageSpec", "PartitionPlan", "compute_images", "whole_program_plan",
 ]

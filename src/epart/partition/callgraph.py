@@ -44,14 +44,6 @@ def image_edges(program: Program, side: Annotation,
     return edges
 
 
-def closure(side: Annotation, edges: dict[Node, list[Node]],
-            entry_points: list[Node]) -> CallGraph:
-    """The graph over prebuilt edges, with reachability from entry_points."""
-    g = CallGraph(side, set(edges), edges, list(entry_points))
-    g.reachable = reachable_set(g)
-    return g
-
-
 def build_call_graph(program: Program, side: Annotation,
                      entry_points: list[Node]) -> CallGraph:
     """Graph of the image for `side` with reachability from entry_points.
@@ -59,20 +51,19 @@ def build_call_graph(program: Program, side: Annotation,
     Raises UnresolvedCall (via analyze_calls) if any body names a missing
     class or method.
     """
-    return closure(side, image_edges(program, side, analyze_calls(program)),
-                   entry_points)
+    edges = image_edges(program, side, analyze_calls(program))
+    g = CallGraph(side, set(edges), edges, list(entry_points))
+    g.reachable = reachable_set(g)
+    return g
 
 
 def reachable_set(g: CallGraph) -> set[Node]:
     """Least fixed point of the successor relation over the entry points."""
-    seen: set[Node] = set()
-    work = [n for n in g.entry_points if n in g.nodes]
+    seen = {n for n in g.entry_points if n in g.nodes}
+    work = list(seen)
     while work:
-        node = work.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        for succ in g.edges.get(node, []):
+        for succ in g.edges.get(work.pop(), []):
             if succ in g.nodes and succ not in seen:
+                seen.add(succ)
                 work.append(succ)
     return seen

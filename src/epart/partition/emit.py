@@ -19,7 +19,8 @@ is by hand: its two flags share one byte, between return type and body.
 
 One encoding per value: a flag byte (a bool, or the presence of a list
 element type or an optional value) is 0 or 1, a code byte names one of its
-values, method flags are at most 3 and a header table names a class once.
+values, method flags are at most 3, an operator or builtin is one the
+language has and a header table names a class once.
 Anything else is a FormatError, so an image decodes and encodes back to the
 same bytes.  Identical plans always produce byte-identical files.
 """
@@ -35,7 +36,7 @@ from pathlib import Path
 from .._files import write_file
 from .._version import __version__
 from ..dsl.ast import (
-    BOOL, INT, STR, UNIT,
+    BINARY_OPS, BOOL, BUILTINS, INT, STR, UNIT,
     Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, ExprStmt,
     FieldDecl, FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Param,
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
@@ -293,9 +294,17 @@ def _record(cls, **overrides):
     return put_record, get
 
 
+# Node fields that name an operator or a builtin: a decoded name is one the
+# language has, so the interpreter never meets another.
+_NAMES = {
+    Unary: {"op": _one_of("unary operator", {"-": "-"})},
+    Binary: {"op": _one_of("binary operator",
+                           {op: op for ops in BINARY_OPS for op in ops})},
+    BuiltinCall: {"name": _one_of("builtin", {name: name for name in BUILTINS})},
+}
 _NODE_PUT = {cls: (tag, _fields(cls)[0])
              for tags in (_EXPR_TAGS, _STMT_TAGS) for tag, cls in enumerate(tags)}
-_EXPR_GET = [_fields(cls)[1] for cls in _EXPR_TAGS]
+_EXPR_GET = [_fields(cls, **_NAMES.get(cls, {}))[1] for cls in _EXPR_TAGS]
 _STMT_GET = [_fields(cls)[1] for cls in _STMT_TAGS]
 
 

@@ -107,38 +107,20 @@ class RelayMethodDef:
         return (self.direction, self.class_name, self.method_name)
 
 
-def _stub_for(m: MethodDecl) -> StubMethod:
+def stub_for(m: MethodDecl) -> StubMethod:
+    """The proxy stub of a constructor or instance method."""
     return StubMethod(m.name, tuple((p.name, p.type) for p in m.params),
                       m.return_type, m.is_constructor)
 
 
-def synthesize_relays(cls: ClassDecl, annotations: dict[str, Annotation],
-                      ) -> list[RelayMethodDef]:
-    """One relay per constructor and instance method of an annotated class.
+def relay_for(cls: ClassDecl, m: MethodDecl,
+              annotations: dict[str, Annotation]) -> RelayMethodDef:
+    """The relay of a constructor or instance method of an annotated class.
 
     annotations maps every class of the program to its annotation.
     """
-    if cls.annotation == Annotation.NEUTRAL:
-        return []
-    direction = relay_direction(cls.annotation)
-    relays = []
-    for m in cls.methods:
-        if m.is_static:  # main never gets a relay; statics live on neutral classes
-            continue
-        kinds = tuple(classify(p.type, annotations) for p in m.params)
-        ret = MarshalKind.UNIT if m.is_constructor \
-            else classify(m.return_type, annotations)
-        relays.append(RelayMethodDef(cls.name, m.name, m.is_constructor,
-                                     direction, kinds, ret))
-    return relays
-
-
-def generate_proxies(program: Program) -> dict[str, ProxyClassDef]:
-    """Proxy class per annotated class: signatures kept, state reduced to hash."""
-    out: dict[str, ProxyClassDef] = {}
-    for cls in program.classes:
-        if cls.annotation == Annotation.NEUTRAL:
-            continue
-        stubs = tuple(_stub_for(m) for m in cls.methods if not m.is_static)
-        out[cls.name] = ProxyClassDef(cls.name, relay_direction(cls.annotation), stubs)
-    return out
+    kinds = tuple(classify(p.type, annotations) for p in m.params)
+    ret = MarshalKind.UNIT if m.is_constructor \
+        else classify(m.return_type, annotations)
+    return RelayMethodDef(cls.name, m.name, m.is_constructor,
+                          relay_direction(cls.annotation), kinds, ret)

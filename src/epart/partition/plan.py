@@ -1,15 +1,15 @@
 """Partition plan computation: class placement, pruning, interface records.
 
-The plan is computed as a shrinking fixpoint.  Relays of a class are entry
-points of its home image, but a relay only survives if its proxy stub is
-reachable in the opposite image; dropping a relay shrinks its image's seed set,
-which can strand further stubs, so the two reachability closures iterate until
-stable.  Both images then keep only reachable methods, reachable proxy stubs,
-and the neutral classes needed to decode payload types.
+The plan is computed by one worklist walk that starts at main in the
+untrusted image and follows both images' call edges.  Reaching a proxy stub
+(PROXY, C, m) in one image keeps relay C.m and continues the walk at
+(CONCRETE, C, m) in the image of C's annotation, so every kept relay is
+reached from main.  Each image then keeps its reached methods and proxy
+stubs, the relays whose stubs the other image reached, and the neutral
+classes needed to decode payload types.
 
 One validation walk resolves every call, and each image's call-graph edges
-are built from it once: only reachability iterates, and the graphs of the
-last iteration are the ones the images are cut from.
+are built from it once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..errors import ValidationFailed
 from . import callgraph
 from .callgraph import CONCRETE, PROXY, Node
 from .model import (
-    ProxyClassDef, RelayMethodDef, annotation_map, generate_proxies, synthesize_relays,
+    ProxyClassDef, RelayMethodDef, annotation_map, relay_direction, relay_for, stub_for,
 )
 
 
@@ -89,11 +89,6 @@ def _signature_refs(m: MethodDecl) -> set[str]:
     return refs
 
 
-def _main_node(program: Program) -> Node:
-    cls, m = program.main_location()
-    return (CONCRETE, cls.name, m.name)
-
-
 def compute_images(program: Program) -> PartitionPlan:
     """Split a validated program into trusted and untrusted image specs."""
     report, calls = resolve(program)
@@ -102,52 +97,52 @@ def compute_images(program: Program) -> PartitionPlan:
 
     annotations = annotation_map(program)
     classes = {c.name: c for c in program.classes}
-    proxies = generate_proxies(program)
-    all_relays = [r for c in program.classes
-                  for r in synthesize_relays(c, annotations)]
+    sides = (Annotation.TRUSTED, Annotation.UNTRUSTED)
+    edges = {side: callgraph.image_edges(program, side, calls) for side in sides}
+    reached: dict[Annotation, set[Node]] = {side: set() for side in sides}
+    main_cls, main = program.main_location()
+    work = [(Annotation.UNTRUSTED, (CONCRETE, main_cls.name, main.name))]
+    while work:
+        side, node = work.pop()
+        seen = reached[side]
+        if node in seen:
+            continue
+        seen.add(node)
+        kind, cname, mname = node
+        if kind == PROXY:  # relay cname.mname is kept; its body runs at home
+            work.append((annotations[cname], (CONCRETE, cname, mname)))
+        else:
+            work += [(side, succ) for succ in edges[side][node] if succ not in seen]
 
-    surviving: set[tuple[str, str]] = {(r.class_name, r.method_name)
-                                       for r in all_relays}
-    main_node = _main_node(program)
-    t_edges = callgraph.image_edges(program, Annotation.TRUSTED, calls)
-    u_edges = callgraph.image_edges(program, Annotation.UNTRUSTED, calls)
-
-    def closures(surv: set[tuple[str, str]]):
-        t_seeds = [(CONCRETE, c, m) for (c, m) in sorted(surv)
-                   if annotations[c] == Annotation.TRUSTED]
-        u_seeds = [main_node] + [(CONCRETE, c, m) for (c, m) in sorted(surv)
-                                 if annotations[c] == Annotation.UNTRUSTED]
-        return (callgraph.closure(Annotation.TRUSTED, t_edges, t_seeds),
-                callgraph.closure(Annotation.UNTRUSTED, u_edges, u_seeds))
-
-    while True:
-        g_t, g_u = closures(surviving)
-        next_surviving = set()
-        for r in all_relays:
-            stub_node = (PROXY, r.class_name, r.method_name)
-            opposite = g_u if r.direction == "ecall" else g_t
-            if stub_node in opposite.reachable:
-                next_surviving.add((r.class_name, r.method_name))
-        if next_surviving == surviving:
-            break
-        surviving = next_surviving
-
-    def build_image(side: Annotation, graph: callgraph.CallGraph) -> ImageSpec:
+    def build_image(side: Annotation, relayed: set[Node]) -> ImageSpec:
+        """The image of side, cut from its reached nodes and the proxy stubs
+        that the other image reached (relayed)."""
         spec = ImageSpec(side)
-        reachable = graph.reachable
-
+        reachable = reached[side]
         kept: dict[str, ClassDecl] = {}
+        names: set[str] = set()  # classes the stubs' signatures name
         for cls in program.classes:
-            if cls.annotation != side and cls.annotation != Annotation.NEUTRAL:
+            if cls.annotation not in (side, Annotation.NEUTRAL):
+                stubs = [m for m in cls.methods
+                         if (PROXY, cls.name, m.name) in reachable]
+                if stubs:
+                    spec.proxies.append(ProxyClassDef(
+                        cls.name, relay_direction(cls.annotation),
+                        tuple(stub_for(m) for m in stubs)))
+                    for m in stubs:
+                        names |= _signature_refs(m)
                 continue
             methods = [m for m in cls.methods
                        if (CONCRETE, cls.name, m.name) in reachable]
             if methods:
                 kept[cls.name] = ClassDecl(cls.name, cls.annotation,
                                            cls.fields, methods)
+            spec.relays += [relay_for(cls, m, annotations) for m in cls.methods
+                            if (PROXY, cls.name, m.name) in relayed]
 
-        # Type closure: neutral classes named by kept signatures and fields must
-        # ship with the image so serialized payloads can be decoded.
+        # Type closure: neutral classes named by kept fields and signatures,
+        # and by reached stubs, must ship with the image so serialized
+        # payloads can be decoded.
         def referenced(c: ClassDecl) -> set[str]:
             refs: set[str] = set()
             for f in c.fields:
@@ -156,40 +151,26 @@ def compute_images(program: Program) -> PartitionPlan:
                 refs |= _signature_refs(m)
             return refs
 
-        work = list(kept.values())
-        while work:
-            cls = work.pop()
-            for name in sorted(referenced(cls)):
+        pending = [names] + [referenced(c) for c in kept.values()]
+        while pending:
+            for name in pending.pop():
                 if name in kept or annotations[name] != Annotation.NEUTRAL:
                     continue
                 decl = classes[name]
                 methods = [m for m in decl.methods
                            if (CONCRETE, name, m.name) in reachable]
                 kept[name] = ClassDecl(name, decl.annotation, decl.fields, methods)
-                work.append(kept[name])
+                pending.append(referenced(kept[name]))
 
         spec.classes = [kept[c.name] for c in program.classes if c.name in kept]
-
-        for cls in program.classes:
-            proxy = proxies.get(cls.name)
-            if proxy is None or annotations[cls.name] == side:
-                continue
-            stubs = tuple(s for s in proxy.stubs
-                          if (PROXY, cls.name, s.name) in reachable)
-            if stubs:
-                spec.proxies.append(ProxyClassDef(cls.name, proxy.direction, stubs))
-
-        own_direction = "ecall" if side == Annotation.TRUSTED else "ocall"
-        spec.relays = [r for r in all_relays
-                       if r.direction == own_direction
-                       and (r.class_name, r.method_name) in surviving]
         spec.entry_points = sorted(r.relay_id for r in spec.relays)
         if side == Annotation.UNTRUSTED:
             spec.entry_points = ["main"] + spec.entry_points
         return spec
 
-    return PartitionPlan(build_image(Annotation.TRUSTED, g_t),
-                         build_image(Annotation.UNTRUSTED, g_u), annotations)
+    return PartitionPlan(
+        build_image(Annotation.TRUSTED, reached[Annotation.UNTRUSTED]),
+        build_image(Annotation.UNTRUSTED, reached[Annotation.TRUSTED]), annotations)
 
 
 def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:

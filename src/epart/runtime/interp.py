@@ -413,10 +413,8 @@ class Interpreter:
                     raise DslRuntimeError("compute of a negative unit count")
                 iso.charge_scaled("compute", units * iso.model.compute_unit_cost)
                 return None
-            if e.name == "gc":
-                self.context.collect(iso, force_scan=True)
-                return None
-            raise ValueError(f"unknown builtin {e.name}")
+            self.context.collect(iso, force_scan=True)  # gc
+            return None
         finally:
             del frame.temps[base:]
 

@@ -218,6 +218,28 @@ class Main {
         assert captured.out == ""
         assert captured.err == f"bad plan: {reason}\n"
 
+    @pytest.mark.parametrize("old, new, reason", [
+        (b"print", b"prinx", "bad builtin 'prinx'"),
+        (b"\x01\x00\x00\x00+", b"\x01\x00\x00\x00^", "bad binary operator '^'"),
+        (b"\x01\x00\x00\x00-", b"\x01\x00\x00\x00!", "bad unary operator '!'"),
+    ])
+    def test_an_unknown_builtin_or_operator_is_a_bad_plan(
+            self, tmp_path, capsys, old, new, reason):
+        src = tmp_path / "p.ep"
+        src.write_text("@Untrusted\nclass Main {\n"
+                       "    static main() { print(-1 + 2); }\n}\n")
+        plan = tmp_path / "plan"
+        assert main(["partition", str(src), "-o", str(plan)]) == 0
+        img = plan / UNTRUSTED_IMG
+        data = img.read_bytes()
+        assert data.count(old) == 1
+        img.write_bytes(data.replace(old, new))
+        capsys.readouterr()
+        assert main(["run", str(plan)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad plan: {reason}\n"
+
     @pytest.mark.parametrize("name, old, new", [
         (TRUSTED_IMG, __version__, "9.9.9"),
         (UNTRUSTED_IMG, __version__, "9.9.9"),
@@ -514,6 +536,38 @@ class Main {
             "FAIL: reference stopped with 'runtime error: division by zero', "
             "partitioned completed\n")
         assert "Traceback" not in captured.err
+
+    def test_fail_on_a_diverging_file(self, tmp_path, capsys):
+        # the enclave changes its copy of a neutral Box; main writes its own
+        src = tmp_path / "f.ep"
+        src.write_text("""
+@Neutral
+class Box {
+    s: Str;
+    Box() { this.s = "original"; }
+    set(v: Str) { this.s = v; }
+    get() -> Str { return this.s; }
+}
+@Trusted
+class T {
+    T() { }
+    stamp(b: Box) { b.set("changed-inside-the-enclave-and-long"); }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box();
+        var t: T = new T();
+        t.stamp(b);
+        file_write("/out.txt", b.get());
+    }
+}
+""")
+        capsys.readouterr()
+        assert main(["compare", str(src)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: file /out.txt: reference 'changed-inside-the-enclave-and-l...', "
+            "partitioned 'original'\n")
 
     def test_bad_plan_rejected(self, bank_source, tmp_path, capsys):
         src = tmp_path / "bank.ep"

@@ -11,7 +11,9 @@ import pytest
 from epart._version import __version__
 from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
-from epart.dsl.ast import UNIT, Annotation, IntLit, MethodDecl, Visibility
+from epart.dsl.ast import (
+    UNIT, Annotation, ClassDecl, IntLit, MethodDecl, Param, Program, Visibility,
+)
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
 )
@@ -124,9 +126,9 @@ class Main {
         t_proxy = plan.untrusted_image.proxy_def("T")
         assert {s.name for s in t_proxy.stubs} == {"T", "pull"}
 
-    def test_pruning_iterates_to_fixpoint(self):
-        # main never touches T, so T's relays die; with them gone, U's
-        # relays (reachable only from T) must die in a later round.
+    def test_relays_only_unreached_code_calls_are_pruned(self):
+        # main never touches T, so T's relays die, and so do U's, which
+        # only T's methods call.
         src = """
 @Trusted
 class T {
@@ -155,6 +157,16 @@ class Main {
         assert plan.trusted_image.proxy_def("U") is None
         assert plan.descriptor == []
 
+    def test_a_relay_cycle_main_never_reaches_is_pruned(self):
+        # T.f and U.g call each other across the boundary, but main only
+        # prints: neither relay, nor class T, nor either proxy is kept.
+        plan = plan_of(CYCLE_SRC)
+        assert plan.descriptor == []
+        assert plan.trusted_image.classes == []
+        assert plan.trusted_image.proxies == []
+        assert plan.untrusted_image.proxies == []
+        assert [c.name for c in plan.untrusted_image.classes] == ["Main"]
+
     def test_adding_a_call_revives_the_proxy(self):
         revived = self.SRC.replace("t.pull();", "t.pull();\n        t.quiet();")
         base = plan_of(self.SRC)
@@ -162,6 +174,58 @@ class Main {
         base_stubs = {s.name for s in base.untrusted_image.proxy_def("T").stubs}
         new_stubs = {s.name for s in plan.untrusted_image.proxy_def("T").stubs}
         assert new_stubs == base_stubs | {"quiet"}
+
+
+CYCLE_SRC = """
+@Trusted
+class T {
+    T() { }
+    f(u: U) { u.g(this); }
+}
+@Untrusted
+class U {
+    U() { }
+    g(t: T) { t.f(this); }
+}
+@Untrusted
+class Main {
+    static main() { print(1); }
+}
+"""
+
+# Untrusted code receives an N from a trusted method, and names N nowhere
+# but in local declarations.
+STUB_RETURNS_NEUTRAL_SRC = """
+@Neutral
+class N {
+    public v: Int;
+    N(x: Int) { this.v = x; }
+}
+@Trusted
+class T {
+    T() { }
+    make() -> N { return new N(7); }
+}
+@Untrusted
+class Main {
+    static main() {
+        var t: T = new T();
+        var n: N = t.make();
+        print(1);
+    }
+}
+"""
+
+
+class TestTypeClosure:
+    def test_a_neutral_class_a_reached_stub_returns_ships_with_the_image(self):
+        plan = plan_of(STUB_RETURNS_NEUTRAL_SRC)
+        n = plan.untrusted_image.class_decl("N")
+        assert n is not None and n.methods == []
+        assert [c.name for c in plan.trusted_image.classes] == ["N", "T"]
+        result = DualRuntime(plan).run_main()
+        assert result.transcript == ["1"]
+        assert result.total("ecalls") == 2
 
 
 def _node_classes(value, seen: set) -> set:
@@ -524,10 +588,49 @@ class TestCorpusSoundness:
             check_interface(plan)
 
 
+def _image_program(plan, image) -> Program:
+    """One image as a program the checker can walk on its own: its classes,
+    each proxy as a bodiless class of its annotation with its stubs as
+    methods, and an empty class for every other annotated class, which the
+    image may still name in a type.  Neutral classes get no stand-in, since
+    payloads decode against their fields."""
+    classes = list(image.classes)
+    for p in image.proxies:
+        classes.append(ClassDecl(p.class_name, plan.annotations[p.class_name], [], [
+            MethodDecl(s.name, [Param(n, t) for n, t in s.params], s.return_type,
+                       [], is_constructor=s.is_constructor)
+            for s in p.stubs]))
+    named = {c.name for c in classes}
+    classes += [ClassDecl(name, ann, [], [])
+                for name, ann in plan.annotations.items()
+                if name not in named and ann != Annotation.NEUTRAL]
+    return Program(classes)
+
+
+class TestImagesResolveAlone:
+    """Pruning is sound: every image compute_images builds validates on its
+    own, given only its own classes and proxies."""
+
+    def test_every_image_validates_on_its_own(self):
+        sources = [(FIXTURES / name).read_text(encoding="utf-8")
+                   for name in ("bank.ep", "every_node.ep", "public_field.ep")]
+        sources += generate_corpus(200, seed=0)
+        sources += [generate_synthetic(SyntheticSpec(
+            n_classes=n, pct_untrusted=pct, workload=kind, seed=n))
+            for n, pct, kind in ((5, 0, "cpu"), (8, 50, "io"), (13, 100, "cpu"),
+                                 (40, 50, "cpu"))]
+        sources += [STUB_RETURNS_NEUTRAL_SRC, CYCLE_SRC]
+        for source in sources:
+            plan = compute_images(parse_program(source))
+            for image in (plan.trusted_image, plan.untrusted_image):
+                report = validate(_image_program(plan, image))
+                assert report.violations == [], (image.side, source)
+
+
 class TestSingleResolution:
     def test_one_checker_walk_per_compute_images(self, bank_source, checker_runs):
         program = parse_program(bank_source)  # not yet checked
-        compute_images(program)  # the bank fixpoint iterates twice
+        compute_images(program)
         assert len(checker_runs) == 1
 
     def test_build_call_graph_on_bank(self, bank_program):
