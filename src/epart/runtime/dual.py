@@ -14,6 +14,14 @@ words) rides for free; unit responses carry no payload at all.  A runtime
 built with trace=True also keeps one TraceEvent per crossing; without it a
 crossing does only the work it bills.
 
+A crossing marshals in one pass each way.  wire.encode_values writes the
+arguments' bytes as it walks them, before the transition is billed, so a
+value that cannot cross fails first; wire.decode_values builds the target's
+heap objects straight from those bytes, after the mirror check; the result
+goes back the same way.  The byte format lives in wire.py; this module
+keeps the landing policy it calls back into: home_hash, resolve_href and
+decl_for_id.
+
 Object identity across the boundary is a 64-bit hash minted by an
 object's home isolate at first exposure.  The home side keeps the hash
 to mirror pairing in its registry (a strong GC root); the other side
@@ -36,7 +44,7 @@ from ..partition.plan import PartitionPlan, whole_program_plan
 from . import wire
 from .costmodel import CostModel
 from .heap import (
-    TRUSTED, UNTRUSTED, UNSET, GcStats, HeapObject, InstanceObj, Isolate,
+    TRUSTED, UNTRUSTED, GcStats, HeapObject, InstanceObj, Isolate,
     ListObj, MetricCounters, ProxyObj,
 )
 from .interp import Interpreter, ensure_recursion_headroom
@@ -127,6 +135,7 @@ class DualRuntime:
             self.interps[side] = Interpreter(
                 self.isolates[side], self.classes[side],
                 {p.class_name for p in image.proxies}, context)
+        self.class_ids = plan.class_ids
         self.class_names = {i: n for n, i in plan.class_ids.items()}
         # side -> the isolate its crossings land on
         isolates = self.isolates
@@ -231,87 +240,18 @@ class DualRuntime:
         iso = self.isolates[side]
         return {h for h, p in iso.proxy_table.items() if not p.swept}
 
-    # -- marshaling ----------------------------------------------------------
+    # -- landing policy (wire.encode_values and decode_values call these) -----
 
-    def lower_value(self, iso: Isolate, value, _seen: set[int] | None = None):
-        """Runtime value -> wire value, minting hashes for home objects."""
-        cls = value.__class__  # exact classes: a bool is not an int here
-        if cls is str:
-            return ("str", value)
-        if cls is int:
-            return ("int", value)
-        if cls is InstanceObj:
-            decl = value.decl
-            if decl.annotation is ast.Annotation.NEUTRAL:
-                seen = _seen if _seen is not None else set()
-                if id(value) in seen:
-                    raise MarshalError("cyclic value cannot cross the boundary")
-                seen.add(id(value))
-                fields = []
-                for f in decl.fields:
-                    v = value.values[f.name]
-                    if v is UNSET:
-                        raise MarshalError(
-                            f"unset field {decl.name}.{f.name} cannot cross "
-                            "the boundary")
-                    fields.append(self.lower_value(iso, v, seen))
-                seen.discard(id(value))
-                return ("neutral", self.plan.class_ids[decl.name], fields)
-            h = iso.pair_hash.get(value)
-            if h is None:
-                h = iso.mint_hash()
-                iso.register_mirror(h, value)
-            return ("href", h, self.plan.class_ids[decl.name])
-        if cls is ProxyObj:
-            return ("href", value.hash_value,
-                    self.plan.class_ids[value.class_name])
-        if cls is ListObj:
-            seen = _seen if _seen is not None else set()
-            if id(value) in seen:
-                raise MarshalError("cyclic value cannot cross the boundary")
-            seen.add(id(value))
-            items = [("str", v) if v.__class__ is str
-                     else self.lower_value(iso, v, seen)
-                     for v in value.items]
-            seen.discard(id(value))
-            return ("list", items)
-        if cls is bool:
-            return ("bool", value)
-        if value is None:
-            return wire.UNIT
-        raise MarshalError(f"cannot marshal {value!r}")
+    def home_hash(self, iso: Isolate, obj: InstanceObj) -> int:
+        """The hash `iso` sends for one of its own objects: its pairing,
+        minted and registered on first exposure."""
+        h = iso.pair_hash.get(obj)
+        if h is None:
+            h = iso.mint_hash()
+            iso.register_mirror(h, obj)
+        return h
 
-    def materialize(self, iso: Isolate, wv):
-        """Wire value -> runtime value on `iso`; allocations are uncharged."""
-        kind = wv[0]
-        if kind in ("int", "bool", "str"):
-            return wv[1]
-        if kind == "href":
-            _, h, class_id = wv
-            return self._resolve_href(iso, h, class_id)
-        if kind == "unit":
-            return None
-        if kind == "list":
-            lst = ListObj([item[1] if item[0] == "str"
-                           else self.materialize(iso, item)
-                           for item in wv[1]])
-            iso.alloc(lst, charged=False)
-            return lst
-        if kind == "neutral":
-            _, class_id, fields = wv
-            decl = self._decl_for_id(iso, class_id)
-            if len(fields) != len(decl.fields):
-                raise MarshalError(
-                    f"{decl.name} payload has {len(fields)} fields, "
-                    f"expected {len(decl.fields)}")
-            obj = InstanceObj(decl)
-            iso.alloc(obj, charged=False)
-            for f, fwv in zip(decl.fields, fields):
-                obj.values[f.name] = self.materialize(iso, fwv)
-            return obj
-        raise MarshalError(f"unknown wire value kind {kind!r}")
-
-    def _decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
+    def decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
         name = self.class_names.get(class_id)
         if name is None:
             raise MarshalError(f"unknown class id {class_id}")
@@ -321,7 +261,7 @@ class DualRuntime:
                                f"{iso.side} image")
         return decl
 
-    def _resolve_href(self, iso: Isolate, h: int, class_id: int):
+    def resolve_href(self, iso: Isolate, h: int, class_id: int):
         """A hash arriving at `iso`: mirror lookup at home, proxy elsewhere."""
         home = TRUSTED if (h >> 63) & 1 else UNTRUSTED
         if home == iso.side:
@@ -354,11 +294,7 @@ class DualRuntime:
         there and returns (result, hash_out); a hash_out that is not None
         becomes the trace event's hash.
         """
-        # Loops: for the few values of a call, cheaper than a comprehension.
-        request = b""
-        for a in args:
-            request += wire.encode(("str", a) if a.__class__ is str
-                                   else self.lower_value(caller, a))
+        request = wire.encode_values(args, caller, self)
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
@@ -381,12 +317,11 @@ class DualRuntime:
         try:
             if hash_value and hash_value not in target.registry:
                 raise StaleMirror(hash_value)
-            values = wire.decode_sequence(request, len(relay.param_kinds))
-            for i, v in enumerate(values):
-                values[i] = v[1] if v[0] == "str" else self.materialize(target, v)
+            values = wire.decode_values(request, len(relay.param_kinds),
+                                        target, self)
             result, hash_out = serve(target, relay, hash_value, values)
             response = b"" if relay.return_kind is _UNIT \
-                else wire.encode(self.lower_value(target, result))
+                else wire.encode_values((result,), target, self)
         except DslRuntimeError as e:
             e.trace.append(f"-- {relay.direction} boundary {relay.relay_id} --")
             raise
@@ -400,7 +335,7 @@ class DualRuntime:
                 event.hash_value = hash_out
         if not response:
             return None, hash_out
-        return self.materialize(caller, wire.decode(response)), hash_out
+        return wire.decode_values(response, 1, caller, self)[0], hash_out
 
     def _relay(self, target: Isolate, class_name: str,
                method_name: str) -> RelayMethodDef:

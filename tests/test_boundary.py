@@ -13,9 +13,9 @@ corpus behind the frozen output digest never sends.
 import pytest
 
 from epart.dsl import parse_program
-from epart.errors import InterfaceMismatch, StaleMirror
+from epart.errors import InterfaceMismatch, MarshalError, StaleMirror
 from epart.partition import compute_images
-from epart.runtime import TRUSTED, UNTRUSTED, DualRuntime
+from epart.runtime import TRUSTED, UNTRUSTED, DualRuntime, ListObj, wire
 
 SRC = """@Neutral
 class Point {
@@ -223,3 +223,149 @@ def test_a_missing_relay_is_an_interface_mismatch(plan):
         assert str(exc.value) == message
     assert {side: (iso.ecalls, iso.ocalls)
             for side, iso in rt.isolates.items()} == before
+
+
+# -- marshalling faults -------------------------------------------------------
+
+FAULT_SRC = """@Neutral
+class Link {
+    items: List[Link];
+    next: Link;
+    Link() { this.items = []; }
+    setItems(ls: List[Link]) { this.items = ls; }
+    setNext(l: Link) { this.next = l; }
+}
+@Neutral
+class Tag {
+    n: Int;
+    Tag(n: Int) { this.n = n; }
+}
+@Trusted
+class Sink {
+    Sink() { }
+    link(l: Link) -> Int { return 1; }
+    links(ls: List[Link]) -> Int { return 2; }
+    tag(t: Tag) -> Int { return 3; }
+    count(n: Int) -> Int { return n; }
+    peer(o: Sink) -> Int { return 4; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var s: Sink = new Sink();
+        BODY
+    }
+}
+"""
+
+CTOR_LINE = "1 ECALL ctor Sink.Sink hash=0x8000000000000001 bytes=0 cycles=13100"
+
+
+def fault_plan(body: str):
+    return compute_images(parse_program(FAULT_SRC.replace("BODY", body)))
+
+
+def caller_state(rt):
+    """What a crossing bills its caller, the untrusted side here."""
+    iso = rt.isolates[UNTRUSTED]
+    return (iso.ecalls, iso.ocalls, iso.cycles_by_source.get("transition"),
+            iso.bytes_serialized, [ev.line() for ev in rt.trace])
+
+
+class TestMarshalFaults:
+    """Each fault of the codec, by exact text.  A value that cannot be
+    encoded fails before its crossing is billed; a payload the target
+    cannot land fails on the target, after the one transition."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("var ls: List[Link] = []; var l: Link = new Link(); l.setItems(ls); "
+         "l.setNext(l); ls.append(l); print(s.links(ls));",
+         "cyclic value cannot cross the boundary"),
+        ("var l: Link = new Link(); l.setNext(l); print(s.link(l));",
+         "cyclic value cannot cross the boundary"),
+        ("var l: Link = new Link(); print(s.link(l));",
+         "unset field Link.next cannot cross the boundary"),
+    ], ids=["cyclic list", "cyclic neutral", "unset field"])
+    def test_a_program_value_that_cannot_cross(self, body, message):
+        rt = DualRuntime(fault_plan(body), trace=True)
+        with pytest.raises(MarshalError) as exc:
+            rt.run_main()
+        assert str(exc.value) == message
+        # Only the constructor crossed; the failed call billed nothing.
+        assert caller_state(rt) == (1, 0, 13100, 0, [CTOR_LINE])
+        assert rt.isolates[TRUSTED].cycles_by_source == {"alloc": 40}
+
+    @pytest.mark.parametrize("arg, message", [
+        (2**63, "integer 9223372036854775808 out of 64-bit range"),
+        (-2**63 - 1, "integer -9223372036854775809 out of 64-bit range"),
+        (1.5, "cannot marshal 1.5"),
+    ], ids=["above", "below", "foreign"])
+    def test_a_host_value_that_cannot_cross(self, arg, message):
+        rt = DualRuntime(fault_plan("print(s.count(1));"), trace=True)
+        sink = rt.construct(UNTRUSTED, "Sink", [])
+        before = caller_state(rt)
+        with pytest.raises(MarshalError) as exc:
+            rt.call(UNTRUSTED, sink, "count", [arg])
+        assert str(exc.value) == message
+        assert caller_state(rt) == before == (1, 0, 13100, 0, [CTOR_LINE])
+
+    def test_a_host_list_holding_itself(self):
+        """A cycle through lists alone; a program cannot build one."""
+        rt = DualRuntime(fault_plan("print(s.count(1));"), trace=True)
+        sink = rt.construct(UNTRUSTED, "Sink", [])
+        loop = rt.make_list(UNTRUSTED, [1])
+        loop.items.append(ListObj([loop]))
+        before = caller_state(rt)
+        with pytest.raises(MarshalError) as exc:
+            rt.call(UNTRUSTED, sink, "count", [loop])
+        assert str(exc.value) == "cyclic value cannot cross the boundary"
+        assert caller_state(rt) == before
+
+    def test_a_neutral_class_absent_from_the_target_image(self):
+        plan = fault_plan("print(s.tag(new Tag(2)));")
+        plan.trusted_image.classes = [c for c in plan.trusted_image.classes
+                                      if c.name != "Tag"]
+        rt = DualRuntime(plan, trace=True)
+        sink = rt.construct(UNTRUSTED, "Sink", [])
+        tag = rt.construct(UNTRUSTED, "Tag", [2])
+        heap = len(rt.isolates[TRUSTED].heap)
+        with pytest.raises(MarshalError) as exc:
+            rt.call(UNTRUSTED, sink, "tag", [tag])
+        assert str(exc.value) == "class Tag is not present in the trusted image"
+        # The bytes crossed and were billed; nothing landed.
+        assert caller_state(rt) == (2, 0, 26200, 18, [
+            CTOR_LINE,
+            "2 ECALL invoke Sink.tag hash=0x8000000000000001 bytes=18 "
+            "cycles=13100"])
+        assert len(rt.isolates[TRUSTED].heap) == heap
+
+    def test_an_argument_whose_mirror_is_gone(self):
+        """Arguments land only after the receiver's mirror is found; an
+        argument's own mirror is looked up as it lands."""
+        rt = DualRuntime(fault_plan("print(s.peer(s));"), trace=True)
+        sink = rt.construct(UNTRUSTED, "Sink", [])
+        other = rt.construct(UNTRUSTED, "Sink", [])
+        del rt.isolates[TRUSTED].registry[other.hash_value]
+        with pytest.raises(StaleMirror) as exc:
+            rt.call(UNTRUSTED, sink, "peer", [other])
+        assert str(exc.value) == \
+            "no mirror registered for hash 0x8000000000000002"
+        assert caller_state(rt)[:4] == (3, 0, 39300, 13)
+
+    @pytest.mark.parametrize("value, message", [
+        (("href", 9, 999), "unknown class id 999"),
+        (("neutral", 999, []), "unknown class id 999"),
+        (("neutral", 3, []), "Tag payload has 0 fields, expected 1"),
+    ], ids=["href", "neutral", "field count"])
+    def test_a_payload_the_target_cannot_land(self, value, message):
+        plan = fault_plan("print(s.tag(new Tag(2)));")
+        assert plan.class_ids["Tag"] == 3
+        rt = DualRuntime(plan, trace=True)
+        rt.construct(UNTRUSTED, "Sink", [])
+        trusted = rt.isolates[TRUSTED]
+        before, heap = caller_state(rt), list(trusted.heap)
+        with pytest.raises(MarshalError) as exc:
+            wire.decode_values(wire.encode(value), 1, trusted, rt)
+        assert str(exc.value) == message
+        assert caller_state(rt) == before
+        assert trusted.heap == heap and trusted.proxy_table == {}

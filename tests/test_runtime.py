@@ -9,8 +9,8 @@ import pytest
 from epart.bench import SyntheticSpec, generate_program, generate_synthetic
 from epart.dsl import parse_program
 from epart.errors import (
-    DslRuntimeError, EpartError, StaleMirror, TransitionOverflow,
-    ValidationFailed,
+    DslRuntimeError, EpartError, InterfaceMismatch, StaleMirror,
+    TransitionOverflow, ValidationFailed,
 )
 from epart.partition import compute_images, whole_program_plan
 from epart.runtime import (
@@ -663,6 +663,21 @@ class TestDeterminism:
     def test_constructor_guards(self, bank_plan):
         with pytest.raises(ValueError, match="gc_scan_every"):
             DualRuntime(bank_plan, gc_scan_every=0)
+
+    def test_a_plan_without_main_cannot_run(self, bank_program):
+        plan = compute_images(bank_program)
+        plan.untrusted_image.classes = [c for c in plan.untrusted_image.classes
+                                        if c.name != "Main"]
+        rt = DualRuntime(plan)
+        with pytest.raises(InterfaceMismatch) as exc:
+            rt.run_main()
+        assert str(exc.value) == "plan has no main entry point"
+
+    def test_host_calls_need_an_object_receiver(self, bank_plan):
+        rt = DualRuntime(bank_plan)
+        with pytest.raises(TypeError) as exc:
+            rt.call(UNTRUSTED, 5, "deposit", [1])
+        assert str(exc.value) == "cannot call methods on 5"
 
     def test_dropped_runtime_is_freed_without_the_cyclic_gc(self, bank_plan):
         gc.disable()

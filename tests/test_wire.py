@@ -1,12 +1,20 @@
 import random
 import struct
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epart.dsl import parse_program
+from epart.dsl.ast import Annotation
 from epart.errors import MarshalError
+from epart.partition import compute_images
 from epart.runtime import wire
+from epart.runtime.dual import DualRuntime
+from epart.runtime.heap import (
+    TRUSTED, UNTRUSTED, InstanceObj, ListObj, ProxyObj,
+)
 
 
 def random_wire_value(rng: random.Random, depth: int = 0) -> tuple:
@@ -86,17 +94,31 @@ class TestRoundTrip:
             assert wire.encode(wire.decode(data)) == data
 
     def test_sequence_roundtrip(self):
-        rng = random.Random(99)
-        values = [random_wire_value(rng) for _ in range(6)]
+        """The runtime decoder lands exactly `count` back-to-back values."""
+        rt, notes, _ = peers()
+        trusted = rt.isolates[TRUSTED]
+        ids = rt.class_ids
+        values = [("int", -7), ("str", "h\u00e9llo"), ("bool", True), wire.UNIT,
+                  ("list", [("str", "a"), ("list", [("int", 1)])]),
+                  ("href", 5, ids["Note"])]
         blob = b"".join(wire.encode(v) for v in values)
-        assert wire.decode_sequence(blob, 6) == values
+        landed = wire.decode_values(blob, 6, trusted, rt)
+        assert [describe(trusted, v) for v in landed] == [
+            ("int", -7), ("str", "h\u00e9llo"), ("bool", True),
+            ("NoneType", None),
+            ("list", [("str", "a"), ("list", [("int", 1)])]),
+            ("proxy", "Note", 5)]
 
     def test_sequence_wrong_count(self):
+        rt, _, _ = peers()
+        trusted = rt.isolates[TRUSTED]
         blob = wire.encode(("int", 1)) * 2
-        with pytest.raises(MarshalError):
-            wire.decode_sequence(blob, 1)
-        with pytest.raises(MarshalError):
-            wire.decode_sequence(blob, 3)
+        with pytest.raises(MarshalError) as info:
+            wire.decode_values(blob, 1, trusted, rt)
+        assert str(info.value) == "9 trailing byte(s) after sequence"
+        with pytest.raises(MarshalError) as info:
+            wire.decode_values(blob, 3, trusted, rt)
+        assert str(info.value) == "truncated wire data"
 
 
 class TestCanonicity:
@@ -127,6 +149,25 @@ class TestCanonicity:
         with pytest.raises(MarshalError) as info:
             wire.decode(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\x07", b"\x01\x01\x00", b"\x02", b"\x02\x02",
+        b"\x03\x01\x00", b"\x03\x05\x00\x00\x00ab",
+        b"\x03\x01\x00\x00\x00\xff", b"\x04\x01\x00",
+        b"\x04\x02\x00\x00\x00\x00",
+        b"\x04\x01\x00\x00\x00\x03\x01\x00\x00\x00\xff",
+        b"\x05\x00\x00", b"\x06\x01\x00\x00\x00",
+        b"\x01\x03" + b"\x00" * 8,
+    ])
+    def test_runtime_decoder_rejects_alike(self, data):
+        """Both decoders refuse the same bytes with the same text."""
+        with pytest.raises(MarshalError) as reference:
+            wire.decode(data)
+        rt, _, _ = peers()
+        with pytest.raises(MarshalError) as runtime:
+            wire.decode_values(data, 1, rt.isolates[TRUSTED], rt)
+        message = str(reference.value).replace("after value", "after sequence")
+        assert str(runtime.value) == message
 
     def test_non_canonical_bool(self):
         with pytest.raises(MarshalError):
@@ -190,3 +231,182 @@ class TestProperties:
         except MarshalError:
             return
         assert wire.encode(v) == blob
+
+
+# -- the runtime codec against the reference -------------------------------------
+
+CODEC_SRC = """@Neutral
+class Pair {
+    n: Int;
+    s: Str;
+    flag: Bool;
+    tags: List[Str];
+    Pair(n: Int, s: Str, flag: Bool, tags: List[Str]) {
+        this.n = n;
+        this.s = s;
+        this.flag = flag;
+        this.tags = tags;
+    }
+}
+@Neutral
+class Wrap {
+    inner: Pair;
+    Wrap(p: Pair) { this.inner = p; }
+}
+@Trusted
+class Safe {
+    Safe() { }
+    keep(w: Wrap, grid: List[List[Int]], n: Note) -> Int { return 0; }
+}
+@Untrusted
+class Note {
+    Note() { }
+}
+@Untrusted
+class Main {
+    static main() {
+        var s: Safe = new Safe();
+        var w: Wrap = new Wrap(new Pair(1, "a", true, ["t"]));
+        print(s.keep(w, [[1]], new Note()));
+    }
+}
+"""
+
+
+@cache
+def codec_plan():
+    return compute_images(parse_program(CODEC_SRC))
+
+
+def peers():
+    """A runtime whose untrusted side holds two Notes, the first already
+    paired with a hash, and a proxy to a trusted Safe."""
+    rt = DualRuntime(codec_plan())
+    untrusted = rt.isolates[UNTRUSTED]
+    notes = [rt.construct(UNTRUSTED, "Note", []) for _ in range(2)]
+    rt.home_hash(untrusted, notes[0])
+    return rt, notes, rt.construct(UNTRUSTED, "Safe", [])
+
+
+def build(rt, notes, safe, shape, minted: dict):
+    """(runtime value on the untrusted side, the wire tuple it must encode
+    to).  `minted` predicts the hashes the encoder mints, in walk order."""
+    kind = shape[0]
+    ids = rt.class_ids
+    if kind in ("int", "bool", "str"):
+        return shape[1], shape
+    if kind == "unit":
+        return None, shape
+    if kind == "note":
+        iso, obj = rt.isolates[UNTRUSTED], notes[shape[1]]
+        h = iso.pair_hash.get(obj)
+        if h is None:
+            h = minted.setdefault(id(obj), iso.hash_counter + len(minted) + 1)
+        return obj, ("href", h, ids["Note"])
+    if kind == "safe":
+        return safe, ("href", safe.hash_value, ids["Safe"])
+    if kind == "list":
+        built = [build(rt, notes, safe, s, minted) for s in shape[1]]
+        return (ListObj([v for v, _ in built]),
+                ("list", [wv for _, wv in built]))
+    decls = rt.classes[UNTRUSTED]
+    if kind == "wrap":
+        inner, inner_wv = build(rt, notes, safe, shape[1], minted)
+        return (InstanceObj(decls["Wrap"], {"inner": inner}),
+                ("neutral", ids["Wrap"], [inner_wv]))
+    _, n, s, flag, tags = shape
+    obj = InstanceObj(decls["Pair"], {"n": n, "s": s, "flag": flag,
+                                      "tags": ListObj(list(tags))})
+    return obj, ("neutral", ids["Pair"], [
+        ("int", n), ("str", s), ("bool", flag),
+        ("list", [("str", t) for t in tags])])
+
+
+def materialize(rt, iso, wv):
+    """Land a wire tuple as the tuple-layer runtime did: a list allocated
+    after its items, a neutral object before its fields."""
+    kind = wv[0]
+    if kind in ("int", "bool", "str"):
+        return wv[1]
+    if kind == "unit":
+        return None
+    if kind == "href":
+        return rt.resolve_href(iso, wv[1], wv[2])
+    if kind == "list":
+        lst = ListObj([materialize(rt, iso, item) for item in wv[1]])
+        iso.alloc(lst, charged=False)
+        return lst
+    _, class_id, fields = wv
+    decl = rt.decl_for_id(iso, class_id)
+    obj = InstanceObj(decl)
+    iso.alloc(obj, charged=False)
+    for f, fwv in zip(decl.fields, fields):
+        obj.values[f.name] = materialize(rt, iso, fwv)
+    return obj
+
+
+def describe(iso, value):
+    """A landed value as plain data: mirrors by hash, proxies by class and
+    hash, everything else by structure."""
+    cls = value.__class__
+    if cls is ListObj:
+        return ("list", [describe(iso, v) for v in value.items])
+    if cls is ProxyObj:
+        return ("proxy", value.class_name, value.hash_value)
+    if cls is InstanceObj:
+        if value.decl.annotation is not Annotation.NEUTRAL:
+            return ("mirror", iso.pair_hash[value])
+        return ("neutral", value.decl.name,
+                [describe(iso, value.values[f.name]) for f in value.decl.fields])
+    return (cls.__name__, value)
+
+
+texts = st.text(max_size=8)
+int64s = st.integers(-2**63, 2**63 - 1)
+pairs = st.tuples(int64s, texts, st.booleans(), st.lists(texts, max_size=3)) \
+    .map(lambda t: ("pair",) + t)
+runtime_shapes = st.recursive(
+    st.one_of(
+        st.just(wire.UNIT),
+        int64s.map(lambda v: ("int", v)),
+        st.booleans().map(lambda b: ("bool", b)),
+        texts.map(lambda s: ("str", s)),
+        st.sampled_from([("note", 0), ("note", 1), ("safe",)]),
+        pairs,
+        pairs.map(lambda p: ("wrap", p)),
+    ),
+    lambda kids: st.lists(kids, max_size=4).map(lambda xs: ("list", xs)),
+    max_leaves=12)
+
+
+class TestRuntimeCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(runtime_shapes)
+    def test_matches_the_reference_codec(self, shape):
+        rt, notes, safe = peers()
+        value, expected = build(rt, notes, safe, shape, {})
+        data = wire.encode_values([value], rt.isolates[UNTRUSTED], rt)
+        assert data == wire.encode(expected)
+        assert wire.decode(data) == expected
+
+        # Landing on the peer: the same structure, heap order and heap
+        # growth as landing the reference tuple.
+        ref, _, _ = peers()
+        trusted, ref_trusted = rt.isolates[TRUSTED], ref.isolates[TRUSTED]
+        start = len(trusted.heap)
+        assert len(ref_trusted.heap) == start
+        landed = wire.decode_values(data, 1, trusted, rt)[0]
+        ref_landed = materialize(ref, ref_trusted, expected)
+        assert describe(trusted, landed) == describe(ref_trusted, ref_landed)
+        assert [describe(trusted, o) for o in trusted.heap[start:]] == \
+            [describe(ref_trusted, o) for o in ref_trusted.heap[start:]]
+        assert trusted.bytes_since_gc == ref_trusted.bytes_since_gc
+        assert list(trusted.proxy_table) == list(ref_trusted.proxy_table)
+
+    def test_a_home_object_is_minted_once(self):
+        rt, notes, _ = peers()
+        untrusted = rt.isolates[UNTRUSTED]
+        data = wire.encode_values([notes[1], notes[0], notes[1]], untrusted, rt)
+        note = rt.class_ids["Note"]
+        assert data == b"".join(wire.encode(("href", h, note)) for h in (2, 1, 2))
+        assert untrusted.registry == {1: notes[0], 2: notes[1]}
