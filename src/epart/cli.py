@@ -19,6 +19,7 @@ not parse or validate.
 import argparse
 import re
 import sys
+from contextlib import contextmanager
 from itertools import zip_longest
 from pathlib import Path
 
@@ -36,17 +37,26 @@ EXIT_ERROR = 1
 EXIT_INVALID = 2
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_ERROR
+class _Exit(Exception):
+    """A command stops with one diagnostic line; main prints it on stderr
+    and returns code."""
+
+    def __init__(self, message: str, code: int = EXIT_ERROR):
+        super().__init__(message)
+        self.code = code
 
 
-def _write_failed(e: OSError) -> int:
-    return _fail(f"cannot write {e.filename}: {e.strerror}")
+@contextmanager
+def _writing():
+    """Report an output file that cannot be written as an _Exit."""
+    try:
+        yield
+    except OSError as e:
+        raise _Exit(f"cannot write {e.filename}: {e.strerror}") from None
 
 
 def _parse_source(path: str):
-    """Returns (program, exit_code); program is None when rejected.
+    """The parsed program at path.
 
     A source that is not UTF-8 text does not parse.  Validation is left to
     the plan builders (compute_images, whole_program_plan): their
@@ -54,51 +64,52 @@ def _parse_source(path: str):
     """
     p = Path(path)
     if not p.is_file():
-        return None, _fail(f"source file not found: {path}")
+        raise _Exit(f"source file not found: {path}")
     try:
-        return parse_program(p.read_text(encoding="utf-8")), EXIT_OK
+        return parse_program(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         message = f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
     except ParseError as e:
         message = str(e)
     except OSError as e:
-        return None, _fail(f"cannot read {path}: {e.strerror}")
-    print(f"parse error: {message}", file=sys.stderr)
-    return None, EXIT_INVALID
-
-
-def _rejected(e: ValidationFailed) -> int:
-    for v in e.report.violations:
-        print(v, file=sys.stderr)
-    print(f"{len(e.report.violations)} validation violation(s)",
-          file=sys.stderr)
-    return EXIT_INVALID
+        raise _Exit(f"cannot read {path}: {e.strerror}") from None
+    raise _Exit(f"parse error: {message}", EXIT_INVALID)
 
 
 def _load_model_arg(path: str | None):
     if path is None:
-        return None, EXIT_OK
+        return None
     if not Path(path).is_file():
-        return None, _fail(f"model file not found: {path}")
+        raise _Exit(f"model file not found: {path}")
     try:
-        return load_model(path), EXIT_OK
+        return load_model(path)
     except (EpartError, ValueError) as e:
-        return None, _fail(f"bad cost model: {e}")
+        raise _Exit(f"bad cost model: {e}") from None
 
 
-def _dump_fs(vfs: dict[str, str], out_dir: str) -> int:
+def _load_plan_arg(plan_dir: str):
+    try:
+        return load_plan(plan_dir)
+    except FileNotFoundError as e:
+        raise _Exit(str(e)) from None
+    except OSError as e:
+        raise _Exit(f"cannot read {e.filename}: {e.strerror}") from None
+    except EpartError as e:
+        raise _Exit(f"bad plan: {e}") from None
+
+
+def _dump_fs(vfs: dict[str, str], out_dir: str) -> None:
     """Write each VFS file under out_dir; writes none when a path has a
     `..` component, which could land it outside out_dir."""
     paths = sorted(vfs)
     for path in paths:
         if ".." in path.split("/"):
-            return _fail(f"cannot dump {path}: the path leaves {out_dir}")
+            raise _Exit(f"cannot dump {path}: the path leaves {out_dir}")
     root = Path(out_dir)
     for path in paths:
         target = root / path.lstrip("/")
         target.parent.mkdir(parents=True, exist_ok=True)
         write_file(target, vfs[path].encode("utf-8"))
-    return EXIT_OK
 
 
 def _run_to_fault(rt: DualRuntime, argv: list[str]):
@@ -115,9 +126,12 @@ def _run_to_fault(rt: DualRuntime, argv: list[str]):
         return rt.result(), str(e)
 
 
-def _finish_run(result, fault: str | None, args) -> int:
-    """Print and write a run's outputs; the exit code of run and
-    run-unpartitioned."""
+def _run(plan, model, args, gc_scan_every: int = 1) -> int:
+    """Run plan's main on args.args, then print and write the run's
+    outputs; the exit code of run and run-unpartitioned."""
+    rt = DualRuntime(plan, model=model, gc_scan_every=gc_scan_every,
+                     trace=args.trace == "transitions")
+    result, fault = _run_to_fault(rt, args.args)
     for line in result.transcript:
         print(line)
     if args.trace == "transitions":
@@ -125,13 +139,11 @@ def _finish_run(result, fault: str | None, args) -> int:
             print(ev.line(), file=sys.stderr)
     if fault is not None:
         print(fault, file=sys.stderr)
-    try:
+    with _writing():
         if args.metrics:
             write_file(args.metrics, result.metrics_text().encode("utf-8"))
-        if args.dump_fs and _dump_fs(result.vfs, args.dump_fs):
-            return EXIT_ERROR
-    except OSError as e:
-        return _write_failed(e)
+        if args.dump_fs:
+            _dump_fs(result.vfs, args.dump_fs)
     return EXIT_OK if fault is None else EXIT_ERROR
 
 
@@ -139,14 +151,9 @@ def _finish_run(result, fault: str | None, args) -> int:
 # subcommands
 
 def cmd_partition(args) -> int:
-    program, code = _parse_source(args.source)
-    if program is None:
-        return code
-    plan = compute_images(program)
-    try:
+    plan = compute_images(_parse_source(args.source))
+    with _writing():
         files = emit(plan, args.out)
-    except OSError as e:
-        return _write_failed(e)
     names = {ann: [] for ann in Annotation}
     for cname, ann in plan.annotations.items():
         names[ann].append(cname)
@@ -159,61 +166,26 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _load_plan_arg(plan_dir: str):
-    try:
-        return load_plan(plan_dir), EXIT_OK
-    except FileNotFoundError as e:
-        return None, _fail(str(e))
-    except OSError as e:
-        return None, _fail(f"cannot read {e.filename}: {e.strerror}")
-    except EpartError as e:
-        return None, _fail(f"bad plan: {e}")
-
-
 def cmd_run(args) -> int:
-    plan, code = _load_plan_arg(args.plan_dir)
-    if plan is None:
-        return code
-    model, code = _load_model_arg(args.model)
-    if code:
-        return code
+    plan = _load_plan_arg(args.plan_dir)
+    model = _load_model_arg(args.model)
     m = re.fullmatch(r"every-k=(\d+)", args.gc_scan)
     if not m or int(m.group(1)) < 1:
-        return _fail(f"bad --gc-scan value {args.gc_scan!r}, "
-                     "expected every-k=<positive int>")
-    rt = DualRuntime(plan, model=model, gc_scan_every=int(m.group(1)),
-                     trace=args.trace == "transitions")
-    result, fault = _run_to_fault(rt, args.args)
-    return _finish_run(result, fault, args)
+        raise _Exit(f"bad --gc-scan value {args.gc_scan!r}, "
+                    "expected every-k=<positive int>")
+    return _run(plan, model, args, int(m.group(1)))
 
 
 def cmd_run_unpartitioned(args) -> int:
-    program, code = _parse_source(args.source)
-    if program is None:
-        return code
-    plan = whole_program_plan(program, enclave=True)
-    model, code = _load_model_arg(args.model)
-    if code:
-        return code
-    rt = DualRuntime(plan, model=model, trace=args.trace == "transitions")
-    result, fault = _run_to_fault(rt, args.args)
-    return _finish_run(result, fault, args)
+    plan = whole_program_plan(_parse_source(args.source), enclave=True)
+    return _run(plan, _load_model_arg(args.model), args)
 
 
 def cmd_compare(args) -> int:
-    program, code = _parse_source(args.source)
-    if program is None:
-        return code
+    program = _parse_source(args.source)
     reference_plan = whole_program_plan(program, enclave=False)
-    model, code = _load_model_arg(args.model)
-    if code:
-        return code
-    if args.plan:
-        plan, code = _load_plan_arg(args.plan)
-        if plan is None:
-            return code
-    else:
-        plan = compute_images(program)
+    model = _load_model_arg(args.model)
+    plan = _load_plan_arg(args.plan) if args.plan else compute_images(program)
     # A fault is observable behaviour: both runs must stop with the same
     # diagnostic after writing the same transcript and files.
     reference, ref_fault = _run_to_fault(
@@ -263,15 +235,11 @@ def _clip(s: str | None, limit: int = 32) -> str | None:
 
 
 def cmd_bench(args) -> int:
-    model, code = _load_model_arg(args.model)
-    if code:
-        return code
-    report = run_suite(args.suite, model=model, seed=args.seed)
+    report = run_suite(args.suite, model=_load_model_arg(args.model),
+                       seed=args.seed)
     if args.out:
-        try:
+        with _writing():
             report.write(args.out)
-        except OSError as e:
-            return _write_failed(e)
         print(f"wrote {args.suite} report to {args.out}")
     else:
         print(report.to_csv(), end="")
@@ -279,9 +247,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    plan, code = _load_plan_arg(args.plan_dir)
-    if plan is None:
-        return code
+    plan = _load_plan_arg(args.plan_dir)
     side = Annotation.TRUSTED if args.image == "trusted" else Annotation.UNTRUSTED
     image = plan.image(side)
     print(f"image: {args.image}")
@@ -318,6 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Annotation-driven program partitioner and "
                     "enclave runtime simulator.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # The options run and run-unpartitioned share.  A parent's positionals
+    # would come before the command's own, so `args` stays with each command.
+    run_options = argparse.ArgumentParser(add_help=False)
+    run_options.add_argument("--model",
+                             help="cost model file (key = value lines)")
+    run_options.add_argument("--trace", choices=["transitions"],
+                             help="log every boundary transition to stderr")
+    run_options.add_argument("--dump-fs", metavar="DIR",
+                             help="write the final virtual filesystem under DIR")
+    run_options.add_argument("--metrics", metavar="FILE",
+                             help="write per-isolate metric counters to FILE")
 
     p = sub.add_parser("partition", help="compile source into a plan directory")
     p.add_argument("source")
@@ -326,34 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "interface.edl.txt")
     p.set_defaults(fn=cmd_partition)
 
-    p = sub.add_parser("run", help="run an emitted plan")
+    p = sub.add_parser("run", parents=[run_options],
+                       help="run an emitted plan")
     p.add_argument("plan_dir")
     p.add_argument("args", nargs="*", help="argv for the program's main")
-    p.add_argument("--model", help="cost model file (key = value lines)")
-    p.add_argument("--trace", choices=["transitions"],
-                   help="log every boundary transition to stderr")
-    gc = p.add_mutually_exclusive_group()
-    gc.add_argument("--deterministic-gc", action="store_true", default=True,
-                    help="collect at allocation-threshold safepoints (default)")
-    gc.add_argument("--live-gc", action="store_true", default=False,
-                    help="alias of --deterministic-gc, kept for existing "
-                         "command lines")
+    p.add_argument("--deterministic-gc", "--live-gc", action="store_true",
+                   help="collect at allocation-threshold safepoints, the "
+                        "default; --live-gc is kept for existing command lines")
     p.add_argument("--gc-scan", default="every-k=1", metavar="every-k=N",
                    help="scan for dead proxies every N collections")
-    p.add_argument("--dump-fs", metavar="DIR",
-                   help="write the final virtual filesystem under DIR")
-    p.add_argument("--metrics", metavar="FILE",
-                   help="write per-isolate metric counters to FILE")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("run-unpartitioned",
+    p = sub.add_parser("run-unpartitioned", parents=[run_options],
                        help="run a source file entirely inside the enclave")
     p.add_argument("source")
     p.add_argument("args", nargs="*")
-    p.add_argument("--model")
-    p.add_argument("--trace", choices=["transitions"])
-    p.add_argument("--dump-fs", metavar="DIR")
-    p.add_argument("--metrics", metavar="FILE")
     p.set_defaults(fn=cmd_run_unpartitioned)
 
     p = sub.add_parser("compare",
@@ -385,7 +349,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ValidationFailed as e:
-        return _rejected(e)
+        for v in e.report.violations:
+            print(v, file=sys.stderr)
+        print(f"{len(e.report.violations)} validation violation(s)",
+              file=sys.stderr)
+        return EXIT_INVALID
+    except _Exit as e:
+        print(e, file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

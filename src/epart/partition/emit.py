@@ -44,6 +44,7 @@ from ..dsl.ast import (
 from ..errors import FormatError, InterfaceMismatch
 from .model import (
     MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, relay_direction,
+    relay_for,
 )
 from .plan import ImageSpec, PartitionPlan
 
@@ -461,18 +462,22 @@ def check_interface(plan: PartitionPlan) -> None:
     method of a class of its own image and is entered in that image's own
     direction, ecall into the trusted image and ocall into the untrusted one.
     Every proxy stub has exactly one relay in the other image; relays and
-    proxies cross in the direction their class's annotation gives.  The
-    trusted image may hold @Untrusted classes: the enclave baseline of
-    whole_program_plan holds every class."""
+    proxies cross in the direction their class's annotation gives.  Each
+    relay is the one relay_for makes of its method.  The trusted image may
+    hold @Untrusted classes: the enclave baseline of whole_program_plan
+    holds every class."""
     annotations = plan.annotations
     images = (plan.trusted_image, plan.untrusted_image)
-    for spec, far in zip(images, reversed(images)):
+    # per image: (class, method name) -> the class and the first method of
+    # that name, the one a call runs
+    declared = [{(c.name, m.name): (c, m) for c in spec.classes
+                 for m in reversed(c.methods)} for spec in images]
+    for spec, far, methods in zip(images, reversed(images), declared):
         side = spec.side.value.lower()
         for c in spec.classes:
             if annotations.get(c.name) != c.annotation:
                 raise InterfaceMismatch(f"class {c.name} in the {side} image is "
                                         "not in the annotation table as declared")
-        methods = {(c.name, m.name) for c in spec.classes for m in c.methods}
         for rel in spec.relays:
             if (rel.class_name, rel.method_name) not in methods:
                 raise InterfaceMismatch(f"relay {rel.relay_id} has no method "
@@ -499,8 +504,16 @@ def check_interface(plan: PartitionPlan) -> None:
         if c.annotation == Annotation.TRUSTED:
             raise InterfaceMismatch(f"class {c.name} is @Trusted but in the "
                                     "untrusted image")
-    for spec in images:
+    for spec, methods in zip(images, declared):
         for rel in spec.relays:
             if rel.direction != relay_direction(spec.side):
                 raise InterfaceMismatch(f"relay {rel.relay_id} is an {rel.direction} "
                                         f"in the {spec.side.value.lower()} image")
+            try:
+                made = relay_for(*methods[rel.class_name, rel.method_name],
+                                 annotations)
+            except KeyError:  # a signature names a class the table lacks
+                made = None
+            if rel != made:
+                raise InterfaceMismatch(f"relay {rel.relay_id} is not the relay "
+                                        "its method's signature makes")

@@ -133,8 +133,7 @@ class DualRuntime:
             self.relays[side] = {(r.class_name, r.method_name): r
                                  for r in image.relays}
             self.interps[side] = Interpreter(
-                self.isolates[side], self.classes[side],
-                {p.class_name for p in image.proxies}, context)
+                self.isolates[side], self.classes[side], context)
         self.class_ids = plan.class_ids
         self.class_names = {i: n for n, i in plan.class_ids.items()}
         # side -> the isolate its crossings land on
@@ -189,11 +188,7 @@ class DualRuntime:
 
     def construct(self, side: str, class_name: str, args: list, pin: bool = True):
         """Build an instance as code on `side` would: local or via proxy."""
-        if class_name in self.classes[side]:
-            obj = self.interps[side].instantiate(
-                self.classes[side][class_name], list(args))
-        else:
-            obj = self.remote_new(self.isolates[side], class_name, list(args))
+        obj = self.interps[side].new(class_name, list(args))
         if pin:
             self.pin(side, obj)
         return obj
@@ -292,8 +287,13 @@ class DualRuntime:
         be registered before any argument lands there.  serve, a runtime
         method (target, relay, hash_value, values), runs the relay's body
         there and returns (result, hash_out); a hash_out that is not None
-        becomes the trace event's hash.
+        becomes the trace event's hash.  Arguments that do not fit the
+        relay fail before anything is billed.
         """
+        if len(args) != len(relay.param_kinds):
+            raise InterfaceMismatch(
+                f"{relay.relay_id} takes {len(relay.param_kinds)} "
+                f"argument(s), not {len(args)}")
         request = wire.encode_values(args, caller, self)
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(

@@ -13,14 +13,10 @@ return), and so is a call receiver that is a bound Var.  An unbound Var
 still goes through eval_var, for its fault.
 
 What is fixed for a run is worked out once: the EPC-scaled price of a field
-access, charged straight into the isolate's cycles_by_source; each class's
-method table, built on the first call into the class; and each class's
-layout (field defaults and constructor), kept from its second
-instantiation.  A call reads a hit from method_tables itself and leaves a
-miss to method, which builds the table or faults.  It tests for the hit
-rather than catching a KeyError, because the first call into every class
-misses, and a program that calls each of many classes once would pay for
-an exception per class.
+access, charged straight into the isolate's cycles_by_source; the method
+table, built with the interpreter; and each class's layout (field defaults
+and constructor), kept from its second instantiation.  A call reads a hit
+from the method table itself and leaves a miss to method, which faults.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -89,18 +85,19 @@ def render_value(v) -> str:
 
 class Interpreter:
     def __init__(self, isolate: Isolate, classes: dict[str, ast.ClassDecl],
-                 proxy_names: set[str], context):
+                 context):
         self.isolate = isolate
         self.classes = classes
-        self.proxy_names = proxy_names
         self.context = context
         self.gc_threshold = context.gc_threshold
         self.field_cost = isolate.model.scaled(
             isolate.model.field_access_cost, isolate.trusted)
         # charged inline, as Isolate.charge would
         self.cycles_by_source = isolate.cycles_by_source
-        # class name -> method name -> first declaration of that name
-        self.method_tables: dict[str, dict[str, ast.MethodDecl]] = {}
+        # (class name, method name) -> first declaration of that name
+        self.methods: dict[tuple[str, str], ast.MethodDecl] = {
+            (c.name, m.name): m for c in classes.values()
+            for m in reversed(c.methods)}
         # class name -> (field defaults, List field names, constructor),
         # or False after the class's first instantiation
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
@@ -109,13 +106,18 @@ class Interpreter:
     # -- entry points ------------------------------------------------------
 
     def method(self, decl: ast.ClassDecl, name: str) -> ast.MethodDecl:
-        table = self.method_tables.get(decl.name)
-        if table is None:  # reversed: the first declaration of a name wins
-            table = {m.name: m for m in reversed(decl.methods)}
-            self.method_tables[decl.name] = table
-        if name not in table:
+        method = self.methods.get((decl.name, name))
+        if method is None:
             raise DslRuntimeError(f"{decl.name} has no method {name}")
-        return table[name]
+        return method
+
+    def new(self, class_name: str, args: list):
+        """`new C(args)` as code on this side runs it: a class of this image
+        is built here, any other through its constructor relay."""
+        decl = self.classes.get(class_name)
+        if decl is None:
+            return self.context.remote_new(self.isolate, class_name, args)
+        return self.instantiate(decl, args)
 
     def instantiate(self, decl: ast.ClassDecl, args: list) -> InstanceObj:
         layout = self.layouts.get(decl.name)
@@ -269,7 +271,11 @@ class Interpreter:
         this = frame.this
         if this is None:
             raise DslRuntimeError("field access outside an instance method")
-        v = this.values[e.field_name]
+        try:
+            v = this.values[e.field_name]
+        except KeyError:
+            raise DslRuntimeError(
+                f"{this.decl.name} has no field {e.field_name}") from None
         if v is UNSET:
             raise DslRuntimeError(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
@@ -326,10 +332,7 @@ class Interpreter:
         base = len(frame.temps)
         args = self.eval_args(e.args, frame)
         try:
-            if e.class_name in self.proxy_names:
-                return self.context.remote_new(self.isolate, e.class_name, args)
-            decl = self.classes[e.class_name]
-            return self.instantiate(decl, args)
+            return self.new(e.class_name, args)
         finally:
             del frame.temps[base:]
 
@@ -347,11 +350,8 @@ class Interpreter:
                 decl = self.classes.get(receiver.name)
                 if decl is None:  # neither a binding nor a class
                     return self.eval_var(receiver, frame)  # raises
-                table = self.method_tables.get(decl.name)
-                if table is not None and e.method in table:
-                    method = table[e.method]
-                else:
-                    method = self.method(decl, e.method)
+                method = self.methods.get((decl.name, e.method)) \
+                    or self.method(decl, e.method)
                 args = self.eval_args(e.args, frame)
                 try:
                     return self.call_method(decl, method, None, args)
@@ -370,11 +370,8 @@ class Interpreter:
                                                   e.method, args)
             if cls is InstanceObj:
                 decl = receiver.decl
-                table = self.method_tables.get(decl.name)
-                if table is not None and e.method in table:
-                    method = table[e.method]
-                else:
-                    method = self.method(decl, e.method)
+                method = self.methods.get((decl.name, e.method)) \
+                    or self.method(decl, e.method)
                 return self.call_method(decl, method, receiver, args)
             raise DslRuntimeError(f"cannot call {e.method} on {receiver!r}")
         finally:
@@ -396,7 +393,7 @@ class Interpreter:
             self.isolate.grow_list(lst, args[0])
             by_source["field"] = by_source.get("field", 0) + self.field_cost
             return None
-        raise ValueError(f"unknown list method {e.method}")
+        raise DslRuntimeError(f"lists have no method {e.method}")
 
     def eval_builtin(self, e: ast.BuiltinCall, frame: Frame):
         iso = self.isolate

@@ -20,7 +20,8 @@ values (str, int, bool, None, ListObj, InstanceObj, ProxyObj) and appends
 their bytes to one bytearray as it goes; decode_values builds heap objects
 straight from the bytes.  Neither builds an intermediate tree.  The landing
 policy comes from the runtime `rt` they are given:
-  rt.class_ids                      class name -> wire class id
+  rt.class_ids                      class name -> wire class id; a value
+                                    of a class it lacks cannot cross
   rt.home_hash(iso, obj)            the hash of a home object, minted on
                                     first exposure
   rt.resolve_href(iso, h, class_id) what an arriving hash lands as
@@ -111,7 +112,7 @@ def _write(out: bytearray, value, iso, rt, path: set[int]) -> None:
         path.discard(key)
     elif cls is ProxyObj:
         out += _HASHREF.pack(TAG_HASHREF, value.hash_value,
-                             rt.class_ids[value.class_name])
+                             _class_id(rt, value.class_name))
     elif cls is InstanceObj:
         decl = value.decl
         if decl.annotation is _NEUTRAL_CLASS:
@@ -120,7 +121,7 @@ def _write(out: bytearray, value, iso, rt, path: set[int]) -> None:
                 raise MarshalError(_CYCLIC)
             path.add(key)
             fields = value.values
-            out += _NEUTRAL.pack(TAG_NEUTRAL, rt.class_ids[decl.name],
+            out += _NEUTRAL.pack(TAG_NEUTRAL, _class_id(rt, decl.name),
                                  len(decl.fields))
             for f in decl.fields:
                 v = fields[f.name]
@@ -130,14 +131,22 @@ def _write(out: bytearray, value, iso, rt, path: set[int]) -> None:
                 _write(out, v, iso, rt, path)
             path.discard(key)
         else:
+            class_id = _class_id(rt, decl.name)
             out += _HASHREF.pack(TAG_HASHREF, rt.home_hash(iso, value),
-                                 rt.class_ids[decl.name])
+                                 class_id)
     elif cls is bool:
         out += _B_TRUE if value else _B_FALSE
     elif value is None:
         out += _B_UNIT
     else:
         raise MarshalError(f"cannot marshal {value!r}")
+
+
+def _class_id(rt, name: str) -> int:
+    try:
+        return rt.class_ids[name]
+    except KeyError:
+        raise MarshalError(f"unknown class {name}") from None
 
 
 def decode_values(data, count: int, iso, rt) -> list:

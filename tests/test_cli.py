@@ -375,6 +375,43 @@ class Main {
         assert self._bad_plan(tmp_path, capsys) == \
             "bad plan: relay Person.transfer is an ocall in the trusted image\n"
 
+    def test_a_relay_that_is_not_its_methods_relay_is_a_bad_plan(
+            self, tmp_path, capsys):
+        """Counter.next returns an Int, so its relay returns prim.  Its
+        return kind turned to unit in trusted.img and the interface alike
+        still loads every name and direction, but main would add 1 to a
+        unit result."""
+        src = tmp_path / "c.ep"
+        src.write_text("""
+@Trusted
+class Counter {
+    n: Int;
+    Counter() { }
+    next() -> Int { this.n = this.n + 1; return this.n; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var c: Counter = new Counter();
+        var x: Int = c.next();
+        print(x + 1);
+    }
+}
+""")
+        plan = tmp_path / "plan"
+        assert main(["partition", str(src), "-o", str(plan)]) == 0
+        img = plan / TRUSTED_IMG
+        data = img.read_bytes()
+        assert data.count(b"prim") == 1
+        img.write_bytes(data.replace(b"prim", b"unit"))
+        path = plan / INTERFACE_FILE
+        text = path.read_text()
+        assert text.count("next() -> prim") == 1
+        path.write_text(text.replace("next() -> prim", "next() -> unit"))
+        assert self._bad_plan(plan, capsys) == (
+            "bad plan: relay Counter.next is not the relay its method's "
+            "signature makes\n")
+
     def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
         """whole_program_plan(enclave=True) puts @Untrusted classes in the
         trusted image on purpose."""
@@ -885,6 +922,66 @@ class TestOneLineFailures:
         assert main(["run", str(plan)]) == 1
         assert capsys.readouterr().err == \
             f"cannot read {plan / TRUSTED_IMG}: Is a directory\n"
+
+
+class TestExactDiagnostics:
+    """Each failure below is exactly one stderr line and its exit code, from
+    main in this process.  Paths are relative to the test's directory."""
+
+    PING_PONG = """
+@Trusted
+class T {
+    T() { }
+    ping(u: U) { u.pong(this); }
+}
+@Untrusted
+class U {
+    U() { }
+    pong(t: T) { t.ping(this); }
+}
+@Untrusted
+class Main {
+    static main() {
+        var t: T = new T();
+        var u: U = new U();
+        t.ping(u);
+    }
+}
+"""
+
+    CASES = {
+        "source-not-utf8": (
+            ["partition", "bad.ep", "-o", "p"], 2,
+            "parse error: bad.ep: not UTF-8 text (invalid start byte at "
+            "byte 0)"),
+        "model-missing": (["run", "plan", "--model", "nomodel.txt"], 1,
+                          "model file not found: nomodel.txt"),
+        "partition-out-is-a-file": (["partition", "bank.ep", "-o", "afile"],
+                                    1, "cannot write afile: File exists"),
+        "bench-out-is-a-directory": (
+            ["bench", "--suite", "rmi", "--out", "adir"], 1,
+            "cannot write adir: Is a directory"),
+        "run-metrics-is-a-directory": (["run", "plan", "--metrics", "adir"],
+                                       1, "cannot write adir: Is a directory"),
+        "transition-overflow": (["run", "pingpong"], 1,
+                                "transition depth exceeded 256 entering T.ping"),
+    }
+
+    @pytest.mark.parametrize("argv,code,line", CASES.values(),
+                             ids=CASES.keys())
+    def test_one_exact_line(self, bank_dir, tmp_path, monkeypatch, capsys,
+                            argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.ep").write_bytes(b"\xff@Untrusted\n")
+        (tmp_path / "afile").write_text("x")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "pingpong.ep").write_text(self.PING_PONG)
+        assert main(["partition", "pingpong.ep", "-o", "pingpong"]) == 0
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
 
 class TestFrozenStdout:

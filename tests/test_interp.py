@@ -2,9 +2,11 @@
 
 Each case is a small program with the transcript it prints and the runtime
 error it stops with (None when it completes).  Faults the validator rules
-out statically (a non-Bool condition, an unbound variable, a missing
-method) are reached by editing the AST after the plans are built, as a
-tampered or hand-built image would.
+out statically (a non-Bool condition, a missing method) are reached by
+editing the AST after the plans are built, as a tampered or hand-built
+image would.  An unbound variable is reached that way too, and also from
+valid source: the validator's scope of a method spans its nested blocks,
+so a variable declared in a block that did not run can be read after it.
 """
 
 import subprocess
@@ -249,6 +251,10 @@ CASES = {
         var x: Int = 1;
         print(x);"""),
         lambda p: rename_var(p, "x", "y"), [], "unbound variable y"),
+    "unbound variable declared in a block that did not run": (main_of("""
+        if (false) { var x: Int = 1; }
+        print(x);"""),
+        None, [], "unbound variable x"),
     "unbound variable as a binary left operand":
         unbound_case("var x: Int = 1; print(x + 1);"),
     "unbound variable as a binary right operand":
@@ -289,6 +295,11 @@ CASES = {
         print(b.get());""", BOX),
         lambda p: rename_method(p, "get", "got"),
         ["4"], "Box has no method get"),
+    "missing static method": (main_of("""
+        print(1);
+        print(Util.twice(2));""", BOX),
+        lambda p: rename_method(p, "twice", "thrice"),
+        ["1"], "Util has no method twice"),
     "list get out of range": (main_of("""
         var xs: List[Int] = [4, 5];
         xs.append(6);

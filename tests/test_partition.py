@@ -376,7 +376,8 @@ class Main {
 
     def test_single_byte_mutations_load_or_raise_epart_errors(
             self, bank_plan, tmp_path):
-        """A tampered image never escapes load_plan as another exception.
+        """A tampered image never escapes load_plan as another exception,
+        and a plan that loads runs to its end or stops with an EpartError.
 
         The outcome counts pin what the decoder rejects today; a stricter
         loader changes them on purpose.
@@ -388,13 +389,18 @@ class Main {
         for name, _, data in _single_byte_mutations(images):
             (tmp_path / name).write_bytes(data)
             try:
-                load_plan(tmp_path)
+                plan = load_plan(tmp_path)
                 outcomes["loaded"] += 1
             except EpartError as e:
                 outcomes[type(e).__name__] += 1
+            else:
+                try:
+                    DualRuntime(plan).run_main()
+                except EpartError:
+                    pass
             (tmp_path / name).write_bytes(images[name])
-        assert outcomes == {"loaded": 441, "FormatError": 2397,
-                            "InterfaceMismatch": 162}
+        assert outcomes == {"loaded": 422, "FormatError": 2397,
+                            "InterfaceMismatch": 181}
 
     def test_accepted_mutations_encode_back_to_the_same_bytes(
             self, bank_plan, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from epart.bench import SyntheticSpec, generate_program, generate_synthetic
 from epart.dsl import parse_program
 from epart.errors import (
-    DslRuntimeError, EpartError, InterfaceMismatch, StaleMirror,
+    DslRuntimeError, EpartError, InterfaceMismatch, MarshalError, StaleMirror,
     TransitionOverflow, ValidationFailed,
 )
 from epart.partition import compute_images, whole_program_plan
@@ -728,3 +728,67 @@ class TestDeterminism:
                     "\n".join(ev.line() for ev in r.trace), fault]).encode())
         assert digest.hexdigest() == \
             "55277e25057d20ebe7e57baeff6fd1f95a4f8a5d054226beef55ed85a97a4846"
+
+
+class TestOneRuleForNew:
+    """`new C` builds C when the side's image holds it and otherwise crosses
+    to C's constructor relay, whether the host or the program asks."""
+
+    SRC = """
+@Trusted
+class Vault {
+    Vault() { }
+}
+@Untrusted
+class Main {
+    static main() {
+        var v: Vault = new Vault();
+        print(1);
+    }
+}
+"""
+
+    def test_the_host_and_the_program_fail_alike(self):
+        program = parse_program(self.SRC)
+        plan = compute_images(program)
+        rt = DualRuntime(plan)
+        with pytest.raises(InterfaceMismatch) as exc:
+            rt.construct(TRUSTED, "Main", [])
+        assert str(exc.value) == "no relay Main.Main in the untrusted image"
+        new = plan.untrusted_image.class_decl("Main").methods[0].body[0].init
+        new.class_name = "Ghost"
+        with pytest.raises(InterfaceMismatch) as exc:
+            DualRuntime(plan).run_main()
+        assert str(exc.value) == "no relay Ghost.Ghost in the trusted image"
+
+    def test_a_receiver_from_the_other_image_faults(self, bank_plan):
+        rt = DualRuntime(bank_plan)
+        person = rt.construct(UNTRUSTED, "Person", ["A", 1])
+        with pytest.raises(DslRuntimeError) as exc:
+            rt.call(TRUSTED, person, "getAccount", [])
+        assert exc.value.message == "Person has no method getAccount"
+
+
+class TestHostApiMisuse:
+    """A host call whose arguments cannot cross fails before the crossing
+    is billed."""
+
+    @pytest.mark.parametrize("args, error, message", [
+        ([], InterfaceMismatch,
+         "Account.updateBalance takes 1 argument(s), not 0"),
+        ([1, 2], InterfaceMismatch,
+         "Account.updateBalance takes 1 argument(s), not 2"),
+        ([ProxyObj("Ghost", 5)], MarshalError, "unknown class Ghost"),
+    ], ids=["too-few", "too-many", "unknown-class"])
+    def test_nothing_is_billed(self, bank_plan, args, error, message):
+        rt = DualRuntime(bank_plan)
+        account = rt.construct(UNTRUSTED, "Account", ["X", 5])
+        before = rt.result()
+        billed = before.metrics_text()
+        with pytest.raises(error) as exc:
+            rt.call(UNTRUSTED, account, "updateBalance", args)
+        assert str(exc.value) == message
+        after = rt.result()
+        assert after.metrics_text() == billed
+        assert after.cycles_by_source == before.cycles_by_source
+        assert after.total("ecalls") == 1
