@@ -53,6 +53,7 @@ MAX_TRANSITION_DEPTH = 256
 DEFAULT_GC_THRESHOLD = 64 * 1024
 
 _SIDE_NAME = {ast.Annotation.TRUSTED: TRUSTED, ast.Annotation.UNTRUSTED: UNTRUSTED}
+_FAR_SIDE = {TRUSTED: UNTRUSTED, UNTRUSTED: TRUSTED}
 _SER, _UNIT = MarshalKind.SER, MarshalKind.UNIT
 
 
@@ -118,8 +119,10 @@ class DualRuntime:
 
         self.isolates: dict[str, Isolate] = {}
         self.classes: dict[str, dict[str, ast.ClassDecl]] = {}
-        # image side -> (class, method) -> the relay that image serves
-        self.relays: dict[str, dict[tuple[str, str], RelayMethodDef]] = {}
+        # image side -> (class, method) -> the relay that image serves; a
+        # side without an image serves none
+        self.relays: dict[str, dict[tuple[str, str], RelayMethodDef]] = {
+            side: {} for side in _SIDE_NAME.values()}
         self.interps: dict[str, Interpreter] = {}
         # Interpreters reach the runtime through a weak proxy, so a dropped
         # runtime and its heaps are freed at once, not by the cyclic GC.
@@ -337,18 +340,21 @@ class DualRuntime:
             return None, hash_out
         return wire.decode_values(response, 1, caller, self)[0], hash_out
 
-    def _relay(self, target: Isolate, class_name: str,
+    def _relay(self, iso: Isolate, class_name: str,
                method_name: str) -> RelayMethodDef:
-        relay = self.relays[target.side].get((class_name, method_name))
+        """The relay the image across from iso serves for the method.  On a
+        one-isolate runtime there is no image across, so there is none."""
+        far = _FAR_SIDE[iso.side]
+        relay = self.relays[far].get((class_name, method_name))
         if relay is None:
             raise InterfaceMismatch(f"no relay {class_name}.{method_name} "
-                                    f"in the {target.side} image")
+                                    f"in the {far} image")
         return relay
 
     def remote_new(self, iso: Isolate, class_name: str, args: list) -> ProxyObj:
         """`new` on a proxy class: run the constructor relay, bind the hash."""
+        relay = self._relay(iso, class_name, class_name)
         target = self.peers[iso.side]
-        relay = self._relay(target, class_name, class_name)
         _, h = self.cross(iso, target, relay, "ctor", 0, args,
                           self._new_mirror)
         proxy = ProxyObj(class_name, h)
@@ -368,8 +374,8 @@ class DualRuntime:
     def remote_invoke(self, iso: Isolate, proxy: ProxyObj, method_name: str,
                       args: list):
         """Proxy method call: relay looks the mirror up and dispatches."""
+        relay = self._relay(iso, proxy.class_name, method_name)
         target = self.peers[iso.side]
-        relay = self._relay(target, proxy.class_name, method_name)
         return self.cross(iso, target, relay, "invoke", proxy.hash_value,
                           args, self._invoke_mirror)[0]
 

@@ -204,6 +204,10 @@ class Main {
         (TRUSTED_IMG, b"\x07\x00\x00\x00Account\x0d\x00\x00\x00updateBalance",
          b"\x07\x00\x00\x00Accoumt\x0d\x00\x00\x00updateBalance",
          "relay Accoumt.updateBalance has no method in the trusted image"),
+        # a class name that is not UTF-8
+        (UNTRUSTED_IMG, b"\x06\x00\x00\x00Person", b"\x06\x00\x00\x00Pers\xffn",
+         "bad string in image: 'utf-8' codec can't decode byte 0xff in "
+         "position 4: invalid start byte"),
     ])
     def test_non_canonical_byte_or_stray_relay_is_a_bad_plan(
             self, bank_dir, capsys, image, old, new, reason):
@@ -876,6 +880,40 @@ class TestEntryPoint:
     def test_no_command_shows_usage(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+def _nested_ifs(depth: int) -> str:
+    body = "print(1);"
+    for _ in range(depth):
+        body = f"if (true) {{ {body} }}"
+    return body
+
+
+class TestDeepPlans:
+    """Plans that partition writes load and run in a fresh process, at the
+    default recursion limit: the decoder reads a statement block per nesting
+    level and a left-deep operator chain in one loop."""
+
+    CASES = {
+        "if-244": (_nested_ifs(244), "1\n"),
+        "if-300": (_nested_ifs(300), "1\n"),
+        "sum-495": ("print(" + " + ".join(["1"] * 495) + ");", "495\n"),
+        "sum-900": ("print(" + " + ".join(["1"] * 900) + ");", "900\n"),
+    }
+
+    @pytest.mark.parametrize("body,out", CASES.values(), ids=CASES.keys())
+    def test_partition_then_run(self, tmp_path, body, out):
+        src = tmp_path / "deep.ep"
+        src.write_text("@Untrusted\nclass Main {\n    static main() {\n"
+                       f"        {body}\n    }}\n}}\n")
+        for argv, stdout in ((["partition", str(src), "-o", str(tmp_path / "p")],
+                              None),
+                             (["run", str(tmp_path / "p")], out)):
+            proc = subprocess.run([sys.executable, "-m", "epart.cli", *argv],
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+            if stdout is not None:
+                assert proc.stdout == stdout
 
 
 class TestOneLineFailures:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from epart._version import __version__
 from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
 from epart.dsl.ast import (
-    UNIT, Annotation, ClassDecl, IntLit, MethodDecl, Param, Program, Visibility,
+    UNIT, Annotation, BoolLit, ClassDecl, IntLit, MethodDecl, Param, Program,
+    Return, VarDecl, Visibility,
 )
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
@@ -21,9 +23,11 @@ from epart.partition import (
     CONCRETE, PROXY, build_call_graph, check_interface, compute_images, emit,
     load_plan,
 )
-from epart.partition.emit import (
-    _EXPR_TAGS, _FIELD_CODECS, _STMT_TAGS, INTERFACE_FILE, MAGIC, TRUSTED_IMG,
-    UNTRUSTED_IMG, _Reader, _Writer, decode_image, encode_image,
+from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
+from epart.partition.image import (
+    _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
+    _get_field, _get_method, _get_type, _put_method, _Writer, decode_image,
+    encode_image,
 )
 from epart.partition.model import MarshalKind
 from epart.partition.plan import PartitionPlan
@@ -252,6 +256,19 @@ def _single_byte_mutations(images: dict[str, bytes]):
         yield name, pos, bytes(data)
 
 
+def _u32(n: int) -> bytes:
+    return struct.pack("<I", n)
+
+
+def _s(text: str) -> bytes:
+    """A string as an image stores it."""
+    return _u32(len(text)) + text.encode()
+
+
+def _tag(cls) -> bytes:
+    return bytes([(_EXPR_TAGS if cls in _EXPR_TAGS else _STMT_TAGS).index(cls)])
+
+
 def _fixture_plan(name: str):
     return compute_images(parse_program(
         (FIXTURES / name).read_text(encoding="utf-8")))
@@ -284,6 +301,25 @@ class TestEmitLoad:
             for image in (plan.trusted_image, plan.untrusted_image):
                 _node_classes(image.classes, seen)
         assert set(_EXPR_TAGS) | set(_STMT_TAGS) <= seen
+
+    def test_images_decode_to_the_plan_and_encode_back(self):
+        """The readers and the writer agree: over the fixtures, progen seeds
+        0-49 and 20-class cpu and io synth programs, each image decodes to
+        the image compute_images made and encodes back to its bytes."""
+        sources = [(FIXTURES / name).read_text(encoding="utf-8")
+                   for name in ("bank.ep", "every_node.ep", "public_field.ep")]
+        sources += generate_corpus(50, seed=0)
+        sources += [generate_synthetic(SyntheticSpec(
+            n_classes=20, pct_untrusted=50, workload=w)) for w in ("cpu", "io")]
+        for source in sources:
+            plan = plan_of(source)
+            for image in (plan.trusted_image, plan.untrusted_image):
+                data = encode_image(plan, image)
+                back, annotations, version = decode_image(data)
+                assert (back, annotations, version) == \
+                    (image, plan.annotations, __version__)
+                assert encode_image(PartitionPlan(back, back, annotations),
+                                    back) == data
 
     def test_emit_is_deterministic(self, bank_plan, tmp_path):
         a = tmp_path / "a"
@@ -427,6 +463,18 @@ class Main {
             checked += 1
         assert checked > 0
 
+    # codec: a reader of a record that holds it, the bytes before the
+    # codec's bytes and the bytes after them
+    _RECORDS = {
+        "bool": (_get_exprs, _u32(1) + _tag(BoolLit), b""),
+        "Visibility": (_get_field, _s("f") + _s("Int") + b"\x00", b""),
+        "Annotation": (_get_class, _s("C"), _u32(0) * 2),
+        "Optional[Expr]": (_get_body, _u32(1) + _tag(Return), b""),
+        "Optional[TypeRef]": (_get_body, _u32(1) + _tag(VarDecl) + _s("x"),
+                              _tag(IntLit) + bytes(8)),
+        "TypeRef": (_get_type, b"", b""),
+    }
+
     @pytest.mark.parametrize("codec, good, bad", [
         ("bool", b"\x01", b"\x02"),
         ("Visibility", b"\x01", b"\x02"),
@@ -436,12 +484,13 @@ class Main {
         ("TypeRef", b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02"),
     ])
     def test_a_flag_or_code_byte_has_one_encoding(self, codec, good, bad):
-        get = _FIELD_CODECS[codec][1]
-        reader = _Reader(good)
-        get(reader)
-        assert reader.pos == len(good)
+        """A record holding good reads to its end; bad in its place is one
+        error naming the byte."""
+        get, before, after = self._RECORDS[codec]
+        data = before + good + after
+        assert get(data, 0)[1] == len(data)
         with pytest.raises(FormatError, match=r"^bad \w+ byte \d+$"):
-            get(_Reader(bad))
+            get(before + bad + after, 0)
 
     @pytest.mark.parametrize("occurrence", [0, 1])  # class table, annotations
     def test_a_header_table_names_a_class_once(self, bank_plan, occurrence):
@@ -454,15 +503,16 @@ class Main {
             decode_image(data[:at] + account + data[at + len(person):])
 
     def test_method_flags_are_at_most_3(self):
-        put, get = _FIELD_CODECS["list[MethodDecl]"]
         w = _Writer()
-        put(w, [MethodDecl("m", [], UNIT, [], is_constructor=True, is_static=True)])
+        _put_method(w, MethodDecl("m", [], UNIT, [], is_constructor=True,
+                                  is_static=True))
         data = bytes(w)
         flags_at = len(data) - 5  # the flags byte, then the body's u32 count
         assert data[flags_at] == 3
-        assert get(_Reader(data))[0].is_static
+        method, end = _get_method(data, 0)
+        assert method.is_static and method.is_constructor and end == len(data)
         with pytest.raises(FormatError, match="^bad method flags byte 4$"):
-            get(_Reader(data[:flags_at] + b"\x04" + data[flags_at + 1:]))
+            _get_method(data[:flags_at] + b"\x04" + data[flags_at + 1:], 0)
 
     def test_roundtrip_with_a_public_field(self, tmp_path):
         plan = _fixture_plan("public_field.ep")

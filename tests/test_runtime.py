@@ -761,6 +761,19 @@ class Main {
             DualRuntime(plan).run_main()
         assert str(exc.value) == "no relay Ghost.Ghost in the trusted image"
 
+    def test_a_one_isolate_runtime_has_no_relay(self):
+        """The reference plan has no trusted image, so the host's crossings
+        fail as crossings to an image without the relay."""
+        rt = DualRuntime(whole_program_plan(parse_program(self.SRC),
+                                            enclave=False))
+        assert list(rt.isolates) == [UNTRUSTED]
+        with pytest.raises(InterfaceMismatch) as exc:
+            rt.construct(UNTRUSTED, "Ghost", [])
+        assert str(exc.value) == "no relay Ghost.Ghost in the trusted image"
+        with pytest.raises(InterfaceMismatch) as exc:
+            rt.call(UNTRUSTED, ProxyObj("Vault", 5), "open", [])
+        assert str(exc.value) == "no relay Vault.open in the trusted image"
+
     def test_a_receiver_from_the_other_image_faults(self, bank_plan):
         rt = DualRuntime(bank_plan)
         person = rt.construct(UNTRUSTED, "Person", ["A", 1])
