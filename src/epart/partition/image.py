@@ -4,13 +4,18 @@ An image is the magic EPIMG\\x01, then a canonical length-prefixed AST
 encoding (little endian): the side, the tool version, the class-id table,
 the annotations, then the image's classes, proxies, relays and entry points.
 
-One schema: a record is its fields in dataclass order, each by the writer
-its type annotation names in _FIELD_PUT (positions are not stored); a node
-first has its tag, its index in _EXPR_TAGS or _STMT_TAGS.  MethodDecl alone
-is by hand: its two flags share one byte, between return type and body.
+The layout is written down twice.  The writer is generated: a record is its
+fields in dataclass order, each by the writer its type annotation names in
+_FIELD_PUT (positions are not stored); a node first has its tag, its index
+in _EXPR_TAGS or _STMT_TAGS.  MethodDecl alone is by hand: its two flags
+share one byte, between return type and body.  The readers are written out
+by hand, one per record, so each _get_* and node reader must follow its
+dataclass's field order: a field added to a node changes the writer at
+once and its reader only when edited.  The roundtrip test in
+tests/test_partition.py, test_images_decode_to_the_plan_and_encode_back,
+is the guard that keeps the two in step.
 
-One reader per record, written out by hand in the same field order:
-get(data, pos) -> (value, pos) over the image bytes.  It reads tag, flag and
+A reader is get(data, pos) -> (value, pos) over the image bytes.  It reads tag, flag and
 code bytes as data[pos], counts and integers by unpack_from, and strings by
 _get_str.  A statement or expression sequence dispatches on each tag in its
 own loop, and a left-deep operator chain is read in one loop, so only a

@@ -26,8 +26,8 @@ from epart.partition import (
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
     _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
-    _get_field, _get_method, _get_type, _put_method, _Writer, decode_image,
-    encode_image,
+    _get_field, _get_method, _get_relay, _get_stub, _get_type, _put_method,
+    _Writer, decode_image, encode_image,
 )
 from epart.partition.model import MarshalKind
 from epart.partition.plan import PartitionPlan
@@ -467,6 +467,10 @@ class Main {
     # codec's bytes and the bytes after them
     _RECORDS = {
         "bool": (_get_exprs, _u32(1) + _tag(BoolLit), b""),
+        "StubMethod.is_constructor": (
+            _get_stub, _s("m") + _u32(0) + _s("Unit") + b"\x00", b""),
+        "RelayMethodDef.is_constructor": (
+            _get_relay, _s("C") + _s("m"), _s("ecall") + _u32(0) + _s("unit")),
         "Visibility": (_get_field, _s("f") + _s("Int") + b"\x00", b""),
         "Annotation": (_get_class, _s("C"), _u32(0) * 2),
         "Optional[Expr]": (_get_body, _u32(1) + _tag(Return), b""),
@@ -477,6 +481,8 @@ class Main {
 
     @pytest.mark.parametrize("codec, good, bad", [
         ("bool", b"\x01", b"\x02"),
+        ("StubMethod.is_constructor", b"\x01", b"\x02"),
+        ("RelayMethodDef.is_constructor", b"\x01", b"\x02"),
         ("Visibility", b"\x01", b"\x02"),
         ("Annotation", b"\x02", b"\x03"),
         ("Optional[Expr]", b"\x00", b"\xff"),

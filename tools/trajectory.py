@@ -1,13 +1,15 @@
 """Measure several revisions with this checkout's benchmark harness.
 
-    python3 tools/trajectory.py [--seconds S] [--rounds N] [--seed N] REV [REV ...]
+    python3 tools/trajectory.py REV [REV ...]
 
 Each REV's src/ tree is unpacked with `git archive` under a temporary
-directory.  Then every round runs the four perfbench workloads on every
+directory.  Then every round runs each perfbench workload on every
 revision in turn, so drift of the host's speed spreads over the revisions
 instead of landing on one.  Each run is a child process (so it reports its
 own peak memory) that calls perfbench's harness.run_workload on the
 unpacked tree; the harness imports epart from it with harness.load_api.
+The seed, the rounds and each run's seconds are fixed below, so every
+rewrite of the record stays comparable with the last.
 
 The result is BENCH_trajectory.json at the root of this checkout, rewritten
 on every call, and a markdown table on stdout.  Per workload and revision
@@ -37,9 +39,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 OUT = ROOT / "BENCH_trajectory.json"
-WORKLOADS = ("partition_wide", "interp_loop", "boundary_churn", "corpus_diff")
-# As perfbench/run.py: a runaway input fails its run instead of the host.
-ADDRESS_SPACE_LIMIT = 2 << 30
+SEED = 41
+ROUNDS = 3
+SECONDS = 5.0
+
+sys.path.insert(0, str(BENCH))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def git(*args: str) -> str:
@@ -55,24 +60,24 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_one(tree: str, workload: str, seed: int, seconds: float) -> int:
+def run_one(tree: str, workload: str) -> int:
     """Child process: one untraced run; its record's summary as JSON."""
+    # perfbench's own limit: a runaway input fails its run, not the host.
+    from run import ADDRESS_SPACE_LIMIT, run_workload
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
     if hard == resource.RLIM_INFINITY or hard > ADDRESS_SPACE_LIMIT:
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, hard))
-    sys.path.insert(0, str(BENCH))
-    from harness import run_workload
-    record = run_workload(Path(tree), workload, seed, seconds, False)
+    record = run_workload(Path(tree), workload, SEED, SECONDS, False)
     print(json.dumps({k: record[k] for k in (
         "metrics", "raw_metrics", "simulated_cycles", "pass_counts",
         "attempted", "failed", "epart_version")}))
     return 0
 
 
-def measure(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def measure(tree: Path, workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--one", str(tree),
-         workload, str(seed), str(seconds)], capture_output=True, text=True)
+         workload], capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{workload} on {tree.name}: exited with "
                          f"{proc.returncode}\n{proc.stderr}")
@@ -132,9 +137,6 @@ def table(result: dict) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("revs", nargs="+", metavar="REV")
-    ap.add_argument("--seconds", type=float, default=5.0)
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=41)
     args = ap.parse_args(argv)
     revisions = [{"rev": git("rev-parse", "--short", rev),
                   "commit": git("rev-parse", rev),
@@ -146,16 +148,16 @@ def main(argv=None) -> int:
         for r in revisions:
             trees[r["rev"]] = Path(tmp) / r["rev"]
             unpack(r["commit"], trees[r["rev"]])
-        for k in range(args.rounds):
+        for k in range(ROUNDS):
             for workload in WORKLOADS:
                 for r in revisions:
                     print(f"round {k + 1}: {workload} at {r['rev']}",
                           file=sys.stderr)
-                    runs[workload][r["rev"]].append(measure(
-                        trees[r["rev"]], workload, args.seed, args.seconds))
+                    runs[workload][r["rev"]].append(
+                        measure(trees[r["rev"]], workload))
     result = {
         "harness": f"perfbench/ at {git('rev-parse', '--short', 'HEAD')}",
-        "seed": args.seed, "seconds": args.seconds, "rounds": args.rounds,
+        "seed": SEED, "seconds": SECONDS, "rounds": ROUNDS,
         "python": platform.python_version(), "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "revisions": revisions,
@@ -169,6 +171,5 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--one"]:
-        tree, workload, seed, seconds = sys.argv[2:6]
-        sys.exit(run_one(tree, workload, int(seed), float(seconds)))
+        sys.exit(run_one(*sys.argv[2:4]))
     sys.exit(main())
