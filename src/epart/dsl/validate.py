@@ -110,7 +110,9 @@ class _Checker:
         self.calls: dict[CallTarget, dict[CallTarget, None]] = {}
         self.cls: ClassDecl | None = None
         self.m: MethodDecl | None = None
-        self.env: dict[str, TypeRef] = {}
+        # local name -> its type; None for a declaration that did not type,
+        # so that its uses report nothing more
+        self.env: dict[str, TypeRef | None] = {}
         self.targets: dict[CallTarget, None] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -207,21 +209,20 @@ class _Checker:
         else:
             if t is not None and _is_list_none(t):
                 self.fail(TYPE_ERROR, st, "empty list needs a declared list type")
-            env[st.name] = t or ast.INT
+                t = None
+            env[st.name] = t
 
     def check_assign(self, st: Assign) -> None:
         vt = _INFER[st.value.__class__](self, st.value)
         target = st.target
         if target.__class__ is Var:
-            dst = self.env.get(target.name)
-            if dst is None:
+            if target.name not in self.env:
                 self.fail(TYPE_RESOLVE, target, f"unknown variable {target.name}")
                 return
+            dst = self.env[target.name]
         else:
             dst = self.check_field_target(target)
-            if dst is None:
-                return
-        if vt is not None and not assignable(vt, dst):
+        if dst is not None and vt is not None and not assignable(vt, dst):
             self.fail(TYPE_ERROR, st, f"cannot assign {vt} to {dst}")
 
     def check_expr_stmt(self, st: ExprStmt) -> None:
@@ -291,10 +292,11 @@ class _Checker:
         return TypeRef(self.cls.name)
 
     def infer_var(self, e: Var) -> TypeRef | None:
-        t = self.env.get(e.name)
-        if t is None:
+        try:
+            return self.env[e.name]
+        except KeyError:
             self.fail(TYPE_RESOLVE, e, f"unknown variable {e.name}")
-        return t
+            return None
 
     def infer_unary(self, e: Unary) -> TypeRef:
         t = _INFER[e.operand.__class__](self, e.operand)

@@ -1,32 +1,32 @@
 """Emit and reload partition plans.
 
 Layout written to the output directory:
-  trusted.img, untrusted.img   binary image files, magic EPIMG\\x01, canonical
+  trusted.img, untrusted.img   binary image files, magic EPIMG\\x02, canonical
                                length-prefixed AST encoding (little endian)
   interface.edl.txt            one line per surviving relay, sorted by
                                (direction, class, method), '#' header with the
                                tool version
 
-The interface and the class-id table are derived from the images and the
-annotations.  load_plan checks the stored copies against what it derives and
-parses neither.  It accepts only a plan written by this tool version: both
-images and the interface header must record it.  image.py encodes and
-decodes the images.
+The relays, the entry points and the interface are derived from the images'
+proxies and the annotations (derive_interface), once check_interface has
+checked each proxy stub against its method.  load_plan checks the interface
+file against the one the derived relays render and does not parse it.  It
+accepts only a plan written by this tool version: both images and the
+interface header must record it.  image.py encodes and decodes the images.
 """
 
 from __future__ import annotations
 
 import errno
-from collections import Counter
 from pathlib import Path
 
 from .._files import write_file
 from .._version import __version__
-from ..dsl.ast import Annotation
+from ..dsl.ast import BUILTIN_TYPE_NAMES, Annotation
 from ..errors import FormatError, InterfaceMismatch
 from .image import decode_image, encode_image
-from .model import RelayMethodDef, relay_direction, relay_for
-from .plan import ImageSpec, PartitionPlan
+from .model import RelayMethodDef, relay_direction, stub_for
+from .plan import ImageSpec, PartitionPlan, derive_interface
 
 TRUSTED_IMG = "trusted.img"
 UNTRUSTED_IMG = "untrusted.img"
@@ -78,10 +78,11 @@ def _load_image(name: str, data: bytes) -> tuple[ImageSpec, dict[str, Annotation
 
 
 def load_plan(plan_dir: str | Path) -> PartitionPlan:
-    """Reload an emitted plan written by this tool version, checking its
-    images with check_interface and its interface file against the one they
-    render.  All three files are read before any is decoded, so a missing
-    file is reported before a corrupt one."""
+    """Reload an emitted plan written by this tool version: check its images
+    with check_interface, derive their relays and entry points, and check
+    the interface file against the one the relays render.  All three files
+    are read before any is decoded, so a missing file is reported before a
+    corrupt one."""
     d = Path(plan_dir)
     t_data, u_data, i_data = (_read_plan_file(d, name) for name in
                               (TRUSTED_IMG, UNTRUSTED_IMG, INTERFACE_FILE))
@@ -90,9 +91,10 @@ def load_plan(plan_dir: str | Path) -> PartitionPlan:
     if trusted.side != Annotation.TRUSTED or untrusted.side != Annotation.UNTRUSTED:
         raise FormatError("image files have swapped or invalid sides")
     if ann_t != ann_u:
-        raise FormatError("image files disagree on class tables")
+        raise FormatError("image files disagree on annotation tables")
     plan = PartitionPlan(trusted, untrusted, ann_t)
     check_interface(plan)
+    derive_interface(plan)
     try:
         text = i_data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -111,62 +113,53 @@ def load_plan(plan_dir: str | Path) -> PartitionPlan:
 
 def check_interface(plan: PartitionPlan) -> None:
     """Every class of an image has the annotation the plan's table gives it,
-    and no @Trusted class is in the untrusted image.  Every relay is a
-    method of a class of its own image and is entered in that image's own
-    direction, ecall into the trusted image and ocall into the untrusted one.
-    Every proxy stub has exactly one relay in the other image; relays and
-    proxies cross in the direction their class's annotation gives.  Each
-    relay is the one relay_for makes of its method.  The trusted image may
-    hold @Untrusted classes: the enclave baseline of whole_program_plan
-    holds every class."""
+    and no @Trusted class is in the untrusted image.  Every proxy crosses in
+    the direction its class's annotation gives and out of its own image,
+    ecall from the untrusted image and ocall from the trusted one.  Each of
+    its stubs is the stub_for of the method of that name that its class
+    declares in the other image, and names only classes in the table, so the
+    relays derive_interface makes of the stubs are those methods' relays.
+    The trusted image may hold @Untrusted classes: the enclave baseline of
+    whole_program_plan holds every class."""
     annotations = plan.annotations
+    known = BUILTIN_TYPE_NAMES | annotations.keys()
     images = (plan.trusted_image, plan.untrusted_image)
-    # per image: (class, method name) -> the class and the first method of
-    # that name, the one a call runs
-    declared = [{(c.name, m.name): (c, m) for c in spec.classes
+    # per image: (class, method name) -> the first method of that name, the
+    # one a call runs
+    declared = [{(c.name, m.name): m for c in spec.classes
                  for m in reversed(c.methods)} for spec in images]
-    for spec, far, methods in zip(images, reversed(images), declared):
+    for spec, far, far_methods in zip(images, reversed(images),
+                                      reversed(declared)):
         side = spec.side.value.lower()
         for c in spec.classes:
             if annotations.get(c.name) != c.annotation:
                 raise InterfaceMismatch(f"class {c.name} in the {side} image is "
                                         "not in the annotation table as declared")
-        for rel in spec.relays:
-            if (rel.class_name, rel.method_name) not in methods:
-                raise InterfaceMismatch(f"relay {rel.relay_id} has no method "
-                                        f"in the {side} image")
-            if rel.direction != relay_direction(annotations.get(rel.class_name)):
-                raise InterfaceMismatch(f"relay {rel.relay_id} is an {rel.direction}, "
-                                        "against its class's annotation")
-        relays = Counter((rel.class_name, rel.method_name) for rel in far.relays)
         for proxy in spec.proxies:
             if proxy.direction != relay_direction(annotations.get(proxy.class_name)):
                 raise InterfaceMismatch(f"proxy {proxy.class_name} is an "
                                         f"{proxy.direction} proxy, against its "
                                         "class's annotation")
+            if proxy.direction != relay_direction(far.side):
+                raise InterfaceMismatch(f"proxy {proxy.class_name} is an "
+                                        f"{proxy.direction} proxy in the {side} "
+                                        "image")
             for stub in proxy.stubs:
-                count = relays[(proxy.class_name, stub.name)]
-                if count != 1:
-                    what = "no relay" if count == 0 else f"{count} relays"
+                method = far_methods.get((proxy.class_name, stub.name))
+                if method is None or stub_for(method) != stub:
                     raise InterfaceMismatch(
                         f"stub {proxy.class_name}.{stub.name} in the {side} "
-                        f"image has {what} in the other image")
+                        "image is not the signature of a method of the other "
+                        "image")
+                unknown = {stub.return_type.name,
+                           *(t.name for _, t in stub.params)} - known
+                if unknown:
+                    raise InterfaceMismatch(
+                        f"stub {proxy.class_name}.{stub.name} names class "
+                        f"{min(unknown)}, which the annotation table lacks")
     # Which side holds what is checked once every name resolves, so that a
-    # stub left without its relay is named as such.
+    # stub left without its method is named as such.
     for c in plan.untrusted_image.classes:
         if c.annotation == Annotation.TRUSTED:
             raise InterfaceMismatch(f"class {c.name} is @Trusted but in the "
                                     "untrusted image")
-    for spec, methods in zip(images, declared):
-        for rel in spec.relays:
-            if rel.direction != relay_direction(spec.side):
-                raise InterfaceMismatch(f"relay {rel.relay_id} is an {rel.direction} "
-                                        f"in the {spec.side.value.lower()} image")
-            try:
-                made = relay_for(*methods[rel.class_name, rel.method_name],
-                                 annotations)
-            except KeyError:  # a signature names a class the table lacks
-                made = None
-            if rel != made:
-                raise InterfaceMismatch(f"relay {rel.relay_id} is not the relay "
-                                        "its method's signature makes")

@@ -1,8 +1,10 @@
 """The image codec: an ImageSpec and its plan's header as image bytes.
 
-An image is the magic EPIMG\\x01, then a canonical length-prefixed AST
-encoding (little endian): the side, the tool version, the class-id table,
-the annotations, then the image's classes, proxies, relays and entry points.
+An image is the magic EPIMG\\x02, then a canonical length-prefixed AST
+encoding (little endian): the side, the tool version, the annotations, then
+the image's classes and proxies.  Nothing else is stored: the relays and
+entry points are derive_interface's (plan.py), the wire's class ids are
+PartitionPlan's, so an image holds no second copy of a fact to check.
 
 The layout is written down twice.  The writer is generated: a record is its
 fields in dataclass order, each by the writer its type annotation names in
@@ -29,7 +31,7 @@ which it turns into "bad string in image".
 One encoding per value: a flag byte (a bool, or the presence of a list
 element type or an optional value) is 0 or 1, a code byte names one of its
 values, method flags are at most 3, an operator or builtin is one the
-language has and a header table names a class once.
+language has and the annotation table names a class once.
 Anything else is a FormatError, so an image decodes and encodes back to the
 same bytes.  Identical plans always produce byte-identical files.
 """
@@ -47,10 +49,10 @@ from ..dsl.ast import (
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
 )
 from ..errors import FormatError
-from .model import MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod
+from .model import ProxyClassDef, StubMethod
 from .plan import ImageSpec, PartitionPlan
 
-MAGIC = b"EPIMG\x01"
+MAGIC = b"EPIMG\x02"
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -123,7 +125,6 @@ _ANNOTATIONS = (Annotation.TRUSTED, Annotation.UNTRUSTED, Annotation.NEUTRAL)
 _VISIBILITIES = (Visibility.PRIVATE, Visibility.PUBLIC)
 
 # The writer of each field type annotation; a record joins after its fields.
-# A MarshalKind is a str, so it is written as its text.
 _FIELD_PUT = {
     "int": _Writer.i64,
     "bool": _code(False, True),
@@ -131,14 +132,12 @@ _FIELD_PUT = {
     "TypeRef": _put_type,
     "Annotation": _code(*_ANNOTATIONS),
     "Visibility": _code(*_VISIBILITIES),
-    "MarshalKind": _Writer.s,
     "Expr": _put_node,
     "Union[Var, FieldGet]": _put_node,
     "Optional[Expr]": _optional(_put_node),
     "Optional[TypeRef]": _optional(_put_type),
     "list[Expr]": _sequence(_put_node),
     "list[Stmt]": _sequence(_put_node),
-    "tuple[MarshalKind, ...]": _sequence(_Writer.s),
     "tuple[tuple[str, TypeRef], ...]": _sequence(
         lambda w, p: (w.s(p[0]), _put_type(w, p[1]))),
 }
@@ -178,15 +177,10 @@ def _put_method(w: _Writer, m: MethodDecl) -> None:
 
 _FIELD_PUT["list[MethodDecl]"] = _sequence(_put_method)
 _FIELD_PUT["tuple[StubMethod, ...]"] = _sequence(_record(StubMethod))
-_put_strings = _sequence(_Writer.s)
 _put_ann = _FIELD_PUT["Annotation"]
 _put_anns = _sequence(lambda w, item: (w.s(item[0]), _put_ann(w, item[1])))
-_IMAGE_PUT = [
-    ("classes", _sequence(_record(ClassDecl))),
-    ("proxies", _sequence(_record(ProxyClassDef))),
-    ("relays", _sequence(_record(RelayMethodDef))),
-    ("entry_points", _put_strings),
-]
+_put_classes = _sequence(_record(ClassDecl))
+_put_proxies = _sequence(_record(ProxyClassDef))
 
 
 # -- reading: one function per record -----------------------------------------------
@@ -422,7 +416,7 @@ _STMT_GET = _tag_table(_STMT_TAGS, {
     Return: _return, If: _if, While: _while}, _unknown_stmt)
 
 
-# -- declarations, proxies and relays ---------------------------------------------
+# -- declarations and proxies ------------------------------------------------------
 
 def _get_param(data: bytes, pos: int) -> tuple[Param, int]:
     name, pos = _get_str(data, pos)
@@ -483,7 +477,6 @@ def _get_stub(data: bytes, pos: int) -> tuple[StubMethod, int]:
 
 
 _DIRECTIONS = {"ecall": "ecall", "ocall": "ocall"}
-_MARSHAL_KINDS = {k.value: k for k in MarshalKind}
 _SIDES = {a.value: a for a in Annotation}
 
 
@@ -492,24 +485,6 @@ def _get_proxy(data: bytes, pos: int) -> tuple[ProxyClassDef, int]:
     direction, pos = _get_name(data, pos, _DIRECTIONS, "transition direction")
     stubs, pos = _get_items(data, pos, _get_stub)
     return ProxyClassDef(name, direction, tuple(stubs)), pos
-
-
-def _get_kind(data: bytes, pos: int) -> tuple[MarshalKind, int]:
-    return _get_name(data, pos, _MARSHAL_KINDS, "marshal kind")
-
-
-def _get_relay(data: bytes, pos: int) -> tuple[RelayMethodDef, int]:
-    class_name, pos = _get_str(data, pos)
-    method_name, pos = _get_str(data, pos)
-    flag = data[pos]
-    if flag > 1:
-        raise _bad_flag(flag)
-    direction, pos = _get_name(data, pos + 1, _DIRECTIONS,
-                               "transition direction")
-    kinds, pos = _get_items(data, pos, _get_kind)
-    ret, pos = _get_kind(data, pos)
-    return RelayMethodDef(class_name, method_name, flag == 1, direction,
-                          tuple(kinds), ret), pos
 
 
 def _get_annotated(data: bytes, pos: int) -> tuple[tuple[str, Annotation], int]:
@@ -523,20 +498,13 @@ def _get_image(data: bytes, pos: int):
     offset after it)."""
     side, pos = _get_name(data, pos, _SIDES, "image side")
     version, pos = _get_str(data, pos)
-    names, pos = _get_items(data, pos, _get_str)  # the class-id table
     pairs, pos = _get_items(data, pos, _get_annotated)
     annotations = dict(pairs)
-    if len(set(names)) != len(names) or len(annotations) != len(pairs):
-        raise FormatError("a class name appears twice in an image table")
-    if names != sorted(annotations):
-        raise FormatError("the class table does not list the annotated classes "
-                          "in sorted order")
+    if len(annotations) != len(pairs):
+        raise FormatError("a class name appears twice in the annotation table")
     classes, pos = _get_items(data, pos, _get_class)
     proxies, pos = _get_items(data, pos, _get_proxy)
-    relays, pos = _get_items(data, pos, _get_relay)
-    entry_points, pos = _get_items(data, pos, _get_str)
-    return (ImageSpec(side, classes, proxies, relays, entry_points),
-            annotations, version, pos)
+    return ImageSpec(side, classes, proxies), annotations, version, pos
 
 
 # -- whole images ---------------------------------------------------------------
@@ -545,10 +513,9 @@ def encode_image(plan: PartitionPlan, spec: ImageSpec) -> bytes:
     w = _Writer(MAGIC)
     w.s(spec.side.value)
     w.s(__version__)
-    _put_strings(w, sorted(plan.annotations))  # the class-id table
     _put_anns(w, list(plan.annotations.items()))
-    for name, put in _IMAGE_PUT:
-        put(w, getattr(spec, name))
+    _put_classes(w, spec.classes)
+    _put_proxies(w, spec.proxies)
     return bytes(w)
 
 

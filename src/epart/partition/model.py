@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Program, TypeRef
+from ..dsl.ast import Annotation, MethodDecl, Program, TypeRef
 
 
 class MarshalKind(str, Enum):
@@ -113,14 +113,15 @@ def stub_for(m: MethodDecl) -> StubMethod:
                       m.return_type, m.is_constructor)
 
 
-def relay_for(cls: ClassDecl, m: MethodDecl,
+def relay_for(class_name: str, stub: StubMethod,
               annotations: dict[str, Annotation]) -> RelayMethodDef:
-    """The relay of a constructor or instance method of an annotated class.
+    """The relay of the method of an annotated class that stub is the
+    stub_for of.
 
     annotations maps every class of the program to its annotation.
     """
-    kinds = tuple(classify(p.type, annotations) for p in m.params)
-    ret = MarshalKind.UNIT if m.is_constructor \
-        else classify(m.return_type, annotations)
-    return RelayMethodDef(cls.name, m.name, m.is_constructor,
-                          relay_direction(cls.annotation), kinds, ret)
+    kinds = tuple(classify(t, annotations) for _, t in stub.params)
+    ret = MarshalKind.UNIT if stub.is_constructor \
+        else classify(stub.return_type, annotations)
+    return RelayMethodDef(class_name, stub.name, stub.is_constructor,
+                          relay_direction(annotations[class_name]), kinds, ret)

@@ -5,8 +5,10 @@ untrusted image and follows both images' call edges.  Reaching a proxy stub
 (PROXY, C, m) in one image keeps relay C.m and continues the walk at
 (CONCRETE, C, m) in the image of C's annotation, so every kept relay is
 reached from main.  Each image then keeps its reached methods and proxy
-stubs, the relays whose stubs the other image reached, and the neutral
-classes needed to decode payload types.
+stubs, and the neutral classes needed to decode payload types.
+
+An image's relays and entry points follow from the plan, so derive_interface
+makes them and no image stores them.
 
 One validation walk resolves every call, and each image's call-graph edges
 are built from it once.
@@ -28,7 +30,8 @@ from .model import (
 
 @dataclass
 class ImageSpec:
-    """One native image: concrete classes, surviving proxies and relays."""
+    """One native image: concrete classes and surviving proxies, and the
+    relays and entry points derive_interface gives them."""
 
     side: Annotation
     classes: list[ClassDecl] = field(default_factory=list)
@@ -114,9 +117,8 @@ def compute_images(program: Program) -> PartitionPlan:
         else:
             work += [(side, succ) for succ in edges[side][node] if succ not in seen]
 
-    def build_image(side: Annotation, relayed: set[Node]) -> ImageSpec:
-        """The image of side, cut from its reached nodes and the proxy stubs
-        that the other image reached (relayed)."""
+    def build_image(side: Annotation) -> ImageSpec:
+        """The image of side, cut from its reached nodes."""
         spec = ImageSpec(side)
         reachable = reached[side]
         kept: dict[str, ClassDecl] = {}
@@ -137,8 +139,6 @@ def compute_images(program: Program) -> PartitionPlan:
             if methods:
                 kept[cls.name] = ClassDecl(cls.name, cls.annotation,
                                            cls.fields, methods)
-            spec.relays += [relay_for(cls, m, annotations) for m in cls.methods
-                            if (PROXY, cls.name, m.name) in relayed]
 
         # Type closure: neutral classes named by kept fields and signatures,
         # and by reached stubs, must ship with the image so serialized
@@ -163,14 +163,11 @@ def compute_images(program: Program) -> PartitionPlan:
                 pending.append(referenced(kept[name]))
 
         spec.classes = [kept[c.name] for c in program.classes if c.name in kept]
-        spec.entry_points = sorted(r.relay_id for r in spec.relays)
-        if side == Annotation.UNTRUSTED:
-            spec.entry_points = ["main"] + spec.entry_points
         return spec
 
-    return PartitionPlan(
-        build_image(Annotation.TRUSTED, reached[Annotation.UNTRUSTED]),
-        build_image(Annotation.UNTRUSTED, reached[Annotation.TRUSTED]), annotations)
+    return derive_interface(PartitionPlan(
+        build_image(Annotation.TRUSTED), build_image(Annotation.UNTRUSTED),
+        annotations))
 
 
 def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
@@ -185,9 +182,34 @@ def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
     if not report.ok:
         raise ValidationFailed(report)
     side = Annotation.TRUSTED if enclave else Annotation.UNTRUSTED
-    whole = ImageSpec(side, list(program.classes), entry_points=["main"])
+    whole = ImageSpec(side, list(program.classes))
     if enclave:
         trusted, untrusted = whole, ImageSpec(Annotation.UNTRUSTED)
     else:
         trusted, untrusted = None, whole
-    return PartitionPlan(trusted, untrusted, annotation_map(program))
+    return derive_interface(PartitionPlan(trusted, untrusted,
+                                          annotation_map(program)))
+
+
+def derive_interface(plan: PartitionPlan) -> PartitionPlan:
+    """Set each image's relays and entry points, and return plan.
+
+    An image's relays are the relay_for of each stub of the other image's
+    proxies, in stub order; its entry points are its sorted relay ids, after
+    "main" on the first image that declares a static main, in
+    DualRuntime.find_main's order.  load_plan calls this once
+    check_interface has checked each stub against its method.
+    """
+    annotations = plan.annotations
+    images = [plan.untrusted_image, plan.trusted_image]  # find_main's order
+    home = next((image for image in images if image and any(
+        m.is_static and m.name == "main" for c in image.classes
+        for m in c.methods)), None)
+    for image, far in zip(images, reversed(images)):
+        if image is None:
+            continue
+        image.relays = [relay_for(p.class_name, s, annotations)
+                        for p in (far.proxies if far else ()) for s in p.stubs]
+        image.entry_points = (["main"] if image is home else []) + \
+            sorted(r.relay_id for r in image.relays)
+    return plan

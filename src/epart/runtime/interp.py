@@ -232,7 +232,10 @@ class Interpreter:
             this = frame.this
             if this is None:
                 raise DslRuntimeError("field assignment outside an instance method")
-            this.values[target.field_name] = value
+            values, name = this.values, target.field_name
+            if name not in values:  # a tampered image can name any field
+                raise DslRuntimeError(f"{this.decl.name} has no field {name}")
+            values[name] = value
             by_source = self.cycles_by_source
             by_source["field"] = by_source.get("field", 0) + self.field_cost
 

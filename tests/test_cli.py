@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +7,12 @@ import pytest
 
 from epart._version import __version__
 from epart.cli import main
-from epart.partition import compute_images, emit, load_plan, whole_program_plan
+from epart.partition import (
+    ProxyClassDef, compute_images, emit, load_plan, whole_program_plan,
+)
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
+from epart.partition.image import MAGIC
+from epart.partition.model import stub_for
 
 DIVERGENT_SRC = """
 @Neutral
@@ -178,8 +181,6 @@ class Main {
         assert "bad plan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("image, old, new", [
-        (TRUSTED_IMG, b"prim", b"prxm"),      # a relay's marshal kind
-        (TRUSTED_IMG, b"ecall", b"xcall"),    # a relay's direction
         (UNTRUSTED_IMG, b"ecall", b"xcall"),  # a proxy's direction
     ])
     def test_tampered_enum_field_is_a_bad_plan(self, bank_dir, capsys,
@@ -200,10 +201,11 @@ class Main {
          "bad flag byte 2"),
         # an annotation code past the three annotations
         (UNTRUSTED_IMG, b"Account\x00", b"Account\x03", "bad annotation byte 3"),
-        # a relay renamed to a class of the same length the image lacks
-        (TRUSTED_IMG, b"\x07\x00\x00\x00Account\x0d\x00\x00\x00updateBalance",
-         b"\x07\x00\x00\x00Accoumt\x0d\x00\x00\x00updateBalance",
-         "relay Accoumt.updateBalance has no method in the trusted image"),
+        # a proxy renamed to a class of the same length the table lacks,
+        # whose stubs would make stray relays
+        (UNTRUSTED_IMG, b"\x07\x00\x00\x00Account\x05\x00\x00\x00ecall",
+         b"\x07\x00\x00\x00Accoumt\x05\x00\x00\x00ecall",
+         "proxy Accoumt is an ecall proxy, against its class's annotation"),
         # a class name that is not UTF-8
         (UNTRUSTED_IMG, b"\x06\x00\x00\x00Person", b"\x06\x00\x00\x00Pers\xffn",
          "bad string in image: 'utf-8' codec can't decode byte 0xff in "
@@ -307,60 +309,52 @@ class Main {
         assert self._bad_plan(plan, capsys) == \
             f"bad plan: {INTERFACE_FILE} does not list the images' relays\n"
 
-    @pytest.mark.parametrize("tables, reason", [
-        (1, "the class table does not list the annotated classes in sorted "
-            "order"),
-        (2, "class Account in the trusted image is not in the annotation "
-            "table as declared"),
-    ], ids=["class-table", "class-and-annotation-tables"])
-    def test_a_class_renamed_in_both_images_tables_is_a_bad_plan(
-            self, bank_dir, capsys, tables, reason):
-        """An image's header is its class table, then its annotation table,
-        so the first Account names the class in one and the second in the
-        other.  Its declaration keeps its name, and Accoumt sorts where
-        Account did."""
+    def test_a_class_renamed_in_both_annotation_tables_is_a_bad_plan(
+            self, bank_dir, capsys):
+        """An image's header is its annotation table, so the first Account
+        of each image names the class there.  Both tables agree, but the
+        declaration in the trusted image keeps its name."""
         _, plan = bank_dir
         for name in (TRUSTED_IMG, UNTRUSTED_IMG):
             img = plan / name
             img.write_bytes(img.read_bytes().replace(
-                b"\x07\x00\x00\x00Account", b"\x07\x00\x00\x00Accoumt",
-                tables))
-        assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
+                b"\x07\x00\x00\x00Account", b"\x07\x00\x00\x00Accoumt", 1))
+        assert self._bad_plan(plan, capsys) == (
+            "bad plan: class Account in the trusted image is not in the "
+            "annotation table as declared\n")
 
     @pytest.mark.parametrize("image, reason", [
-        (TRUSTED_IMG, "relay Account.Account is an ocall, against its "
-                      "class's annotation"),
         (UNTRUSTED_IMG, "proxy Account is an ocall proxy, against its "
                         "class's annotation"),
-    ], ids=["relay", "proxy"])
+    ], ids=["proxy"])
     def test_a_direction_against_the_annotation_is_a_bad_plan(
             self, bank_dir, capsys, image, reason):
-        """The first ecall of trusted.img is Account's constructor relay, of
-        untrusted.img Account's proxy.  The interface is edited to match,
-        so only the annotation tells the flip apart."""
+        """The first ecall of untrusted.img is Account's proxy.  An image
+        stores no relay, so a proxy's is the one direction to flip."""
         _, plan = bank_dir
         img = plan / image
         img.write_bytes(img.read_bytes().replace(b"ecall", b"ocall", 1))
-        if image == TRUSTED_IMG:
-            path = plan / INTERFACE_FILE
-            header, *records = path.read_text().replace(
-                "ecall Account.Account(", "ocall Account.Account(").splitlines()
-            path.write_text("\n".join([header] + sorted(records)) + "\n")
         assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
+
+    def test_a_plan_with_the_old_magic_is_a_bad_plan(self, bank_dir, capsys):
+        """Images of the previous format stored their relays, entry points
+        and a class-id table; this tool reads no such image."""
+        _, plan = bank_dir
+        img = plan / TRUSTED_IMG
+        img.write_bytes(img.read_bytes().replace(MAGIC, b"EPIMG\x01", 1))
+        assert self._bad_plan(plan, capsys) == (
+            "bad plan: bad magic: not an image file or unsupported version\n")
 
     def test_a_trusted_class_in_the_untrusted_image_is_a_bad_plan(
             self, bank_program, tmp_path, capsys):
-        """Account and its relays moved into untrusted.img, its proxy
-        dropped: every name resolves, and the images agree with the
-        interface, but the ledger would run outside the enclave."""
+        """Account moved into untrusted.img, its proxy dropped and the
+        interface left as it was: every name resolves, but the ledger would
+        run outside the enclave."""
         plan = compute_images(bank_program)
         t, u = plan.trusted_image, plan.untrusted_image
         account = t.class_decl("Account")
         t.classes.remove(account)
         u.classes.append(account)
-        for rel in [r for r in t.relays if r.class_name == "Account"]:
-            t.relays.remove(rel)
-            u.relays.append(rel)
         u.proxies.remove(u.proxy_def("Account"))
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == \
@@ -368,23 +362,25 @@ class Main {
 
     def test_an_ocall_relay_in_the_trusted_image_is_a_bad_plan(
             self, bank_program, tmp_path, capsys):
-        """The enclave baseline holds the @Untrusted Person, so an ocall relay
-        of Person names a method there and agrees with its annotation; but
-        an ocall enters the untrusted image, not the trusted one."""
+        """The enclave baseline holds the @Untrusted Person, so an ocall proxy
+        of Person in untrusted.img agrees with Person's annotation, and its
+        stub with Person.transfer in the trusted image.  But an ocall leaves
+        the trusted image, so the relay the stub makes would be an ocall into
+        the trusted image."""
         plan = whole_program_plan(bank_program, enclave=True)
-        relay = compute_images(bank_program).trusted_image.relays[0]
-        plan.trusted_image.relays.append(dataclasses.replace(
-            relay, class_name="Person", method_name="transfer", direction="ocall"))
+        transfer = plan.trusted_image.class_decl("Person").method("transfer")
+        plan.untrusted_image.proxies.append(
+            ProxyClassDef("Person", "ocall", (stub_for(transfer),)))
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == \
-            "bad plan: relay Person.transfer is an ocall in the trusted image\n"
+            "bad plan: proxy Person is an ocall proxy in the untrusted image\n"
 
     def test_a_relay_that_is_not_its_methods_relay_is_a_bad_plan(
             self, tmp_path, capsys):
-        """Counter.next returns an Int, so its relay returns prim.  Its
-        return kind turned to unit in trusted.img and the interface alike
-        still loads every name and direction, but main would add 1 to a
-        unit result."""
+        """Counter.next returns an Int, so its relay returns prim.  Its stub
+        in untrusted.img turned to return Unit, and the interface to match
+        the unit relay that stub makes, still loads every name and
+        direction, but main would add 1 to a unit result."""
         src = tmp_path / "c.ep"
         src.write_text("""
 @Trusted
@@ -404,17 +400,18 @@ class Main {
 """)
         plan = tmp_path / "plan"
         assert main(["partition", str(src), "-o", str(plan)]) == 0
-        img = plan / TRUSTED_IMG
+        img = plan / UNTRUSTED_IMG
         data = img.read_bytes()
-        assert data.count(b"prim") == 1
-        img.write_bytes(data.replace(b"prim", b"unit"))
+        stub = b"\x04\x00\x00\x00next\x00\x00\x00\x00\x03\x00\x00\x00Int"
+        assert data.count(stub) == 1
+        img.write_bytes(data.replace(stub, stub[:-7] + b"\x04\x00\x00\x00Unit"))
         path = plan / INTERFACE_FILE
         text = path.read_text()
         assert text.count("next() -> prim") == 1
         path.write_text(text.replace("next() -> prim", "next() -> unit"))
         assert self._bad_plan(plan, capsys) == (
-            "bad plan: relay Counter.next is not the relay its method's "
-            "signature makes\n")
+            "bad plan: stub Counter.next in the untrusted image is not the "
+            "signature of a method of the other image\n")
 
     def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
         """whole_program_plan(enclave=True) puts @Untrusted classes in the

@@ -14,22 +14,22 @@ from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
 from epart.dsl import parse_program, validate
 from epart.dsl.ast import (
     UNIT, Annotation, BoolLit, ClassDecl, IntLit, MethodDecl, Param, Program,
-    Return, VarDecl, Visibility,
+    Return, TypeRef, VarDecl, Visibility,
 )
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
 )
 from epart.partition import (
     CONCRETE, PROXY, build_call_graph, check_interface, compute_images, emit,
-    load_plan,
+    load_plan, whole_program_plan,
 )
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
     _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
-    _get_field, _get_method, _get_relay, _get_stub, _get_type, _put_method,
+    _get_field, _get_method, _get_stub, _get_type, _put_method,
     _Writer, decode_image, encode_image,
 )
-from epart.partition.model import MarshalKind
+from epart.partition.model import MarshalKind, stub_for
 from epart.partition.plan import PartitionPlan
 from epart.runtime import DualRuntime
 
@@ -75,6 +75,18 @@ class TestBankImages:
             "AccountRegistry.AccountRegistry", "AccountRegistry.addAccount",
         ]
         assert bank_plan.untrusted_image.entry_points == ["main"]
+
+    @pytest.mark.parametrize("enclave", [False, True])
+    def test_a_whole_program_image_is_entered_at_main_alone(
+            self, bank_program, enclave):
+        """A whole-program plan has no proxies, so no relays: main, on the
+        image that holds every class, is its one entry point."""
+        plan = whole_program_plan(bank_program, enclave)
+        whole = plan.trusted_image if enclave else plan.untrusted_image
+        assert (whole.relays, whole.entry_points) == ([], ["main"])
+        if enclave:
+            assert plan.untrusted_image.entry_points == []
+        assert plan.descriptor == []
 
     def test_every_class_in_exactly_its_images(self, bank_plan):
         for cname, ann in bank_plan.annotations.items():
@@ -305,7 +317,8 @@ class TestEmitLoad:
     def test_images_decode_to_the_plan_and_encode_back(self):
         """The readers and the writer agree: over the fixtures, progen seeds
         0-49 and 20-class cpu and io synth programs, each image decodes to
-        the image compute_images made and encodes back to its bytes."""
+        the image compute_images made, less the relays and entry points
+        derived from it, and encodes back to its bytes."""
         sources = [(FIXTURES / name).read_text(encoding="utf-8")
                    for name in ("bank.ep", "every_node.ep", "public_field.ep")]
         sources += generate_corpus(50, seed=0)
@@ -316,8 +329,9 @@ class TestEmitLoad:
             for image in (plan.trusted_image, plan.untrusted_image):
                 data = encode_image(plan, image)
                 back, annotations, version = decode_image(data)
+                stored = dataclasses.replace(image, relays=[], entry_points=[])
                 assert (back, annotations, version) == \
-                    (image, plan.annotations, __version__)
+                    (stored, plan.annotations, __version__)
                 assert encode_image(PartitionPlan(back, back, annotations),
                                     back) == data
 
@@ -401,6 +415,19 @@ class Main {
         with pytest.raises(FormatError, match="assignment target must be"):
             load_plan(tmp_path)
 
+    def test_images_that_disagree_on_an_annotation(self, bank_plan, tmp_path):
+        """Person is @Untrusted (code 1) in untrusted.img's annotation table
+        and @Neutral (code 2) in trusted.img's."""
+        emit(bank_plan, tmp_path)
+        p = tmp_path / TRUSTED_IMG
+        data = p.read_bytes()
+        person = b"\x06\x00\x00\x00Person\x01"
+        assert data.count(person) == 1
+        p.write_bytes(data.replace(person, person[:-1] + b"\x02"))
+        with pytest.raises(FormatError, match="^image files disagree on "
+                                              "annotation tables$"):
+            load_plan(tmp_path)
+
     def test_swapped_images(self, bank_plan, tmp_path):
         emit(bank_plan, tmp_path)
         t = (tmp_path / TRUSTED_IMG).read_bytes()
@@ -415,13 +442,18 @@ class Main {
         """A tampered image never escapes load_plan as another exception,
         and a plan that loads runs to its end or stops with an EpartError.
 
-        The outcome counts pin what the decoder rejects today; a stricter
-        loader changes them on purpose.
+        The counts pin what the loader rejects today, and how the plans it
+        loads run: with the untampered run's transcript and cycles, with
+        other output, or to an EpartError.  A stricter loader changes them
+        on purpose.
         """
         emit(bank_plan, tmp_path)
         images = {n: (tmp_path / n).read_bytes()
                   for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
+        untampered = DualRuntime(bank_plan).run_main()
+        expected = (untampered.transcript, untampered.total_cycles)
         outcomes: collections.Counter = collections.Counter()
+        runs: collections.Counter = collections.Counter()
         for name, _, data in _single_byte_mutations(images):
             (tmp_path / name).write_bytes(data)
             try:
@@ -431,12 +463,17 @@ class Main {
                 outcomes[type(e).__name__] += 1
             else:
                 try:
-                    DualRuntime(plan).run_main()
+                    result = DualRuntime(plan).run_main()
                 except EpartError:
-                    pass
+                    runs["EpartError"] += 1
+                else:
+                    same = (result.transcript, result.total_cycles) == expected
+                    runs["same output" if same else "other output"] += 1
             (tmp_path / name).write_bytes(images[name])
-        assert outcomes == {"loaded": 422, "FormatError": 2397,
-                            "InterfaceMismatch": 181}
+        assert outcomes == {"loaded": 326, "FormatError": 2438,
+                            "InterfaceMismatch": 236}
+        assert runs == {"same output": 115, "other output": 6,
+                        "EpartError": 205}
 
     def test_accepted_mutations_encode_back_to_the_same_bytes(
             self, bank_plan, tmp_path):
@@ -469,8 +506,6 @@ class Main {
         "bool": (_get_exprs, _u32(1) + _tag(BoolLit), b""),
         "StubMethod.is_constructor": (
             _get_stub, _s("m") + _u32(0) + _s("Unit") + b"\x00", b""),
-        "RelayMethodDef.is_constructor": (
-            _get_relay, _s("C") + _s("m"), _s("ecall") + _u32(0) + _s("unit")),
         "Visibility": (_get_field, _s("f") + _s("Int") + b"\x00", b""),
         "Annotation": (_get_class, _s("C"), _u32(0) * 2),
         "Optional[Expr]": (_get_body, _u32(1) + _tag(Return), b""),
@@ -482,7 +517,6 @@ class Main {
     @pytest.mark.parametrize("codec, good, bad", [
         ("bool", b"\x01", b"\x02"),
         ("StubMethod.is_constructor", b"\x01", b"\x02"),
-        ("RelayMethodDef.is_constructor", b"\x01", b"\x02"),
         ("Visibility", b"\x01", b"\x02"),
         ("Annotation", b"\x02", b"\x03"),
         ("Optional[Expr]", b"\x00", b"\xff"),
@@ -498,13 +532,13 @@ class Main {
         with pytest.raises(FormatError, match=r"^bad \w+ byte \d+$"):
             get(before + bad + after, 0)
 
-    @pytest.mark.parametrize("occurrence", [0, 1])  # class table, annotations
-    def test_a_header_table_names_a_class_once(self, bank_plan, occurrence):
-        data = encode_image(bank_plan, bank_plan.untrusted_image)
+    @pytest.mark.parametrize("image", [0, 1])  # trusted, untrusted
+    def test_a_header_table_names_a_class_once(self, bank_plan, image):
+        """The first Person of an image is in its annotation table."""
+        spec = (bank_plan.trusted_image, bank_plan.untrusted_image)[image]
+        data = encode_image(bank_plan, spec)
         person, account = b"\x06\x00\x00\x00Person", b"\x07\x00\x00\x00Account"
-        at = -1
-        for _ in range(occurrence + 1):
-            at = data.index(person, at + 1)
+        at = data.index(person)
         with pytest.raises(FormatError, match="^a class name appears twice"):
             decode_image(data[:at] + account + data[at + len(person):])
 
@@ -536,21 +570,41 @@ class Main {
             load_plan(tmp_path)
 
     def test_a_stub_needs_its_relay_in_the_other_image(self, bank_plan):
-        """Account's class and relays moved into the untrusted image: each
-        stub still has one relay among both images', but none on the far
-        side of its proxy."""
+        """Account's class moved into the untrusted image: each of its stubs
+        there is still the signature of an Account method of the plan, but
+        not of one on the far side of its proxy, where its relay would be."""
         t, u = bank_plan.trusted_image, bank_plan.untrusted_image
         moved = dataclasses.replace(
-            u, classes=u.classes + [t.class_decl("Account")],
-            relays=[r for r in t.relays if r.class_name == "Account"])
+            u, classes=u.classes + [t.class_decl("Account")])
         kept = dataclasses.replace(
-            t, classes=[c for c in t.classes if c.name != "Account"],
-            relays=[r for r in t.relays if r.class_name != "Account"])
+            t, classes=[c for c in t.classes if c.name != "Account"])
         plan = PartitionPlan(kept, moved, bank_plan.annotations)
-        assert plan.descriptor == bank_plan.descriptor
         with pytest.raises(InterfaceMismatch, match=re.escape(
-                "stub Account.Account in the untrusted image has no relay "
-                "in the other image")):
+                "stub Account.Account in the untrusted image is not the "
+                "signature of a method of the other image")):
+            check_interface(plan)
+
+    def test_a_stub_names_only_classes_in_the_table(self, bank_plan):
+        """updateBalance and its stub both take a Ghost, which no class of
+        the table is, so the stub would make a relay without a marshal kind
+        for its parameter."""
+        t, u = bank_plan.trusted_image, bank_plan.untrusted_image
+        account = t.class_decl("Account")
+        methods = [dataclasses.replace(m, params=[Param("v", TypeRef("Ghost"))])
+                   if m.name == "updateBalance" else m for m in account.methods]
+        proxy = u.proxy_def("Account")
+        haunted = dataclasses.replace(
+            proxy, stubs=tuple(stub_for(m) for m in methods))
+        plan = PartitionPlan(
+            dataclasses.replace(t, classes=[
+                dataclasses.replace(account, methods=methods)
+                if c is account else c for c in t.classes]),
+            dataclasses.replace(u, proxies=[
+                haunted if p is proxy else p for p in u.proxies]),
+            bank_plan.annotations)
+        with pytest.raises(InterfaceMismatch, match=re.escape(
+                "stub Account.updateBalance names class Ghost, which the "
+                "annotation table lacks")):
             check_interface(plan)
 
 
@@ -744,9 +798,9 @@ class Main {
             INTERFACE_FILE:
                 "eccdf9199c1bdf89e63ab79e287ad1b65f8b6e4cc3b798020a43614d0949448e",
             TRUSTED_IMG:
-                "921dc47ce10df88994f40c9f0a78524b6bc6d0d6b5b8a504bc042a96bb6d9d25",
+                "d21a45c887352c6665818913595f8b7c44982fbbe0051f39981735375c0a1d08",
             UNTRUSTED_IMG:
-                "254b707014178ff5a4627d5ce45d5f192c09b718eb019a107c79598e7b0449e1",
+                "265c15d8c0d541d7c88d187da9a6aaf2ea841dcc43cf6eb43cb55c916524da91",
         }
 
     def test_images_with_a_public_field_are_frozen(self, tmp_path):
@@ -757,16 +811,18 @@ class Main {
             INTERFACE_FILE:
                 "f1684494502b4a8e6da8024e6aca53289df08eb5e345a535d5317cc622c9fc02",
             TRUSTED_IMG:
-                "9dbacae0b2186286c5c1355ef4b1b132f176cba0e357dcfea464e6b5adfafb94",
+                "58634f0deab0d8f950289a625e01761b705ed8e4fbbe527cd72b7fd39c5d7cea",
             UNTRUSTED_IMG:
-                "b89c3ffc051cea50796a8bcf36061093a1bda25a5ce428e872ca05df733dcdfb",
+                "61be968bedd2c27d9ad14c16b2fe77a1f685ab79d03c5251d0dabbf9e23edc16",
         }
 
     def test_fixtures_cover_every_declaration_variant(self):
         """Together the fixtures store every annotation, visibility and
-        (constructor, static) pair, every marshal kind as a parameter (a
-        Unit parameter does not validate) and as a return, and both
-        transition directions, on relays and on proxies."""
+        (constructor, static) pair and both proxy directions.  Their
+        derived relays take every marshal kind as a parameter (a Unit
+        parameter does not validate) and as a return, and cross in both
+        directions: that part covers derive_interface, since an image
+        stores no relay."""
         seen = collections.defaultdict(set)
         for name in ("bank.ep", "every_node.ep", "public_field.ep"):
             plan = _fixture_plan(name)
@@ -804,7 +860,7 @@ class Main {
             INTERFACE_FILE:
                 "1e853a3223318bc56cc7c56ff0443c7d891e9400f360b534507ff94357b0a085",
             TRUSTED_IMG:
-                "15bd21cb3e26cbdddfdc7fe269f97cd8c0f3a42b508b4f30608592f64814e041",
+                "7c6b064582b52b4b7b1f6482d7645223d96647db08603fdda5509ef38e1036cf",
             UNTRUSTED_IMG:
-                "974c670e53e942c49bae79c7d2e5a8db8a56077465110dc38dedec40b589c7a7",
+                "b604b45b9bf324afeabfdf5be99d57b609c2deda9712ecac75d71abee3bdd788",
         }

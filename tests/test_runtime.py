@@ -353,6 +353,32 @@ class Main {
                            match="field Late.p read before assignment"):
             run_dual(src)
 
+    def test_an_assignment_to_an_undeclared_field_faults(self):
+        """The checker rejects such an assignment, but a tampered image can
+        hold one: Box's constructor here assigns w, which Box lacks.  It
+        faults as reading w would, and adds no field."""
+        plan = plan_of("""
+@Neutral
+class Box {
+    v: Int;
+    Box() { this.v = 1; }
+    get() -> Int { return this.v; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box();
+        print(b.get());
+    }
+}
+""")
+        ctor = plan.untrusted_image.class_decl("Box").method("Box")
+        ctor.body[0].target.field_name = "w"
+        runtime = DualRuntime(plan)
+        with pytest.raises(DslRuntimeError, match="^Box has no field w$"):
+            runtime.run_main()
+        assert runtime.transcript == []
+
     def test_list_index_out_of_range(self):
         src = """
 @Untrusted

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from epart.dsl import analyze_calls, ast, parse_program, validate
+from epart.dsl import analyze_calls, assignable, ast, parse_program, validate
 from epart.dsl.ast import ClassDecl
 from epart.dsl.validate import _CHECK, _INFER, resolve
 from epart.errors import ValidationFailed
@@ -181,6 +181,13 @@ class TestTypes:
         body = "        var x: Int = 1;\n        x = true;"
         assert "TYPE_ERROR" in check_main(body)
 
+    def test_a_list_of_no_element_type_takes_only_the_empty_literal(self):
+        """No source declares such a slot (`List` needs its element type),
+        but assignable answers for any TypeRef."""
+        untyped = ast.TypeRef("List")
+        assert assignable(untyped, untyped)
+        assert not assignable(ast.TypeRef("List", ast.INT), untyped)
+
     def test_return_type_mismatch(self):
         src = """
 @Untrusted
@@ -318,8 +325,10 @@ DIAGNOSTICS = {
         ["TYPE_ERROR Main.main 13:34: cannot assign List[Int] to List[Bool]"]),
     "a list to an undeclared empty list": (
         diag("", "var xs = []; xs = [1];"),
-        ["TYPE_ERROR Main.main 13:9: empty list needs a declared list type",
-         "TYPE_ERROR Main.main 13:22: cannot assign List[Int] to List[None]"]),
+        ["TYPE_ERROR Main.main 13:9: empty list needs a declared list type"]),
+    "a local whose declaration did not type": (
+        diag("", "var x = nope; var s: Str = x; x = 1; print(x + 1);"),
+        ["TYPE_RESOLVE Main.main 13:17: unknown variable nope"]),
 }
 
 
