@@ -27,8 +27,10 @@ from ._files import write_file
 from .bench import SUITES, run_suite
 from .dsl import parse_program
 from .dsl.ast import Annotation
-from .errors import DslRuntimeError, EpartError, ParseError, ValidationFailed
-from .partition import compute_images, emit, load_plan, whole_program_plan
+from .errors import (
+    DslRuntimeError, EpartError, InterfaceMismatch, ParseError, ValidationFailed,
+)
+from .partition import compute_images, emit, find_main, load_plan, whole_program_plan
 from .runtime import DualRuntime
 from .runtime.costmodel import load_model
 
@@ -264,11 +266,17 @@ def cmd_inspect(args) -> int:
             print(f"    {s.name}({params}){ret}")
     opposite = Annotation.UNTRUSTED if side == Annotation.TRUSTED \
         else Annotation.TRUSTED
+    proxied = {p.class_name for p in image.proxies}
     for cname, ann in plan.annotations.items():
-        if ann == opposite and image.proxy_def(cname) is None:
+        if ann == opposite and cname not in proxied:
             print(f"{cname} proxy: pruned (unreachable)")
-    print(f"entry points ({len(image.entry_points)}):")
-    for e in image.entry_points:
+    try:
+        entry_points = ["main"] if find_main(plan)[0] is image else []
+    except InterfaceMismatch:  # a plan without main is still described
+        entry_points = []
+    entry_points += sorted(r.relay_id for r in image.relays)
+    print(f"entry points ({len(entry_points)}):")
+    for e in entry_points:
         print(f"  {e}")
     print(f"interface descriptor ({len(plan.descriptor)} records):")
     for rec in plan.descriptor:

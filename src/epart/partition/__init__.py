@@ -2,19 +2,22 @@
 
 from .callgraph import CONCRETE, PROXY, CallGraph, Node, build_call_graph, reachable_set
 from .emit import (
-    INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG, check_interface, emit, load_plan,
-    render_interface,
+    INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG, emit, load_plan, render_interface,
 )
 from .model import (
     MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, classify, relay_direction,
 )
-from .plan import ImageSpec, PartitionPlan, compute_images, whole_program_plan
+from .plan import (
+    ImageSpec, PartitionPlan, compute_images, derive_interface, find_main,
+    whole_program_plan,
+)
 
 __all__ = [
     "CONCRETE", "PROXY", "CallGraph", "Node", "build_call_graph", "reachable_set",
-    "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "check_interface", "emit",
+    "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "emit",
     "load_plan", "render_interface",
     "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
     "relay_direction",
-    "ImageSpec", "PartitionPlan", "compute_images", "whole_program_plan",
+    "ImageSpec", "PartitionPlan", "compute_images", "derive_interface",
+    "find_main", "whole_program_plan",
 ]

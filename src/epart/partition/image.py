@@ -2,9 +2,9 @@
 
 An image is the magic EPIMG\\x02, then a canonical length-prefixed AST
 encoding (little endian): the side, the tool version, the annotations, then
-the image's classes and proxies.  Nothing else is stored: the relays and
-entry points are derive_interface's (plan.py), the wire's class ids are
-PartitionPlan's, so an image holds no second copy of a fact to check.
+the image's classes and proxies.  Nothing else is stored: the relays are
+derive_interface's (plan.py), the wire's class ids are PartitionPlan's, so
+an image holds no second copy of a fact to check.
 
 The layout is written down twice.  The writer is generated: a record is its
 fields in dataclass order, each by the writer its type annotation names in

@@ -86,7 +86,6 @@ class RelayMethodDef:
 
     class_name: str
     method_name: str
-    is_constructor: bool
     direction: str
     param_kinds: tuple[MarshalKind, ...]
     return_kind: MarshalKind
@@ -123,5 +122,5 @@ def relay_for(class_name: str, stub: StubMethod,
     kinds = tuple(classify(t, annotations) for _, t in stub.params)
     ret = MarshalKind.UNIT if stub.is_constructor \
         else classify(stub.return_type, annotations)
-    return RelayMethodDef(class_name, stub.name, stub.is_constructor,
+    return RelayMethodDef(class_name, stub.name,
                           relay_direction(annotations[class_name]), kinds, ret)

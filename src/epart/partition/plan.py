@@ -7,8 +7,9 @@ untrusted image and follows both images' call edges.  Reaching a proxy stub
 reached from main.  Each image then keeps its reached methods and proxy
 stubs, and the neutral classes needed to decode payload types.
 
-An image's relays and entry points follow from the plan, so derive_interface
-makes them and no image stores them.
+An image's relays follow from the other image's proxies, so
+derive_interface checks each proxy and makes them, and no image stores them.
+Where main is, find_main decides.
 
 One validation walk resolves every call, and each image's call-graph edges
 are built from it once.
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..dsl.ast import Annotation, ClassDecl, MethodDecl, Program, TypeRef
+from ..dsl.ast import (
+    BUILTIN_TYPE_NAMES, Annotation, ClassDecl, MethodDecl, Program, TypeRef,
+)
 from ..dsl.validate import resolve, validate
-from ..errors import ValidationFailed
+from ..errors import InterfaceMismatch, ValidationFailed
 from . import callgraph
 from .callgraph import CONCRETE, PROXY, Node
 from .model import (
@@ -31,13 +34,12 @@ from .model import (
 @dataclass
 class ImageSpec:
     """One native image: concrete classes and surviving proxies, and the
-    relays and entry points derive_interface gives them."""
+    relays derive_interface gives them."""
 
     side: Annotation
     classes: list[ClassDecl] = field(default_factory=list)
     proxies: list[ProxyClassDef] = field(default_factory=list)
     relays: list[RelayMethodDef] = field(default_factory=list)
-    entry_points: list[str] = field(default_factory=list)
 
     def class_decl(self, name: str) -> ClassDecl | None:
         for c in self.classes:
@@ -192,24 +194,58 @@ def whole_program_plan(program: Program, enclave: bool) -> PartitionPlan:
 
 
 def derive_interface(plan: PartitionPlan) -> PartitionPlan:
-    """Set each image's relays and entry points, and return plan.
+    """Check each image's proxies against the other image, set that image's
+    relays to the relays of their stubs, in stub order, and return plan.
 
-    An image's relays are the relay_for of each stub of the other image's
-    proxies, in stub order; its entry points are its sorted relay ids, after
-    "main" on the first image that declares a static main, in
-    DualRuntime.find_main's order.  load_plan calls this once
-    check_interface has checked each stub against its method.
+    A proxy crosses in its class's direction (ecall for @Trusted) and out of
+    its own image.  Each stub is the stub_for of the first method of its name
+    (the one a call runs) that its class declares in the other image, and
+    names only classes in the table.  Anything else is an InterfaceMismatch,
+    so no relay is made of an unchecked stub.
     """
     annotations = plan.annotations
-    images = [plan.untrusted_image, plan.trusted_image]  # find_main's order
-    home = next((image for image in images if image and any(
-        m.is_static and m.name == "main" for c in image.classes
-        for m in c.methods)), None)
-    for image, far in zip(images, reversed(images)):
-        if image is None:
+    known = BUILTIN_TYPE_NAMES | annotations.keys()
+    images = (plan.trusted_image, plan.untrusted_image)
+    for spec, far in zip(images, reversed(images)):
+        if far is None:
             continue
-        image.relays = [relay_for(p.class_name, s, annotations)
-                        for p in (far.proxies if far else ()) for s in p.stubs]
-        image.entry_points = (["main"] if image is home else []) + \
-            sorted(r.relay_id for r in image.relays)
+        far.relays = []
+        if spec is None or not spec.proxies:
+            continue
+        side = spec.side.value.lower()
+        # (class, method name) -> the first method of that name
+        methods = {(c.name, m.name): m for c in far.classes
+                   for m in reversed(c.methods)}
+        for proxy in spec.proxies:
+            name = proxy.class_name
+            if proxy.direction != relay_direction(annotations.get(name)):
+                raise InterfaceMismatch(f"proxy {name} is an {proxy.direction} "
+                                        "proxy, against its class's annotation")
+            if proxy.direction != relay_direction(far.side):
+                raise InterfaceMismatch(f"proxy {name} is an {proxy.direction} "
+                                        f"proxy in the {side} image")
+            for stub in proxy.stubs:
+                method = methods.get((name, stub.name))
+                if method is None or stub_for(method) != stub:
+                    raise InterfaceMismatch(
+                        f"stub {name}.{stub.name} in the {side} image is not "
+                        "the signature of a method of the other image")
+                unknown = {stub.return_type.name,
+                           *(t.name for _, t in stub.params)} - known
+                if unknown:
+                    raise InterfaceMismatch(
+                        f"stub {name}.{stub.name} names class {min(unknown)}, "
+                        "which the annotation table lacks")
+                far.relays.append(relay_for(name, stub, annotations))
     return plan
+
+
+def find_main(plan: PartitionPlan) -> tuple[ImageSpec, ClassDecl, MethodDecl]:
+    """The image that holds the static main, the untrusted one first, and
+    main's class and method."""
+    for image in (plan.untrusted_image, plan.trusted_image):
+        for cls in image.classes if image else ():
+            for m in cls.methods:
+                if m.is_static and m.name == "main":
+                    return image, cls, m
+    raise InterfaceMismatch("plan has no main entry point")

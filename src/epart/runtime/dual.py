@@ -40,7 +40,7 @@ from ..errors import (
     TransitionOverflow,
 )
 from ..partition.model import MarshalKind, RelayMethodDef
-from ..partition.plan import PartitionPlan, whole_program_plan
+from ..partition.plan import PartitionPlan, find_main, whole_program_plan
 from . import wire
 from .costmodel import CostModel
 from .heap import (
@@ -156,17 +156,9 @@ class DualRuntime:
 
     # -- program entry -------------------------------------------------------
 
-    def find_main(self) -> tuple[str, ast.ClassDecl, ast.MethodDecl]:
-        """The side whose image holds the static main, and its location."""
-        for side in (UNTRUSTED, TRUSTED):
-            for cls in self.classes.get(side, {}).values():
-                for m in cls.methods:
-                    if m.is_static and m.name == "main":
-                        return side, cls, m
-        raise InterfaceMismatch("plan has no main entry point")
-
     def run_main(self, argv: list[str] | None = None) -> ExecutionResult:
-        side, cls, m = self.find_main()
+        image, cls, m = find_main(self.plan)
+        side = _SIDE_NAME[image.side]
         args: list = []
         if m.params:
             lst = ListObj([str(a) for a in (argv or [])])
@@ -439,7 +431,7 @@ class DualRuntime:
             relay = releases.get(key)
             if relay is None:
                 relay = releases[key] = RelayMethodDef(
-                    proxy.class_name, "release", False, direction, (), _UNIT)
+                    proxy.class_name, "release", direction, (), _UNIT)
             self.remove_calls += 1
             self.cross(iso, target, relay, "remove", proxy.hash_value, [],
                        self._release_mirror)
@@ -470,10 +462,10 @@ def run_reference(program: ast.Program, argv: list[str] | None = None,
 # Host services by builtin name: the shim relay trusted code calls through,
 # and the service run on the untrusted side.
 _HOST = {
-    "print": (RelayMethodDef("__host__", "print", False, "ocall",
+    "print": (RelayMethodDef("__host__", "print", "ocall",
                              (_SER,), _UNIT), DualRuntime._print),
-    "file_write": (RelayMethodDef("__host__", "file_write", False, "ocall",
+    "file_write": (RelayMethodDef("__host__", "file_write", "ocall",
                                   (_SER, _SER), _UNIT), DualRuntime._file_write),
-    "file_read": (RelayMethodDef("__host__", "file_read", False, "ocall",
+    "file_read": (RelayMethodDef("__host__", "file_read", "ocall",
                                  (_SER,), _SER), DualRuntime._file_read),
 }

@@ -19,9 +19,10 @@ from epart.dsl.ast import (
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
 )
+from epart.cli import main
 from epart.partition import (
-    CONCRETE, PROXY, build_call_graph, check_interface, compute_images, emit,
-    load_plan, whole_program_plan,
+    CONCRETE, PROXY, build_call_graph, compute_images, derive_interface, emit,
+    find_main, load_plan, whole_program_plan,
 )
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
@@ -70,23 +71,36 @@ class TestBankImages:
         assert bank_plan.trusted_image.proxy_def("Person") is None
 
     def test_entry_points(self, bank_plan):
-        assert bank_plan.trusted_image.entry_points == [
+        """main is in the untrusted image, which serves no relays; the
+        trusted image is entered at its relays alone."""
+        image, cls, method = find_main(bank_plan)
+        assert image is bank_plan.untrusted_image
+        assert (cls.name, method.name) == ("Main", "main")
+        assert [r.relay_id for r in bank_plan.trusted_image.relays] == [
             "Account.Account", "Account.updateBalance",
             "AccountRegistry.AccountRegistry", "AccountRegistry.addAccount",
         ]
-        assert bank_plan.untrusted_image.entry_points == ["main"]
+        assert bank_plan.untrusted_image.relays == []
 
     @pytest.mark.parametrize("enclave", [False, True])
     def test_a_whole_program_image_is_entered_at_main_alone(
-            self, bank_program, enclave):
+            self, bank_program, enclave, tmp_path, capsys):
         """A whole-program plan has no proxies, so no relays: main, on the
-        image that holds every class, is its one entry point."""
+        image that holds every class, is its one entry point, and inspect
+        lists it alone."""
         plan = whole_program_plan(bank_program, enclave)
         whole = plan.trusted_image if enclave else plan.untrusted_image
-        assert (whole.relays, whole.entry_points) == ([], ["main"])
+        assert find_main(plan)[0] is whole
+        assert whole.relays == [] and plan.descriptor == []
         if enclave:
-            assert plan.untrusted_image.entry_points == []
-        assert plan.descriptor == []
+            assert plan.untrusted_image.relays == []
+            emit(plan, tmp_path)
+            for name, listed in (("trusted", "entry points (1):\n  main\n"),
+                                 ("untrusted", "entry points (0):\n")):
+                capsys.readouterr()
+                assert main(["inspect", str(tmp_path), name]) == 0
+                assert listed + "interface descriptor (0 records):\n" in \
+                    capsys.readouterr().out
 
     def test_every_class_in_exactly_its_images(self, bank_plan):
         for cname, ann in bank_plan.annotations.items():
@@ -295,7 +309,9 @@ def _assert_roundtrip(plan, out_dir) -> None:
         assert back.classes == image.classes
         assert back.proxies == image.proxies
         assert back.relays == image.relays
-        assert back.entry_points == image.entry_points
+    home, cls, method = find_main(loaded)
+    assert home is loaded.image(find_main(plan)[0].side)
+    assert (cls, method) == find_main(plan)[1:]
     assert loaded.descriptor == plan.descriptor
     assert loaded.annotations == plan.annotations
     assert loaded.class_ids == plan.class_ids
@@ -317,8 +333,8 @@ class TestEmitLoad:
     def test_images_decode_to_the_plan_and_encode_back(self):
         """The readers and the writer agree: over the fixtures, progen seeds
         0-49 and 20-class cpu and io synth programs, each image decodes to
-        the image compute_images made, less the relays and entry points
-        derived from it, and encodes back to its bytes."""
+        the image compute_images made, less the relays derived from it, and
+        encodes back to its bytes."""
         sources = [(FIXTURES / name).read_text(encoding="utf-8")
                    for name in ("bank.ep", "every_node.ep", "public_field.ep")]
         sources += generate_corpus(50, seed=0)
@@ -329,7 +345,7 @@ class TestEmitLoad:
             for image in (plan.trusted_image, plan.untrusted_image):
                 data = encode_image(plan, image)
                 back, annotations, version = decode_image(data)
-                stored = dataclasses.replace(image, relays=[], entry_points=[])
+                stored = dataclasses.replace(image, relays=[])
                 assert (back, annotations, version) == \
                     (stored, plan.annotations, __version__)
                 assert encode_image(PartitionPlan(back, back, annotations),
@@ -582,7 +598,7 @@ class Main {
         with pytest.raises(InterfaceMismatch, match=re.escape(
                 "stub Account.Account in the untrusted image is not the "
                 "signature of a method of the other image")):
-            check_interface(plan)
+            derive_interface(plan)
 
     def test_a_stub_names_only_classes_in_the_table(self, bank_plan):
         """updateBalance and its stub both take a Ghost, which no class of
@@ -605,7 +621,7 @@ class Main {
         with pytest.raises(InterfaceMismatch, match=re.escape(
                 "stub Account.updateBalance names class Ghost, which the "
                 "annotation table lacks")):
-            check_interface(plan)
+            derive_interface(plan)
 
 
 def _plan_files(d: Path) -> dict[str, bytes]:
@@ -699,9 +715,10 @@ class TestCorpusSoundness:
                 concrete = {c.name for c in image.classes}
                 for proxy in image.proxies:
                     assert proxy.class_name not in concrete
-            # every surviving stub has exactly one relay in the other image,
-            # and relays and proxies cross as their annotations say
-            check_interface(plan)
+            # every surviving stub is the signature of its method in the
+            # other image, and relays and proxies cross as their annotations
+            # say
+            derive_interface(plan)
 
 
 def _image_program(plan, image) -> Program:
