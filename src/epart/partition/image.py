@@ -30,7 +30,8 @@ which it turns into "bad string in image".
 
 One encoding per value: a flag byte (a bool, or the presence of a list
 element type or an optional value) is 0 or 1, a code byte names one of its
-values, method flags are at most 3, an operator or builtin is one the
+values, method flags are at most 3, a method is flagged a constructor
+exactly when it is named as its class, an operator or builtin is one the
 language has and the annotation table names a class once.
 Anything else is a FormatError, so an image decodes and encodes back to the
 same bytes.  Identical plans always produce byte-identical files.
@@ -457,6 +458,10 @@ def _get_class(data: bytes, pos: int) -> tuple[ClassDecl, int]:
     annotation, pos = _get_annotation(data, pos)
     fields, pos = _get_items(data, pos, _get_field)
     methods, pos = _get_items(data, pos, _get_method)
+    for m in methods:  # the parser's rule: a constructor is named as its class
+        if m.is_constructor != (m.name == name):
+            raise FormatError(f"the constructor flag of {name}.{m.name} "
+                              "disagrees with its name")
     return ClassDecl(name, annotation, fields, methods), pos
 
 

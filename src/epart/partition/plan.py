@@ -7,9 +7,9 @@ untrusted image and follows both images' call edges.  Reaching a proxy stub
 reached from main.  Each image then keeps its reached methods and proxy
 stubs, and the neutral classes needed to decode payload types.
 
-An image's relays follow from the other image's proxies, so
-derive_interface checks each proxy and makes them, and no image stores them.
-Where main is, find_main decides.
+An image's relays follow from the other image's proxies: derive_interface
+checks each proxy and makes them, so no image stores them.  find_main
+locates main.
 
 One validation walk resolves every call, and each image's call-graph edges
 are built from it once.
@@ -45,12 +45,6 @@ class ImageSpec:
         for c in self.classes:
             if c.name == name:
                 return c
-        return None
-
-    def proxy_def(self, name: str) -> ProxyClassDef | None:
-        for p in self.proxies:
-            if p.class_name == name:
-                return p
         return None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -355,10 +356,32 @@ class Main {
         account = t.class_decl("Account")
         t.classes.remove(account)
         u.classes.append(account)
-        u.proxies.remove(u.proxy_def("Account"))
+        u.proxies = [p for p in u.proxies if p.class_name != "Account"]
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == \
             "bad plan: class Account is @Trusted but in the untrusted image\n"
+
+    @pytest.mark.parametrize("change", [{"name": "Persom"},
+                                        {"is_constructor": False}],
+                             ids=["renamed", "unflagged"])
+    def test_a_constructor_flag_against_the_name_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys, change):
+        """The interpreter finds a constructor by its flag, so a renamed
+        constructor would still run, and an unflagged one would be skipped.
+        Source cannot say either: a method is a constructor exactly when it
+        is named as its class."""
+        plan = compute_images(bank_program)
+        classes = plan.untrusted_image.classes
+        person = next(c for c in classes if c.name == "Person")
+        methods = [dataclasses.replace(m, **change) if m.is_constructor else m
+                   for m in person.methods]
+        classes[classes.index(person)] = dataclasses.replace(person,
+                                                             methods=methods)
+        emit(plan, tmp_path)
+        name = change.get("name", "Person")
+        assert self._bad_plan(tmp_path, capsys) == (
+            f"bad plan: the constructor flag of Person.{name} disagrees with "
+            "its name\n")
 
     def test_an_ocall_relay_in_the_trusted_image_is_a_bad_plan(
             self, bank_program, tmp_path, capsys):
@@ -862,6 +885,25 @@ class TestInspectCommand:
         assert "updateBalance(Int)" in out
         assert "addAccount(Account)" in out
         assert "entry points (1):" in out
+
+    def test_a_plan_without_main_lists_its_relays_alone(
+            self, bank_program, tmp_path, capsys):
+        """A plan whose main is gone still loads, and inspect describes it:
+        it cannot run, but its images are entered at their relays."""
+        plan = compute_images(bank_program)
+        plan.untrusted_image.classes = [c for c in plan.untrusted_image.classes
+                                        if c.name != "Main"]
+        emit(plan, tmp_path)
+        for image, entries in (("trusted", ["Account.Account",
+                                            "Account.updateBalance",
+                                            "AccountRegistry.AccountRegistry",
+                                            "AccountRegistry.addAccount"]),
+                               ("untrusted", [])):
+            capsys.readouterr()
+            assert main(["inspect", str(tmp_path), image]) == 0
+            listed = "".join(f"  {e}\n" for e in entries)
+            assert f"entry points ({len(entries)}):\n{listed}interface" in \
+                capsys.readouterr().out
 
 
 class TestEntryPoint:

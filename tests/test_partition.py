@@ -11,6 +11,7 @@ import pytest
 
 from epart._version import __version__
 from epart.bench import SyntheticSpec, generate_corpus, generate_synthetic
+from epart.cli import main
 from epart.dsl import parse_program, validate
 from epart.dsl.ast import (
     UNIT, Annotation, BoolLit, ClassDecl, IntLit, MethodDecl, Param, Program,
@@ -19,7 +20,6 @@ from epart.dsl.ast import (
 from epart.errors import (
     EpartError, FormatError, InterfaceMismatch, UnresolvedCall,
 )
-from epart.cli import main
 from epart.partition import (
     CONCRETE, PROXY, build_call_graph, compute_images, derive_interface, emit,
     find_main, load_plan, whole_program_plan,
@@ -33,8 +33,14 @@ from epart.partition.image import (
 from epart.partition.model import MarshalKind, stub_for
 from epart.partition.plan import PartitionPlan
 from epart.runtime import DualRuntime
+from epart.runtime.interp import Interpreter
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _proxy(image, name: str):
+    """image's proxy of class name, or None."""
+    return next((p for p in image.proxies if p.class_name == name), None)
 
 
 def plan_of(source: str):
@@ -66,9 +72,9 @@ class TestBankImages:
 
     def test_trusted_image_prunes_unused_proxies(self, bank_plan):
         # no trusted method ever calls back into untrusted code
-        assert bank_plan.untrusted_image.proxy_def("Person") is None
+        assert _proxy(bank_plan.untrusted_image, "Person") is None
         assert bank_plan.trusted_image.proxies == []
-        assert bank_plan.trusted_image.proxy_def("Person") is None
+        assert _proxy(bank_plan.trusted_image, "Person") is None
 
     def test_entry_points(self, bank_plan):
         """main is in the untrusted image, which serves no relays; the
@@ -143,7 +149,7 @@ class Main {
 
     def test_ocall_relays_survive_only_if_reachable(self):
         plan = plan_of(self.SRC)
-        u_proxy = plan.trusted_image.proxy_def("U")
+        u_proxy = _proxy(plan.trusted_image, "U")
         assert u_proxy is not None
         assert {s.name for s in u_proxy.stubs} == {"U", "feed"}
         records = {(r.direction, r.class_name, r.method_name)
@@ -153,7 +159,7 @@ class Main {
 
     def test_unreachable_trusted_method_keeps_no_relay(self):
         plan = plan_of(self.SRC)
-        t_proxy = plan.untrusted_image.proxy_def("T")
+        t_proxy = _proxy(plan.untrusted_image, "T")
         assert {s.name for s in t_proxy.stubs} == {"T", "pull"}
 
     def test_relays_only_unreached_code_calls_are_pruned(self):
@@ -183,8 +189,8 @@ class Main {
 }
 """
         plan = plan_of(src)
-        assert plan.untrusted_image.proxy_def("T") is None
-        assert plan.trusted_image.proxy_def("U") is None
+        assert _proxy(plan.untrusted_image, "T") is None
+        assert _proxy(plan.trusted_image, "U") is None
         assert plan.descriptor == []
 
     def test_a_relay_cycle_main_never_reaches_is_pruned(self):
@@ -201,8 +207,8 @@ class Main {
         revived = self.SRC.replace("t.pull();", "t.pull();\n        t.quiet();")
         base = plan_of(self.SRC)
         plan = plan_of(revived)
-        base_stubs = {s.name for s in base.untrusted_image.proxy_def("T").stubs}
-        new_stubs = {s.name for s in plan.untrusted_image.proxy_def("T").stubs}
+        base_stubs = {s.name for s in _proxy(base.untrusted_image, "T").stubs}
+        new_stubs = {s.name for s in _proxy(plan.untrusted_image, "T").stubs}
         assert new_stubs == base_stubs | {"quiet"}
 
 
@@ -268,6 +274,10 @@ def _node_classes(value, seen: set) -> set:
         for item in value:
             _node_classes(item, seen)
     return seen
+
+
+class _RunsAway(Exception):
+    """A run stopped at the fuzz test's bound on blocks executed."""
 
 
 def _single_byte_mutations(images: dict[str, bytes]):
@@ -453,43 +463,71 @@ class Main {
         with pytest.raises(FormatError):
             load_plan(tmp_path)
 
+    @pytest.mark.parametrize("fixture, loads, runs", [
+        ("bank", {"loaded": 322, "FormatError": 2503, "InterfaceMismatch": 175},
+         {"same output": 111, "other output": 6, "EpartError": 205}),
+        ("every_node",
+         {"loaded": 363, "FormatError": 2517, "InterfaceMismatch": 120},
+         {"same output": 141, "other output": 22, "EpartError": 192,
+          "runs away": 8}),
+    ], ids=["bank", "every_node"])
     def test_single_byte_mutations_load_or_raise_epart_errors(
-            self, bank_plan, tmp_path):
+            self, tmp_path, monkeypatch, fixture, loads, runs):
         """A tampered image never escapes load_plan as another exception,
-        and a plan that loads runs to its end or stops with an EpartError.
+        and a plan that loads runs to its end, stops with an EpartError or
+        runs away: a tampered loop bound can keep a run going for ever, so
+        a run stops after 1000 blocks (the untampered runs take 12 and 25).
 
         The counts pin what the loader rejects today, and how the plans it
-        loads run: with the untampered run's transcript and cycles, with
-        other output, or to an EpartError.  A stricter loader changes them
-        on purpose.
+        loads run: with the untampered run's transcript, files and cycles,
+        with other output, or to an EpartError.  A stricter loader changes
+        them on purpose.  Bank's transcript is empty, so an edited literal
+        there can run unchanged; every_node prints what it computes.
         """
-        emit(bank_plan, tmp_path)
+        plan = _fixture_plan(f"{fixture}.ep")
+        emit(plan, tmp_path)
         images = {n: (tmp_path / n).read_bytes()
                   for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
-        untampered = DualRuntime(bank_plan).run_main()
-        expected = (untampered.transcript, untampered.total_cycles)
+        untampered = DualRuntime(plan).run_main()
+        expected = (untampered.transcript, untampered.vfs,
+                    untampered.total_cycles)
+        blocks = 0
+        exec_block = Interpreter.exec_block
+
+        def capped(interp, stmts, frame):
+            nonlocal blocks
+            blocks += 1
+            if blocks > 1000:
+                raise _RunsAway
+            return exec_block(interp, stmts, frame)
+
+        monkeypatch.setattr(Interpreter, "exec_block", capped)
         outcomes: collections.Counter = collections.Counter()
-        runs: collections.Counter = collections.Counter()
+        ran: collections.Counter = collections.Counter()
+        tampered = None  # the one image file that differs from images
         for name, _, data in _single_byte_mutations(images):
+            if tampered not in (None, name):
+                (tmp_path / tampered).write_bytes(images[tampered])
             (tmp_path / name).write_bytes(data)
+            tampered = name
             try:
-                plan = load_plan(tmp_path)
+                loaded = load_plan(tmp_path)
                 outcomes["loaded"] += 1
             except EpartError as e:
                 outcomes[type(e).__name__] += 1
             else:
+                blocks = 0
                 try:
-                    result = DualRuntime(plan).run_main()
+                    result = DualRuntime(loaded).run_main()
                 except EpartError:
-                    runs["EpartError"] += 1
+                    ran["EpartError"] += 1
+                except _RunsAway:
+                    ran["runs away"] += 1
                 else:
-                    same = (result.transcript, result.total_cycles) == expected
-                    runs["same output" if same else "other output"] += 1
-            (tmp_path / name).write_bytes(images[name])
-        assert outcomes == {"loaded": 326, "FormatError": 2438,
-                            "InterfaceMismatch": 236}
-        assert runs == {"same output": 115, "other output": 6,
-                        "EpartError": 205}
+                    same = (result.transcript, result.vfs,
+                            result.total_cycles) == expected
+                    ran["same output" if same else "other output"] += 1
+        assert (outcomes, ran) == (loads, runs)
 
     def test_accepted_mutations_encode_back_to_the_same_bytes(
             self, bank_plan, tmp_path):
@@ -608,7 +646,7 @@ class Main {
         account = t.class_decl("Account")
         methods = [dataclasses.replace(m, params=[Param("v", TypeRef("Ghost"))])
                    if m.name == "updateBalance" else m for m in account.methods]
-        proxy = u.proxy_def("Account")
+        proxy = _proxy(u, "Account")
         haunted = dataclasses.replace(
             proxy, stubs=tuple(stub_for(m) for m in methods))
         plan = PartitionPlan(
