@@ -319,9 +319,9 @@ def _assert_roundtrip(plan, out_dir) -> None:
         assert back.classes == image.classes
         assert back.proxies == image.proxies
         assert back.relays == image.relays
-    home, cls, method = find_main(loaded)
-    assert home is loaded.image(find_main(plan)[0].side)
-    assert (cls, method) == find_main(plan)[1:]
+    home, *main_at = find_main(plan)
+    back_home, *back_main_at = find_main(loaded)
+    assert (back_home.side, back_main_at) == (home.side, main_at)
     assert loaded.descriptor == plan.descriptor
     assert loaded.annotations == plan.annotations
     assert loaded.class_ids == plan.class_ids
@@ -482,7 +482,8 @@ class Main {
         loads run: with the untampered run's transcript, files and cycles,
         with other output, or to an EpartError.  A stricter loader changes
         them on purpose.  Bank's transcript is empty, so an edited literal
-        there can run unchanged; every_node prints what it computes.
+        there can run unchanged; every_node prints and writes some of what
+        it computes.
         """
         plan = _fixture_plan(f"{fixture}.ep")
         emit(plan, tmp_path)
