@@ -30,7 +30,9 @@ from .dsl.ast import Annotation
 from .errors import (
     DslRuntimeError, EpartError, InterfaceMismatch, ParseError, ValidationFailed,
 )
-from .partition import compute_images, emit, find_main, load_plan, whole_program_plan
+from .partition import (
+    compute_images, emit, find_main, load_plan, relay_direction, whole_program_plan,
+)
 from .runtime import DualRuntime
 from .runtime.costmodel import load_model
 
@@ -258,15 +260,15 @@ def cmd_inspect(args) -> int:
         print(f"  {c.name} [{c.annotation.name.lower()}]")
     print(f"proxies ({len(image.proxies)}):")
     for p in image.proxies:
-        print(f"  {p.class_name} ({p.direction} proxy, hash field, "
-              f"{len(p.stubs)} stub(s))")
-        for s in p.stubs:
-            params = ", ".join(str(t) for _, t in s.params)
+        print(f"  {p.name} ({relay_direction(p.annotation)} proxy, hash field, "
+              f"{len(p.methods)} stub(s))")
+        for s in p.methods:
+            params = ", ".join(str(param.type) for param in s.params)
             ret = "" if str(s.return_type) == "Unit" else f" -> {s.return_type}"
             print(f"    {s.name}({params}){ret}")
     opposite = Annotation.UNTRUSTED if side == Annotation.TRUSTED \
         else Annotation.TRUSTED
-    proxied = {p.class_name for p in image.proxies}
+    proxied = {p.name for p in image.proxies}
     for cname, ann in plan.annotations.items():
         if ann == opposite and cname not in proxied:
             print(f"{cname} proxy: pruned (unreachable)")

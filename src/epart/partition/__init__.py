@@ -4,9 +4,7 @@ from .callgraph import CONCRETE, PROXY, CallGraph, Node, build_call_graph, reach
 from .emit import (
     INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG, emit, load_plan, render_interface,
 )
-from .model import (
-    MarshalKind, ProxyClassDef, RelayMethodDef, StubMethod, classify, relay_direction,
-)
+from .model import MarshalKind, RelayMethodDef, classify, relay_direction
 from .plan import (
     ImageSpec, PartitionPlan, compute_images, derive_interface, find_main,
     whole_program_plan,
@@ -16,8 +14,7 @@ __all__ = [
     "CONCRETE", "PROXY", "CallGraph", "Node", "build_call_graph", "reachable_set",
     "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "emit",
     "load_plan", "render_interface",
-    "MarshalKind", "ProxyClassDef", "RelayMethodDef", "StubMethod", "classify",
-    "relay_direction",
+    "MarshalKind", "RelayMethodDef", "classify", "relay_direction",
     "ImageSpec", "PartitionPlan", "compute_images", "derive_interface",
     "find_main", "whole_program_plan",
 ]

@@ -1,7 +1,7 @@
 """Emit and reload partition plans.
 
 Layout written to the output directory:
-  trusted.img, untrusted.img   binary image files, magic EPIMG\\x02, canonical
+  trusted.img, untrusted.img   binary image files, magic EPIMG\\x03, canonical
                                length-prefixed AST encoding (little endian)
   interface.edl.txt            one line per surviving relay, sorted by
                                (direction, class, method), '#' header with the

@@ -1,8 +1,10 @@
 """The image codec: an ImageSpec and its plan's header as image bytes.
 
-An image is the magic EPIMG\\x02, then a canonical length-prefixed AST
+An image is the magic EPIMG\\x03, then a canonical length-prefixed AST
 encoding (little endian): the side, the tool version, the annotations, then
-the image's classes and proxies.  Nothing else is stored: the relays are
+the image's classes and proxies.  A proxy is a class record too: its
+class's name and annotation, no fields, and its stubs as methods with empty
+bodies, so one reader decodes both.  Nothing else is stored: the relays are
 derive_interface's (plan.py), the wire's class ids are PartitionPlan's, so
 an image holds no second copy of a fact to check.
 
@@ -50,10 +52,9 @@ from ..dsl.ast import (
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
 )
 from ..errors import FormatError
-from .model import ProxyClassDef, StubMethod
 from .plan import ImageSpec, PartitionPlan
 
-MAGIC = b"EPIMG\x02"
+MAGIC = b"EPIMG\x03"
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -139,8 +140,6 @@ _FIELD_PUT = {
     "Optional[TypeRef]": _optional(_put_type),
     "list[Expr]": _sequence(_put_node),
     "list[Stmt]": _sequence(_put_node),
-    "tuple[tuple[str, TypeRef], ...]": _sequence(
-        lambda w, p: (w.s(p[0]), _put_type(w, p[1]))),
 }
 
 
@@ -177,11 +176,9 @@ def _put_method(w: _Writer, m: MethodDecl) -> None:
 
 
 _FIELD_PUT["list[MethodDecl]"] = _sequence(_put_method)
-_FIELD_PUT["tuple[StubMethod, ...]"] = _sequence(_record(StubMethod))
 _put_ann = _FIELD_PUT["Annotation"]
 _put_anns = _sequence(lambda w, item: (w.s(item[0]), _put_ann(w, item[1])))
 _put_classes = _sequence(_record(ClassDecl))
-_put_proxies = _sequence(_record(ProxyClassDef))
 
 
 # -- reading: one function per record -----------------------------------------------
@@ -417,7 +414,7 @@ _STMT_GET = _tag_table(_STMT_TAGS, {
     Return: _return, If: _if, While: _while}, _unknown_stmt)
 
 
-# -- declarations and proxies ------------------------------------------------------
+# -- declarations ------------------------------------------------------------------
 
 def _get_param(data: bytes, pos: int) -> tuple[Param, int]:
     name, pos = _get_str(data, pos)
@@ -465,31 +462,7 @@ def _get_class(data: bytes, pos: int) -> tuple[ClassDecl, int]:
     return ClassDecl(name, annotation, fields, methods), pos
 
 
-def _get_stub_param(data: bytes, pos: int) -> tuple[tuple[str, TypeRef], int]:
-    name, pos = _get_str(data, pos)
-    t, pos = _get_type(data, pos)
-    return (name, t), pos
-
-
-def _get_stub(data: bytes, pos: int) -> tuple[StubMethod, int]:
-    name, pos = _get_str(data, pos)
-    params, pos = _get_items(data, pos, _get_stub_param)
-    ret, pos = _get_type(data, pos)
-    flag = data[pos]
-    if flag > 1:
-        raise _bad_flag(flag)
-    return StubMethod(name, tuple(params), ret, flag == 1), pos + 1
-
-
-_DIRECTIONS = {"ecall": "ecall", "ocall": "ocall"}
 _SIDES = {a.value: a for a in Annotation}
-
-
-def _get_proxy(data: bytes, pos: int) -> tuple[ProxyClassDef, int]:
-    name, pos = _get_str(data, pos)
-    direction, pos = _get_name(data, pos, _DIRECTIONS, "transition direction")
-    stubs, pos = _get_items(data, pos, _get_stub)
-    return ProxyClassDef(name, direction, tuple(stubs)), pos
 
 
 def _get_annotated(data: bytes, pos: int) -> tuple[tuple[str, Annotation], int]:
@@ -508,7 +481,7 @@ def _get_image(data: bytes, pos: int):
     if len(annotations) != len(pairs):
         raise FormatError("a class name appears twice in the annotation table")
     classes, pos = _get_items(data, pos, _get_class)
-    proxies, pos = _get_items(data, pos, _get_proxy)
+    proxies, pos = _get_items(data, pos, _get_class)
     return ImageSpec(side, classes, proxies), annotations, version, pos
 
 
@@ -520,7 +493,7 @@ def encode_image(plan: PartitionPlan, spec: ImageSpec) -> bytes:
     w.s(__version__)
     _put_anns(w, list(plan.annotations.items()))
     _put_classes(w, spec.classes)
-    _put_proxies(w, spec.proxies)
+    _put_classes(w, spec.proxies)
     return bytes(w)
 
 

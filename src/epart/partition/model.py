@@ -1,4 +1,4 @@
-"""Partitioning data model: marshal kinds, proxy classes, relay methods."""
+"""Partitioning data model: marshal kinds, proxy stubs, relay methods."""
 
 from __future__ import annotations
 
@@ -52,30 +52,6 @@ def relay_direction(annotation: Annotation | None) -> str | None:
 
 
 @dataclass(frozen=True)
-class StubMethod:
-    """A proxy method: original signature, no body."""
-
-    name: str
-    params: tuple[tuple[str, TypeRef], ...]
-    return_type: TypeRef
-    is_constructor: bool
-
-
-@dataclass(frozen=True)
-class ProxyClassDef:
-    """Stand-in for an annotated class on the opposite side.
-
-    Fields and bodies are stripped; the only state is the 64-bit object hash
-    binding the proxy to its mirror.  direction names the transition its stubs
-    issue when invoked.
-    """
-
-    class_name: str
-    direction: str  # "ecall" (proxy for a trusted class) or "ocall"
-    stubs: tuple[StubMethod, ...]
-
-
-@dataclass(frozen=True)
 class RelayMethodDef:
     """Static entry-point wrapper for one constructor or instance method.
 
@@ -106,20 +82,21 @@ class RelayMethodDef:
         return (self.direction, self.class_name, self.method_name)
 
 
-def stub_for(m: MethodDecl) -> StubMethod:
-    """The proxy stub of a constructor or instance method."""
-    return StubMethod(m.name, tuple((p.name, p.type) for p in m.params),
-                      m.return_type, m.is_constructor)
+def stub_for(m: MethodDecl) -> MethodDecl:
+    """The proxy stub of a constructor or instance method: m without its
+    body."""
+    return MethodDecl(m.name, m.params, m.return_type, [], m.is_constructor,
+                      m.is_static)
 
 
-def relay_for(class_name: str, stub: StubMethod,
+def relay_for(class_name: str, stub: MethodDecl,
               annotations: dict[str, Annotation]) -> RelayMethodDef:
     """The relay of the method of an annotated class that stub is the
     stub_for of.
 
     annotations maps every class of the program to its annotation.
     """
-    kinds = tuple(classify(t, annotations) for _, t in stub.params)
+    kinds = tuple(classify(p.type, annotations) for p in stub.params)
     ret = MarshalKind.UNIT if stub.is_constructor \
         else classify(stub.return_type, annotations)
     return RelayMethodDef(class_name, stub.name,

@@ -26,26 +26,19 @@ from ..dsl.validate import resolve, validate
 from ..errors import InterfaceMismatch, ValidationFailed
 from . import callgraph
 from .callgraph import CONCRETE, PROXY, Node
-from .model import (
-    ProxyClassDef, RelayMethodDef, annotation_map, relay_direction, relay_for, stub_for,
-)
+from .model import RelayMethodDef, annotation_map, relay_for, stub_for
 
 
 @dataclass
 class ImageSpec:
     """One native image: concrete classes and surviving proxies, and the
-    relays derive_interface gives them."""
+    relays derive_interface gives them.  A proxy is its class without
+    fields, whose methods are the stub_for of each kept method."""
 
     side: Annotation
     classes: list[ClassDecl] = field(default_factory=list)
-    proxies: list[ProxyClassDef] = field(default_factory=list)
+    proxies: list[ClassDecl] = field(default_factory=list)
     relays: list[RelayMethodDef] = field(default_factory=list)
-
-    def class_decl(self, name: str) -> ClassDecl | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
 
 
 @dataclass
@@ -124,9 +117,8 @@ def compute_images(program: Program) -> PartitionPlan:
                 stubs = [m for m in cls.methods
                          if (PROXY, cls.name, m.name) in reachable]
                 if stubs:
-                    spec.proxies.append(ProxyClassDef(
-                        cls.name, relay_direction(cls.annotation),
-                        tuple(stub_for(m) for m in stubs)))
+                    spec.proxies.append(ClassDecl(cls.name, cls.annotation, [],
+                                                  [stub_for(m) for m in stubs]))
                     for m in stubs:
                         names |= _signature_refs(m)
                 continue
@@ -191,11 +183,11 @@ def derive_interface(plan: PartitionPlan) -> PartitionPlan:
     """Check each image's proxies against the other image, set that image's
     relays to the relays of their stubs, in stub order, and return plan.
 
-    A proxy crosses in its class's direction (ecall for @Trusted) and out of
-    its own image.  Each stub is the stub_for of the first method of its name
-    (the one a call runs) that its class declares in the other image, and
-    names only classes in the table.  Anything else is an InterfaceMismatch,
-    so no relay is made of an unchecked stub.
+    A proxy has no fields, and its annotation is its class's in the table
+    and the other image's side.  Each stub is the stub_for of the first
+    method of its name (the one a call runs) that its class declares in the
+    other image, and names only classes in the table.  Anything else is an
+    InterfaceMismatch, so no relay is made of an unchecked stub.
     """
     annotations = plan.annotations
     known = BUILTIN_TYPE_NAMES | annotations.keys()
@@ -211,21 +203,22 @@ def derive_interface(plan: PartitionPlan) -> PartitionPlan:
         methods = {(c.name, m.name): m for c in far.classes
                    for m in reversed(c.methods)}
         for proxy in spec.proxies:
-            name = proxy.class_name
-            if proxy.direction != relay_direction(annotations.get(name)):
-                raise InterfaceMismatch(f"proxy {name} is an {proxy.direction} "
-                                        "proxy, against its class's annotation")
-            if proxy.direction != relay_direction(far.side):
-                raise InterfaceMismatch(f"proxy {name} is an {proxy.direction} "
-                                        f"proxy in the {side} image")
-            for stub in proxy.stubs:
+            name = proxy.name
+            if not proxy.annotation == annotations.get(name) == far.side:
+                raise InterfaceMismatch(
+                    f"proxy {name} in the {side} image is not @{far.side.value} "
+                    "in its record and the annotation table")
+            if proxy.fields:
+                raise InterfaceMismatch(f"proxy {name} in the {side} image "
+                                        "has fields")
+            for stub in proxy.methods:
                 method = methods.get((name, stub.name))
                 if method is None or stub_for(method) != stub:
                     raise InterfaceMismatch(
                         f"stub {name}.{stub.name} in the {side} image is not "
                         "the signature of a method of the other image")
                 unknown = {stub.return_type.name,
-                           *(t.name for _, t in stub.params)} - known
+                           *(p.type.name for p in stub.params)} - known
                 if unknown:
                     raise InterfaceMismatch(
                         f"stub {name}.{stub.name} names class {min(unknown)}, "

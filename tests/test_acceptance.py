@@ -70,7 +70,7 @@ def test_criterion_3_proxy_pruning(bank_source, bank_plan, tmp_path, capsys):
     assert cli_main(["inspect", str(plan_dir), "trusted"]) == 0
     out = capsys.readouterr().out
     pruned = "Person proxy: pruned (unreachable)" in out
-    assert "Person" not in {p.class_name for p in bank_plan.trusted_image.proxies}
+    assert "Person" not in {p.name for p in bank_plan.trusted_image.proxies}
     with capsys.disabled():
         check(3, pruned, "trusted image inspect reports Person proxy pruned")
 

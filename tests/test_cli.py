@@ -8,12 +8,13 @@ import pytest
 
 from epart._version import __version__
 from epart.cli import main
-from epart.partition import (
-    ProxyClassDef, compute_images, emit, load_plan, whole_program_plan,
-)
+from epart.dsl.ast import Annotation, ClassDecl
+from epart.partition import compute_images, emit, load_plan, whole_program_plan
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import MAGIC
 from epart.partition.model import stub_for
+
+from test_partition import named
 
 DIVERGENT_SRC = """
 @Neutral
@@ -38,6 +39,13 @@ class Main {
     }
 }
 """
+
+
+# Account's proxy record in bank's untrusted.img: its name, the @Trusted
+# annotation code and no fields; its two stubs follow, the constructor first.
+_ACCOUNT_NAME = b"\x07\x00\x00\x00Account"
+_NO_FIELDS = b"\x00\x00\x00\x00"
+_ACCOUNT_PROXY = _ACCOUNT_NAME + b"\x00" + _NO_FIELDS
 
 
 @pytest.fixture
@@ -181,32 +189,19 @@ class Main {
         assert main(["run", str(plan)]) == 1
         assert "bad plan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("image, old, new", [
-        (UNTRUSTED_IMG, b"ecall", b"xcall"),  # a proxy's direction
-    ])
-    def test_tampered_enum_field_is_a_bad_plan(self, bank_dir, capsys,
-                                               image, old, new):
-        _, plan = bank_dir
-        img = plan / image
-        data = img.read_bytes()
-        assert old in data
-        img.write_bytes(data.replace(old, new, 1))
-        capsys.readouterr()
-        assert main(["run", str(plan)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bad plan: ") and err.count("\n") == 1
-
     @pytest.mark.parametrize("image, old, new, reason", [
         # a list-element presence flag that is neither 0 nor 1
         (TRUSTED_IMG, b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02",
          "bad flag byte 2"),
         # an annotation code past the three annotations
         (UNTRUSTED_IMG, b"Account\x00", b"Account\x03", "bad annotation byte 3"),
-        # a proxy renamed to a class of the same length the table lacks,
-        # whose stubs would make stray relays
-        (UNTRUSTED_IMG, b"\x07\x00\x00\x00Account\x05\x00\x00\x00ecall",
-         b"\x07\x00\x00\x00Accoumt\x05\x00\x00\x00ecall",
-         "proxy Accoumt is an ecall proxy, against its class's annotation"),
+        # a proxy and its constructor stub renamed to a class of the same
+        # length the table lacks, whose stubs would make stray relays
+        (UNTRUSTED_IMG, _ACCOUNT_PROXY + b"\x02\x00\x00\x00" + _ACCOUNT_NAME,
+         (_ACCOUNT_PROXY + b"\x02\x00\x00\x00" + _ACCOUNT_NAME).replace(
+             b"Account", b"Accoumt"),
+         "proxy Accoumt in the untrusted image is not @Trusted in its record "
+         "and the annotation table"),
         # a class name that is not UTF-8
         (UNTRUSTED_IMG, b"\x06\x00\x00\x00Person", b"\x06\x00\x00\x00Pers\xffn",
          "bad string in image: 'utf-8' codec can't decode byte 0xff in "
@@ -325,26 +320,33 @@ class Main {
             "annotation table as declared\n")
 
     @pytest.mark.parametrize("image, reason", [
-        (UNTRUSTED_IMG, "proxy Account is an ocall proxy, against its "
-                        "class's annotation"),
+        (UNTRUSTED_IMG, "proxy Account in the untrusted image is not @Trusted "
+                        "in its record and the annotation table"),
     ], ids=["proxy"])
     def test_a_direction_against_the_annotation_is_a_bad_plan(
             self, bank_dir, capsys, image, reason):
-        """The first ecall of untrusted.img is Account's proxy.  An image
-        stores no relay, so a proxy's is the one direction to flip."""
+        """Account's proxy record in untrusted.img with its annotation byte
+        flipped to @Untrusted, which would make it an ocall proxy.  An
+        image stores no relay, so a proxy's is the one direction to flip."""
         _, plan = bank_dir
         img = plan / image
-        img.write_bytes(img.read_bytes().replace(b"ecall", b"ocall", 1))
+        data = img.read_bytes()
+        assert data.count(_ACCOUNT_PROXY) == 1
+        img.write_bytes(data.replace(_ACCOUNT_PROXY,
+                                     _ACCOUNT_NAME + b"\x01" + _NO_FIELDS))
         assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
 
     def test_a_plan_with_the_old_magic_is_a_bad_plan(self, bank_dir, capsys):
-        """Images of the previous format stored their relays, entry points
-        and a class-id table; this tool reads no such image."""
+        """Images of the earlier formats: EPIMG\\x01 stored their relays,
+        entry points and a class-id table, EPIMG\\x02 each proxy as a record
+        of its own.  This tool reads no such image."""
         _, plan = bank_dir
         img = plan / TRUSTED_IMG
-        img.write_bytes(img.read_bytes().replace(MAGIC, b"EPIMG\x01", 1))
-        assert self._bad_plan(plan, capsys) == (
-            "bad plan: bad magic: not an image file or unsupported version\n")
+        data = img.read_bytes()
+        for old in (b"EPIMG\x01", b"EPIMG\x02"):
+            img.write_bytes(data.replace(MAGIC, old, 1))
+            assert self._bad_plan(plan, capsys) == (
+                "bad plan: bad magic: not an image file or unsupported version\n")
 
     def test_a_trusted_class_in_the_untrusted_image_is_a_bad_plan(
             self, bank_program, tmp_path, capsys):
@@ -353,10 +355,10 @@ class Main {
         run outside the enclave."""
         plan = compute_images(bank_program)
         t, u = plan.trusted_image, plan.untrusted_image
-        account = t.class_decl("Account")
+        account = named(t.classes, "Account")
         t.classes.remove(account)
         u.classes.append(account)
-        u.proxies = [p for p in u.proxies if p.class_name != "Account"]
+        u.proxies = [p for p in u.proxies if p.name != "Account"]
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == \
             "bad plan: class Account is @Trusted but in the untrusted image\n"
@@ -391,12 +393,43 @@ class Main {
         the trusted image, so the relay the stub makes would be an ocall into
         the trusted image."""
         plan = whole_program_plan(bank_program, enclave=True)
-        transfer = plan.trusted_image.class_decl("Person").method("transfer")
+        transfer = named(plan.trusted_image.classes, "Person").method("transfer")
         plan.untrusted_image.proxies.append(
-            ProxyClassDef("Person", "ocall", (stub_for(transfer),)))
+            ClassDecl("Person", Annotation.UNTRUSTED, [], [stub_for(transfer)]))
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == (
+            "bad plan: proxy Person in the untrusted image is not @Trusted in "
+            "its record and the annotation table\n")
+
+    def test_a_proxy_with_a_field_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys):
+        """A proxy's only state is the object hash: Account's balance field
+        on its proxy in untrusted.img would be state outside the enclave."""
+        plan = compute_images(bank_program)
+        account = named(plan.trusted_image.classes, "Account")
+        named(plan.untrusted_image.proxies, "Account").fields = account.fields
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == \
-            "bad plan: proxy Person is an ocall proxy in the untrusted image\n"
+            "bad plan: proxy Account in the untrusted image has fields\n"
+
+    @pytest.mark.parametrize("change", ["body", "static"])
+    def test_a_stub_with_a_body_or_another_flag_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys, change):
+        """A stub is its method without the body: updateBalance's stub with
+        the method's body, or flagged static, is not the stub_for of it."""
+        plan = compute_images(bank_program)
+        method = named(plan.trusted_image.classes, "Account").method(
+            "updateBalance")
+        stub = named(plan.untrusted_image.proxies, "Account").method(
+            "updateBalance")
+        if change == "body":
+            stub.body = method.body
+        else:
+            stub.is_static = True
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == (
+            "bad plan: stub Account.updateBalance in the untrusted image is not "
+            "the signature of a method of the other image\n")
 
     def test_a_relay_that_is_not_its_methods_relay_is_a_bad_plan(
             self, tmp_path, capsys):
@@ -831,9 +864,14 @@ class TestModelFile:
         ("alloc_cost = 1_000", "line 1: bad value for alloc_cost: '1_000'"),
         ("epc_penalty = \u0662.5", "line 1: bad value for epc_penalty: '\u0662.5'"),
         ("epc_penalty = 1_0.5", "line 1: bad value for epc_penalty: '1_0.5'"),
+        ("ecall_cost 5", "line 1: expected key = value, got 'ecall_cost 5'"),
+        ("alloc_cost = 1\nalloc_cost = 2", "line 2: duplicate key 'alloc_cost'"),
+        # more digits than int() reads from a string (4300 by default)
+        ("ecall_cost = " + "9" * 5000,
+         "line 1: bad value for ecall_cost: '" + "9" * 5000 + "'"),
     ], ids=["unknown-key", "nan", "inf", "1e308", "above-1e6", "price-2**63",
             "arabic-indic-price", "underscore-price", "arabic-indic-penalty",
-            "underscore-penalty"])
+            "underscore-penalty", "no-equals", "duplicate-key", "int-too-long"])
     @pytest.mark.parametrize("command", [
         ["run", "{plan}"], ["run-unpartitioned", "{src}"], ["compare", "{src}"],
         ["bench", "--suite", "gc_perf"],

@@ -12,6 +12,8 @@ from epart.runtime.heap import (
     TRUSTED, UNTRUSTED, InstanceObj, Isolate,
 )
 
+from test_partition import named
+
 NO_GC = 1 << 60
 
 
@@ -148,7 +150,7 @@ class TestCollections:
 
     def test_trusted_collection_pays_epc_penalty(self, bank_plan):
         # identical garbage on each side; the trusted sweep costs 4x
-        decl = bank_plan.trusted_image.class_decl("Account")
+        decl = named(bank_plan.trusted_image.classes, "Account")
 
         def collect(side):
             rt = DualRuntime(bank_plan, gc_threshold=NO_GC)
@@ -166,7 +168,7 @@ class TestCollections:
 class TestMirrorPrimitives:
     def test_remove_mirror_idempotent(self, bank_plan):
         iso = Isolate(TRUSTED, CostModel())
-        obj = InstanceObj(bank_plan.trusted_image.class_decl("Account"))
+        obj = InstanceObj(named(bank_plan.trusted_image.classes, "Account"))
         iso.register_mirror(0x8000000000000001, obj)
         assert iso.remove_mirror(0x8000000000000001) is True
         assert iso.remove_mirror(0x8000000000000001) is False

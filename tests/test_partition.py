@@ -27,10 +27,10 @@ from epart.partition import (
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
     _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
-    _get_field, _get_method, _get_stub, _get_type, _put_method,
+    _get_field, _get_method, _get_type, _put_method,
     _Writer, decode_image, encode_image,
 )
-from epart.partition.model import MarshalKind, stub_for
+from epart.partition.model import MarshalKind, relay_direction, stub_for
 from epart.partition.plan import PartitionPlan
 from epart.runtime import DualRuntime
 from epart.runtime.interp import Interpreter
@@ -38,9 +38,9 @@ from epart.runtime.interp import Interpreter
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _proxy(image, name: str):
-    """image's proxy of class name, or None."""
-    return next((p for p in image.proxies if p.class_name == name), None)
+def named(decls, name: str):
+    """The class or proxy of that name in decls, or None."""
+    return next((c for c in decls if c.name == name), None)
 
 
 def plan_of(source: str):
@@ -64,17 +64,18 @@ class TestBankImages:
         ]
 
     def test_untrusted_image_has_trusted_proxies(self, bank_plan):
-        proxies = {p.class_name: p for p in bank_plan.untrusted_image.proxies}
+        proxies = {p.name: p for p in bank_plan.untrusted_image.proxies}
         assert set(proxies) == {"Account", "AccountRegistry"}
         account = proxies["Account"]
-        assert account.direction == "ecall"
-        assert {s.name for s in account.stubs} == {"Account", "updateBalance"}
+        assert account.annotation == Annotation.TRUSTED and account.fields == []
+        assert {s.name for s in account.methods} == {"Account", "updateBalance"}
+        assert all(s.body == [] for s in account.methods)
 
     def test_trusted_image_prunes_unused_proxies(self, bank_plan):
         # no trusted method ever calls back into untrusted code
-        assert _proxy(bank_plan.untrusted_image, "Person") is None
+        assert named(bank_plan.untrusted_image.proxies, "Person") is None
         assert bank_plan.trusted_image.proxies == []
-        assert _proxy(bank_plan.trusted_image, "Person") is None
+        assert named(bank_plan.trusted_image.proxies, "Person") is None
 
     def test_entry_points(self, bank_plan):
         """main is in the untrusted image, which serves no relays; the
@@ -110,8 +111,8 @@ class TestBankImages:
 
     def test_every_class_in_exactly_its_images(self, bank_plan):
         for cname, ann in bank_plan.annotations.items():
-            in_trusted = bank_plan.trusted_image.class_decl(cname) is not None
-            in_untrusted = bank_plan.untrusted_image.class_decl(cname) is not None
+            in_trusted = named(bank_plan.trusted_image.classes, cname) is not None
+            in_untrusted = named(bank_plan.untrusted_image.classes, cname) is not None
             if ann == Annotation.TRUSTED:
                 assert in_trusted and not in_untrusted
             elif ann == Annotation.UNTRUSTED:
@@ -149,9 +150,9 @@ class Main {
 
     def test_ocall_relays_survive_only_if_reachable(self):
         plan = plan_of(self.SRC)
-        u_proxy = _proxy(plan.trusted_image, "U")
+        u_proxy = named(plan.trusted_image.proxies, "U")
         assert u_proxy is not None
-        assert {s.name for s in u_proxy.stubs} == {"U", "feed"}
+        assert {s.name for s in u_proxy.methods} == {"U", "feed"}
         records = {(r.direction, r.class_name, r.method_name)
                    for r in plan.descriptor}
         assert ("ocall", "U", "feed") in records
@@ -159,8 +160,8 @@ class Main {
 
     def test_unreachable_trusted_method_keeps_no_relay(self):
         plan = plan_of(self.SRC)
-        t_proxy = _proxy(plan.untrusted_image, "T")
-        assert {s.name for s in t_proxy.stubs} == {"T", "pull"}
+        t_proxy = named(plan.untrusted_image.proxies, "T")
+        assert {s.name for s in t_proxy.methods} == {"T", "pull"}
 
     def test_relays_only_unreached_code_calls_are_pruned(self):
         # main never touches T, so T's relays die, and so do U's, which
@@ -189,8 +190,8 @@ class Main {
 }
 """
         plan = plan_of(src)
-        assert _proxy(plan.untrusted_image, "T") is None
-        assert _proxy(plan.trusted_image, "U") is None
+        assert named(plan.untrusted_image.proxies, "T") is None
+        assert named(plan.trusted_image.proxies, "U") is None
         assert plan.descriptor == []
 
     def test_a_relay_cycle_main_never_reaches_is_pruned(self):
@@ -207,8 +208,10 @@ class Main {
         revived = self.SRC.replace("t.pull();", "t.pull();\n        t.quiet();")
         base = plan_of(self.SRC)
         plan = plan_of(revived)
-        base_stubs = {s.name for s in _proxy(base.untrusted_image, "T").stubs}
-        new_stubs = {s.name for s in _proxy(plan.untrusted_image, "T").stubs}
+        base_stubs = {s.name
+                      for s in named(base.untrusted_image.proxies, "T").methods}
+        new_stubs = {s.name
+                     for s in named(plan.untrusted_image.proxies, "T").methods}
         assert new_stubs == base_stubs | {"quiet"}
 
 
@@ -256,7 +259,7 @@ class Main {
 class TestTypeClosure:
     def test_a_neutral_class_a_reached_stub_returns_ships_with_the_image(self):
         plan = plan_of(STUB_RETURNS_NEUTRAL_SRC)
-        n = plan.untrusted_image.class_decl("N")
+        n = named(plan.untrusted_image.classes, "N")
         assert n is not None and n.methods == []
         assert [c.name for c in plan.trusted_image.classes] == ["N", "T"]
         result = DualRuntime(plan).run_main()
@@ -435,7 +438,7 @@ class Main {
     }
 }
 """)
-        assign = plan.untrusted_image.class_decl("Main").methods[0].body[1]
+        assign = named(plan.untrusted_image.classes, "Main").methods[0].body[1]
         assign.target = IntLit(3)
         emit(plan, tmp_path)
         with pytest.raises(FormatError, match="assignment target must be"):
@@ -464,11 +467,12 @@ class Main {
             load_plan(tmp_path)
 
     @pytest.mark.parametrize("fixture, loads, runs", [
-        ("bank", {"loaded": 322, "FormatError": 2503, "InterfaceMismatch": 175},
-         {"same output": 111, "other output": 6, "EpartError": 205}),
-        ("every_node",
-         {"loaded": 363, "FormatError": 2517, "InterfaceMismatch": 120},
-         {"same output": 141, "other output": 22, "EpartError": 192,
+        ("bank", {"unchanged": 14, "loaded": 308, "FormatError": 2546,
+                  "InterfaceMismatch": 132},
+         {"same output": 96, "other output": 6, "EpartError": 206}),
+        ("every_node", {"unchanged": 16, "loaded": 340, "FormatError": 2540,
+                        "InterfaceMismatch": 104},
+         {"same output": 124, "other output": 22, "EpartError": 186,
           "runs away": 8}),
     ], ids=["bank", "every_node"])
     def test_single_byte_mutations_load_or_raise_epart_errors(
@@ -478,10 +482,12 @@ class Main {
         runs away: a tampered loop bound can keep a run going for ever, so
         a run stops after 1000 blocks (the untampered runs take 12 and 25).
 
-        The counts pin what the loader rejects today, and how the plans it
-        loads run: with the untampered run's transcript, files and cycles,
-        with other output, or to an EpartError.  A stricter loader changes
-        them on purpose.  Bank's transcript is empty, so an edited literal
+        A draw of the byte already at its offset edits nothing: it counts
+        as unchanged and is neither loaded nor run.  The other counts pin
+        what the loader rejects today, and how the plans it loads run:
+        with the untampered run's transcript, files and cycles, with other
+        output, or to an EpartError.  A stricter loader changes them on
+        purpose.  Bank's transcript is empty, so an edited literal
         there can run unchanged; every_node prints and writes some of what
         it computes.
         """
@@ -506,7 +512,10 @@ class Main {
         outcomes: collections.Counter = collections.Counter()
         ran: collections.Counter = collections.Counter()
         tampered = None  # the one image file that differs from images
-        for name, _, data in _single_byte_mutations(images):
+        for name, pos, data in _single_byte_mutations(images):
+            if data[pos] == images[name][pos]:  # the byte already there
+                outcomes["unchanged"] += 1
+                continue
             if tampered not in (None, name):
                 (tmp_path / tampered).write_bytes(images[tampered])
             (tmp_path / name).write_bytes(data)
@@ -559,8 +568,6 @@ class Main {
     # codec's bytes and the bytes after them
     _RECORDS = {
         "bool": (_get_exprs, _u32(1) + _tag(BoolLit), b""),
-        "StubMethod.is_constructor": (
-            _get_stub, _s("m") + _u32(0) + _s("Unit") + b"\x00", b""),
         "Visibility": (_get_field, _s("f") + _s("Int") + b"\x00", b""),
         "Annotation": (_get_class, _s("C"), _u32(0) * 2),
         "Optional[Expr]": (_get_body, _u32(1) + _tag(Return), b""),
@@ -571,7 +578,6 @@ class Main {
 
     @pytest.mark.parametrize("codec, good, bad", [
         ("bool", b"\x01", b"\x02"),
-        ("StubMethod.is_constructor", b"\x01", b"\x02"),
         ("Visibility", b"\x01", b"\x02"),
         ("Annotation", b"\x02", b"\x03"),
         ("Optional[Expr]", b"\x00", b"\xff"),
@@ -630,7 +636,7 @@ class Main {
         not of one on the far side of its proxy, where its relay would be."""
         t, u = bank_plan.trusted_image, bank_plan.untrusted_image
         moved = dataclasses.replace(
-            u, classes=u.classes + [t.class_decl("Account")])
+            u, classes=u.classes + [named(t.classes, "Account")])
         kept = dataclasses.replace(
             t, classes=[c for c in t.classes if c.name != "Account"])
         plan = PartitionPlan(kept, moved, bank_plan.annotations)
@@ -644,12 +650,12 @@ class Main {
         the table is, so the stub would make a relay without a marshal kind
         for its parameter."""
         t, u = bank_plan.trusted_image, bank_plan.untrusted_image
-        account = t.class_decl("Account")
+        account = named(t.classes, "Account")
         methods = [dataclasses.replace(m, params=[Param("v", TypeRef("Ghost"))])
                    if m.name == "updateBalance" else m for m in account.methods]
-        proxy = _proxy(u, "Account")
+        proxy = named(u.proxies, "Account")
         haunted = dataclasses.replace(
-            proxy, stubs=tuple(stub_for(m) for m in methods))
+            proxy, methods=[stub_for(m) for m in methods])
         plan = PartitionPlan(
             dataclasses.replace(t, classes=[
                 dataclasses.replace(account, methods=methods)
@@ -740,20 +746,20 @@ class TestCorpusSoundness:
         for source in generate_corpus(25, seed=77):
             plan = compute_images(parse_program(source))
             for cname, ann in plan.annotations.items():
-                in_t = plan.trusted_image.class_decl(cname) is not None
-                in_u = plan.untrusted_image.class_decl(cname) is not None
+                in_t = named(plan.trusted_image.classes, cname) is not None
+                in_u = named(plan.untrusted_image.classes, cname) is not None
                 # unreachable classes may be dropped, but a class never
                 # lands in the opposite side's image
                 if ann == Annotation.TRUSTED:
                     assert not in_u
                 elif ann == Annotation.UNTRUSTED:
                     assert not in_t
-            assert plan.untrusted_image.class_decl("Main") is not None
+            assert named(plan.untrusted_image.classes, "Main") is not None
             # a proxy never coexists with its concrete class in one image
             for image in (plan.trusted_image, plan.untrusted_image):
                 concrete = {c.name for c in image.classes}
                 for proxy in image.proxies:
-                    assert proxy.class_name not in concrete
+                    assert proxy.name not in concrete
             # every surviving stub is the signature of its method in the
             # other image, and relays and proxies cross as their annotations
             # say
@@ -762,20 +768,15 @@ class TestCorpusSoundness:
 
 def _image_program(plan, image) -> Program:
     """One image as a program the checker can walk on its own: its classes,
-    each proxy as a bodiless class of its annotation with its stubs as
-    methods, and an empty class for every other annotated class, which the
-    image may still name in a type.  Neutral classes get no stand-in, since
-    payloads decode against their fields."""
-    classes = list(image.classes)
-    for p in image.proxies:
-        classes.append(ClassDecl(p.class_name, plan.annotations[p.class_name], [], [
-            MethodDecl(s.name, [Param(n, t) for n, t in s.params], s.return_type,
-                       [], is_constructor=s.is_constructor)
-            for s in p.stubs]))
-    named = {c.name for c in classes}
+    its proxies, which are already bodiless classes of their annotation, and
+    an empty class for every other annotated class, which the image may
+    still name in a type.  Neutral classes get no stand-in, since payloads
+    decode against their fields."""
+    classes = image.classes + image.proxies
+    names = {c.name for c in classes}
     classes += [ClassDecl(name, ann, [], [])
                 for name, ann in plan.annotations.items()
-                if name not in named and ann != Annotation.NEUTRAL]
+                if name not in names and ann != Annotation.NEUTRAL]
     return Program(classes)
 
 
@@ -854,9 +855,9 @@ class Main {
             INTERFACE_FILE:
                 "eccdf9199c1bdf89e63ab79e287ad1b65f8b6e4cc3b798020a43614d0949448e",
             TRUSTED_IMG:
-                "d21a45c887352c6665818913595f8b7c44982fbbe0051f39981735375c0a1d08",
+                "6f1b734fc44515b8cef16dfafa01941ab74e1892d44bb4440d086904de4b8c27",
             UNTRUSTED_IMG:
-                "265c15d8c0d541d7c88d187da9a6aaf2ea841dcc43cf6eb43cb55c916524da91",
+                "7d1202200f1e0f324a13b392d2dc2395f825e32c9de6170b9a42bd8633b5435e",
         }
 
     def test_images_with_a_public_field_are_frozen(self, tmp_path):
@@ -867,9 +868,9 @@ class Main {
             INTERFACE_FILE:
                 "f1684494502b4a8e6da8024e6aca53289df08eb5e345a535d5317cc622c9fc02",
             TRUSTED_IMG:
-                "58634f0deab0d8f950289a625e01761b705ed8e4fbbe527cd72b7fd39c5d7cea",
+                "1a4a659c32a98b4e733028c9b887221fbd8d1a1c93a447477ad876888ce61967",
             UNTRUSTED_IMG:
-                "61be968bedd2c27d9ad14c16b2fe77a1f685ab79d03c5251d0dabbf9e23edc16",
+                "c9028673f17f59a4147bd522329605c5fb4ab78ad252f8083c484bcfb39962ad",
         }
 
     def test_fixtures_cover_every_declaration_variant(self):
@@ -892,7 +893,8 @@ class Main {
                     seen["param"] |= set(rel.param_kinds)
                     seen["return"].add(rel.return_kind)
                     seen["relay"].add(rel.direction)
-                seen["proxy"] |= {p.direction for p in image.proxies}
+                seen["proxy"] |= {relay_direction(p.annotation)
+                                  for p in image.proxies}
         assert seen == {
             "annotation": set(Annotation),
             "visibility": set(Visibility),
@@ -916,7 +918,7 @@ class Main {
             INTERFACE_FILE:
                 "1e853a3223318bc56cc7c56ff0443c7d891e9400f360b534507ff94357b0a085",
             TRUSTED_IMG:
-                "7c6b064582b52b4b7b1f6482d7645223d96647db08603fdda5509ef38e1036cf",
+                "81b2047bb9d1958b26d779ffbe504f8376fc771a6192b6389e857180d5646514",
             UNTRUSTED_IMG:
-                "b604b45b9bf324afeabfdf5be99d57b609c2deda9712ecac75d71abee3bdd788",
+                "6aca15d9bccb54247298795c10991f8c0b556166d9b29c319ccdd308202ff076",
         }

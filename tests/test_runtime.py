@@ -20,6 +20,7 @@ from epart.runtime import (
 from epart.runtime.heap import TRUSTED, UNTRUSTED, InstanceObj, ProxyObj
 
 from test_boundary import SRC as BOUNDARY_SRC
+from test_partition import named
 
 
 def plan_of(source: str):
@@ -372,7 +373,7 @@ class Main {
     }
 }
 """)
-        ctor = plan.untrusted_image.class_decl("Box").method("Box")
+        ctor = named(plan.untrusted_image.classes, "Box").method("Box")
         ctor.body[0].target.field_name = "w"
         runtime = DualRuntime(plan)
         with pytest.raises(DslRuntimeError, match="^Box has no field w$"):
@@ -781,7 +782,7 @@ class Main {
         with pytest.raises(InterfaceMismatch) as exc:
             rt.construct(TRUSTED, "Main", [])
         assert str(exc.value) == "no relay Main.Main in the untrusted image"
-        new = plan.untrusted_image.class_decl("Main").methods[0].body[0].init
+        new = named(plan.untrusted_image.classes, "Main").methods[0].body[0].init
         new.class_name = "Ghost"
         with pytest.raises(InterfaceMismatch) as exc:
             DualRuntime(plan).run_main()
