@@ -1,8 +1,10 @@
 """Emit and reload partition plans.
 
 Layout written to the output directory:
-  trusted.img, untrusted.img   binary image files, magic EPIMG\\x03, canonical
-                               length-prefixed AST encoding (little endian)
+  trusted.img, untrusted.img   binary image files, magic EPIMG\\x04: a table
+                               of the image's distinct strings, then a
+                               canonical AST encoding (little endian) that
+                               names each string by its index there
   interface.edl.txt            one line per surviving relay, sorted by
                                (direction, class, method), '#' header with the
                                tool version
@@ -12,7 +14,8 @@ annotations by derive_interface, which checks each proxy stub against its
 method first.  load_plan checks the interface file against the one the
 derived relays render and does not parse it.  It accepts only a plan written
 by this tool version: both images and the interface header must record it.
-image.py encodes and decodes the images.
+image.py encodes and decodes the images: decode_image(data) reads an image's
+string table once, then its body, and returns (spec, annotations, version).
 """
 
 from __future__ import annotations

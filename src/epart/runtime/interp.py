@@ -288,7 +288,10 @@ class Interpreter:
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
         operand = e.operand
-        return wrap64(-_EVAL[operand.__class__](self, operand, frame))
+        try:
+            return wrap64(-_EVAL[operand.__class__](self, operand, frame))
+        except TypeError:  # a tampered image's operand of another type
+            raise _bad_operands(e.op) from None
 
     def eval_binary(self, e: ast.Binary, frame: Frame):
         left, right, env = e.left, e.right, frame.env
@@ -306,7 +309,10 @@ class Interpreter:
             temps.append(left)
             right = _EVAL[right.__class__](self, right, frame)
             del temps[base:]
-            return _BINARY[e.op](left, right)
+            try:
+                return _BINARY[e.op](left, right)
+            except TypeError:  # a tampered image's operand of another type
+                raise _bad_operands(e.op) from None
         cls = right.__class__
         if cls is _VAR and right.name in env:
             right = env[right.name]
@@ -314,7 +320,10 @@ class Interpreter:
             right = right.value
         else:
             right = _EVAL[cls](self, right, frame)
-        return _BINARY[e.op](left, right)
+        try:
+            return _BINARY[e.op](left, right)
+        except TypeError:
+            raise _bad_operands(e.op) from None
 
     def eval_args(self, args: list[ast.Expr], frame: Frame) -> list:
         values = []
@@ -445,6 +454,12 @@ def _layout(decl: ast.ClassDecl) -> tuple[dict, tuple[str, ...],
             if t.name == "List":
                 list_fields.append(f.name)
     return defaults, tuple(list_fields), decl.constructor
+
+
+def _bad_operands(op: str) -> DslRuntimeError:
+    """The checker types every operand, but a tampered image can hold an
+    operator applied to a value of another type."""
+    return DslRuntimeError(f"operands of {op} are not of its types")
 
 
 def _add(left, right):

@@ -55,6 +55,12 @@ class TestSyntheticWorkloads:
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticSpec(n_classes=4, workload="disk"))
 
+    @pytest.mark.parametrize("pct", [-1, 101])
+    def test_pct_untrusted_out_of_range(self, pct):
+        with pytest.raises(ValueError, match=r"^pct_untrusted must be within "
+                                             r"\[0, 100\]$"):
+            generate_synthetic(SyntheticSpec(n_classes=4, pct_untrusted=pct))
+
 
 class TestProgramGenerator:
     def test_deterministic(self):

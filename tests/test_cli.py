@@ -11,10 +11,11 @@ from epart.cli import main
 from epart.dsl.ast import Annotation, ClassDecl
 from epart.partition import compute_images, emit, load_plan, whole_program_plan
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
-from epart.partition.image import MAGIC
+from epart.partition.image import MAGIC, encode_image
 from epart.partition.model import stub_for
+from epart.partition.plan import PartitionPlan
 
-from test_partition import named
+from test_partition import _ref, _s, _strings, _u32, named
 
 DIVERGENT_SRC = """
 @Neutral
@@ -41,11 +42,44 @@ class Main {
 """
 
 
+# An image names a string by its index in the image's string table.  Both
+# bank images start their tables with the side, the tool version, then the
+# annotation table's names: Account is entry 2, AccountRegistry entry 3.
+_ACCOUNT_NAME = b"\x02\x00\x00\x00"
+_NO_FIELDS = b"\x00\x00\x00\x00"
 # Account's proxy record in bank's untrusted.img: its name, the @Trusted
 # annotation code and no fields; its two stubs follow, the constructor first.
-_ACCOUNT_NAME = b"\x07\x00\x00\x00Account"
-_NO_FIELDS = b"\x00\x00\x00\x00"
 _ACCOUNT_PROXY = _ACCOUNT_NAME + b"\x00" + _NO_FIELDS
+# AccountRegistry's record in bank's trusted.img up to its one field's type:
+# the name, @Trusted, one field, reg (entry 16) of type List (entry 17) with
+# an element type, and that element, Account, with no element of its own.
+_REGISTRY_REG = (b"\x03\x00\x00\x00\x00" + b"\x01\x00\x00\x00"
+                 + b"\x10\x00\x00\x00" + b"\x11\x00\x00\x00\x01"
+                 + _ACCOUNT_NAME + b"\x00")
+
+
+# Edits of bank's untrusted.img that leave its string table not canonical.
+
+def _past_the_table(data: bytes) -> bytes:
+    """The side's index, the body's first u32, one past the table."""
+    strings, body = _strings(data)
+    return data[:body] + _u32(len(strings)) + data[body + 4:]
+
+
+def _unused_entry(data: bytes) -> bytes:
+    """A last entry, Ghost, that the body never names."""
+    strings, body = _strings(data)
+    return (data[:len(MAGIC)] + _u32(len(strings) + 1)
+            + data[len(MAGIC) + 4:body] + _s("Ghost") + data[body:])
+
+
+def _swapped_first_uses(data: bytes) -> bytes:
+    """The header's first two pairs, Account then AccountRegistry, in the
+    other order: entry 3 is then used before entry 2."""
+    at = _strings(data)[1] + 12  # after the side, the version and a count
+    pairs = _ACCOUNT_NAME + b"\x00" + _u32(3) + b"\x00"
+    assert data[at:at + 10] == pairs
+    return data[:at] + pairs[5:] + pairs[:5] + data[at + 10:]
 
 
 @pytest.fixture
@@ -191,18 +225,13 @@ class Main {
 
     @pytest.mark.parametrize("image, old, new, reason", [
         # a list-element presence flag that is neither 0 nor 1
-        (TRUSTED_IMG, b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02",
+        (TRUSTED_IMG, _REGISTRY_REG, _REGISTRY_REG[:-1] + b"\x02",
          "bad flag byte 2"),
-        # an annotation code past the three annotations
-        (UNTRUSTED_IMG, b"Account\x00", b"Account\x03", "bad annotation byte 3"),
-        # a proxy and its constructor stub renamed to a class of the same
-        # length the table lacks, whose stubs would make stray relays
-        (UNTRUSTED_IMG, _ACCOUNT_PROXY + b"\x02\x00\x00\x00" + _ACCOUNT_NAME,
-         (_ACCOUNT_PROXY + b"\x02\x00\x00\x00" + _ACCOUNT_NAME).replace(
-             b"Account", b"Accoumt"),
-         "proxy Accoumt in the untrusted image is not @Trusted in its record "
-         "and the annotation table"),
-        # a class name that is not UTF-8
+        # an annotation code past the three annotations, in the header's
+        # first pair
+        (UNTRUSTED_IMG, _ACCOUNT_NAME + b"\x00", _ACCOUNT_NAME + b"\x03",
+         "bad annotation byte 3"),
+        # a class name that is not UTF-8, in the string table
         (UNTRUSTED_IMG, b"\x06\x00\x00\x00Person", b"\x06\x00\x00\x00Pers\xffn",
          "bad string in image: 'utf-8' codec can't decode byte 0xff in "
          "position 4: invalid start byte"),
@@ -219,6 +248,49 @@ class Main {
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"bad plan: {reason}\n"
+
+    def test_a_proxy_renamed_to_a_class_the_table_lacks_is_a_bad_plan(
+            self, bank_dir, capsys):
+        """Account's proxy and its constructor stub renamed to Accoumt, a
+        class of the same length the table lacks, whose stubs would make
+        stray relays.  An image names a string by its table entry, so the
+        edit renames Person's field account, the entry of that length, to
+        Accoumt, and points the proxy and its constructor stub at it."""
+        _, plan = bank_dir
+        img = plan / UNTRUSTED_IMG
+        data = img.read_bytes()
+        field = _ref(data, "account")
+        proxy = _ACCOUNT_PROXY + _u32(2) + _ACCOUNT_NAME  # 2 stubs, the first
+        assert data.count(proxy) == data.count(_s("account")) == 1
+        img.write_bytes(data.replace(_s("account"), _s("Accoumt")).replace(
+            proxy, field + b"\x00" + _NO_FIELDS + _u32(2) + field))
+        assert self._bad_plan(plan, capsys) == (
+            "bad plan: proxy Accoumt in the untrusted image is not @Trusted "
+            "in its record and the annotation table\n")
+
+    @pytest.mark.parametrize("edit, reason", [
+        (_past_the_table, "string index 27 is past the table's 27 entries"),
+        (lambda data: data.replace(_s("Person"), _s("Account"), 1),
+         "string table entry 4 repeats entry 2"),
+        (_unused_entry, "string table entry 27 is not used"),
+        (_swapped_first_uses, "string table entry 3 is used before entry 2"),
+        (lambda data: data.replace(_s("Main"), _u32(4) + b"Ma\xffn", 1),
+         "bad string in image: 'utf-8' codec can't decode byte 0xff in "
+         "position 2: invalid start byte"),
+    ], ids=["past-the-table", "repeated", "unused", "out-of-order", "not-utf8"])
+    def test_a_string_table_that_is_not_canonical_is_a_bad_plan(
+            self, bank_dir, capsys, edit, reason):
+        """Bank's untrusted.img holds 27 strings.  Each has one entry, each
+        entry is used, and the entries are in the order of their first use,
+        so an index names the one string it can."""
+        _, plan = bank_dir
+        img = plan / UNTRUSTED_IMG
+        data = img.read_bytes()
+        assert len(_strings(data)[0]) == 27
+        tampered = edit(data)
+        assert tampered != data
+        img.write_bytes(tampered)
+        assert self._bad_plan(plan, capsys) == f"bad plan: {reason}\n"
 
     @pytest.mark.parametrize("old, new, reason", [
         (b"print", b"prinx", "bad builtin 'prinx'"),
@@ -306,16 +378,21 @@ class Main {
             f"bad plan: {INTERFACE_FILE} does not list the images' relays\n"
 
     def test_a_class_renamed_in_both_annotation_tables_is_a_bad_plan(
-            self, bank_dir, capsys):
-        """An image's header is its annotation table, so the first Account
-        of each image names the class there.  Both tables agree, but the
-        declaration in the trusted image keeps its name."""
-        _, plan = bank_dir
-        for name in (TRUSTED_IMG, UNTRUSTED_IMG):
-            img = plan / name
-            img.write_bytes(img.read_bytes().replace(
-                b"\x07\x00\x00\x00Account", b"\x07\x00\x00\x00Accoumt", 1))
-        assert self._bad_plan(plan, capsys) == (
+            self, bank_program, tmp_path, capsys):
+        """Account renamed Accoumt in both images' annotation tables, which
+        agree, while the declaration in the trusted image keeps its name.
+        The image writer writes both images: with a string table, the one
+        use of Account in a header cannot be renamed in place."""
+        plan = compute_images(bank_program)
+        emit(plan, tmp_path)
+        renamed = {("Accoumt" if name == "Account" else name): annotation
+                   for name, annotation in plan.annotations.items()}
+        tampered = PartitionPlan(plan.trusted_image, plan.untrusted_image,
+                                 renamed)
+        for name, spec in ((TRUSTED_IMG, plan.trusted_image),
+                           (UNTRUSTED_IMG, plan.untrusted_image)):
+            (tmp_path / name).write_bytes(encode_image(tampered, spec))
+        assert self._bad_plan(tmp_path, capsys) == (
             "bad plan: class Account in the trusted image is not in the "
             "annotation table as declared\n")
 
@@ -339,11 +416,12 @@ class Main {
     def test_a_plan_with_the_old_magic_is_a_bad_plan(self, bank_dir, capsys):
         """Images of the earlier formats: EPIMG\\x01 stored their relays,
         entry points and a class-id table, EPIMG\\x02 each proxy as a record
-        of its own.  This tool reads no such image."""
+        of its own, EPIMG\\x03 each string at each of its uses.  This tool
+        reads no such image."""
         _, plan = bank_dir
         img = plan / TRUSTED_IMG
         data = img.read_bytes()
-        for old in (b"EPIMG\x01", b"EPIMG\x02"):
+        for old in (b"EPIMG\x01", b"EPIMG\x02", b"EPIMG\x03"):
             img.write_bytes(data.replace(MAGIC, old, 1))
             assert self._bad_plan(plan, capsys) == (
                 "bad plan: bad magic: not an image file or unsupported version\n")
@@ -458,9 +536,10 @@ class Main {
         assert main(["partition", str(src), "-o", str(plan)]) == 0
         img = plan / UNTRUSTED_IMG
         data = img.read_bytes()
-        stub = b"\x04\x00\x00\x00next\x00\x00\x00\x00\x03\x00\x00\x00Int"
+        # next's stub: its name, no parameters, then its return type
+        stub = _ref(data, "next") + _u32(0) + _ref(data, "Int")
         assert data.count(stub) == 1
-        img.write_bytes(data.replace(stub, stub[:-7] + b"\x04\x00\x00\x00Unit"))
+        img.write_bytes(data.replace(stub, stub[:-4] + _ref(data, "Unit")))
         path = plan / INTERFACE_FILE
         text = path.read_text()
         assert text.count("next() -> prim") == 1

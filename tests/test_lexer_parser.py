@@ -166,6 +166,21 @@ class Main {
                 ("syntax", f"malformed number {literal!r}")
             assert (exc.value.line, exc.value.col) == (5, 15)
 
+    def test_a_static_member_takes_no_visibility_marker(self):
+        with pytest.raises(ParseError) as exc:
+            parse_program("@Untrusted\nclass Main {\n"
+                          "    public static main() { }\n}\n")
+        assert (exc.value.kind, exc.value.message) == \
+            ("syntax", "visibility markers apply to fields only")
+        assert (exc.value.line, exc.value.col) == (3, 12)
+
+    def test_a_program_without_main_has_no_main_location(self):
+        """The parser rejects such a program, so it is built here."""
+        program = ast.Program([ast.ClassDecl("A", ast.Annotation.NEUTRAL,
+                                             [], [])])
+        with pytest.raises(LookupError, match="^program has no main$"):
+            program.main_location()
+
     def test_duplicate_class(self):
         src = """
 @Neutral

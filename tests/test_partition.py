@@ -27,8 +27,8 @@ from epart.partition import (
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
     _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
-    _get_field, _get_method, _get_type, _put_method,
-    _Writer, decode_image, encode_image,
+    _get_field, _get_method, _get_type, _put_anns, _put_classes, _put_method,
+    _Table, _Writer, decode_image, encode_image,
 )
 from epart.partition.model import MarshalKind, relay_direction, stub_for
 from epart.partition.plan import PartitionPlan
@@ -302,8 +302,26 @@ def _u32(n: int) -> bytes:
 
 
 def _s(text: str) -> bytes:
-    """A string as an image stores it."""
-    return _u32(len(text)) + text.encode()
+    """A string as an image's string table stores it."""
+    data = text.encode()
+    return _u32(len(data)) + data
+
+
+def _strings(data: bytes) -> tuple[list[str], int]:
+    """An image's string table, and the offset of the body after it."""
+    (count,) = struct.unpack_from("<I", data, len(MAGIC))
+    pos, strings = len(MAGIC) + 4, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", data, pos)
+        strings.append(data[pos + 4:pos + 4 + n].decode())
+        pos += 4 + n
+    return strings, pos
+
+
+def _ref(data: bytes, text: str) -> bytes:
+    """The u32 by which an image's body names text: its index in the
+    image's string table."""
+    return _u32(_strings(data)[0].index(text))
 
 
 def _tag(cls) -> bytes:
@@ -365,6 +383,17 @@ class TestEmitLoad:
                     (stored, plan.annotations, __version__)
                 assert encode_image(PartitionPlan(back, back, annotations),
                                     back) == data
+
+    def test_an_image_stores_each_string_once(self):
+        """Each class of the 200-class io program writes the same
+        4096-character payload; each image's string table holds it once."""
+        spec = SyntheticSpec(n_classes=200, pct_untrusted=50, workload="io")
+        plan = plan_of(generate_synthetic(spec))
+        payload = "x" * spec.io_bytes
+        assert len(payload) == 4096
+        for image in (plan.trusted_image, plan.untrusted_image):
+            data = encode_image(plan, image)
+            assert data.count(payload.encode()) == 1
 
     def test_emit_is_deterministic(self, bank_plan, tmp_path):
         a = tmp_path / "a"
@@ -452,9 +481,11 @@ class Main {
         emit(bank_plan, tmp_path)
         p = tmp_path / TRUSTED_IMG
         data = p.read_bytes()
-        person = b"\x06\x00\x00\x00Person\x01"
-        assert data.count(person) == 1
-        p.write_bytes(data.replace(person, person[:-1] + b"\x02"))
+        body = _strings(data)[1]
+        person = _ref(data, "Person") + b"\x01"
+        assert data.count(person, body) == 1
+        p.write_bytes(data[:body] + data[body:].replace(person, person[:-1]
+                                                        + b"\x02"))
         with pytest.raises(FormatError, match="^image files disagree on "
                                               "annotation tables$"):
             load_plan(tmp_path)
@@ -469,13 +500,13 @@ class Main {
             load_plan(tmp_path)
 
     @pytest.mark.parametrize("fixture, loads, runs", [
-        ("bank", {"unchanged": 15, "loaded": 300, "FormatError": 2544,
-                  "InterfaceMismatch": 141},
-         {"same output": 84, "other output": 3, "EpartError": 213}),
-        ("every_node", {"unchanged": 14, "loaded": 343, "FormatError": 2507,
-                        "InterfaceMismatch": 136},
-         {"same output": 125, "other output": 27, "EpartError": 182,
-          "runs away": 9}),
+        ("bank", {"unchanged": 11, "loaded": 126, "FormatError": 2771,
+                  "InterfaceMismatch": 92},
+         {"same output": 111, "other output": 3, "EpartError": 12}),
+        ("every_node", {"unchanged": 13, "loaded": 161, "FormatError": 2752,
+                        "InterfaceMismatch": 74},
+         {"same output": 93, "other output": 30, "EpartError": 35,
+          "runs away": 3}),
     ], ids=["bank", "every_node"])
     def test_single_byte_mutations_load_or_raise_epart_errors(
             self, tmp_path, monkeypatch, fixture, loads, runs):
@@ -491,7 +522,9 @@ class Main {
         output, or to an EpartError.  A stricter loader changes them on
         purpose.  Bank's transcript is empty, so an edited literal
         there can run unchanged; every_node prints and writes some of what
-        it computes.
+        it computes.  An edit inside a string table entry renames every use
+        of that string in its image, so many such edits load and run with
+        the original output.
         """
         plan = _fixture_plan(f"{fixture}.ep")
         emit(plan, tmp_path)
@@ -545,14 +578,17 @@ class Main {
             self, bank_plan, tmp_path):
         """Each value has one encoding: an image that decodes encodes again
         to the bytes it came from.  The tool version is not part of the plan,
-        so an edit inside that string is the one exception."""
+        so an edit inside its entry of the string table, the second after
+        the side's, is the one exception."""
         emit(bank_plan, tmp_path)
         images = {n: (tmp_path / n).read_bytes()
                   for n in (TRUSTED_IMG, UNTRUSTED_IMG)}
         version_spans = {}
         for name, data in images.items():
-            start = len(MAGIC) + 4 + len(decode_image(data)[0].side.value)
-            version_spans[name] = range(start, start + 4 + len(__version__))
+            side, version = _strings(data)[0][:2]
+            assert version == __version__
+            start = len(MAGIC) + 4 + len(_s(side))
+            version_spans[name] = range(start, start + len(_s(version)))
         checked = 0
         for name, pos, data in _single_byte_mutations(images):
             if pos in version_spans[name]:
@@ -566,14 +602,19 @@ class Main {
             checked += 1
         assert checked > 0
 
+    # The string table the records below read, as in the middle of an image
+    # where each of its entries has been read once.  A record names a
+    # string by its index here: C 0, f 1, x 2, Int 3.
+    _NAMES = ["C", "f", "x", "Int"]
+
     # codec: a reader of a record that holds it, the bytes before the
     # codec's bytes and the bytes after them
     _RECORDS = {
         "bool": (_get_exprs, _u32(1) + _tag(BoolLit), b""),
-        "Visibility": (_get_field, _s("f") + _s("Int") + b"\x00", b""),
-        "Annotation": (_get_class, _s("C"), _u32(0) * 2),
+        "Visibility": (_get_field, _u32(1) + _u32(3) + b"\x00", b""),
+        "Annotation": (_get_class, _u32(0), _u32(0) * 2),
         "Optional[Expr]": (_get_body, _u32(1) + _tag(Return), b""),
-        "Optional[TypeRef]": (_get_body, _u32(1) + _tag(VarDecl) + _s("x"),
+        "Optional[TypeRef]": (_get_body, _u32(1) + _tag(VarDecl) + _u32(2),
                               _tag(IntLit) + bytes(8)),
         "TypeRef": (_get_type, b"", b""),
     }
@@ -584,26 +625,39 @@ class Main {
         ("Annotation", b"\x02", b"\x03"),
         ("Optional[Expr]", b"\x00", b"\xff"),
         ("Optional[TypeRef]", b"\x00", b"\x02"),
-        ("TypeRef", b"\x03\x00\x00\x00Int\x00", b"\x03\x00\x00\x00Int\x02"),
+        ("TypeRef", b"\x03\x00\x00\x00\x00", b"\x03\x00\x00\x00\x02"),
     ])
     def test_a_flag_or_code_byte_has_one_encoding(self, codec, good, bad):
         """A record holding good reads to its end; bad in its place is one
         error naming the byte."""
         get, before, after = self._RECORDS[codec]
         data = before + good + after
-        assert get(data, 0)[1] == len(data)
+
+        def table() -> _Table:
+            t = _Table(self._NAMES)
+            t.update(enumerate(self._NAMES))
+            return t
+        assert get(data, 0, table())[1] == len(data)
         with pytest.raises(FormatError, match=r"^bad \w+ byte \d+$"):
-            get(before + bad + after, 0)
+            get(before + bad + after, 0, table())
 
     @pytest.mark.parametrize("image", [0, 1])  # trusted, untrusted
     def test_a_header_table_names_a_class_once(self, bank_plan, image):
-        """The first Person of an image is in its annotation table."""
+        """An annotation table whose Person pair names Account.  The image
+        writer writes it, so that its string table is canonical and the
+        pair is what is rejected: with a string table, one use of a string
+        cannot be renamed in place."""
         spec = (bank_plan.trusted_image, bank_plan.untrusted_image)[image]
-        data = encode_image(bank_plan, spec)
-        person, account = b"\x06\x00\x00\x00Person", b"\x07\x00\x00\x00Account"
-        at = data.index(person)
+        pairs = [("Account" if name == "Person" else name, annotation)
+                 for name, annotation in bank_plan.annotations.items()]
+        w = _Writer()
+        w += w.strings[spec.side.value]
+        w += w.strings[__version__]
+        _put_anns(w, pairs)
+        _put_classes(w, spec.classes)
+        _put_classes(w, spec.proxies)
         with pytest.raises(FormatError, match="^a class name appears twice"):
-            decode_image(data[:at] + account + data[at + len(person):])
+            decode_image(w.image())
 
     def test_method_flags_are_at_most_3(self):
         w = _Writer()
@@ -612,10 +666,12 @@ class Main {
         data = bytes(w)
         flags_at = len(data) - 5  # the flags byte, then the body's u32 count
         assert data[flags_at] == 3
-        method, end = _get_method(data, 0)
+        names = list(w.strings)  # m, Unit
+        method, end = _get_method(data, 0, _Table(names))
         assert method.is_static and method.is_constructor and end == len(data)
         with pytest.raises(FormatError, match="^bad method flags byte 4$"):
-            _get_method(data[:flags_at] + b"\x04" + data[flags_at + 1:], 0)
+            _get_method(data[:flags_at] + b"\x04" + data[flags_at + 1:], 0,
+                        _Table(names))
 
     def test_roundtrip_with_a_public_field(self, tmp_path):
         plan = _fixture_plan("public_field.ep")
@@ -857,9 +913,9 @@ class Main {
             INTERFACE_FILE:
                 "eccdf9199c1bdf89e63ab79e287ad1b65f8b6e4cc3b798020a43614d0949448e",
             TRUSTED_IMG:
-                "6f1b734fc44515b8cef16dfafa01941ab74e1892d44bb4440d086904de4b8c27",
+                "4396e89c13e558c0fc33b6e5fbc2046d97574dfa2348af09d23760468be7623d",
             UNTRUSTED_IMG:
-                "7d1202200f1e0f324a13b392d2dc2395f825e32c9de6170b9a42bd8633b5435e",
+                "155a2ff7f0b2a6cdef31201ed718daa3c1a2b4846d8ed4c0be30d9ba9e7ca166",
         }
 
     def test_images_with_a_public_field_are_frozen(self, tmp_path):
@@ -870,9 +926,9 @@ class Main {
             INTERFACE_FILE:
                 "f1684494502b4a8e6da8024e6aca53289df08eb5e345a535d5317cc622c9fc02",
             TRUSTED_IMG:
-                "1a4a659c32a98b4e733028c9b887221fbd8d1a1c93a447477ad876888ce61967",
+                "fd15768f71cd6d559e85992683a0280a04215372e9e4bd397827e900ccc36833",
             UNTRUSTED_IMG:
-                "c9028673f17f59a4147bd522329605c5fb4ab78ad252f8083c484bcfb39962ad",
+                "d9ff56445f320bf4c3b6f26b41d22cf075267ae6de929bbcf6a2e9d8a24a7357",
         }
 
     def test_fixtures_cover_every_declaration_variant(self):
@@ -920,7 +976,7 @@ class Main {
             INTERFACE_FILE:
                 "1e853a3223318bc56cc7c56ff0443c7d891e9400f360b534507ff94357b0a085",
             TRUSTED_IMG:
-                "81b2047bb9d1958b26d779ffbe504f8376fc771a6192b6389e857180d5646514",
+                "2ed0a35a826e66544c1f005177b2d2bc7ffdb27e4ada5cb9aea3b188fd39507c",
             UNTRUSTED_IMG:
-                "6aca15d9bccb54247298795c10991f8c0b556166d9b29c319ccdd308202ff076",
+                "9a678be3310b0f9a7fa91f471286d9709a953e6704723a245f5e4735e5d36b85",
         }

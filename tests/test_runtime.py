@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from epart.bench import SyntheticSpec, generate_program, generate_synthetic
 from epart.dsl import parse_program
+from epart.dsl.ast import StrLit
 from epart.errors import (
     DslRuntimeError, EpartError, InterfaceMismatch, MarshalError, StaleMirror,
     TransitionOverflow, ValidationFailed,
@@ -377,6 +379,41 @@ class Main {
         ctor.body[0].target.field_name = "w"
         runtime = DualRuntime(plan)
         with pytest.raises(DslRuntimeError, match="^Box has no field w$"):
+            runtime.run_main()
+        assert runtime.transcript == []
+
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_an_operand_of_another_type_faults(self, op):
+        """The checker types every operand, but a tampered image can hold
+        one of another type: Box.get's Var k turned into the StrLit "k", as
+        one edited tag byte does.  The run faults instead of failing in the
+        host's arithmetic."""
+        expr = "this.v + k" if op == "+" else "-k"
+        plan = plan_of(f"""
+@Neutral
+class Box {{
+    v: Int;
+    Box() {{ this.v = 1; }}
+    get(k: Int) -> Int {{ return {expr}; }}
+}}
+@Untrusted
+class Main {{
+    static main() {{
+        var b: Box = new Box();
+        print(b.get(2));
+    }}
+}}
+""")
+        value = named(plan.untrusted_image.classes, "Box").method(
+            "get").body[0].value
+        if op == "+":
+            value.right = StrLit("k")
+        else:
+            value.operand = StrLit("k")
+        runtime = DualRuntime(plan)
+        with pytest.raises(DslRuntimeError,
+                           match=f"^operands of {re.escape(op)} are not of "
+                                 "its types$"):
             runtime.run_main()
         assert runtime.transcript == []
 
