@@ -16,6 +16,10 @@ derived relays render and does not parse it.  It accepts only a plan written
 by this tool version: both images and the interface header must record it.
 image.py encodes and decodes the images: decode_image(data) reads an image's
 string table once, then its body, and returns (spec, annotations, version).
+An image cut short, a table entry that is not UTF-8 and a string table that
+is not canonical (an index past it, an entry repeated, unused or out of the
+order of first use) are each one FormatError; image.py says how each is
+found.
 """
 
 from __future__ import annotations

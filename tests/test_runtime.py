@@ -382,14 +382,10 @@ class Main {
             runtime.run_main()
         assert runtime.transcript == []
 
-    @pytest.mark.parametrize("op", ["+", "-"])
-    def test_an_operand_of_another_type_faults(self, op):
-        """The checker types every operand, but a tampered image can hold
-        one of another type: Box.get's Var k turned into the StrLit "k", as
-        one edited tag byte does.  The run faults instead of failing in the
-        host's arithmetic."""
-        expr = "this.v + k" if op == "+" else "-k"
-        plan = plan_of(f"""
+    @staticmethod
+    def _box_plan(expr: str):
+        """A plan whose Box.get(k) returns expr, with Box's field v."""
+        return plan_of(f"""
 @Neutral
 class Box {{
     v: Int;
@@ -404,16 +400,37 @@ class Main {{
     }}
 }}
 """)
+
+    @pytest.mark.parametrize("expr, operand, op", [
+        ("this.v + k", "right", "+"),  # a leaf right operand
+        ("k + -k", "left", "+"),       # a right operand evaluated first
+        ("-k", "operand", "-"),
+    ], ids=["binary", "binary-nested", "unary"])
+    def test_an_operand_of_another_type_faults(self, expr, operand, op):
+        """The checker types every operand, but a tampered image can hold
+        one of another type: an operand of Box.get's expression turned
+        into the StrLit "k", as one edited tag byte turns a Var.  The run
+        faults instead of failing in the host's arithmetic."""
+        plan = self._box_plan(expr)
         value = named(plan.untrusted_image.classes, "Box").method(
             "get").body[0].value
-        if op == "+":
-            value.right = StrLit("k")
-        else:
-            value.operand = StrLit("k")
+        setattr(value, operand, StrLit("k"))
         runtime = DualRuntime(plan)
         with pytest.raises(DslRuntimeError,
                            match=f"^operands of {re.escape(op)} are not of "
                                  "its types$"):
+            runtime.run_main()
+        assert runtime.transcript == []
+
+    def test_a_read_of_an_undeclared_field_faults(self):
+        """Box.get's this.v renamed this.w, which Box lacks, as an edited
+        index into the string table can rename it."""
+        plan = self._box_plan("this.v + k")
+        value = named(plan.untrusted_image.classes, "Box").method(
+            "get").body[0].value
+        value.left.field_name = "w"
+        runtime = DualRuntime(plan)
+        with pytest.raises(DslRuntimeError, match="^Box has no field w$"):
             runtime.run_main()
         assert runtime.transcript == []
 
