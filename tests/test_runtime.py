@@ -9,7 +9,7 @@ import pytest
 
 from epart.bench import SyntheticSpec, generate_program, generate_synthetic
 from epart.dsl import parse_program
-from epart.dsl.ast import StrLit
+from epart.dsl.ast import ListLit, StrLit
 from epart.errors import (
     DslRuntimeError, EpartError, InterfaceMismatch, MarshalError, StaleMirror,
     TransitionOverflow, ValidationFailed,
@@ -401,20 +401,21 @@ class Main {{
 }}
 """)
 
-    @pytest.mark.parametrize("expr, operand, op", [
-        ("this.v + k", "right", "+"),  # a leaf right operand
-        ("k + -k", "left", "+"),       # a right operand evaluated first
-        ("-k", "operand", "-"),
+    @pytest.mark.parametrize("expr, operand, value, op", [
+        ("this.v + k", "right", StrLit("k"), "+"),
+        # a right operand that is not a leaf, evaluated after the left
+        ("this.v + -k", "right", ListLit([]), "+"),
+        ("-k", "operand", StrLit("k"), "-"),
     ], ids=["binary", "binary-nested", "unary"])
-    def test_an_operand_of_another_type_faults(self, expr, operand, op):
+    def test_an_operand_of_another_type_faults(self, expr, operand, value, op):
         """The checker types every operand, but a tampered image can hold
-        one of another type: an operand of Box.get's expression turned
-        into the StrLit "k", as one edited tag byte turns a Var.  The run
-        faults instead of failing in the host's arithmetic."""
+        one of another type: an operand of Box.get's expression replaced
+        by a Str, as one edited tag byte turns a Var into a StrLit, or by a
+        list.  The run faults instead of failing in the host's
+        arithmetic."""
         plan = self._box_plan(expr)
-        value = named(plan.untrusted_image.classes, "Box").method(
-            "get").body[0].value
-        setattr(value, operand, StrLit("k"))
+        setattr(named(plan.untrusted_image.classes, "Box").method(
+            "get").body[0].value, operand, value)
         runtime = DualRuntime(plan)
         with pytest.raises(DslRuntimeError,
                            match=f"^operands of {re.escape(op)} are not of "
