@@ -288,8 +288,9 @@ class Interpreter:
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
         operand = e.operand
+        value = _EVAL[operand.__class__](self, operand, frame)
         try:
-            return wrap64(-_EVAL[operand.__class__](self, operand, frame))
+            return wrap64(-value)
         except TypeError:  # a tampered image's operand of another type
             raise _bad_operands(e.op) from None
 

@@ -27,8 +27,8 @@ from epart.partition import (
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import (
     _EXPR_TAGS, _STMT_TAGS, MAGIC, _get_body, _get_class, _get_exprs,
-    _get_field, _get_method, _get_type, _put_anns, _put_classes, _put_method,
-    _Table, _Writer, decode_image, encode_image,
+    _get_field, _get_method, _get_table, _get_type, _put_anns, _put_classes,
+    _put_method, _Table, _Writer, decode_image, encode_image,
 )
 from epart.partition.model import MarshalKind, relay_direction, stub_for
 from epart.partition.plan import PartitionPlan
@@ -309,13 +309,8 @@ def _s(text: str) -> bytes:
 
 def _strings(data: bytes) -> tuple[list[str], int]:
     """An image's string table, and the offset of the body after it."""
-    (count,) = struct.unpack_from("<I", data, len(MAGIC))
-    pos, strings = len(MAGIC) + 4, []
-    for _ in range(count):
-        (n,) = struct.unpack_from("<I", data, pos)
-        strings.append(data[pos + 4:pos + 4 + n].decode())
-        pos += 4 + n
-    return strings, pos
+    table, body = _get_table(data, len(MAGIC))
+    return table.entries, body
 
 
 def _ref(data: bytes, text: str) -> bytes:
