@@ -274,15 +274,13 @@ class Main {
          "string table entry 4 repeats entry 2"),
         (_unused_entry, "string table entry 27 is not used"),
         (_swapped_first_uses, "string table entry 3 is used before entry 2"),
-        (lambda data: data.replace(_s("Main"), _u32(4) + b"Ma\xffn", 1),
-         "bad string in image: 'utf-8' codec can't decode byte 0xff in "
-         "position 2: invalid start byte"),
-    ], ids=["past-the-table", "repeated", "unused", "out-of-order", "not-utf8"])
+    ], ids=["past-the-table", "repeated", "unused", "out-of-order"])
     def test_a_string_table_that_is_not_canonical_is_a_bad_plan(
             self, bank_dir, capsys, edit, reason):
         """Bank's untrusted.img holds 27 strings.  Each has one entry, each
         entry is used, and the entries are in the order of their first use,
-        so an index names the one string it can."""
+        so an index names the one string it can.  An entry that is not
+        UTF-8 is the Pers\\xffn case above."""
         _, plan = bank_dir
         img = plan / UNTRUSTED_IMG
         data = img.read_bytes()
