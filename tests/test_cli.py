@@ -228,9 +228,12 @@ class Main {
         (TRUSTED_IMG, _REGISTRY_REG, _REGISTRY_REG[:-1] + b"\x02",
          "bad flag byte 2"),
         # an annotation code past the three annotations, in the header's
-        # first pair
-        (UNTRUSTED_IMG, _ACCOUNT_NAME + b"\x00", _ACCOUNT_NAME + b"\x03",
-         "bad annotation byte 3"),
+        # first pair; the id names the class, since the bytes now hold
+        # Account's string-table index rather than its text
+        pytest.param(UNTRUSTED_IMG, _ACCOUNT_NAME + b"\x00",
+                     _ACCOUNT_NAME + b"\x03", "bad annotation byte 3",
+                     id="untrusted.img-Account\x00-Account\x03-"
+                        "bad annotation byte 3"),
         # a class name that is not UTF-8, in the string table
         (UNTRUSTED_IMG, b"\x06\x00\x00\x00Person", b"\x06\x00\x00\x00Pers\xffn",
          "bad string in image: 'utf-8' codec can't decode byte 0xff in "
