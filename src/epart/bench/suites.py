@@ -137,22 +137,28 @@ class Main {
 """
 
 
-def _creation_cost(rt: DualRuntime, side: str, class_name: str, ops: int) -> int:
-    """Total simulated cycles, both isolates, per construction."""
+def _per_op_cycles(rt: DualRuntime, ops: int, op) -> int:
+    """Total simulated cycles, both isolates, per op(i) for i < ops; every
+    op must cost the same."""
     before = rt.total_cycles()
-    for _ in range(ops):
-        rt.construct(side, class_name, [])
+    for i in range(ops):
+        op(i)
     delta = rt.total_cycles() - before
-    assert delta % ops == 0, "creation cost must be uniform"
+    assert delta % ops == 0, "per-op cost must be uniform"
     return delta // ops
 
 
 def _suite_proxy_creation(model: CostModel, ops: int = 100) -> BenchReport:
     rt = _build(_CREATION_SRC, model, gc_threshold=_NO_GC)
-    proxy_out_in = _creation_cost(rt, UNTRUSTED, "TBox", ops)
-    concrete_in = _creation_cost(rt, TRUSTED, "TBox", ops)
-    proxy_in_out = _creation_cost(rt, TRUSTED, "UBox", ops)
-    concrete_out = _creation_cost(rt, UNTRUSTED, "UBox", ops)
+
+    def new_cost(side: str, class_name: str) -> int:
+        return _per_op_cycles(rt, ops, lambda _: rt.construct(
+            side, class_name, []))
+
+    proxy_out_in = new_cost(UNTRUSTED, "TBox")
+    concrete_in = new_cost(TRUSTED, "TBox")
+    proxy_in_out = new_cost(TRUSTED, "UBox")
+    concrete_out = new_cost(UNTRUSTED, "UBox")
     rep = BenchReport("proxy_creation", ["metric", "value"])
     rep.add("ops", ops)
     rep.add("proxy_in_out_cycles", proxy_in_out)
@@ -212,28 +218,24 @@ class Main {
 """
 
 
-def _call_cost(rt: DualRuntime, side: str, receiver, ops: int) -> int:
-    before = rt.total_cycles()
-    for i in range(ops):
-        rt.call(side, receiver, "set", [i], pin=False)
-    delta = rt.total_cycles() - before
-    assert delta % ops == 0, "call cost must be uniform"
-    return delta // ops
-
-
 def _suite_rmi(model: CostModel, ops: int = 100) -> BenchReport:
     rt = _build(_RMI_SRC, model, gc_threshold=_NO_GC)
     t_proxy = rt.construct(UNTRUSTED, "THolder", [])
     t_local = rt.construct(TRUSTED, "THolder", [])
     u_local = rt.construct(UNTRUSTED, "UHolder", [])
     u_proxy = rt.construct(TRUSTED, "UHolder", [])
+
+    def set_cost(side: str, receiver, ops: int) -> int:
+        return _per_op_cycles(rt, ops, lambda i: rt.call(
+            side, receiver, "set", [i], pin=False))
+
     bytes_before = rt.isolates[UNTRUSTED].bytes_serialized
-    cross_out_in = _call_cost(rt, UNTRUSTED, t_proxy, 1)
+    set_cost(UNTRUSTED, t_proxy, 1)
     arg_bytes = rt.isolates[UNTRUSTED].bytes_serialized - bytes_before
-    cross_out_in = _call_cost(rt, UNTRUSTED, t_proxy, ops)
-    cross_in_out = _call_cost(rt, TRUSTED, u_proxy, ops)
-    local_in = _call_cost(rt, TRUSTED, t_local, ops)
-    local_out = _call_cost(rt, UNTRUSTED, u_local, ops)
+    cross_out_in = set_cost(UNTRUSTED, t_proxy, ops)
+    cross_in_out = set_cost(TRUSTED, u_proxy, ops)
+    local_in = set_cost(TRUSTED, t_local, ops)
+    local_out = set_cost(UNTRUSTED, u_local, ops)
     rep = BenchReport("rmi", ["metric", "value"])
     rep.add("ops", ops)
     rep.add("setter_local_in_cycles", local_in)

@@ -280,8 +280,9 @@ def cmd_inspect(args) -> int:
     print(f"entry points ({len(entry_points)}):")
     for e in entry_points:
         print(f"  {e}")
-    print(f"interface descriptor ({len(plan.descriptor)} records):")
-    for rec in plan.descriptor:
+    descriptor = plan.descriptor
+    print(f"interface descriptor ({len(descriptor)} records):")
+    for rec in descriptor:
         print(f"  {rec.render()}")
     return EXIT_OK
 

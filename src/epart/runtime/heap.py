@@ -21,9 +21,6 @@ UNTRUSTED = "untrusted"
 class _Unset:
     """Sentinel for class-typed fields before first assignment."""
 
-    def __repr__(self) -> str:
-        return "<unset>"
-
 
 UNSET = _Unset()
 
@@ -37,9 +34,6 @@ class HeapObject:
     def __init__(self) -> None:
         self.marked = False
         self.swept = False
-
-    def size_bytes(self) -> int:
-        raise NotImplementedError
 
 
 class InstanceObj(HeapObject):

@@ -15,7 +15,7 @@ still goes through eval_var, for its fault.
 What is fixed for a run is worked out once: the EPC-scaled price of a field
 access, charged straight into the isolate's cycles_by_source; the method
 table, built with the interpreter; and each class's layout (field defaults
-and constructor), kept from its second instantiation.  A call reads a hit
+and constructor), kept from its first instantiation.  A call reads a hit
 from the method table itself and leaves a miss to method, which faults.
 
 Returns are values, not exceptions.  A statement handler returns None to
@@ -98,10 +98,9 @@ class Interpreter:
         self.methods: dict[tuple[str, str], ast.MethodDecl] = {
             (c.name, m.name): m for c in classes.values()
             for m in reversed(c.methods)}
-        # class name -> (field defaults, List field names, constructor),
-        # or False after the class's first instantiation
+        # class name -> (field defaults, List field names, constructor)
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
-                                      ast.MethodDecl | None] | bool] = {}
+                                      ast.MethodDecl | None]] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -122,12 +121,6 @@ class Interpreter:
     def instantiate(self, decl: ast.ClassDecl, args: list) -> InstanceObj:
         layout = self.layouts.get(decl.name)
         if layout is None:
-            # Kept from the second instantiation on: a class built once
-            # leaves no layout behind to bring the cyclic GC's next pass
-            # forward.
-            self.layouts[decl.name] = False
-            layout = _layout(decl)
-        elif layout is False:
             layout = self.layouts[decl.name] = _layout(decl)
         defaults, list_fields, ctor = layout
         iso = self.isolate

@@ -77,6 +77,12 @@ class TestProgramGenerator:
             assert dual.vfs == ref.vfs
             assert dual.transcript[-1] == "done"
 
+    def test_generating_walks_no_checker(self, checker_runs):
+        """A generated program is checked where it is used, not where it
+        is made."""
+        generate_corpus(5, seed=1)
+        assert checker_runs == []
+
     def test_corpus_is_seeded(self):
         assert generate_corpus(5, seed=1) == generate_corpus(5, seed=1)
         assert generate_corpus(5, seed=1) != generate_corpus(5, seed=2)

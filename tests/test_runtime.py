@@ -435,6 +435,44 @@ class Main {{
             runtime.run_main()
         assert runtime.transcript == []
 
+    @pytest.mark.parametrize("printed, shown", [
+        ("b", "<Box instance>"),
+        ("v", "<Vault proxy 0x8000000000000001>"),
+        ("xs", "<list of 2>"),
+    ], ids=["instance", "proxy", "list"])
+    def test_printing_an_object_faults(self, printed, shown):
+        """The checker lets print take only an Int, Bool or Str, but a
+        tampered image can hand it an object: main's print(k) with k
+        renamed, as an edited index into the string table can rename it.
+        The fault names the object as its heap record shows it."""
+        plan = plan_of("""
+@Neutral
+class Box {
+    Box() { }
+}
+@Trusted
+class Vault {
+    Vault() { }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box();
+        var v: Vault = new Vault();
+        var xs: List[Int] = [1, 2];
+        var k: Int = 0;
+        print(k);
+    }
+}
+""")
+        main = named(plan.untrusted_image.classes, "Main").method("main")
+        main.body[-1].expr.args[0].name = printed
+        runtime = DualRuntime(plan)
+        with pytest.raises(DslRuntimeError,
+                           match=f"^cannot print {re.escape(shown)}$"):
+            runtime.run_main()
+        assert runtime.transcript == []
+
     def test_list_index_out_of_range(self):
         src = """
 @Untrusted
