@@ -358,6 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Program arguments (run, run-unpartitioned, compare) must be text:
+        # Python hands one that is not UTF-8 over with surrogate escapes.
+        for i, arg in enumerate(getattr(args, "args", ()), 1):
+            if arg.encode("utf-8", "replace").decode("utf-8") != arg:
+                raise _Exit(f"argument {i} is not UTF-8 text")
         return args.fn(args)
     except ValidationFailed as e:
         for v in e.report.violations:

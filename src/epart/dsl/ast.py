@@ -244,18 +244,21 @@ class ClassDecl:
     methods: list[MethodDecl]  # constructors included, in declaration order
     pos: int = field(default=-1, compare=False, kw_only=True)
 
-    @property
-    def constructor(self) -> Optional[MethodDecl]:
-        for m in self.methods:
-            if m.is_constructor:
-                return m
-        return None
-
     def method(self, name: str) -> Optional[MethodDecl]:
         for m in self.methods:
             if m.name == name:
                 return m
         return None
+
+
+def method_table(classes: dict[str, ClassDecl]) -> dict[tuple[str, str],
+                                                       MethodDecl]:
+    """(class, method name) -> the first method of that name, the one a call
+    runs, of each class keyed by name; a constructor is named as its class.
+    The interpreter, the checker and derive_interface all look methods up
+    here."""
+    return {(c.name, m.name): m for c in classes.values()
+            for m in reversed(c.methods)}
 
 
 # Instance __dict__ key of the source a parsed Program was read from: not a

@@ -100,12 +100,10 @@ class _Checker:
         self.source = program.__dict__.get(ast.SOURCE, "")
         self.report = ValidationReport()
         self.classes = {c.name: c for c in program.classes}
-        # (class name, member name) -> the member's first declaration
-        self.methods = {(c.name, m.name): m for c in program.classes
-                        for m in reversed(c.methods)}
+        self.methods = ast.method_table(self.classes)
+        # (class name, field name) -> the field's first declaration
         self.fields = {(c.name, f.name): f for c in program.classes
                        for f in reversed(c.fields)}
-        self.constructors = {c.name: c.constructor for c in program.classes}
         # (class, method) -> its call targets, in first-call order (dict keys)
         self.calls: dict[CallTarget, dict[CallTarget, None]] = {}
         self.cls: ClassDecl | None = None
@@ -352,7 +350,7 @@ class _Checker:
         if target is None:
             self.fail(TYPE_RESOLVE, e, f"unknown class {e.class_name}")
             return None
-        ctor = self.constructors[target.name]
+        ctor = self.methods.get((target.name, target.name))
         if ctor is None:
             self.fail(TYPE_ERROR, e, f"class {e.class_name} has no constructor")
             return TypeRef(e.class_name)

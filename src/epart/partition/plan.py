@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dsl.ast import (
-    BUILTIN_TYPE_NAMES, Annotation, ClassDecl, MethodDecl, Program, TypeRef,
+    Annotation, ClassDecl, MethodDecl, Program, TypeRef, method_table,
 )
 from ..dsl.validate import resolve, validate
 from ..errors import InterfaceMismatch, ValidationFailed
@@ -184,13 +184,13 @@ def derive_interface(plan: PartitionPlan) -> PartitionPlan:
     relays to the relays of their stubs, in stub order, and return plan.
 
     A proxy has no fields, and its annotation is its class's in the table
-    and the other image's side.  Each stub is the stub_for of the first
-    method of its name (the one a call runs) that its class declares in the
-    other image, and names only classes in the table.  Anything else is an
-    InterfaceMismatch, so no relay is made of an unchecked stub.
+    and the other image's side.  Each stub is the stub_for of its entry in
+    the other image's method_table, built from that image's classes keyed by
+    name as the runtime keys them: the method a call on the proxy runs.  It
+    names only classes in the table, List elements included.  Anything else
+    is an InterfaceMismatch, so no relay is made of an unchecked stub.
     """
     annotations = plan.annotations
-    known = BUILTIN_TYPE_NAMES | annotations.keys()
     images = (plan.trusted_image, plan.untrusted_image)
     for spec, far in zip(images, reversed(images)):
         if far is None:
@@ -199,9 +199,7 @@ def derive_interface(plan: PartitionPlan) -> PartitionPlan:
         if spec is None or not spec.proxies:
             continue
         side = spec.side.value.lower()
-        # (class, method name) -> the first method of that name
-        methods = {(c.name, m.name): m for c in far.classes
-                   for m in reversed(c.methods)}
+        methods = method_table({c.name: c for c in far.classes})
         for proxy in spec.proxies:
             name = proxy.name
             if not proxy.annotation == annotations.get(name) == far.side:
@@ -217,8 +215,8 @@ def derive_interface(plan: PartitionPlan) -> PartitionPlan:
                     raise InterfaceMismatch(
                         f"stub {name}.{stub.name} in the {side} image is not "
                         "the signature of a method of the other image")
-                unknown = {stub.return_type.name,
-                           *(p.type.name for p in stub.params)} - known
+                unknown = [n for n in _signature_refs(stub)
+                           if n not in annotations]
                 if unknown:
                     raise InterfaceMismatch(
                         f"stub {name}.{stub.name} names class {min(unknown)}, "

@@ -118,7 +118,6 @@ class DualRuntime:
         self.gc_threshold = gc_threshold
 
         self.isolates: dict[str, Isolate] = {}
-        self.classes: dict[str, dict[str, ast.ClassDecl]] = {}
         # image side -> (class, method) -> the relay that image serves; a
         # side without an image serves none
         self.relays: dict[str, dict[tuple[str, str], RelayMethodDef]] = {
@@ -132,11 +131,10 @@ class DualRuntime:
             if image is None:
                 continue
             self.isolates[side] = Isolate(side, self.model)
-            self.classes[side] = {c.name: c for c in image.classes}
             self.relays[side] = {(r.class_name, r.method_name): r
                                  for r in image.relays}
-            self.interps[side] = Interpreter(
-                self.isolates[side], self.classes[side], context)
+            self.interps[side] = Interpreter(self.isolates[side],
+                                             image.classes, context)
         self.class_ids = plan.class_ids
         self.class_names = {i: n for n, i in plan.class_ids.items()}
         # side -> the isolate its crossings land on
@@ -241,11 +239,15 @@ class DualRuntime:
             iso.register_mirror(h, obj)
         return h
 
-    def decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
+    def _class_name(self, class_id: int) -> str:
         name = self.class_names.get(class_id)
         if name is None:
             raise MarshalError(f"unknown class id {class_id}")
-        decl = self.classes[iso.side].get(name)
+        return name
+
+    def decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
+        name = self._class_name(class_id)
+        decl = self.interps[iso.side].classes.get(name)
         if decl is None:
             raise MarshalError(f"class {name} is not present in the "
                                f"{iso.side} image")
@@ -262,19 +264,16 @@ class DualRuntime:
         proxy = iso.proxy_table.get(h)
         if proxy is not None and not proxy.swept:
             return proxy
-        name = self.class_names.get(class_id)
-        if name is None:
-            raise MarshalError(f"unknown class id {class_id}")
-        proxy = ProxyObj(name, h)
+        proxy = ProxyObj(self._class_name(class_id), h)
         iso.alloc(proxy, charged=False)
         iso.adopt_proxy(proxy)
         return proxy
 
     # -- transitions ----------------------------------------------------------
 
-    def cross(self, caller: Isolate, target: Isolate, relay: RelayMethodDef,
-              kind: str, hash_value: int, args: list, serve):
-        """Call `relay` on `target`, the caller's peer; returns (result,
+    def cross(self, caller: Isolate, relay: RelayMethodDef, kind: str,
+              hash_value: int, args: list, serve):
+        """Call `relay` on the caller's peer, the target; returns (result,
         hash_out).
 
         The one boundary crossing; `kind` only labels the trace.  A nonzero
@@ -285,6 +284,7 @@ class DualRuntime:
         becomes the trace event's hash.  Arguments that do not fit the
         relay fail before anything is billed.
         """
+        target = self.peers[caller.side]
         if len(args) != len(relay.param_kinds):
             raise InterfaceMismatch(
                 f"{relay.relay_id} takes {len(relay.param_kinds)} "
@@ -346,9 +346,7 @@ class DualRuntime:
     def remote_new(self, iso: Isolate, class_name: str, args: list) -> ProxyObj:
         """`new` on a proxy class: run the constructor relay, bind the hash."""
         relay = self._relay(iso, class_name, class_name)
-        target = self.peers[iso.side]
-        _, h = self.cross(iso, target, relay, "ctor", 0, args,
-                          self._new_mirror)
+        _, h = self.cross(iso, relay, "ctor", 0, args, self._new_mirror)
         proxy = ProxyObj(class_name, h)
         iso.alloc(proxy, charged=True)
         iso.adopt_proxy(proxy)
@@ -367,9 +365,8 @@ class DualRuntime:
                       args: list):
         """Proxy method call: relay looks the mirror up and dispatches."""
         relay = self._relay(iso, proxy.class_name, method_name)
-        target = self.peers[iso.side]
-        return self.cross(iso, target, relay, "invoke", proxy.hash_value,
-                          args, self._invoke_mirror)[0]
+        return self.cross(iso, relay, "invoke", proxy.hash_value, args,
+                          self._invoke_mirror)[0]
 
     def _invoke_mirror(self, target: Isolate, relay: RelayMethodDef,
                        hash_value: int, values: list):
@@ -386,8 +383,7 @@ class DualRuntime:
         if not iso.trusted:
             return service(self, iso, args)
         self.shim_ocalls += 1
-        return self.cross(iso, self.peers[iso.side], relay, "shim", 0, args,
-                          self._serve_host)[0]
+        return self.cross(iso, relay, "shim", 0, args, self._serve_host)[0]
 
     def _serve_host(self, target: Isolate, relay: RelayMethodDef,
                     hash_value: int, values: list):
@@ -423,7 +419,6 @@ class DualRuntime:
         cleared = iso.pop_cleared_proxies()
         if not cleared:
             return
-        target = self.peers[iso.side]
         direction = "ecall" if iso.side == UNTRUSTED else "ocall"
         releases = self.release_relays
         for proxy in cleared:
@@ -433,7 +428,7 @@ class DualRuntime:
                 relay = releases[key] = RelayMethodDef(
                     proxy.class_name, "release", direction, (), _UNIT)
             self.remove_calls += 1
-            self.cross(iso, target, relay, "remove", proxy.hash_value, [],
+            self.cross(iso, relay, "remove", proxy.hash_value, [],
                        self._release_mirror)
 
     def _release_mirror(self, target: Isolate, relay: RelayMethodDef,

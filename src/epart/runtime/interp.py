@@ -2,8 +2,8 @@
 
 The interpreter is deliberately unaware of transitions: anything that crosses
 the isolate boundary (constructing through a proxy class, invoking a proxy
-object, the host builtins print/file_write/file_read, a collection) is
-delegated to a context object supplied by the surrounding runtime.
+object, any builtin but compute and gc, a collection) is delegated to a
+context object supplied by the surrounding runtime.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  Leaf operands skip the
@@ -14,9 +14,10 @@ still goes through eval_var, for its fault.
 
 What is fixed for a run is worked out once: the EPC-scaled price of a field
 access, charged straight into the isolate's cycles_by_source; the method
-table, built with the interpreter; and each class's layout (field defaults
-and constructor), kept from its first instantiation.  A call reads a hit
-from the method table itself and leaves a miss to method, which faults.
+table, ast.method_table's, built with the interpreter; and each class's
+layout (field defaults and constructor), kept from its first instantiation.
+A call reads a hit from the table itself and leaves a miss to method, which
+faults.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -84,20 +85,17 @@ def render_value(v) -> str:
 
 
 class Interpreter:
-    def __init__(self, isolate: Isolate, classes: dict[str, ast.ClassDecl],
+    def __init__(self, isolate: Isolate, classes: list[ast.ClassDecl],
                  context):
         self.isolate = isolate
-        self.classes = classes
+        self.classes = {c.name: c for c in classes}  # a later record wins
         self.context = context
         self.gc_threshold = context.gc_threshold
         self.field_cost = isolate.model.scaled(
             isolate.model.field_access_cost, isolate.trusted)
         # charged inline, as Isolate.charge would
         self.cycles_by_source = isolate.cycles_by_source
-        # (class name, method name) -> first declaration of that name
-        self.methods: dict[tuple[str, str], ast.MethodDecl] = {
-            (c.name, m.name): m for c in classes.values()
-            for m in reversed(c.methods)}
+        self.methods = ast.method_table(self.classes)
         # class name -> (field defaults, List field names, constructor)
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
                                       ast.MethodDecl | None]] = {}
@@ -121,7 +119,8 @@ class Interpreter:
     def instantiate(self, decl: ast.ClassDecl, args: list) -> InstanceObj:
         layout = self.layouts.get(decl.name)
         if layout is None:
-            layout = self.layouts[decl.name] = _layout(decl)
+            layout = self.layouts[decl.name] = _layout(
+                decl, self.methods.get((decl.name, decl.name)))
         defaults, list_fields, ctor = layout
         iso = self.isolate
         obj = InstanceObj(decl, dict(defaults))
@@ -406,18 +405,18 @@ class Interpreter:
         base = len(frame.temps)
         args = self.eval_args(e.args, frame)
         try:
-            if e.name in _HOST_BUILTINS:
-                if e.name == "print":
-                    args[0] = render_value(args[0])
-                return self.context.host_call(iso, e.name, args)
             if e.name == "compute":
                 units = args[0]
                 if units < 0:
                     raise DslRuntimeError("compute of a negative unit count")
                 iso.charge_scaled("compute", units * iso.model.compute_unit_cost)
                 return None
-            self.context.collect(iso, force_scan=True)  # gc
-            return None
+            if e.name == "gc":
+                self.context.collect(iso, force_scan=True)
+                return None
+            if e.name == "print":
+                args[0] = render_value(args[0])
+            return self.context.host_call(iso, e.name, args)
         finally:
             del frame.temps[base:]
 
@@ -432,10 +431,9 @@ class Interpreter:
             del frame.temps[base:]
 
 
-def _layout(decl: ast.ClassDecl) -> tuple[dict, tuple[str, ...],
-                                          ast.MethodDecl | None]:
+def _layout(decl: ast.ClassDecl, ctor: ast.MethodDecl | None) -> tuple:
     """A new instance's field values before its constructor runs, the
-    List-typed fields among them, and the constructor."""
+    List-typed fields among them, and its constructor ctor."""
     defaults: dict[str, object] = {}
     list_fields = []
     for f in decl.fields:
@@ -447,7 +445,7 @@ def _layout(decl: ast.ClassDecl) -> tuple[dict, tuple[str, ...],
             defaults[f.name] = UNSET
             if t.name == "List":
                 list_fields.append(f.name)
-    return defaults, tuple(list_fields), decl.constructor
+    return defaults, tuple(list_fields), ctor
 
 
 def _bad_operands(op: str) -> DslRuntimeError:
@@ -512,9 +510,6 @@ _BINARY = {
 
 # A primitive field's value before its constructor runs.
 _PRIMITIVE_DEFAULTS = {"Int": 0, "Bool": False, "Str": ""}
-
-# Builtins served by the host, through the context's one host hook.
-_HOST_BUILTINS = frozenset({"print", "file_write", "file_read"})
 
 # Node kinds whose evaluation never reaches a safepoint.
 _LEAVES = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit, ast.Var, ast.This,

@@ -93,7 +93,10 @@ def encode_values(values, iso, rt) -> bytearray:
 def _write(out: bytearray, value, iso, rt, path: set[int]) -> None:
     cls = value.__class__  # exact classes: a bool is not an int here
     if cls is str:
-        data = value.encode("utf-8")
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate, from the host
+            raise MarshalError(f"Str is not UTF-8 text: {e.reason}") from None
         out += _LEN.pack(TAG_STR, len(data))
         out += data
     elif cls is int:

@@ -5,9 +5,10 @@ For each fixture (bank, every_node, public_field) the manifest covers the
 stdout, stderr and exit code of `partition`, `inspect trusted`, `inspect
 untrusted`, `run --trace transitions --metrics F --dump-fs D`,
 `run-unpartitioned --trace transitions --metrics F` and `compare`, and the
-plan, metrics and dumped files they write.  The commands run in process, in
-a scratch directory and with relative paths, so no artifact names a
-directory of the machine.
+plan, metrics and dumped files they write.  It also covers the CSV that
+`bench --suite S --seed 0` prints for each suite S, as bench/S.csv.  The
+commands run in process, in a scratch directory and with relative paths, so
+no artifact names a directory of the machine.
 
 tests/test_golden.py checks tests/golden/manifest.json against a fresh
 collection.  After a deliberate change of output, regenerate it with
@@ -28,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from epart.bench import SUITES
 from epart.cli import main as epart
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,17 +49,23 @@ COMMANDS = (
 )
 
 
+def _run(argv: list[str]) -> tuple[bytes, bytes, bytes]:
+    """The stdout, stderr and exit code of one command, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = epart(argv)
+    return (out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"),
+            str(code).encode("ascii"))
+
+
 def _artifacts(name: str) -> dict[str, bytes]:
     """Every artifact of one fixture, run in the current directory."""
     Path(f"{name}.ep").write_bytes((FIXTURES / f"{name}.ep").read_bytes())
     found: dict[str, bytes] = {}
     for label, command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = epart([a.format(name=name) for a in command])
-        found[f"{label}.stdout"] = out.getvalue().encode("utf-8")
-        found[f"{label}.stderr"] = err.getvalue().encode("utf-8")
-        found[f"{label}.exit"] = str(code).encode("ascii")
+        results = _run([a.format(name=name) for a in command])
+        for stream, data in zip(("stdout", "stderr", "exit"), results):
+            found[f"{label}.{stream}"] = data
     files = [p for d in ("plan", "fs") if Path(d).is_dir()
              for p in Path(d).rglob("*") if p.is_file()]
     files += [Path("run.metrics"), Path("ref.metrics")]
@@ -80,6 +88,9 @@ def collect() -> dict[str, str]:
                     digests[f"{name}/{artifact}"] = hashlib.sha256(data).hexdigest()
         finally:
             os.chdir(cwd)
+    for suite in SUITES:
+        csv = _run(["bench", "--suite", suite, "--seed", "0"])[0]
+        digests[f"bench/{suite}.csv"] = hashlib.sha256(csv).hexdigest()
     return digests
 
 

@@ -299,7 +299,8 @@ class TestMarshalFaults:
         (2**63, "integer 9223372036854775808 out of 64-bit range"),
         (-2**63 - 1, "integer -9223372036854775809 out of 64-bit range"),
         (1.5, "cannot marshal 1.5"),
-    ], ids=["above", "below", "foreign"])
+        ("a\udcffb", "Str is not UTF-8 text: surrogates not allowed"),
+    ], ids=["above", "below", "foreign", "not UTF-8"])
     def test_a_host_value_that_cannot_cross(self, arg, message):
         rt = DualRuntime(fault_plan("print(s.count(1));"), trace=True)
         sink = rt.construct(UNTRUSTED, "Sink", [])

@@ -8,7 +8,8 @@ import pytest
 
 from epart._version import __version__
 from epart.cli import main
-from epart.dsl.ast import Annotation, ClassDecl
+from epart.dsl import parse_program
+from epart.dsl.ast import Annotation, ClassDecl, Param, TypeRef
 from epart.partition import compute_images, emit, load_plan, whole_program_plan
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import MAGIC, encode_image
@@ -548,6 +549,49 @@ class Main {
         assert self._bad_plan(plan, capsys) == (
             "bad plan: stub Counter.next in the untrusted image is not the "
             "signature of a method of the other image\n")
+
+    def test_a_stub_naming_a_missing_class_inside_a_list_is_a_bad_plan(
+            self, tmp_path, capsys):
+        """Vault.keep and its stub retyped to take List[Ghost], which no
+        class of the annotation table backs.  The outer name, List, is a
+        builtin type, so only a check that walks the element finds Ghost."""
+        plan = compute_images(parse_program("""
+@Trusted
+class Vault {
+    Vault() { }
+    keep(xs: List[Int]) -> Int { return 1; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var v: Vault = new Vault();
+        var xs: List[Int] = [];
+        print(v.keep(xs));
+    }
+}
+"""))
+        ghosts = [Param("xs", TypeRef("List", TypeRef("Ghost")))]
+        named(plan.trusted_image.classes, "Vault").method("keep").params = ghosts
+        named(plan.untrusted_image.proxies, "Vault").method("keep").params = ghosts
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == (
+            "bad plan: stub Vault.keep names class Ghost, which the annotation "
+            "table lacks\n")
+
+    def test_a_stub_checked_against_another_record_of_its_class_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys):
+        """A second Account record in trusted.img, without updateBalance.
+        The runtime keys an image's classes by name, so the later record is
+        the one it runs, and updateBalance's stub has no method there."""
+        plan = compute_images(bank_program)
+        classes = plan.trusted_image.classes
+        account = named(classes, "Account")
+        classes.append(dataclasses.replace(account, methods=[
+            m for m in account.methods if m.name != "updateBalance"]))
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == (
+            "bad plan: stub Account.updateBalance in the untrusted image is not "
+            "the signature of a method of the other image\n")
 
     def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
         """whole_program_plan(enclave=True) puts @Untrusted classes in the
@@ -1109,6 +1153,13 @@ class TestOneLineFailures:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
+    def test_a_program_argument_that_is_not_utf8(self, bank_dir):
+        proc = subprocess.run(
+            [sys.executable, "-m", "epart.cli", "run", str(bank_dir[1]),
+             b"a\xffb"], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, b"", b"argument 1 is not UTF-8 text\n")
+
     def test_an_unreadable_plan_file(self, bank_dir, capsys):
         _, plan = bank_dir
         (plan / TRUSTED_IMG).unlink()
@@ -1160,6 +1211,17 @@ class Main {
                                        1, "cannot write adir: Is a directory"),
         "transition-overflow": (["run", "pingpong"], 1,
                                 "transition depth exceeded 256 entering T.ping"),
+        # A program argument that is not UTF-8 text reaches Python with
+        # surrogate escapes; each command that runs a program refuses it.
+        "run-argument-not-utf8": (
+            ["run", "plan", "ok", "a\udcffb", "--dump-fs", "fs"], 1,
+            "argument 2 is not UTF-8 text"),
+        "run-unpartitioned-argument-not-utf8": (
+            ["run-unpartitioned", "bank.ep", "ok", "a\udcffb"], 1,
+            "argument 2 is not UTF-8 text"),
+        "compare-argument-not-utf8": (
+            ["compare", "bank.ep", "ok", "a\udcffb"], 1,
+            "argument 2 is not UTF-8 text"),
     }
 
     @pytest.mark.parametrize("argv,code,line", CASES.values(),

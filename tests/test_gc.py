@@ -285,3 +285,64 @@ class TestProxyRebinding:
         assert rt.remove_calls == 0
         assert h in rt.registry_hashes(TRUSTED)
         assert rt.call(UNTRUSTED, second, "get", []) == 7
+
+
+# N pairs linked both ways across the boundary, then dropped.
+CYCLE_SRC = """
+@Trusted
+class T {
+    u: U;
+    T() { }
+    link(x: U) { this.u = x; }
+}
+@Untrusted
+class U {
+    t: T;
+    U() { }
+    link(x: T) { this.t = x; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var i: Int = 0;
+        while (i < PAIRS) {
+            var t: T = new T();
+            var u: U = new U();
+            t.link(u);
+            u.link(t);
+            i = i + 1;
+        }
+        gc();
+    }
+}
+"""
+
+
+class TestCrossBoundaryCycles:
+    """A cycle through both heaps is never collected.  Each side's registry
+    roots the mirror that the other side's proxy names, and each mirror
+    holds a proxy of the other side's mirror, so no scan ever finds a swept
+    proxy to release.  Reference listing, like Java RMI's distributed GC,
+    does not collect distributed cycles."""
+
+    @pytest.mark.parametrize("pairs, trusted_cycles, untrusted_cycles", [
+        (1, 384, 96), (10, 3840, 960), (100, 38400, 9600)])
+    def test_linked_pairs_survive_forced_scans(self, pairs, trusted_cycles,
+                                               untrusted_cycles):
+        rt = DualRuntime(plan_of(CYCLE_SRC.replace("PAIRS", str(pairs))))
+        rt.run_main()
+        for _ in range(3):
+            for side, cycles in ((TRUSTED, trusted_cycles),
+                                 (UNTRUSTED, untrusted_cycles)):
+                stats = rt.force_gc(side, scan=True)
+                # each side: a mirror and the proxy it holds, per pair
+                assert (stats.swept_objects, stats.live_objects,
+                        stats.live_bytes, stats.cycles) == (
+                    0, 2 * pairs, 48 * pairs, cycles)
+        metrics = rt.result().metrics
+        for side in (TRUSTED, UNTRUSTED):
+            assert len(rt.registry_hashes(side)) == pairs
+            assert len(rt.live_proxy_hashes(side)) == pairs
+            assert (metrics[side].mirror_registry_size,
+                    metrics[side].live_proxies) == (pairs, pairs)
+        assert rt.remove_calls == 0

@@ -19,6 +19,7 @@ from epart.runtime import (
     MAX_TRANSITION_DEPTH, DualRuntime, run_main, run_reference,
     run_unpartitioned,
 )
+from epart.runtime.costmodel import CostModel
 from epart.runtime.heap import TRUSTED, UNTRUSTED, InstanceObj, ProxyObj
 
 from test_boundary import SRC as BOUNDARY_SRC
@@ -925,3 +926,56 @@ class TestHostApiMisuse:
         assert after.metrics_text() == billed
         assert after.cycles_by_source == before.cycles_by_source
         assert after.total("ecalls") == 1
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+REPRICED = CostModel(ecall_cost=7, ocall_cost=11, serialize_per_byte=3,
+                     epc_penalty=1.25)
+
+
+class TestLedgerIdentities:
+    """Three cycle sources are their counters times their prices, per
+    isolate, on each fixture in all three modes: partitioned, enclave and
+    no enclave."""
+
+    @pytest.mark.parametrize("model", [CostModel(), REPRICED],
+                             ids=["default", "repriced"])
+    @pytest.mark.parametrize("name", ["bank", "every_node", "public_field"])
+    def test_counters_times_prices(self, name, model):
+        program = parse_program(
+            (FIXTURES / f"{name}.ep").read_text(encoding="utf-8"))
+        billed = set()
+        for plan in (compute_images(program),
+                     whole_program_plan(program, enclave=True),
+                     whole_program_plan(program, enclave=False)):
+            res = DualRuntime(plan, model).run_main()
+            for side, m in res.metrics.items():
+                by_source = res.cycles_by_source[side]
+                assert by_source.get("transition", 0) == \
+                    m.ecalls * model.ecall_cost + m.ocalls * model.ocall_cost
+                assert by_source.get("serialize", 0) == \
+                    m.bytes_serialized * model.serialize_per_byte
+                assert by_source.get("alloc", 0) == m.allocations * \
+                    model.scaled(model.alloc_cost, side == TRUSTED)
+                billed |= {source for source in ("transition", "serialize",
+                                                 "alloc") if by_source.get(source)}
+        assert billed == {"transition", "serialize", "alloc"}
+
+    def test_scaled_prices_round_half_to_even(self):
+        assert REPRICED.scaled(10, trusted=True) == 12  # 12.5
+        assert REPRICED.scaled(14, trusted=True) == 18  # 17.5
+        assert REPRICED.scaled(10, trusted=False) == 10
+        rt = DualRuntime(plan_of("""
+@Trusted
+class Box {
+    Box() { }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box();
+    }
+}
+"""), REPRICED)
+        rt.run_main()
+        assert rt.isolates[TRUSTED].cycles_by_source["alloc"] == 12

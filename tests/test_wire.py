@@ -309,7 +309,7 @@ def build(rt, notes, safe, shape, minted: dict):
         built = [build(rt, notes, safe, s, minted) for s in shape[1]]
         return (ListObj([v for v, _ in built]),
                 ("list", [wv for _, wv in built]))
-    decls = rt.classes[UNTRUSTED]
+    decls = rt.interps[UNTRUSTED].classes
     if kind == "wrap":
         inner, inner_wv = build(rt, notes, safe, shape[1], minted)
         return (InstanceObj(decls["Wrap"], {"inner": inner}),
