@@ -448,8 +448,9 @@ class Main {
                              ids=["renamed", "unflagged"])
     def test_a_constructor_flag_against_the_name_is_a_bad_plan(
             self, bank_program, tmp_path, capsys, change):
-        """The interpreter finds a constructor by its flag, so a renamed
-        constructor would still run, and an unflagged one would be skipped.
+        """The method table finds a constructor by its name, while the
+        relays and the return check read its flag, so a renamed constructor
+        would be skipped, and an unflagged one would run as a plain method.
         Source cannot say either: a method is a constructor exactly when it
         is named as its class."""
         plan = compute_images(bank_program)
