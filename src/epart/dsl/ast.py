@@ -45,6 +45,10 @@ INT = TypeRef("Int")
 BOOL = TypeRef("Bool")
 STR = TypeRef("Str")
 UNIT = TypeRef("Unit")
+# TypeRef is frozen, so the parser and the image decoder give every use of a
+# primitive type one of these instances, not one TypeRef per parameter,
+# field and return type.
+PRIMITIVE_TYPES = {t.name: t for t in (INT, BOOL, STR, UNIT)}
 
 BUILTIN_TYPE_NAMES = {"Int", "Bool", "Str", "Unit", "List"}
 

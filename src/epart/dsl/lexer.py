@@ -1,13 +1,17 @@
 """Tokenizer for the annotated class language.
 
-scan finds every token in one pass of one compiled master regex and keeps
-them as three parallel lists, which the parser reads by index; tokenize zips
-them into Tokens.  Only malformed input takes a per-token path, to name the
-fault.  Each match takes the blanks before its token too, newlines included,
-so a blank costs no loop trip of its own: the token is the match's named
-group.  Identifiers follow str.isalpha/isalnum ("\\w" is exactly isalnum or
-"_") and numbers are runs of decimal digits of any script ("\\d" is exactly
-isdecimal), as int() reads them.
+scan finds every token with one compiled master regex and keeps them as
+three parallel lists, which the parser reads by index; tokenize zips them
+into Tokens.  Each match takes the blanks before its token too, newlines
+included, so a blank costs no loop trip of its own: the token is the
+match's named group.  The regex tells a keyword from an identifier, so no
+token is looked up in KEYWORDS.  It takes a string literal up to the next
+quote; a literal that holds a backslash or a newline is checked against the
+exact rule, and where that rule ends it later (the quote was escaped) the
+scan resumes after it.  Only malformed input takes a per-token path, to
+name the fault.  Identifiers follow str.isalpha/isalnum ("\\w" is exactly
+isalnum or "_") and numbers are runs of decimal digits of any script ("\\d"
+is exactly isdecimal), as int() reads them.
 
 A position is one offset into the source.  line_col turns it into the
 line:col a diagnostic prints, and nothing else computes either.
@@ -64,48 +68,57 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _STR_BODY = r'[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*'
 # Blanks before a token are part of its match, and blanks that end the
 # source match `end`, so no blank starts a match: a run of them is scanned
-# once, not once per blank.  Save for `bad`, the fallback, no two
-# alternatives start with the same character, so their order sets only
-# speed: the most frequent come first.
+# once, not once per blank.  A word is tried as a keyword, then as an ASCII
+# identifier, then as any identifier; the first group that matches names it.
+# Save for those three and `bad`, the fallback, no two alternatives start
+# with the same character, so their order sets only speed: the most
+# frequent come first.  `str` stops at the first quote: a one-character
+# stop set takes sre's fast loop, and scan checks the exact rule, _STR, only
+# for a literal that holds a backslash or a newline.
 _MASTER = re.compile(r"[ \t\r\n]*(?:" + "|".join([
     "(?P<sym>" + "|".join(re.escape(s) for s in SYMBOLS) + ")",
-    # Also matches a word that starts with a digit such as "²" or "½", which
-    # str.isalpha rejects.
-    r"(?P<ident>[^\W\d]\w*)",
+    "(?P<kw>(?:" + "|".join(sorted(KEYWORDS)) + r")(?!\w))",
+    r"(?P<ident>[A-Za-z_]\w*)",
+    # A word that starts with any other letter.  Also matches one that starts
+    # with a digit such as "²" or "½", which str.isalpha rejects.
+    r"(?P<word>[^\W\d]\w*)",
     # A digit run that runs into a letter or a non-decimal digit is no token.
     r"(?P<int>\d+(?!\w))",
-    f'(?P<str>"{_STR_BODY}")',
+    r'(?P<str>"[^"]*")',
     r"(?P<comment>#[^\n]*)",
     r"(?P<end>\Z)",
     r"(?P<bad>[^ \t\r\n])",
 ]) + ")")
+_STR = re.compile(f'"{_STR_BODY}"')
 _STR_PREFIX = re.compile(_STR_BODY)
-_ESCAPE = re.compile(r"\\(.)")
+_unescape = partial(re.compile(r"\\(.)").sub, lambda e: _ESCAPES[e[1]])
 _WORD = re.compile(r"\w+")
 
 
-def _malformed(source: str, i: int) -> tuple[int, str]:
-    """Why no token starts at i: (offset of the fault from i, message)."""
+def _malformed(source: str, i: int) -> ParseError:
+    """Why no token starts at offset i, as the ParseError to raise."""
     ch = source[i]
+    at, message = i, f"unexpected character {ch!r}"
     if ch.isdigit():
         word = _WORD.match(source, i).group()
         j = next((k for k, c in enumerate(word) if not c.isdigit()), len(word))
         if j < len(word) and (word[j].isalpha() or word[j] == "_"):
-            return 0, f"malformed number {word[:j + 1]!r}"
-        if not word[:j].isdecimal():  # a digit int() rejects, such as "²"
-            return 0, f"malformed number {word[:j]!r}"
-        # A well-formed number, then a numeric character such as "½".
-        return j, f"unexpected character {word[j]!r}"
-    if ch == '"':
+            message = f"malformed number {word[:j + 1]!r}"
+        elif not word[:j].isdecimal():  # a digit int() rejects, such as "²"
+            message = f"malformed number {word[:j]!r}"
+        else:  # A well-formed number, then a numeric character such as "½".
+            at, message = i + j, f"unexpected character {word[j]!r}"
+    elif ch == '"':
         k = _STR_PREFIX.match(source, i + 1).end()
         if k >= len(source):
-            return 0, "unterminated string literal"
-        if source[k] == "\n":
-            return 0, "newline in string literal"
-        if k + 1 >= len(source):
-            return 0, "unterminated escape sequence"
-        return 0, f"unknown escape sequence \\{source[k + 1]}"
-    return 0, f"unexpected character {ch!r}"
+            message = "unterminated string literal"
+        elif source[k] == "\n":
+            message = "newline in string literal"
+        elif k + 1 >= len(source):
+            message = "unterminated escape sequence"
+        else:
+            message = f"unknown escape sequence \\{source[k + 1]}"
+    return ParseError("syntax", message, *line_col(source, at))
 
 
 def scan(source: str) -> tuple[list[str], list[str], list[int]]:
@@ -120,33 +133,46 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     positions: list[int] = []
     add_kind, add_text, add_pos = kinds.append, texts.append, positions.append
     eof_pos = len(source)
-    for m in _MASTER.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "sym":
-            add_kind(text)
-        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
-            add_kind(text if text in KEYWORDS else "ident")
-        elif kind == "int":
-            add_kind("int")
-        elif kind == "str":
-            add_kind("str")
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
-        elif kind == "comment":
-            if m.end() == len(source):
-                eof_pos = m.start(kind)
-            continue
-        elif kind == "end":
-            break
-        else:
-            start = m.start(kind)
-            offset, message = _malformed(source, start)
-            raise ParseError("syntax", message,
-                             *line_col(source, start + offset))
-        add_text(text)
-        add_pos(m.start(kind))
+    resume = 0
+    while resume is not None:
+        matches, resume = _MASTER.finditer(source, resume), None
+        for m in matches:
+            kind = m.lastgroup
+            text = m[kind]
+            if kind == "sym":
+                add_kind(text)
+            elif kind == "ident":
+                add_kind("ident")
+            elif kind == "kw":
+                add_kind(text)
+            elif kind == "word" and text[0].isalpha():
+                add_kind("ident")
+            elif kind == "int":
+                add_kind("int")
+            elif kind == "str":
+                add_kind("str")
+                text = text[1:-1]
+                if "\\" in text or "\n" in text:
+                    start = m.start(kind)
+                    exact = _STR.match(source, start)
+                    if exact is None:
+                        raise _malformed(source, start)
+                    if exact.end() > m.end():  # m stopped at an escaped quote
+                        add_text(_unescape(exact[0][1:-1]))
+                        add_pos(start)
+                        resume = exact.end()
+                        break
+                    text = _unescape(text)
+            elif kind == "comment":
+                if m.end() == len(source):
+                    eof_pos = m.start(kind)
+                continue
+            elif kind == "end":
+                break
+            else:
+                raise _malformed(source, m.start(kind))
+            add_text(text)
+            add_pos(m.start(kind))
     kinds.append("eof")
     texts.append("")
     positions.append(eof_pos)
@@ -156,7 +182,7 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
 def str_token_source(source: str, pos: int) -> str:
     """The source text of the str token at pos: its quotes, and its escapes
     as written."""
-    return source[pos:_STR_PREFIX.match(source, pos + 1).end() + 1]
+    return _STR.match(source, pos)[0]
 
 
 def tokenize(source: str) -> list[Token]:

@@ -193,7 +193,7 @@ class _Parser:
             elem = self.parse_type()
             self.expect("]")
             return ast.list_of(elem)
-        return TypeRef(self.texts[i])
+        return ast.PRIMITIVE_TYPES.get(self.texts[i]) or TypeRef(self.texts[i])
 
     # -- statements ----------------------------------------------------------
 

@@ -56,7 +56,7 @@ import struct
 
 from .._version import __version__
 from ..dsl.ast import (
-    BINARY_OPS, BOOL, BUILTINS, INT, STR, UNIT,
+    BINARY_OPS, BUILTINS, PRIMITIVE_TYPES,
     Annotation, Assign, Binary, BoolLit, BuiltinCall, ClassDecl, ExprStmt,
     FieldDecl, FieldGet, If, IntLit, ListLit, MethodCall, MethodDecl, New, Param,
     Return, StrLit, This, TypeRef, Unary, Var, VarDecl, Visibility, While,
@@ -288,16 +288,11 @@ def _bad_flag(flag: int) -> FormatError:
     return FormatError(f"bad flag byte {flag}")
 
 
-# TypeRef is frozen, so one instance serves every use of a primitive type and
-# saves building one per parameter, field and return type.
-_PRIMITIVE_TYPES = {t.name: t for t in (INT, BOOL, STR, UNIT)}
-
-
 def _get_type(data: bytes, pos: int, t: _Table) -> tuple[TypeRef, int]:
     name = t[_u32(data, pos)[0]]
     flag = data[pos + 4]
     if not flag:
-        return _PRIMITIVE_TYPES.get(name) or TypeRef(name), pos + 5
+        return PRIMITIVE_TYPES.get(name) or TypeRef(name), pos + 5
     if flag != 1:
         raise _bad_flag(flag)
     elem, pos = _get_type(data, pos + 5, t)
@@ -563,6 +558,11 @@ def _get_image(data: bytes, pos: int, t: _Table):
         raise FormatError("a class name appears twice in the annotation table")
     classes, pos = _get_items(data, pos, t, _get_class)
     proxies, pos = _get_items(data, pos, t, _get_class)
+    names = set()
+    for c in (*classes, *proxies):
+        if c.name in names:
+            raise FormatError(f"class {c.name} has two records in the image")
+        names.add(c.name)
     return ImageSpec(side, classes, proxies), annotations, version, pos
 
 

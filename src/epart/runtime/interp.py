@@ -88,7 +88,7 @@ class Interpreter:
     def __init__(self, isolate: Isolate, classes: list[ast.ClassDecl],
                  context):
         self.isolate = isolate
-        self.classes = {c.name: c for c in classes}  # a later record wins
+        self.classes = {c.name: c for c in classes}
         self.context = context
         self.gc_threshold = context.gc_threshold
         self.field_cost = isolate.model.scaled(

@@ -9,7 +9,7 @@ import pytest
 from epart._version import __version__
 from epart.cli import main
 from epart.dsl import parse_program
-from epart.dsl.ast import Annotation, ClassDecl, Param, TypeRef
+from epart.dsl.ast import INT, Annotation, ClassDecl, FieldDecl, Param, TypeRef
 from epart.partition import compute_images, emit, load_plan, whole_program_plan
 from epart.partition.emit import INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG
 from epart.partition.image import MAGIC, encode_image
@@ -581,9 +581,10 @@ class Main {
 
     def test_a_stub_checked_against_another_record_of_its_class_is_a_bad_plan(
             self, bank_program, tmp_path, capsys):
-        """A second Account record in trusted.img, without updateBalance.
-        The runtime keys an image's classes by name, so the later record is
-        the one it runs, and updateBalance's stub has no method there."""
+        """A second Account record in trusted.img, without updateBalance,
+        which updateBalance's stub would be checked against if it loaded.
+        An image holds one record per class name, so the decoder refuses it
+        before any stub is checked."""
         plan = compute_images(bank_program)
         classes = plan.trusted_image.classes
         account = named(classes, "Account")
@@ -591,8 +592,27 @@ class Main {
             m for m in account.methods if m.name != "updateBalance"]))
         emit(plan, tmp_path)
         assert self._bad_plan(tmp_path, capsys) == (
-            "bad plan: stub Account.updateBalance in the untrusted image is not "
-            "the signature of a method of the other image\n")
+            "bad plan: class Account has two records in the image\n")
+
+    @pytest.mark.parametrize("side", ["classes", "proxies"])
+    def test_a_class_with_two_records_in_one_image_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys, side):
+        """trusted.img repeats Account with one more field, which every stub
+        still checks against, or untrusted.img holds a class record of
+        Account beside its proxy.  Before the one-record rule the first plan
+        ran, and the later record silently won."""
+        plan = compute_images(bank_program)
+        if side == "classes":
+            classes = plan.trusted_image.classes
+            account = named(classes, "Account")
+            classes.append(dataclasses.replace(
+                account, fields=[*account.fields, FieldDecl("spare", INT)]))
+        else:
+            account = named(plan.trusted_image.classes, "Account")
+            plan.untrusted_image.classes.append(account)
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == (
+            "bad plan: class Account has two records in the image\n")
 
     def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
         """whole_program_plan(enclave=True) puts @Untrusted classes in the
