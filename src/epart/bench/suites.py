@@ -97,8 +97,8 @@ def _build(source: str, model: CostModel, **kwargs) -> DualRuntime:
 
 
 def _source_cycles(rt: DualRuntime, side: str, *sources: str) -> int:
-    iso = rt.isolates[side]
-    return sum(iso.cycles_by_source.get(s, 0) for s in sources)
+    by_source = rt.isolates[side].cycles_by_source
+    return sum(by_source.get(s, 0) for s in sources)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +140,10 @@ class Main {
 def _per_op_cycles(rt: DualRuntime, ops: int, op) -> int:
     """Total simulated cycles, both isolates, per op(i) for i < ops; every
     op must cost the same."""
-    before = rt.total_cycles()
+    before = rt.result().total_cycles
     for i in range(ops):
         op(i)
-    delta = rt.total_cycles() - before
+    delta = rt.result().total_cycles - before
     assert delta % ops == 0, "per-op cost must be uniform"
     return delta // ops
 

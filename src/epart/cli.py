@@ -173,11 +173,15 @@ def cmd_partition(args) -> int:
 def cmd_run(args) -> int:
     plan = _load_plan_arg(args.plan_dir)
     model = _load_model_arg(args.model)
-    m = re.fullmatch(r"every-k=(\d+)", args.gc_scan)
-    if not m or int(m.group(1)) < 1:
+    m = re.fullmatch(r"every-k=([0-9]+)", args.gc_scan)
+    try:
+        k = int(m.group(1)) if m else 0
+    except ValueError:  # more digits than int() reads
+        k = 0
+    if k < 1:
         raise _Exit(f"bad --gc-scan value {args.gc_scan!r}, "
                     "expected every-k=<positive int>")
-    return _run(plan, model, args, int(m.group(1)))
+    return _run(plan, model, args, k)
 
 
 def cmd_run_unpartitioned(args) -> int:

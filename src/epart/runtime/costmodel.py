@@ -3,7 +3,8 @@
 All prices are in abstract cycles.  epc_penalty is a multiplier applied to
 memory-bound work (allocation, field access, compute, GC scanning) executed in
 the trusted isolate; it does not scale transition or serialization costs, which
-the model prices identically on both sides.
+the model prices identically on both sides.  An isolate only counts events;
+price turns its counts into cycles on read, under any model.
 """
 
 from __future__ import annotations
@@ -48,6 +49,33 @@ class CostModel:
         if not trusted:
             return base
         return round(base * self.epc_penalty)
+
+    def gc_cycles(self, nbytes: int, trusted: bool) -> int:
+        """Price one collection that visited nbytes of heap."""
+        return self.scaled(nbytes * self.field_access_cost, trusted)
+
+    def price(self, iso) -> dict[str, int]:
+        """An isolate's cycles by source, one entry per source with an event
+        (even at price 0); compute and gc round per event, per base amount."""
+        scaled, trusted, out = self.scaled, iso.trusted, {}
+        if iso.ecalls or iso.ocalls:
+            out["transition"] = (iso.ecalls * self.ecall_cost
+                                 + iso.ocalls * self.ocall_cost)
+        if iso.bytes_serialized:
+            out["serialize"] = iso.bytes_serialized * self.serialize_per_byte
+        if iso.allocations:
+            out["alloc"] = iso.allocations * scaled(self.alloc_cost, trusted)
+        if iso.field_accesses:
+            out["field"] = iso.field_accesses * scaled(self.field_access_cost, trusted)
+        if iso.compute_units:
+            out["compute"] = sum(n * scaled(units * self.compute_unit_cost, trusted)
+                                 for units, n in iso.compute_units.items())
+        if iso.gc_bytes:
+            out["gc"] = sum(n * self.gc_cycles(nbytes, trusted)
+                            for nbytes, n in iso.gc_bytes.items())
+        if iso.io_writes:
+            out["io"] = iso.io_writes * self.io_write_cost
+        return out
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(CostModel)}

@@ -166,15 +166,15 @@ class DualRuntime:
         return self.result()
 
     def result(self) -> ExecutionResult:
+        priced = {side: iso.cycles_by_source for side, iso in self.isolates.items()}
         return ExecutionResult(
             transcript=list(self.transcript),
             vfs=dict(self.vfs),
-            metrics={side: iso.metrics for side, iso in self.isolates.items()},
+            metrics={s: self.isolates[s].counters(c) for s, c in priced.items()},
             trace=list(self.trace),
             shim_ocalls=self.shim_ocalls,
             remove_calls=self.remove_calls,
-            cycles_by_source={side: dict(iso.cycles_by_source)
-                              for side, iso in self.isolates.items()},
+            cycles_by_source=priced,
         )
 
     # -- python-level api (used by benchmarks and tests) ----------------------
@@ -216,10 +216,6 @@ class DualRuntime:
 
     def force_gc(self, side: str, scan: bool = True) -> GcStats:
         return self.collect(self.isolates[side], scan)
-
-    def total_cycles(self) -> int:
-        return sum(sum(iso.cycles_by_source.values())
-                   for iso in self.isolates.values())
 
     def registry_hashes(self, side: str) -> set[int]:
         return set(self.isolates[side].registry)
@@ -300,9 +296,7 @@ class DualRuntime:
         else:
             caller.ocalls += 1
             cost = self.model.ocall_cost
-        caller.charge("transition", cost)
-        if request:
-            caller.charge_serialize(len(request))
+        caller.bytes_serialized += len(request)
         event = None
         if self.traced:
             event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
@@ -322,8 +316,7 @@ class DualRuntime:
             raise
         finally:
             self.depth -= 1
-        if response:
-            target.charge_serialize(len(response))
+        target.bytes_serialized += len(response)
         if event is not None:
             event.nbytes += len(response)
             if hash_out is not None:
@@ -395,7 +388,7 @@ class DualRuntime:
 
     def _file_write(self, iso: Isolate, args: list) -> None:
         self.vfs[args[0]] = args[1]
-        iso.charge("io", self.model.io_write_cost)
+        iso.io_writes += 1
 
     def _file_read(self, iso: Isolate, args: list) -> str:
         path = args[0]

@@ -3,8 +3,8 @@
 Each isolate owns an explicit heap (a list of objects), an execution stack of
 frames, the mirror-proxy registry (strong GC roots), and a table of the
 proxies it created.  The table does not keep its proxies alive: the collector
-does not trace it, and a proxy it sweeps stays in the table marked swept
-until a scan drops it.
+does not trace it, and a proxy it sweeps stays in the table marked swept until
+a scan drops it.  Events are counted here; the cost model prices them on read.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class Frame:
 
 
 class Isolate:
-    """One simulated runtime: heap, stack, registry, metrics, cost account."""
+    """One simulated runtime: heap, stack, registry and event counts."""
 
     def __init__(self, side: str, model: CostModel):
         assert side in (TRUSTED, UNTRUSTED)
@@ -140,39 +140,34 @@ class Isolate:
         # reuse looks here, the GC helper's scan drops the swept ones.  Not
         # a GC root.
         self.proxy_table: dict[int, ProxyObj] = {}
-        self.cycles_by_source: dict[str, int] = {}
         self.ecalls = 0
         self.ocalls = 0
         self.bytes_serialized = 0
         self.allocations = 0
         self.gc_runs = 0
+        self.field_accesses = 0
+        self.io_writes = 0
+        self.compute_units: dict[int, int] = {}  # units -> compute events
+        self.gc_bytes: dict[int, int] = {}  # bytes visited -> collections
         self.hash_counter = 0
         self.bytes_since_gc = 0
         self.collections_since_scan = 0
 
     @property
+    def cycles_by_source(self) -> dict[str, int]:
+        return self.model.price(self)
+
+    @property
     def metrics(self) -> MetricCounters:
         """A snapshot of the counters, computed from their sources on read."""
-        by_source = self.cycles_by_source
+        return self.counters(self.cycles_by_source)
+
+    def counters(self, by_source: dict[str, int]) -> MetricCounters:
         return MetricCounters(
             self.ecalls, self.ocalls, self.bytes_serialized, self.allocations,
             self.gc_runs, by_source.get("gc", 0), len(self.registry),
             sum(not p.swept for p in self.proxy_table.values()),
             sum(by_source.values()))
-
-    # -- cost accounting ----------------------------------------------------
-
-    def charge(self, source: str, cycles: int) -> None:
-        self.cycles_by_source[source] = self.cycles_by_source.get(source, 0) + cycles
-
-    def charge_scaled(self, source: str, base: int) -> int:
-        cycles = self.model.scaled(base, self.trusted)
-        self.charge(source, cycles)
-        return cycles
-
-    def charge_serialize(self, nbytes: int) -> None:
-        self.bytes_serialized += nbytes
-        self.charge("serialize", self.model.serialize_per_byte * nbytes)
 
     # -- allocation -----------------------------------------------------------
 
@@ -181,7 +176,6 @@ class Isolate:
         self.bytes_since_gc += obj.size_bytes()
         if charged:
             self.allocations += 1
-            self.charge_scaled("alloc", self.model.alloc_cost)
         return obj
 
     def grow_list(self, lst: ListObj, item) -> None:
@@ -252,7 +246,6 @@ class Isolate:
                     push(v)
 
         live: list[HeapObject] = []
-        swept_objects = 0
         swept_bytes = 0
         live_bytes = 0
         for obj in self.heap:
@@ -262,17 +255,17 @@ class Isolate:
                 live_bytes += obj.size_bytes()
             else:
                 obj.swept = True
-                swept_objects += 1
                 swept_bytes += obj.size_bytes()
+        swept_objects = len(self.heap) - len(live)
         self.heap = live
 
-        cycles = self.model.scaled(
-            (swept_bytes + live_bytes) * self.model.field_access_cost, self.trusted)
+        visited = swept_bytes + live_bytes
         self.gc_runs += 1
-        self.charge("gc", cycles)
+        self.gc_bytes[visited] = self.gc_bytes.get(visited, 0) + 1
         self.bytes_since_gc = 0
         self.collections_since_scan += 1
-        return GcStats(swept_objects, swept_bytes, len(live), live_bytes, cycles)
+        return GcStats(swept_objects, swept_bytes, len(live), live_bytes,
+                       self.model.gc_cycles(visited, self.trusted))
 
     def pop_cleared_proxies(self) -> list[ProxyObj]:
         """Drop the swept proxies from the table; returns them in adoption

@@ -12,12 +12,12 @@ binary operand, a call argument, the value of a declaration, assignment or
 return), and so is a call receiver that is a bound Var.  An unbound Var
 still goes through eval_var, for its fault.
 
-What is fixed for a run is worked out once: the EPC-scaled price of a field
-access, charged straight into the isolate's cycles_by_source; the method
-table, ast.method_table's, built with the interpreter; and each class's
-layout (field defaults and constructor), kept from its first instantiation.
-A call reads a hit from the table itself and leaves a miss to method, which
-faults.
+Nothing is priced here: a field access or list len/get/append adds one to
+the isolate's field_accesses, and the cost model prices counts on read.
+What is fixed for a run is worked out once: the method table,
+ast.method_table's, and each class's layout (field defaults and
+constructor), kept from its first instantiation.  A call reads a hit from
+the table itself and leaves a miss to method, which faults.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
@@ -91,10 +91,6 @@ class Interpreter:
         self.classes = {c.name: c for c in classes}
         self.context = context
         self.gc_threshold = context.gc_threshold
-        self.field_cost = isolate.model.scaled(
-            isolate.model.field_access_cost, isolate.trusted)
-        # charged inline, as Isolate.charge would
-        self.cycles_by_source = isolate.cycles_by_source
         self.methods = ast.method_table(self.classes)
         # class name -> (field defaults, List field names, constructor)
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
@@ -228,8 +224,7 @@ class Interpreter:
             if name not in values:  # a tampered image can name any field
                 raise DslRuntimeError(f"{this.decl.name} has no field {name}")
             values[name] = value
-            by_source = self.cycles_by_source
-            by_source["field"] = by_source.get("field", 0) + self.field_cost
+            self.isolate.field_accesses += 1
 
     def exec_expr(self, s: ast.ExprStmt, frame: Frame) -> None:
         e = s.expr
@@ -274,8 +269,7 @@ class Interpreter:
         if v is UNSET:
             raise DslRuntimeError(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
-        by_source = self.cycles_by_source
-        by_source["field"] = by_source.get("field", 0) + self.field_cost
+        self.isolate.field_accesses += 1
         return v
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
@@ -383,20 +377,20 @@ class Interpreter:
             del temps[base:]
 
     def eval_list_method(self, lst: ListObj, e: ast.MethodCall, args: list):
-        by_source = self.cycles_by_source
+        iso = self.isolate
         if e.method == "len":
-            by_source["field"] = by_source.get("field", 0) + self.field_cost
+            iso.field_accesses += 1
             return len(lst.items)
         if e.method == "get":
             idx = args[0]
             if not 0 <= idx < len(lst.items):
                 raise DslRuntimeError(
                     f"list index {idx} out of range for length {len(lst.items)}")
-            by_source["field"] = by_source.get("field", 0) + self.field_cost
+            iso.field_accesses += 1
             return lst.items[idx]
         if e.method == "append":
-            self.isolate.grow_list(lst, args[0])
-            by_source["field"] = by_source.get("field", 0) + self.field_cost
+            iso.grow_list(lst, args[0])
+            iso.field_accesses += 1
             return None
         raise DslRuntimeError(f"lists have no method {e.method}")
 
@@ -409,7 +403,7 @@ class Interpreter:
                 units = args[0]
                 if units < 0:
                     raise DslRuntimeError("compute of a negative unit count")
-                iso.charge_scaled("compute", units * iso.model.compute_unit_cost)
+                iso.compute_units[units] = iso.compute_units.get(units, 0) + 1
                 return None
             if e.name == "gc":
                 self.context.collect(iso, force_scan=True)
@@ -455,12 +449,11 @@ def _bad_operands(op: str) -> DslRuntimeError:
 
 
 def _add(left, right):
+    v = left + right
     if left.__class__ is str:
-        v = left + right
         if len(v) > MAX_STR_CHARS:
             raise DslRuntimeError(f"string longer than {MAX_STR_CHARS >> 20} MiB")
         return v
-    v = left + right
     if _I64_MIN <= v <= _I64_MAX:
         return v
     return wrap64(v)

@@ -202,6 +202,19 @@ class Main {
         assert main(["run", str(plan), "--gc-scan", "sometimes"]) == 1
         assert "every-k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [
+        "every-k=٣",  # a digit of another script
+        "every-k=" + "9" * 5000,  # more digits than int() reads
+    ], ids=["arabic-indic-digit", "5000-digits"])
+    def test_gc_scan_takes_only_ascii_digits_int_reads(self, bank_dir, capsys,
+                                                       value):
+        _, plan = bank_dir
+        assert main(["run", str(plan), "--gc-scan", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"bad --gc-scan value {value!r}, "
+                                "expected every-k=<positive int>\n")
+
     def test_live_gc_is_an_alias(self, bank_dir, tmp_path, capsys):
         _, plan = bank_dir
         outputs = []

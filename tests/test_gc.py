@@ -5,7 +5,7 @@ import pytest
 from epart.bench import generate_program
 from epart.dsl import parse_program
 from epart.errors import EpartError
-from epart.partition import compute_images
+from epart.partition import compute_images, whole_program_plan
 from epart.runtime import DEFAULT_GC_THRESHOLD, DualRuntime
 from epart.runtime.costmodel import CostModel
 from epart.runtime.heap import (
@@ -111,6 +111,42 @@ class TestCollections:
         quiet = DualRuntime(plan_of(src), gc_threshold=NO_GC).run_main()
         assert quiet.metrics[UNTRUSTED].gc_runs == 1
         assert quiet.transcript == res.transcript
+
+    def test_a_loop_iteration_ends_at_a_safepoint(self):
+        """An empty loop body has no statement to end at, so only the
+        safepoint after each iteration collects what the condition
+        allocated after its last call.  In the partitioned run count()
+        runs on the trusted side, so no later safepoint of the untrusted
+        side stands in for it."""
+        program = parse_program("""
+@Trusted
+class Counter {
+    n: Int;
+    Counter() { }
+    count() -> Int {
+        this.n = this.n + 1;
+        return this.n;
+    }
+}
+@Untrusted
+class Main {
+    static main() {
+        var c: Counter = new Counter();
+        while (c.count() < [1, 2, 3].len()) { }
+        print(c.count());
+    }
+}
+""")
+        runs = {}
+        for mode, plan in (("partitioned", compute_images(program)),
+                           ("enclave", whole_program_plan(program, enclave=True)),
+                           ("reference", whole_program_plan(program, enclave=False))):
+            res = DualRuntime(plan, gc_threshold=40).run_main()
+            assert res.transcript == ["4"], mode
+            runs[mode] = {side: m.gc_runs for side, m in res.metrics.items()}
+        assert runs == {"partitioned": {TRUSTED: 0, UNTRUSTED: 3},
+                        "enclave": {TRUSTED: 3, UNTRUSTED: 0},
+                        "reference": {UNTRUSTED: 3}}
 
     def test_explicit_gc_collects_calling_side_only(self):
         src = CHURN_SRC.replace("d.churnTrusted(2);", "d.churnTrusted(40);")

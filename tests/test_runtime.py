@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -979,3 +980,115 @@ class Main {
 """), REPRICED)
         rt.run_main()
         assert rt.isolates[TRUSTED].cycles_by_source["alloc"] == 12
+
+
+# Each price and the cycle sources it prices; epc_penalty scales the trusted
+# side's memory-bound sources only.
+PRICED_SOURCES = {
+    "ecall_cost": {"transition"}, "ocall_cost": {"transition"},
+    "alloc_cost": {"alloc"}, "field_access_cost": {"field", "gc"},
+    "serialize_per_byte": {"serialize"}, "compute_unit_cost": {"compute"},
+    "io_write_cost": {"io"},
+}
+PENALIZED_SOURCES = {"alloc", "field", "compute", "gc"}
+
+
+class TestPricesAreAViewOfARun:
+    """A run's events do not depend on prices.  So under another model a
+    program does and counts the same, the model's price of the default
+    run's counts is the rerun's bill, and only the sources the changed
+    price prices move."""
+
+    VARIANTS = [(key, value) for key in PRICED_SOURCES for value in (0, 3)] + [
+        ("epc_penalty", 1.25), ("epc_penalty", 1.5)]
+
+    @staticmethod
+    def corpus() -> list[str]:
+        return ([generate_program(i) for i in range(30)]
+                + [generate_synthetic(SyntheticSpec(
+                    n_classes=20, pct_untrusted=50, workload=w, seed=0))
+                   for w in ("io", "cpu")]
+                + [p.read_text(encoding="utf-8")
+                   for p in sorted(FIXTURES.glob("*.ep"))])
+
+    @staticmethod
+    def run(plan, model: CostModel):
+        rt = DualRuntime(plan, model)
+        try:
+            rt.run_main([])
+            fault = ""
+        except DslRuntimeError as e:
+            fault = e.formatted()
+        except EpartError as e:
+            fault = str(e)
+        return rt, rt.result(), fault
+
+    @staticmethod
+    def moved(key: str, side: str) -> set[str]:
+        if key == "epc_penalty":
+            return PENALIZED_SOURCES if side == TRUSTED else set()
+        return PRICED_SOURCES[key]
+
+    def test_repricing_a_run_equals_running_it_again(self):
+        default = CostModel()
+        assert len(self.VARIANTS) == 16
+        moves = dict.fromkeys(self.VARIANTS, 0)
+        billed = set()
+        for source in self.corpus():
+            program = parse_program(source)
+            for plan in (compute_images(program),
+                         whole_program_plan(program, enclave=True),
+                         whole_program_plan(program, enclave=False)):
+                rt, base, fault = self.run(plan, default)
+                billed |= {s for by_source in base.cycles_by_source.values()
+                           for s in by_source}
+                for key, value in self.VARIANTS:
+                    variant = dataclasses.replace(default, **{key: value})
+                    _, res, refault = self.run(plan, variant)
+                    assert (res.transcript, res.vfs, refault) == \
+                        (base.transcript, base.vfs, fault)
+                    for side, iso in rt.isolates.items():
+                        was = base.cycles_by_source[side]
+                        now = res.cycles_by_source[side]
+                        assert variant.price(iso) == now
+                        assert now.keys() == was.keys()
+                        kept = now.keys() - self.moved(key, side)
+                        assert {s: now[s] for s in kept} == \
+                            {s: was[s] for s in kept}, (key, side)
+                        moves[key, value] += now != was
+        assert billed == {"transition", "serialize", "alloc", "field",
+                          "compute", "gc", "io"}
+        assert all(moves.values()), moves
+
+    def test_an_event_priced_zero_keeps_its_entry(self):
+        res = run_dual("""
+@Untrusted
+class Main {
+    static main() {
+        compute(0);
+        gc();
+    }
+}
+""")
+        assert res.cycles_by_source == {TRUSTED: {},
+                                        UNTRUSTED: {"compute": 0, "gc": 0}}
+
+    def test_compute_events_round_one_by_one(self):
+        """compute(2) twice in the enclave at penalty 1.25 bills 2 + 2
+        (2.5 rounds half to even), not round(4 * 1.25) = 5."""
+        res = run_dual("""
+@Trusted
+class Work {
+    Work() {
+        compute(2);
+        compute(2);
+    }
+}
+@Untrusted
+class Main {
+    static main() {
+        var w: Work = new Work();
+    }
+}
+""", model=CostModel(epc_penalty=1.25))
+        assert res.cycles_by_source[TRUSTED] == {"alloc": 12, "compute": 4}
