@@ -290,15 +290,15 @@ class DualRuntime:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
                 f"entering {relay.relay_id}")
-        if relay.direction == "ecall":
+        ecall = relay.direction == "ecall"
+        if ecall:
             caller.ecalls += 1
-            cost = self.model.ecall_cost
         else:
             caller.ocalls += 1
-            cost = self.model.ocall_cost
         caller.bytes_serialized += len(request)
         event = None
         if self.traced:
+            cost = self.model.ecall_cost if ecall else self.model.ocall_cost
             event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
                                relay.relay_id, hash_value, len(request), cost)
             self.trace.append(event)
