@@ -6,9 +6,13 @@ stdout, stderr and exit code of `partition`, `inspect trusted`, `inspect
 untrusted`, `run --trace transitions --metrics F --dump-fs D`,
 `run-unpartitioned --trace transitions --metrics F` and `compare`, and the
 plan, metrics and dumped files they write.  It also covers the CSV that
-`bench --suite S --seed 0` prints for each suite S, as bench/S.csv.  The
-commands run in process, in a scratch directory and with relative paths, so
-no artifact names a directory of the machine.
+`bench --suite S --seed 0` prints for each suite S, as bench/S.csv, and,
+for each perfbench workload W at `tiny` size and seed 41, the JSON of
+every operation's simulated cycles and pass counts as perfbench's
+harness.run_unit counts them (bytes_serialized, ecalls, ocalls and
+remove_calls among them), as perfbench/W.json.  The commands run in
+process, in a scratch directory and with relative paths, so no artifact
+names a directory of the machine.
 
 tests/test_golden.py checks tests/golden/manifest.json against a fresh
 collection.  After a deliberate change of output, regenerate it with
@@ -28,11 +32,20 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import epart
+from epart import bench, runtime
 from epart.bench import SUITES
-from epart.cli import main as epart
+from epart.cli import main as epart_main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from harness import run_unit  # noqa: E402
+from tracing import Tracer  # noqa: E402
+from workloads import SIZES, WORKLOADS  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH_SEED = 41
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 NAMES = ("bank", "every_node", "public_field")
 
@@ -53,7 +66,7 @@ def _run(argv: list[str]) -> tuple[bytes, bytes, bytes]:
     """The stdout, stderr and exit code of one command, run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = epart(argv)
+        code = epart_main(argv)
     return (out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"),
             str(code).encode("ascii"))
 
@@ -74,6 +87,30 @@ def _artifacts(name: str) -> dict[str, bytes]:
     return found
 
 
+def _perfbench_counts(name: str, workdir: Path) -> bytes:
+    """Every operation's counts of one perfbench workload, tiny size, as
+    JSON; the run must pass the harness's oracle."""
+    api = SimpleNamespace(
+        parse_program=epart.parse_program, validate=epart.validate,
+        compute_images=epart.compute_images, emit=epart.emit,
+        load_plan=epart.load_plan, DualRuntime=epart.DualRuntime,
+        run_reference=epart.run_reference,
+        run_unpartitioned=epart.run_unpartitioned,
+        generate_program=bench.generate_program,
+        generate_synthetic=bench.generate_synthetic,
+        SyntheticSpec=bench.SyntheticSpec,
+        TRUSTED=runtime.TRUSTED, UNTRUSTED=runtime.UNTRUSTED)
+    workload = WORKLOADS[name](api, PERFBENCH_SEED, SIZES["tiny"])
+    counts = []
+    for op in workload.ops:
+        for unit in op:
+            r = run_unit(api, unit, Tracer(False), "op", workdir)
+            if r["problems"]:
+                raise AssertionError(f"{name}: {r['problems']}")
+            counts.append(r["counts"])
+    return json.dumps(counts, sort_keys=True).encode("utf-8")
+
+
 def collect() -> dict[str, str]:
     """Artifact name -> SHA-256 hex digest, over every fixture."""
     digests: dict[str, str] = {}
@@ -91,6 +128,10 @@ def collect() -> dict[str, str]:
     for suite in SUITES:
         csv = _run(["bench", "--suite", suite, "--seed", "0"])[0]
         digests[f"bench/{suite}.csv"] = hashlib.sha256(csv).hexdigest()
+    for name in WORKLOADS:
+        with tempfile.TemporaryDirectory() as tmp:
+            data = _perfbench_counts(name, Path(tmp))
+        digests[f"perfbench/{name}.json"] = hashlib.sha256(data).hexdigest()
     return digests
 
 
