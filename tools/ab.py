@@ -19,10 +19,13 @@ every operation; the tool stops at the first that does not.  For each phase
 over the pair and records change / parent.
 
 Both copies share one heap and one cyclic garbage collector, so garbage
-one side leaves behind can be collected while the other runs.  The order
-alternates, so such a cost lands on both sides alike over the pairs.  This
-cannot separate peak memory or set-up time; use separate-process runs of
-perfbench/run.py for those.
+one side leaves behind could be collected while the other runs.  The tool
+calls gc.collect() before each side runs an operation, outside the timed
+phases, so each side starts with no cyclic garbage left by the other; a
+collection its own operation triggers still counts in its time.  The
+order alternates, so what remains lands on both sides alike over the
+pairs.  This cannot separate peak memory or set-up time; use
+separate-process runs of perfbench/run.py for those.
 
 The JSON (to FILE, or stdout) holds, per phase, each pair's ratio and
 times, the median ratio, its quartiles and the pairs the change won.  A
@@ -33,6 +36,7 @@ hand, not a test.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -120,6 +124,7 @@ def run_pairs(sides: dict, ops: int, pairs: int, tmp: Path) -> dict:
                 api, wl = sides[side]
                 workdir = tmp / f"work_{side}"
                 for unit in wl.ops[idx]:
+                    gc.collect()  # untimed: start clear of the other side
                     r = run_unit(api, unit, tr, "op", workdir)
                     if r["problems"]:
                         raise SystemExit(f"{side} op {idx}: {r['problems']}")
