@@ -8,19 +8,20 @@ crossing is a call of one relay through DualRuntime.cross: constructor and
 instance-method relays of annotated classes, the host shims __host__.print,
 __host__.file_write and __host__.file_read, and <Class>.release for a
 mirror whose proxy was swept.  The caller pays the ecall/ocall cost,
-arguments travel as canonical wire bytes, and serialization is charged to
-whichever side encoded the bytes.  Transition framing (context and hash
-words) rides for free; unit responses carry no payload at all.  A runtime
+arguments are billed at the length of their canonical wire encoding, and
+serialization is charged to whichever side sends them.  Transition framing
+(context and hash words) rides for free; unit responses carry no payload
+at all.  A runtime
 built with trace=True also keeps one TraceEvent per crossing; without it a
 crossing does only the work it bills.
 
-A crossing marshals in one pass each way.  wire.encode_values writes the
-arguments' bytes as it walks them, before the transition is billed, so a
-value that cannot cross fails first; wire.decode_values builds the target's
-heap objects straight from those bytes, after the mirror check; the result
-goes back the same way.  The byte format lives in wire.py; this module
-keeps the landing policy it calls back into: home_hash, resolve_href and
-decl_for_id.
+A crossing builds no bytes.  wire.measure walks the arguments for the
+length of their encoding before the transition is billed, so a value that
+cannot cross fails first; wire.land builds the target's heap objects from
+the caller's values, after the mirror check, as decoding that encoding
+would; the result goes back the same way.  wire.py defines the format;
+this module keeps the landing policy the walks call back into: home_hash,
+resolve_href and decl_for.
 
 Object identity across the boundary is a 64-bit hash minted by an
 object's home isolate at first exposure.  The home side keeps the hash
@@ -136,7 +137,6 @@ class DualRuntime:
             self.interps[side] = Interpreter(self.isolates[side],
                                              image.classes, context)
         self.class_ids = plan.class_ids
-        self.class_names = {i: n for n, i in plan.class_ids.items()}
         # side -> the isolate its crossings land on
         isolates = self.isolates
         self.peers = {TRUSTED: isolates[UNTRUSTED],
@@ -224,7 +224,7 @@ class DualRuntime:
         iso = self.isolates[side]
         return {h for h, p in iso.proxy_table.items() if not p.swept}
 
-    # -- landing policy (wire.encode_values and decode_values call these) -----
+    # -- landing policy (wire.measure and wire.land call these) ---------------
 
     def home_hash(self, iso: Isolate, obj: InstanceObj) -> int:
         """The hash `iso` sends for one of its own objects: its pairing,
@@ -235,21 +235,15 @@ class DualRuntime:
             iso.register_mirror(h, obj)
         return h
 
-    def _class_name(self, class_id: int) -> str:
-        name = self.class_names.get(class_id)
-        if name is None:
-            raise MarshalError(f"unknown class id {class_id}")
-        return name
-
-    def decl_for_id(self, iso: Isolate, class_id: int) -> ast.ClassDecl:
-        name = self._class_name(class_id)
+    def decl_for(self, iso: Isolate, name: str) -> ast.ClassDecl:
+        """The class a neutral payload of class `name` lands as on `iso`."""
         decl = self.interps[iso.side].classes.get(name)
         if decl is None:
             raise MarshalError(f"class {name} is not present in the "
                                f"{iso.side} image")
         return decl
 
-    def resolve_href(self, iso: Isolate, h: int, class_id: int):
+    def resolve_href(self, iso: Isolate, h: int, class_name: str):
         """A hash arriving at `iso`: mirror lookup at home, proxy elsewhere."""
         home = TRUSTED if (h >> 63) & 1 else UNTRUSTED
         if home == iso.side:
@@ -260,7 +254,7 @@ class DualRuntime:
         proxy = iso.proxy_table.get(h)
         if proxy is not None and not proxy.swept:
             return proxy
-        proxy = ProxyObj(self._class_name(class_id), h)
+        proxy = ProxyObj(class_name, h)
         iso.alloc(proxy, charged=False)
         iso.adopt_proxy(proxy)
         return proxy
@@ -285,7 +279,7 @@ class DualRuntime:
             raise InterfaceMismatch(
                 f"{relay.relay_id} takes {len(relay.param_kinds)} "
                 f"argument(s), not {len(args)}")
-        request = wire.encode_values(args, caller, self)
+        request = wire.measure(args, caller, self)
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
@@ -295,35 +289,34 @@ class DualRuntime:
             caller.ecalls += 1
         else:
             caller.ocalls += 1
-        caller.bytes_serialized += len(request)
+        caller.bytes_serialized += request
         event = None
         if self.traced:
             cost = self.model.ecall_cost if ecall else self.model.ocall_cost
             event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
-                               relay.relay_id, hash_value, len(request), cost)
+                               relay.relay_id, hash_value, request, cost)
             self.trace.append(event)
         self.depth += 1
         try:
             if hash_value and hash_value not in target.registry:
                 raise StaleMirror(hash_value)
-            values = wire.decode_values(request, len(relay.param_kinds),
-                                        target, self)
+            values = wire.land(args, caller, target, self)
             result, hash_out = serve(target, relay, hash_value, values)
-            response = b"" if relay.return_kind is _UNIT \
-                else wire.encode_values((result,), target, self)
+            unit = relay.return_kind is _UNIT
+            response = 0 if unit else wire.measure((result,), target, self)
         except DslRuntimeError as e:
             e.trace.append(f"-- {relay.direction} boundary {relay.relay_id} --")
             raise
         finally:
             self.depth -= 1
-        target.bytes_serialized += len(response)
+        target.bytes_serialized += response
         if event is not None:
-            event.nbytes += len(response)
+            event.nbytes += response
             if hash_out is not None:
                 event.hash_value = hash_out
-        if not response:
+        if unit:
             return None, hash_out
-        return wire.decode_values(response, 1, caller, self)[0], hash_out
+        return wire.land((result,), target, caller, self)[0], hash_out
 
     def _relay(self, iso: Isolate, class_name: str,
                method_name: str) -> RelayMethodDef:

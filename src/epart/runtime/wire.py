@@ -13,28 +13,33 @@ Every value has exactly one encoding and decoding rejects anything else
 (unknown tags, bool bytes above 1, invalid UTF-8, truncation, trailing
 bytes), so encoding is a bijection between values and their byte strings.
 
-Two codecs write and read this format.
+The tuple codec (encode, decode, decode_prefix) defines the format.  It
+maps structural tuples, independent of any heap, to bytes and back:
+  ("unit",) ("int", v) ("bool", b) ("str", s) ("list", [wv...])
+  ("href", hash, class_id) ("neutral", class_id, [wv...])
+The tests tie the runtime walks below to it, and the benchmark's wire
+probe times it.
 
-The runtime codec is what a crossing runs.  encode_values walks runtime
-values (str, int, bool, None, ListObj, InstanceObj, ProxyObj) and appends
-their bytes to one bytearray as it goes; decode_values builds heap objects
-straight from the bytes.  Neither builds an intermediate tree.  The landing
-policy comes from the runtime `rt` they are given:
+A crossing builds no bytes.  Both sides live in one process, so the
+runtime walks the live values (str, int, bool, None, ListObj, InstanceObj,
+ProxyObj) twice instead:
+  measure(values, iso, rt)      the length of their canonical encoding,
+                                which the crossing bills; it raises every
+                                fault encoding would and mints hashes in
+                                the same order
+  land(values, src, iso, rt)    what decoding that encoding on iso would
+                                build: Str, Int and Bool shared, a list
+                                allocated after its items and a neutral
+                                object before its fields, both uncharged
+The landing policy comes from the runtime `rt` they are given:
   rt.class_ids                      class name -> wire class id; a value
                                     of a class it lacks cannot cross
   rt.home_hash(iso, obj)            the hash of a home object, minted on
                                     first exposure
-  rt.resolve_href(iso, h, class_id) what an arriving hash lands as
-  rt.decl_for_id(iso, class_id)     the neutral class a payload names
+  rt.resolve_href(iso, h, name)     what an arriving hash lands as
+  rt.decl_for(iso, name)            the neutral class a payload names
 A neutral object is sent by value: a cycle through lists or neutral fields,
-or an unset field, cannot cross.  A decoded list is allocated after its
-items, a neutral object before its fields, both uncharged.
-
-The tuple codec (encode, decode, decode_prefix) is the format's reference
-implementation, kept for tests and the benchmark's wire probe.  It maps
-structural tuples, independent of any heap, to bytes and back:
-  ("unit",) ("int", v) ("bool", b) ("str", s) ("list", [wv...])
-  ("href", hash, class_id) ("neutral", class_id, [wv...])
+or an unset field, cannot cross.
 """
 
 from __future__ import annotations
@@ -79,163 +84,113 @@ _NEUTRAL_CLASS = Annotation.NEUTRAL
 _CYCLIC = "cyclic value cannot cross the boundary"
 
 
-# -- runtime codec --------------------------------------------------------------
+# -- runtime walks --------------------------------------------------------------
 
-def encode_values(values, iso, rt) -> bytearray:
-    """The bytes of `values`, back to back, as `iso` sends them."""
-    out = bytearray()
+def measure(values, iso, rt) -> int:
+    """The length of the canonical encoding of `values`, back to back, as
+    `iso` sends them; mints the hashes of home objects first exposed."""
     path: set[int] = set()  # ids of the lists and neutral objects being walked
+    size = 0
     for value in values:
-        _write(out, value, iso, rt, path)
-    return out
+        size += _size(value, iso, rt, path)
+    return size
 
 
-def _write(out: bytearray, value, iso, rt, path: set[int]) -> None:
+def _size(value, iso, rt, path: set[int]) -> int:
     cls = value.__class__  # exact classes: a bool is not an int here
     if cls is str:
-        try:
-            data = value.encode("utf-8")
-        except UnicodeEncodeError as e:  # a lone surrogate, from the host
-            raise MarshalError(f"Str is not UTF-8 text: {e.reason}") from None
-        out += _LEN.pack(TAG_STR, len(data))
-        out += data
-    elif cls is int:
+        return 5 + _utf8_len(value)
+    if cls is int:
         if not _I64_MIN <= value <= _I64_MAX:
             raise MarshalError(f"integer {value} out of 64-bit range")
-        out += _INT.pack(TAG_INT, value)
-    elif cls is ListObj:
+        return 9
+    if cls is ListObj:
         key = id(value)
         if key in path:
             raise MarshalError(_CYCLIC)
         path.add(key)
-        items = value.items
-        out += _LEN.pack(TAG_LIST, len(items))
-        for item in items:
-            _write(out, item, iso, rt, path)
+        size = 5
+        for item in value.items:
+            if item.__class__ is str and item.isascii():
+                size += 5 + len(item)
+            else:
+                size += _size(item, iso, rt, path)
         path.discard(key)
-    elif cls is ProxyObj:
-        out += _HASHREF.pack(TAG_HASHREF, value.hash_value,
-                             _class_id(rt, value.class_name))
-    elif cls is InstanceObj:
+        return size
+    if cls is ProxyObj:
+        _check_class(rt, value.class_name)
+        return 13
+    if cls is InstanceObj:
         decl = value.decl
-        if decl.annotation is _NEUTRAL_CLASS:
-            key = id(value)
-            if key in path:
-                raise MarshalError(_CYCLIC)
-            path.add(key)
-            fields = value.values
-            out += _NEUTRAL.pack(TAG_NEUTRAL, _class_id(rt, decl.name),
-                                 len(decl.fields))
-            for f in decl.fields:
-                v = fields[f.name]
-                if v is UNSET:
-                    raise MarshalError(f"unset field {decl.name}.{f.name} "
-                                       "cannot cross the boundary")
-                _write(out, v, iso, rt, path)
-            path.discard(key)
-        else:
-            class_id = _class_id(rt, decl.name)
-            out += _HASHREF.pack(TAG_HASHREF, rt.home_hash(iso, value),
-                                 class_id)
-    elif cls is bool:
-        out += _B_TRUE if value else _B_FALSE
-    elif value is None:
-        out += _B_UNIT
-    else:
-        raise MarshalError(f"cannot marshal {value!r}")
-
-
-def _class_id(rt, name: str) -> int:
-    try:
-        return rt.class_ids[name]
-    except KeyError:
-        raise MarshalError(f"unknown class {name}") from None
-
-
-def decode_values(data, count: int, iso, rt) -> list:
-    """Land exactly `count` back-to-back values on `iso`; all of `data` must
-    be consumed."""
-    values = []
-    pos = 0
-    for _ in range(count):
-        value, pos = _read(data, pos, iso, rt)
-        values.append(value)
-    if pos != len(data):
-        raise MarshalError(f"{len(data) - pos} trailing byte(s) after sequence")
-    return values
-
-
-def _read(data, pos: int, iso, rt):
-    """One value starting at pos, landed on iso: (value, next pos)."""
-    size = len(data)
-    if pos >= size:
-        raise MarshalError("truncated wire data")
-    tag = data[pos]
-    pos += 1
-    if tag == TAG_STR:
-        if pos + 4 > size:
-            raise MarshalError("truncated Str length")
-        end = pos + 4 + _I.unpack_from(data, pos)[0]
-        if end > size:
-            raise MarshalError("truncated Str payload")
-        return _utf8(data, pos + 4, end), end
-    if tag == TAG_INT:
-        if pos + 8 > size:
-            raise MarshalError("truncated Int")
-        return _Q.unpack_from(data, pos)[0], pos + 8
-    if tag == TAG_HASHREF:
-        if pos + 12 > size:
-            raise MarshalError("truncated HashRef")
-        h, class_id = _QI.unpack_from(data, pos)
-        return rt.resolve_href(iso, h, class_id), pos + 12
-    if tag == TAG_LIST:
-        if pos + 4 > size:
-            raise MarshalError("truncated List count")
-        (n,) = _I.unpack_from(data, pos)
-        pos += 4
-        items = []
-        for _ in range(n):
-            item, pos = _read(data, pos, iso, rt)
-            items.append(item)
-        lst = ListObj(items)
-        iso.alloc(lst, charged=False)
-        return lst, pos
-    if tag == TAG_NEUTRAL:
-        if pos + 8 > size:
-            raise MarshalError("truncated NeutralObject header")
-        class_id, n = _II.unpack_from(data, pos)
-        pos += 8
-        decl = rt.decl_for_id(iso, class_id)
-        if n != len(decl.fields):
-            raise MarshalError(f"{decl.name} payload has {n} fields, "
-                               f"expected {len(decl.fields)}")
-        obj = InstanceObj(decl)
-        iso.alloc(obj, charged=False)
-        fields = obj.values
+        if decl.annotation is not _NEUTRAL_CLASS:
+            _check_class(rt, decl.name)
+            rt.home_hash(iso, value)
+            return 13
+        key = id(value)
+        if key in path:
+            raise MarshalError(_CYCLIC)
+        path.add(key)
+        _check_class(rt, decl.name)
+        fields = value.values
+        size = 9
         for f in decl.fields:
-            fields[f.name], pos = _read(data, pos, iso, rt)
-        return obj, pos
-    if tag == TAG_BOOL:
-        return _bool(data, pos), pos + 1
-    if tag == TAG_UNIT:
-        return None, pos
-    raise MarshalError(f"unknown wire tag 0x{tag:02x}")
+            v = fields[f.name]
+            if v is UNSET:
+                raise MarshalError(f"unset field {decl.name}.{f.name} "
+                                   "cannot cross the boundary")
+            size += _size(v, iso, rt, path)
+        path.discard(key)
+        return size
+    if cls is bool:
+        return 2
+    if value is None:
+        return 1
+    raise MarshalError(f"cannot marshal {value!r}")
 
 
-def _utf8(data, start: int, end: int) -> str:
+def _utf8_len(s: str) -> int:
+    if s.isascii():
+        return len(s)
     try:
-        return data[start:end].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise MarshalError(f"invalid UTF-8 in Str: {e}") from e
+        return len(s.encode("utf-8"))
+    except UnicodeEncodeError as e:  # a lone surrogate, from the host
+        raise MarshalError(f"Str is not UTF-8 text: {e.reason}") from None
 
 
-def _bool(data, pos: int) -> bool:
-    if pos >= len(data):
-        raise MarshalError("truncated Bool")
-    b = data[pos]
-    if b > 1:
-        raise MarshalError(f"non-canonical Bool byte {b}")
-    return b == 1
+def _check_class(rt, name: str) -> None:
+    if name not in rt.class_ids:
+        raise MarshalError(f"unknown class {name}")
+
+
+def land(values, src, iso, rt) -> list:
+    """`values`, which measure has walked on `src`, built on `iso`."""
+    return [_land(value, src, iso, rt) for value in values]
+
+
+def _land(value, src, iso, rt):
+    cls = value.__class__
+    if cls is ListObj:
+        lst = ListObj([item if item.__class__ is str
+                       else _land(item, src, iso, rt) for item in value.items])
+        iso.alloc(lst, charged=False)
+        return lst
+    if cls is ProxyObj:
+        return rt.resolve_href(iso, value.hash_value, value.class_name)
+    if cls is not InstanceObj:  # Str, Int, Bool, Unit
+        return value
+    decl = value.decl
+    if decl.annotation is not _NEUTRAL_CLASS:
+        return rt.resolve_href(iso, src.pair_hash[value], decl.name)
+    target = rt.decl_for(iso, decl.name)
+    if len(decl.fields) != len(target.fields):
+        raise MarshalError(f"{target.name} payload has {len(decl.fields)} "
+                           f"fields, expected {len(target.fields)}")
+    obj = InstanceObj(target)
+    iso.alloc(obj, charged=False)
+    sent, fields = value.values, obj.values
+    for f, g in zip(decl.fields, target.fields):
+        fields[g.name] = _land(sent[f.name], src, iso, rt)
+    return obj
 
 
 # -- reference tuple codec --------------------------------------------------------
@@ -316,6 +271,22 @@ def decode_prefix(data: bytes, offset: int = 0) -> tuple[WireValue, int]:
             fields.append(f)
         return ("neutral", class_id, fields), offset
     raise MarshalError(f"unknown wire tag 0x{tag:02x}")
+
+
+def _utf8(data, start: int, end: int) -> str:
+    try:
+        return data[start:end].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MarshalError(f"invalid UTF-8 in Str: {e}") from e
+
+
+def _bool(data, pos: int) -> bool:
+    if pos >= len(data):
+        raise MarshalError("truncated Bool")
+    b = data[pos]
+    if b > 1:
+        raise MarshalError(f"non-canonical Bool byte {b}")
+    return b == 1
 
 
 def decode(data: bytes) -> WireValue:

@@ -10,12 +10,16 @@ cycles pin the bytes of list, href and neutral payloads, which the progen
 corpus behind the frozen output digest never sends.
 """
 
+import dataclasses
+
 import pytest
 
 from epart.dsl import parse_program
 from epart.errors import InterfaceMismatch, MarshalError, StaleMirror
 from epart.partition import compute_images
-from epart.runtime import TRUSTED, UNTRUSTED, DualRuntime, ListObj, wire
+from epart.runtime import (
+    TRUSTED, UNTRUSTED, DualRuntime, InstanceObj, ListObj, wire,
+)
 
 SRC = """@Neutral
 class Point {
@@ -273,8 +277,8 @@ def caller_state(rt):
 
 
 class TestMarshalFaults:
-    """Each fault of the codec, by exact text.  A value that cannot be
-    encoded fails before its crossing is billed; a payload the target
+    """Each fault of a crossing's walks, by exact text.  A value that cannot
+    be measured fails before its crossing is billed; a payload the target
     cannot land fails on the target, after the one transition."""
 
     @pytest.mark.parametrize("body, message", [
@@ -353,20 +357,26 @@ class TestMarshalFaults:
             "no mirror registered for hash 0x8000000000000002"
         assert caller_state(rt)[:4] == (3, 0, 39300, 13)
 
-    @pytest.mark.parametrize("value, message", [
-        (("href", 9, 999), "unknown class id 999"),
-        (("neutral", 999, []), "unknown class id 999"),
-        (("neutral", 3, []), "Tag payload has 0 fields, expected 1"),
-    ], ids=["href", "neutral", "field count"])
-    def test_a_payload_the_target_cannot_land(self, value, message):
+    @pytest.mark.parametrize("fields, message", [
+        (0, "Tag payload has 0 fields, expected 1"),
+        (2, "Tag payload has 2 fields, expected 1"),
+    ], ids=["field count", "extra field"])
+    def test_a_payload_the_target_cannot_land(self, fields, message):
+        """A neutral object whose class has another field count on the
+        sending side: it measures, and landing it fails with nothing built."""
         plan = fault_plan("print(s.tag(new Tag(2)));")
-        assert plan.class_ids["Tag"] == 3
         rt = DualRuntime(plan, trace=True)
         rt.construct(UNTRUSTED, "Sink", [])
-        trusted = rt.isolates[TRUSTED]
+        untrusted, trusted = rt.isolates[UNTRUSTED], rt.isolates[TRUSTED]
+        decl = rt.interps[UNTRUSTED].classes["Tag"]
+        sent = dataclasses.replace(decl, fields=[
+            dataclasses.replace(decl.fields[0], name=f"n{i}")
+            for i in range(fields)])
+        tag = InstanceObj(sent, {f.name: 2 for f in sent.fields})
+        assert wire.measure([tag], untrusted, rt) == 9 + 9 * fields
         before, heap = caller_state(rt), list(trusted.heap)
         with pytest.raises(MarshalError) as exc:
-            wire.decode_values(wire.encode(value), 1, trusted, rt)
+            wire.land([tag], untrusted, trusted, rt)
         assert str(exc.value) == message
         assert caller_state(rt) == before
         assert trusted.heap == heap and trusted.proxy_table == {}

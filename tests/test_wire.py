@@ -94,31 +94,58 @@ class TestRoundTrip:
             assert wire.encode(wire.decode(data)) == data
 
     def test_sequence_roundtrip(self):
-        """The runtime decoder lands exactly `count` back-to-back values."""
+        """measure bills back-to-back values at their encodings' total
+        length, and land builds each of them on the peer."""
         rt, notes, _ = peers()
-        trusted = rt.isolates[TRUSTED]
-        ids = rt.class_ids
-        values = [("int", -7), ("str", "h\u00e9llo"), ("bool", True), wire.UNIT,
-                  ("list", [("str", "a"), ("list", [("int", 1)])]),
-                  ("href", 5, ids["Note"])]
-        blob = b"".join(wire.encode(v) for v in values)
-        landed = wire.decode_values(blob, 6, trusted, rt)
+        untrusted, trusted = rt.isolates[UNTRUSTED], rt.isolates[TRUSTED]
+        values = [-7, "h\u00e9llo", True, None,
+                  ListObj(["a", ListObj([1])]), notes[0]]
+        encodings = [("int", -7), ("str", "h\u00e9llo"), ("bool", True),
+                     wire.UNIT,
+                     ("list", [("str", "a"), ("list", [("int", 1)])]),
+                     ("href", 1, rt.class_ids["Note"])]
+        assert wire.measure(values, untrusted, rt) == \
+            sum(len(wire.encode(v)) for v in encodings)
+        landed = wire.land(values, untrusted, trusted, rt)
         assert [describe(trusted, v) for v in landed] == [
             ("int", -7), ("str", "h\u00e9llo"), ("bool", True),
             ("NoneType", None),
             ("list", [("str", "a"), ("list", [("int", 1)])]),
-            ("proxy", "Note", 5)]
+            ("proxy", "Note", 1)]
 
     def test_sequence_wrong_count(self):
-        rt, _, _ = peers()
-        trusted = rt.isolates[TRUSTED]
+        """decode_prefix reads back-to-back values one at a time; decode
+        takes exactly one."""
         blob = wire.encode(("int", 1)) * 2
+        assert wire.decode_prefix(blob) == (("int", 1), 9)
+        assert wire.decode_prefix(blob, 9) == (("int", 1), 18)
         with pytest.raises(MarshalError) as info:
-            wire.decode_values(blob, 1, trusted, rt)
-        assert str(info.value) == "9 trailing byte(s) after sequence"
+            wire.decode(blob)
+        assert str(info.value) == "9 trailing byte(s) after value"
         with pytest.raises(MarshalError) as info:
-            wire.decode_values(blob, 3, trusted, rt)
+            wire.decode_prefix(blob, 18)
         assert str(info.value) == "truncated wire data"
+
+
+_BAD_UTF8 = ("invalid UTF-8 in Str: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte")
+# Malformed bytes -> the text decode refuses them with.
+REFUSALS = {
+    b"": "truncated wire data",
+    b"\x07": "unknown wire tag 0x07",
+    b"\x01\x01\x00": "truncated Int",
+    b"\x02": "truncated Bool",
+    b"\x02\x02": "non-canonical Bool byte 2",
+    b"\x03\x01\x00": "truncated Str length",
+    b"\x03\x05\x00\x00\x00ab": "truncated Str payload",
+    b"\x03\x01\x00\x00\x00\xff": _BAD_UTF8,
+    b"\x04\x01\x00": "truncated List count",
+    b"\x04\x02\x00\x00\x00\x00": "truncated wire data",
+    b"\x04\x01\x00\x00\x00\x03\x01\x00\x00\x00\xff": _BAD_UTF8,
+    b"\x05\x00\x00": "truncated HashRef",
+    b"\x06\x01\x00\x00\x00": "truncated NeutralObject header",
+    b"\x01\x03" + b"\x00" * 8: "1 trailing byte(s) after value",
+}
 
 
 class TestCanonicity:
@@ -150,24 +177,15 @@ class TestCanonicity:
             wire.decode(data)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("data", [
-        b"", b"\x07", b"\x01\x01\x00", b"\x02", b"\x02\x02",
-        b"\x03\x01\x00", b"\x03\x05\x00\x00\x00ab",
-        b"\x03\x01\x00\x00\x00\xff", b"\x04\x01\x00",
-        b"\x04\x02\x00\x00\x00\x00",
-        b"\x04\x01\x00\x00\x00\x03\x01\x00\x00\x00\xff",
-        b"\x05\x00\x00", b"\x06\x01\x00\x00\x00",
-        b"\x01\x03" + b"\x00" * 8,
-    ])
+    @pytest.mark.parametrize("data", list(REFUSALS))
     def test_runtime_decoder_rejects_alike(self, data):
-        """Both decoders refuse the same bytes with the same text."""
-        with pytest.raises(MarshalError) as reference:
+        """The decoder refuses each malformed byte string with the text
+        that names its fault.  (The name dates from a second, runtime
+        decoder that refused the same bytes alike; crossings no longer
+        build bytes.)"""
+        with pytest.raises(MarshalError) as info:
             wire.decode(data)
-        rt, _, _ = peers()
-        with pytest.raises(MarshalError) as runtime:
-            wire.decode_values(data, 1, rt.isolates[TRUSTED], rt)
-        message = str(reference.value).replace("after value", "after sequence")
-        assert str(runtime.value) == message
+        assert str(info.value) == REFUSALS[data]
 
     def test_non_canonical_bool(self):
         with pytest.raises(MarshalError):
@@ -233,7 +251,7 @@ class TestProperties:
         assert wire.encode(v) == blob
 
 
-# -- the runtime codec against the reference -------------------------------------
+# -- the runtime walks against the reference codec --------------------------------
 
 CODEC_SRC = """@Neutral
 class Pair {
@@ -289,8 +307,8 @@ def peers():
 
 
 def build(rt, notes, safe, shape, minted: dict):
-    """(runtime value on the untrusted side, the wire tuple it must encode
-    to).  `minted` predicts the hashes the encoder mints, in walk order."""
+    """(runtime value on the untrusted side, the wire tuple it stands for).
+    `minted` predicts the hashes measure mints, in walk order."""
     kind = shape[0]
     ids = rt.class_ids
     if kind in ("int", "bool", "str"):
@@ -323,21 +341,22 @@ def build(rt, notes, safe, shape, minted: dict):
 
 
 def materialize(rt, iso, wv):
-    """Land a wire tuple as the tuple-layer runtime did: a list allocated
-    after its items, a neutral object before its fields."""
+    """Land a wire tuple as decoding its bytes does: a list allocated after
+    its items, a neutral object before its fields."""
     kind = wv[0]
     if kind in ("int", "bool", "str"):
         return wv[1]
     if kind == "unit":
         return None
+    names = {i: name for name, i in rt.class_ids.items()}
     if kind == "href":
-        return rt.resolve_href(iso, wv[1], wv[2])
+        return rt.resolve_href(iso, wv[1], names[wv[2]])
     if kind == "list":
         lst = ListObj([materialize(rt, iso, item) for item in wv[1]])
         iso.alloc(lst, charged=False)
         return lst
     _, class_id, fields = wv
-    decl = rt.decl_for_id(iso, class_id)
+    decl = rt.decl_for(iso, names[class_id])
     obj = InstanceObj(decl)
     iso.alloc(obj, charged=False)
     for f, fwv in zip(decl.fields, fields):
@@ -380,22 +399,23 @@ runtime_shapes = st.recursive(
 
 
 class TestRuntimeCodec:
+    """measure and land against the tuple codec, which defines the format."""
+
     @settings(max_examples=150, deadline=None)
     @given(runtime_shapes)
     def test_matches_the_reference_codec(self, shape):
         rt, notes, safe = peers()
         value, expected = build(rt, notes, safe, shape, {})
-        data = wire.encode_values([value], rt.isolates[UNTRUSTED], rt)
-        assert data == wire.encode(expected)
-        assert wire.decode(data) == expected
+        untrusted = rt.isolates[UNTRUSTED]
+        assert wire.measure([value], untrusted, rt) == len(wire.encode(expected))
 
-        # Landing on the peer: the same structure, heap order and heap
-        # growth as landing the reference tuple.
+        # Landing on the peer: the same structure (hashes minted as
+        # predicted), heap order and heap growth as landing the tuple.
         ref, _, _ = peers()
         trusted, ref_trusted = rt.isolates[TRUSTED], ref.isolates[TRUSTED]
         start = len(trusted.heap)
         assert len(ref_trusted.heap) == start
-        landed = wire.decode_values(data, 1, trusted, rt)[0]
+        landed = wire.land([value], untrusted, trusted, rt)[0]
         ref_landed = materialize(ref, ref_trusted, expected)
         assert describe(trusted, landed) == describe(ref_trusted, ref_landed)
         assert [describe(trusted, o) for o in trusted.heap[start:]] == \
@@ -405,8 +425,13 @@ class TestRuntimeCodec:
 
     def test_a_home_object_is_minted_once(self):
         rt, notes, _ = peers()
-        untrusted = rt.isolates[UNTRUSTED]
-        data = wire.encode_values([notes[1], notes[0], notes[1]], untrusted, rt)
+        untrusted, trusted = rt.isolates[UNTRUSTED], rt.isolates[TRUSTED]
+        values = [notes[1], notes[0], notes[1]]
         note = rt.class_ids["Note"]
-        assert data == b"".join(wire.encode(("href", h, note)) for h in (2, 1, 2))
+        assert wire.measure(values, untrusted, rt) == \
+            sum(len(wire.encode(("href", h, note))) for h in (2, 1, 2))
         assert untrusted.registry == {1: notes[0], 2: notes[1]}
+        landed = wire.land(values, untrusted, trusted, rt)
+        assert [describe(trusted, p) for p in landed] == \
+            [("proxy", "Note", h) for h in (2, 1, 2)]
+        assert landed[0] is landed[2]
