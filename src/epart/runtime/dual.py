@@ -279,7 +279,7 @@ class DualRuntime:
             raise InterfaceMismatch(
                 f"{relay.relay_id} takes {len(relay.param_kinds)} "
                 f"argument(s), not {len(args)}")
-        request = wire.measure(args, caller, self)
+        request_bytes = wire.measure(args, caller, self)
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
@@ -289,12 +289,12 @@ class DualRuntime:
             caller.ecalls += 1
         else:
             caller.ocalls += 1
-        caller.bytes_serialized += request
+        caller.bytes_serialized += request_bytes
         event = None
         if self.traced:
             cost = self.model.ecall_cost if ecall else self.model.ocall_cost
             event = TraceEvent(len(self.trace) + 1, relay.direction, kind,
-                               relay.relay_id, hash_value, request, cost)
+                               relay.relay_id, hash_value, request_bytes, cost)
             self.trace.append(event)
         self.depth += 1
         try:
@@ -303,15 +303,16 @@ class DualRuntime:
             values = wire.land(args, caller, target, self)
             result, hash_out = serve(target, relay, hash_value, values)
             unit = relay.return_kind is _UNIT
-            response = 0 if unit else wire.measure((result,), target, self)
+            response_bytes = 0 if unit \
+                else wire.measure((result,), target, self)
         except DslRuntimeError as e:
             e.trace.append(f"-- {relay.direction} boundary {relay.relay_id} --")
             raise
         finally:
             self.depth -= 1
-        target.bytes_serialized += response
+        target.bytes_serialized += response_bytes
         if event is not None:
-            event.nbytes += response
+            event.nbytes += response_bytes
             if hash_out is not None:
                 event.hash_value = hash_out
         if unit:
