@@ -11,9 +11,8 @@ mirror whose proxy was swept.  The caller pays the ecall/ocall cost,
 arguments are billed at the length of their canonical wire encoding, and
 serialization is charged to whichever side sends them.  Transition framing
 (context and hash words) rides for free; unit responses carry no payload
-at all.  A runtime
-built with trace=True also keeps one TraceEvent per crossing; without it a
-crossing does only the work it bills.
+at all.  A runtime built with trace=True also keeps one TraceEvent per
+crossing; without it a crossing does only the work it bills.
 
 A crossing builds no bytes.  wire.measure walks the arguments for the
 length of their encoding before the transition is billed, so a value that

@@ -80,6 +80,16 @@ _B_UNIT = bytes([TAG_UNIT])
 _B_FALSE = bytes([TAG_BOOL, 0])
 _B_TRUE = bytes([TAG_BOOL, 1])
 
+# Encoded sizes of the layouts above, which measure bills: a Str or List
+# head (tag and length), an Int, a HashRef, a NeutralObject head, a Bool,
+# a Unit.
+_HEAD_SIZE = _LEN.size
+_INT_SIZE = _INT.size
+_HREF_SIZE = _HASHREF.size
+_NEUTRAL_SIZE = _NEUTRAL.size
+_BOOL_SIZE = len(_B_TRUE)
+_UNIT_SIZE = len(_B_UNIT)
+
 _NEUTRAL_CLASS = Annotation.NEUTRAL
 _CYCLIC = "cyclic value cannot cross the boundary"
 
@@ -99,40 +109,40 @@ def measure(values, iso, rt) -> int:
 def _size(value, iso, rt, path: set[int]) -> int:
     cls = value.__class__  # exact classes: a bool is not an int here
     if cls is str:
-        return 5 + _utf8_len(value)
+        return _HEAD_SIZE + _utf8_len(value)
     if cls is int:
         if not _I64_MIN <= value <= _I64_MAX:
             raise MarshalError(f"integer {value} out of 64-bit range")
-        return 9
+        return _INT_SIZE
     if cls is ListObj:
         key = id(value)
         if key in path:
             raise MarshalError(_CYCLIC)
         path.add(key)
-        size = 5
+        size = _HEAD_SIZE
         for item in value.items:
             if item.__class__ is str and item.isascii():
-                size += 5 + len(item)
+                size += _HEAD_SIZE + len(item)
             else:
                 size += _size(item, iso, rt, path)
         path.discard(key)
         return size
     if cls is ProxyObj:
         _check_class(rt, value.class_name)
-        return 13
+        return _HREF_SIZE
     if cls is InstanceObj:
         decl = value.decl
         if decl.annotation is not _NEUTRAL_CLASS:
             _check_class(rt, decl.name)
             rt.home_hash(iso, value)
-            return 13
+            return _HREF_SIZE
         key = id(value)
         if key in path:
             raise MarshalError(_CYCLIC)
         path.add(key)
         _check_class(rt, decl.name)
         fields = value.values
-        size = 9
+        size = _NEUTRAL_SIZE
         for f in decl.fields:
             v = fields[f.name]
             if v is UNSET:
@@ -142,9 +152,9 @@ def _size(value, iso, rt, path: set[int]) -> int:
         path.discard(key)
         return size
     if cls is bool:
-        return 2
+        return _BOOL_SIZE
     if value is None:
-        return 1
+        return _UNIT_SIZE
     raise MarshalError(f"cannot marshal {value!r}")
 
 
