@@ -118,9 +118,11 @@ class DualRuntime:
         self.gc_threshold = gc_threshold
 
         self.isolates: dict[str, Isolate] = {}
-        # image side -> (class, method) -> the relay that image serves; a
-        # side without an image serves none
-        self.relays: dict[str, dict[tuple[str, str], RelayMethodDef]] = {
+        # image side -> (class, method) -> a relay that image serves and what
+        # serving it runs: the class a constructor builds, or an instance
+        # method's class and the method ast.method_table names.  A side
+        # without an image serves none.
+        self.relays: dict[str, dict[tuple[str, str], tuple]] = {
             side: {} for side in _SIDE_NAME.values()}
         self.interps: dict[str, Interpreter] = {}
         # Interpreters reach the runtime through a weak proxy, so a dropped
@@ -131,10 +133,14 @@ class DualRuntime:
             if image is None:
                 continue
             self.isolates[side] = Isolate(side, self.model)
-            self.relays[side] = {(r.class_name, r.method_name): r
-                                 for r in image.relays}
-            self.interps[side] = Interpreter(self.isolates[side],
-                                             image.classes, context)
+            interp = self.interps[side] = Interpreter(
+                self.isolates[side], image.classes, context)
+            served = self.relays[side]
+            for r in image.relays:  # each made from a method of this image
+                decl = interp.classes[r.class_name]
+                method = interp.methods[r.class_name, r.method_name]
+                served[r.class_name, r.method_name] = (
+                    r, decl if method.is_constructor else (decl, method))
         self.class_ids = plan.class_ids
         # side -> the isolate its crossings land on
         isolates = self.isolates
@@ -231,7 +237,8 @@ class DualRuntime:
         h = iso.pair_hash.get(obj)
         if h is None:
             h = iso.mint_hash()
-            iso.register_mirror(h, obj)
+            iso.registry[h] = obj
+            iso.pair_hash[obj] = h
         return h
 
     def decl_for(self, iso: Isolate, name: str) -> ast.ClassDecl:
@@ -261,17 +268,18 @@ class DualRuntime:
     # -- transitions ----------------------------------------------------------
 
     def cross(self, caller: Isolate, relay: RelayMethodDef, kind: str,
-              hash_value: int, args: list, serve):
+              hash_value: int, args: list, serve, bound):
         """Call `relay` on the caller's peer, the target; returns (result,
         hash_out).
 
         The one boundary crossing; `kind` only labels the trace.  A nonzero
         hash_value names the target's mirror the relay runs on, which must
         be registered before any argument lands there.  serve, a runtime
-        method (target, relay, hash_value, values), runs the relay's body
-        there and returns (result, hash_out); a hash_out that is not None
-        becomes the trace event's hash.  Arguments that do not fit the
-        relay fail before anything is billed.
+        method (target, bound, hash_value, values), runs the relay's body
+        there with `bound`, what the relay was bound to, and returns
+        (result, hash_out); a hash_out that is not None becomes the trace
+        event's hash.  Arguments that do not fit the relay fail before
+        anything is billed.
         """
         target = self.peers[caller.side]
         if len(args) != len(relay.param_kinds):
@@ -300,7 +308,7 @@ class DualRuntime:
             if hash_value and hash_value not in target.registry:
                 raise StaleMirror(hash_value)
             values = wire.land(args, caller, target, self)
-            result, hash_out = serve(target, relay, hash_value, values)
+            result, hash_out = serve(target, bound, hash_value, values)
             unit = relay.return_kind is _UNIT
             response_bytes = 0 if unit \
                 else wire.measure((result,), target, self)
@@ -318,31 +326,30 @@ class DualRuntime:
             return None, hash_out
         return wire.land((result,), target, caller, self)[0], hash_out
 
-    def _relay(self, iso: Isolate, class_name: str,
-               method_name: str) -> RelayMethodDef:
-        """The relay the image across from iso serves for the method.  On a
-        one-isolate runtime there is no image across, so there is none."""
+    def _relay(self, iso: Isolate, class_name: str, method_name: str):
+        """(relay, bound): the relay the image across from iso serves for
+        the method, and what it was bound to.  On a one-isolate runtime
+        there is no image across, so there is none."""
         far = _FAR_SIDE[iso.side]
-        relay = self.relays[far].get((class_name, method_name))
-        if relay is None:
+        entry = self.relays[far].get((class_name, method_name))
+        if entry is None:
             raise InterfaceMismatch(f"no relay {class_name}.{method_name} "
                                     f"in the {far} image")
-        return relay
+        return entry
 
     def remote_new(self, iso: Isolate, class_name: str, args: list) -> ProxyObj:
         """`new` on a proxy class: run the constructor relay, bind the hash."""
-        relay = self._relay(iso, class_name, class_name)
-        _, h = self.cross(iso, relay, "ctor", 0, args, self._new_mirror)
+        relay, decl = self._relay(iso, class_name, class_name)
+        _, h = self.cross(iso, relay, "ctor", 0, args, self._new_mirror, decl)
         proxy = ProxyObj(class_name, h)
         iso.alloc(proxy, charged=True)
         iso.adopt_proxy(proxy)
         return proxy
 
-    def _new_mirror(self, target: Isolate, relay: RelayMethodDef,
+    def _new_mirror(self, target: Isolate, decl: ast.ClassDecl,
                     hash_value: int, values: list):
         """A constructor relay's body: build the object, register its hash."""
-        interp = self.interps[target.side]
-        obj = interp.instantiate(interp.classes[relay.class_name], values)
+        obj = self.interps[target.side].instantiate(decl, values)
         h = target.mint_hash()
         target.register_mirror(h, obj)
         return None, h
@@ -350,18 +357,16 @@ class DualRuntime:
     def remote_invoke(self, iso: Isolate, proxy: ProxyObj, method_name: str,
                       args: list):
         """Proxy method call: relay looks the mirror up and dispatches."""
-        relay = self._relay(iso, proxy.class_name, method_name)
+        relay, bound = self._relay(iso, proxy.class_name, method_name)
         return self.cross(iso, relay, "invoke", proxy.hash_value, args,
-                          self._invoke_mirror)[0]
+                          self._invoke_mirror, bound)[0]
 
-    def _invoke_mirror(self, target: Isolate, relay: RelayMethodDef,
+    def _invoke_mirror(self, target: Isolate, bound: tuple,
                        hash_value: int, values: list):
         """An instance relay's body: the method on the hash's mirror."""
-        interp = self.interps[target.side]
-        decl = interp.classes[relay.class_name]
-        return interp.call_method(
-            decl, interp.method(decl, relay.method_name),
-            target.registry[hash_value], values), None
+        decl, method = bound
+        return self.interps[target.side].call_method(
+            decl, method, target.registry[hash_value], values), None
 
     def host_call(self, iso: Isolate, name: str, args: list):
         """A host builtin: direct when untrusted, else a shim ocall."""
@@ -369,12 +374,13 @@ class DualRuntime:
         if not iso.trusted:
             return service(self, iso, args)
         self.shim_ocalls += 1
-        return self.cross(iso, relay, "shim", 0, args, self._serve_host)[0]
+        return self.cross(iso, relay, "shim", 0, args, self._serve_host,
+                          service)[0]
 
-    def _serve_host(self, target: Isolate, relay: RelayMethodDef,
-                    hash_value: int, values: list):
-        """A shim relay's body: the host service of that name."""
-        return _HOST[relay.method_name][1](self, target, values), None
+    def _serve_host(self, target: Isolate, service, hash_value: int,
+                    values: list):
+        """A shim relay's body: the host service it was bound to."""
+        return service(self, target, values), None
 
     def _print(self, iso: Isolate, args: list) -> None:
         self.transcript.append(args[0])
@@ -415,9 +421,9 @@ class DualRuntime:
                     proxy.class_name, "release", direction, (), _UNIT)
             self.remove_calls += 1
             self.cross(iso, relay, "remove", proxy.hash_value, [],
-                       self._release_mirror)
+                       self._release_mirror, None)
 
-    def _release_mirror(self, target: Isolate, relay: RelayMethodDef,
+    def _release_mirror(self, target: Isolate, bound: None,
                         hash_value: int, values: list):
         """A release relay's body: drop the hash's registry entry."""
         target.remove_mirror(hash_value)

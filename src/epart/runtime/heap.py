@@ -29,11 +29,7 @@ _SLOT_BYTES = 8
 
 
 class HeapObject:
-    __slots__ = ("marked", "swept")
-
-    def __init__(self) -> None:
-        self.marked = False
-        self.swept = False
+    __slots__ = ("marked", "swept")  # each subclass's __init__ sets both
 
 
 class InstanceObj(HeapObject):
@@ -43,7 +39,7 @@ class InstanceObj(HeapObject):
 
     def __init__(self, decl: ClassDecl, values: dict | None = None):
         """values, when given, is the new object's own field dict."""
-        super().__init__()
+        self.marked = self.swept = False
         self.decl = decl
         self.values: dict[str, object] = values if values is not None \
             else {f.name: UNSET for f in decl.fields}
@@ -61,7 +57,7 @@ class ProxyObj(HeapObject):
     __slots__ = ("class_name", "hash_value")
 
     def __init__(self, class_name: str, hash_value: int):
-        super().__init__()
+        self.marked = self.swept = False
         self.class_name = class_name
         self.hash_value = hash_value
 
@@ -76,7 +72,7 @@ class ListObj(HeapObject):
     __slots__ = ("items",)
 
     def __init__(self, items: list | None = None):
-        super().__init__()
+        self.marked = self.swept = False
         self.items: list = items if items is not None else []
 
     def size_bytes(self) -> int:

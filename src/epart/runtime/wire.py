@@ -96,37 +96,33 @@ _CYCLIC = "cyclic value cannot cross the boundary"
 
 # -- runtime walks --------------------------------------------------------------
 
-def measure(values, iso, rt) -> int:
+def measure(values, iso, rt, path: set[int] | None = None) -> int:
     """The length of the canonical encoding of `values`, back to back, as
-    `iso` sends them; mints the hashes of home objects first exposed."""
-    path: set[int] = set()  # ids of the lists and neutral objects being walked
+    `iso` sends them; mints the hashes of home objects first exposed.  A
+    Str, Int, Bool or Unit is sized here, anything else by _size, which
+    passes `path` (ids of the lists and neutral objects being walked) back
+    in for their items and fields."""
     size = 0
     for value in values:
-        size += _size(value, iso, rt, path)
+        cls = value.__class__  # exact classes: a bool is not an int here
+        if cls is str:
+            size += _HEAD_SIZE + (len(value) if value.isascii()
+                                  else _utf8_len(value))
+        elif cls is int:
+            if not _I64_MIN <= value <= _I64_MAX:
+                raise MarshalError(f"integer {value} out of 64-bit range")
+            size += _INT_SIZE
+        elif cls is bool:
+            size += _BOOL_SIZE
+        elif value is None:
+            size += _UNIT_SIZE
+        else:
+            size += _size(value, iso, rt, path)
     return size
 
 
-def _size(value, iso, rt, path: set[int]) -> int:
-    cls = value.__class__  # exact classes: a bool is not an int here
-    if cls is str:
-        return _HEAD_SIZE + _utf8_len(value)
-    if cls is int:
-        if not _I64_MIN <= value <= _I64_MAX:
-            raise MarshalError(f"integer {value} out of 64-bit range")
-        return _INT_SIZE
-    if cls is ListObj:
-        key = id(value)
-        if key in path:
-            raise MarshalError(_CYCLIC)
-        path.add(key)
-        size = _HEAD_SIZE
-        for item in value.items:
-            if item.__class__ is str and item.isascii():
-                size += _HEAD_SIZE + len(item)
-            else:
-                size += _size(item, iso, rt, path)
-        path.discard(key)
-        return size
+def _size(value, iso, rt, path: set[int] | None) -> int:
+    cls = value.__class__
     if cls is ProxyObj:
         _check_class(rt, value.class_name)
         return _HREF_SIZE
@@ -136,10 +132,17 @@ def _size(value, iso, rt, path: set[int]) -> int:
             _check_class(rt, decl.name)
             rt.home_hash(iso, value)
             return _HREF_SIZE
-        key = id(value)
-        if key in path:
-            raise MarshalError(_CYCLIC)
-        path.add(key)
+    elif cls is not ListObj:
+        raise MarshalError(f"cannot marshal {value!r}")
+    key = id(value)  # a list or a neutral object: sent by value
+    if path is None:
+        path = set()
+    elif key in path:
+        raise MarshalError(_CYCLIC)
+    path.add(key)
+    if cls is ListObj:
+        size = _HEAD_SIZE + measure(value.items, iso, rt, path)
+    else:
         _check_class(rt, decl.name)
         fields = value.values
         size = _NEUTRAL_SIZE
@@ -148,19 +151,13 @@ def _size(value, iso, rt, path: set[int]) -> int:
             if v is UNSET:
                 raise MarshalError(f"unset field {decl.name}.{f.name} "
                                    "cannot cross the boundary")
-            size += _size(v, iso, rt, path)
-        path.discard(key)
-        return size
-    if cls is bool:
-        return _BOOL_SIZE
-    if value is None:
-        return _UNIT_SIZE
-    raise MarshalError(f"cannot marshal {value!r}")
+            size += measure((v,), iso, rt, path)
+    path.discard(key)
+    return size
 
 
 def _utf8_len(s: str) -> int:
-    if s.isascii():
-        return len(s)
+    """The UTF-8 length of a Str that is not ASCII."""
     try:
         return len(s.encode("utf-8"))
     except UnicodeEncodeError as e:  # a lone surrogate, from the host
@@ -174,14 +171,18 @@ def _check_class(rt, name: str) -> None:
 
 def land(values, src, iso, rt) -> list:
     """`values`, which measure has walked on `src`, built on `iso`."""
-    return [_land(value, src, iso, rt) for value in values]
+    landed = [*values]  # Str, Int, Bool and Unit are shared
+    for i, value in enumerate(values):
+        cls = value.__class__
+        if cls is ListObj or cls is ProxyObj or cls is InstanceObj:
+            landed[i] = _land(value, src, iso, rt)
+    return landed
 
 
 def _land(value, src, iso, rt):
     cls = value.__class__
     if cls is ListObj:
-        lst = ListObj([item if item.__class__ is str
-                       else _land(item, src, iso, rt) for item in value.items])
+        lst = ListObj(land(value.items, src, iso, rt))
         iso.alloc(lst, charged=False)
         return lst
     if cls is ProxyObj:
