@@ -66,15 +66,14 @@ def _parse_source(path: str):
     the plan builders (compute_images, whole_program_plan): their
     ValidationFailed is reported by main.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise _Exit(f"source file not found: {path}")
     try:
-        return parse_program(p.read_text(encoding="utf-8"))
+        return parse_program(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         message = f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
     except ParseError as e:
         message = str(e)
+    except FileNotFoundError:
+        raise _Exit(f"source file not found: {path}") from None
     except OSError as e:
         raise _Exit(f"cannot read {path}: {e.strerror}") from None
     raise _Exit(f"parse error: {message}", EXIT_INVALID)
@@ -83,10 +82,12 @@ def _parse_source(path: str):
 def _load_model_arg(path: str | None):
     if path is None:
         return None
-    if not Path(path).is_file():
-        raise _Exit(f"model file not found: {path}")
     try:
         return load_model(path)
+    except FileNotFoundError:
+        raise _Exit(f"model file not found: {path}") from None
+    except OSError as e:
+        raise _Exit(f"cannot read {path}: {e.strerror}") from None
     except (EpartError, ValueError) as e:
         raise _Exit(f"bad cost model: {e}") from None
 

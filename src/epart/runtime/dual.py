@@ -14,6 +14,12 @@ serialization is charged to whichever side sends them.  Transition framing
 at all.  A runtime built with trace=True also keeps one TraceEvent per
 crossing; without it a crossing does only the work it bills.
 
+Each relay an image serves is bound once, when the runtime is built: a
+constructor relay to the class it builds, an instance relay to its class
+and the method ast.method_table names.  remote_new and remote_invoke find
+the relay and that binding in one lookup (_relay) and hand the binding to
+the relay's body, so a crossing looks up no class or method.
+
 A crossing builds no bytes.  wire.measure walks the arguments for the
 length of their encoding before the transition is billed, so a value that
 cannot cross fails first; wire.land builds the target's heap objects from

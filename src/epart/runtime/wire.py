@@ -31,6 +31,9 @@ ProxyObj) twice instead:
                                 build: Str, Int and Bool shared, a list
                                 allocated after its items and a neutral
                                 object before its fields, both uncharged
+Each walk sizes or shares a Str, Int, Bool or Unit among the arguments or
+a list's items in its own loop, without calling its helper (_size, _land)
+for it.
 The landing policy comes from the runtime `rt` they are given:
   rt.class_ids                      class name -> wire class id; a value
                                     of a class it lacks cannot cross

@@ -15,7 +15,9 @@ import dataclasses
 import pytest
 
 from epart.dsl import parse_program
-from epart.errors import InterfaceMismatch, MarshalError, StaleMirror
+from epart.errors import (
+    DslRuntimeError, InterfaceMismatch, MarshalError, StaleMirror,
+)
 from epart.partition import compute_images
 from epart.runtime import (
     TRUSTED, UNTRUSTED, DualRuntime, InstanceObj, ListObj, wire,
@@ -227,6 +229,46 @@ def test_a_missing_relay_is_an_interface_mismatch(plan):
         assert str(exc.value) == message
     assert {side: (iso.ecalls, iso.ocalls)
             for side, iso in rt.isolates.items()} == before
+
+
+BIND_SRC = """
+@Trusted
+class C {
+    C() { }
+    m(n: Int) -> Int { return 10 / n; }
+}
+@Untrusted
+class Main {
+    static main() {
+        var c: C = new C();
+        print(c.m(2));
+        print(c.m(0));
+    }
+}
+"""
+
+
+def test_a_relay_runs_the_method_the_method_table_names():
+    """A relay is bound once, to the first method of its name, the one
+    ast.method_table names; a fault inside it reads as a fault in the
+    relay's class, across the boundary it was entered by."""
+    plan = compute_images(parse_program(BIND_SRC))
+    (cls,) = [c for c in plan.trusted_image.classes if c.name == "C"]
+    first = cls.method("m")
+    second = parse_program(BIND_SRC.replace("10 / n", "7")).classes[0]
+    cls.methods.append(second.method("m"))  # no checker admits two
+    assert [m.name for m in cls.methods] == ["C", "m", "m"]
+    rt = DualRuntime(plan)
+    decl, method = rt.relays[TRUSTED]["C", "m"][1]
+    assert decl is cls and method is first
+    with pytest.raises(DslRuntimeError) as exc:
+        rt.run_main()
+    assert rt.transcript == ["5"]
+    assert exc.value.formatted() == (
+        "runtime error: division by zero\n"
+        "  at C.m\n"
+        "  -- ecall boundary C.m --\n"
+        "  at Main.main")
 
 
 # -- marshalling faults -------------------------------------------------------

@@ -1236,6 +1236,11 @@ class Main {
             "byte 0)"),
         "model-missing": (["run", "plan", "--model", "nomodel.txt"], 1,
                           "model file not found: nomodel.txt"),
+        # A directory exists, so it is not "not found"; reading it fails.
+        "source-is-a-directory": (["partition", "adir", "-o", "p"], 1,
+                                  "cannot read adir: Is a directory"),
+        "model-is-a-directory": (["run", "plan", "--model", "adir"], 1,
+                                 "cannot read adir: Is a directory"),
         "partition-out-is-a-file": (["partition", "bank.ep", "-o", "afile"],
                                     1, "cannot write afile: File exists"),
         "bench-out-is-a-directory": (

@@ -402,22 +402,32 @@ class TestRuntimeCodec:
     """measure and land against the tuple codec, which defines the format."""
 
     @settings(max_examples=150, deadline=None)
-    @given(runtime_shapes)
-    def test_matches_the_reference_codec(self, shape):
+    @given(st.lists(runtime_shapes, max_size=4))
+    def test_matches_the_reference_codec(self, shapes):
+        """An argument list, measured and landed in one call as a crossing
+        sends it, against the tuple codec's encoding of each argument."""
         rt, notes, safe = peers()
-        value, expected = build(rt, notes, safe, shape, {})
+        minted: dict = {}
+        built = [build(rt, notes, safe, shape, minted) for shape in shapes]
+        values = [v for v, _ in built]
+        expected = [wv for _, wv in built]
         untrusted = rt.isolates[UNTRUSTED]
-        assert wire.measure([value], untrusted, rt) == len(wire.encode(expected))
+        assert wire.measure(values, untrusted, rt) == \
+            len(b"".join(wire.encode(wv) for wv in expected))
+        # Hashes minted as predicted, in walk order across the arguments.
+        assert {id(o): h for o, h in untrusted.pair_hash.items()} == \
+            {id(notes[0]): 1, **minted}
 
-        # Landing on the peer: the same structure (hashes minted as
-        # predicted), heap order and heap growth as landing the tuple.
+        # Landing on the peer: the same structure, heap order and heap
+        # growth as landing the tuples one after another.
         ref, _, _ = peers()
         trusted, ref_trusted = rt.isolates[TRUSTED], ref.isolates[TRUSTED]
         start = len(trusted.heap)
         assert len(ref_trusted.heap) == start
-        landed = wire.land([value], untrusted, trusted, rt)[0]
-        ref_landed = materialize(ref, ref_trusted, expected)
-        assert describe(trusted, landed) == describe(ref_trusted, ref_landed)
+        landed = wire.land(values, untrusted, trusted, rt)
+        ref_landed = [materialize(ref, ref_trusted, wv) for wv in expected]
+        assert [describe(trusted, v) for v in landed] == \
+            [describe(ref_trusted, v) for v in ref_landed]
         assert [describe(trusted, o) for o in trusted.heap[start:]] == \
             [describe(ref_trusted, o) for o in ref_trusted.heap[start:]]
         assert trusted.bytes_since_gc == ref_trusted.bytes_since_gc

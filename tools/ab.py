@@ -1,7 +1,7 @@
 """Compare the host time of two revisions of epart in one process.
 
     python3 tools/ab.py PARENT CHANGE --workload W [--seed S] [--pairs N]
-                        [--out FILE]
+                        [--calls] [--out FILE]
 
 `git archive REV src/epart` of each revision is unpacked under a temporary
 directory as the package epart_a (PARENT) or epart_b (CHANGE).  Every
@@ -27,20 +27,31 @@ order alternates, so what remains lands on both sides alike over the
 pairs.  This cannot separate peak memory or set-up time; use
 separate-process runs of perfbench/run.py for those.
 
+With --calls, one more pass follows the timed pairs: every operation
+runs once more on each side, untimed, with each phase under its own
+cProfile profiler, which counts every Python function call and builtin
+call the phase makes.  A count is not a time: it does not move with the
+host's load, so it shows whether a change removed work where time ratios
+of a few percent are within noise, but it does not weigh a call by its
+cost, and the profiler itself slows each call.
+
 The JSON (to FILE, or stdout) holds, per phase, each pair's ratio and
-times, the median ratio, its quartiles and the pairs the change won.  A
-summary goes to stderr.  This takes minutes, so it is a tool to run by
+times, the median ratio, its quartiles and the pairs the change won, and
+with --calls each side's call count per phase.  A summary goes to
+stderr.  This takes minutes, so it is a tool to run by
 hand, not a test.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import gc
 import importlib
 import io
 import json
 import platform
+import pstats
 import resource
 import statistics
 import subprocess
@@ -48,6 +59,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +158,40 @@ def run_pairs(sides: dict, ops: int, pairs: int, tmp: Path) -> dict:
     return times
 
 
+class PhaseCalls:
+    """Stands in for perfbench's Tracer in run_unit: profiles each phase's
+    span and adds its call count up."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(PHASES[:3], 0)
+
+    @contextmanager
+    def span(self, name: str, op: str):
+        if name not in self.calls:  # a layer inside a phase, or the oracle
+            yield
+            return
+        prof = cProfile.Profile()
+        prof.enable()
+        try:
+            yield
+        finally:
+            prof.disable()
+            self.calls[name] += pstats.Stats(prof).total_calls
+
+
+def count_calls(sides: dict, ops: int, tmp: Path) -> dict:
+    """Per side and phase, the Python calls one untimed pass makes."""
+    counts = {}
+    for side, (api, wl) in sides.items():
+        tr = PhaseCalls()
+        for idx in range(ops):
+            for unit in wl.ops[idx]:
+                gc.collect()
+                run_unit(api, unit, tr, "op", tmp / f"work_{side}")
+        counts[side] = {**tr.calls, "op": sum(tr.calls.values())}
+    return counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -153,6 +199,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=list(WORKLOADS))
     ap.add_argument("--seed", type=int, default=41)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--calls", action="store_true",
+                    help="count each phase's Python calls in one more pass")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -179,6 +227,7 @@ def main(argv=None) -> int:
             raise SystemExit("the two revisions generate different inputs")
         ops = len(sources["parent"])
         times = run_pairs(sides, ops, args.pairs, tmp)
+        calls = count_calls(sides, ops, tmp) if args.calls else None
 
     result = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
@@ -190,10 +239,16 @@ def main(argv=None) -> int:
         "phases": {ph: summary(times["parent"][ph], times["change"][ph])
                    for ph in PHASES},
     }
+    if calls is not None:
+        result["calls"] = calls
     for ph, s in result["phases"].items():
         print(f"{args.workload} {ph}: change/parent {s['median_ratio']:.3f} "
               f"(quartiles {s['q1']:.3f}-{s['q3']:.3f}), change faster in "
               f"{s['change_wins']} of {s['pairs']}", file=sys.stderr)
+        if calls is not None:
+            a, b = calls["parent"][ph], calls["change"][ph]
+            print(f"{args.workload} {ph}: Python calls {a:,} -> {b:,} "
+                  f"({b / a:.3f})", file=sys.stderr)
     text = json.dumps(result, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
