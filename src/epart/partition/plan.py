@@ -48,10 +48,6 @@ class PartitionPlan:
     trusted_image: ImageSpec | None      # None: no enclave at all
     untrusted_image: ImageSpec
     annotations: dict[str, Annotation]   # every program class, declaration order
-    class_ids: dict[str, int] = field(init=False)  # stable ids for the wire format
-
-    def __post_init__(self) -> None:
-        self.class_ids = {name: i for i, name in enumerate(sorted(self.annotations))}
 
     def image(self, side: Annotation) -> ImageSpec | None:
         return self.trusted_image if side == Annotation.TRUSTED else self.untrusted_image

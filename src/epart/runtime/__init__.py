@@ -9,15 +9,15 @@ from .dual import (
     TraceEvent, run_reference, run_unpartitioned,
 )
 from .heap import (
-    TRUSTED, UNTRUSTED, Frame, GcStats, HeapObject, InstanceObj, Isolate,
-    ListObj, MetricCounters, ProxyObj,
+    TRUSTED, UNTRUSTED, Frame, GcStats, HeapObject, InstanceObj, ListObj,
+    MetricCounters, ProxyObj,
 )
-from .interp import Interpreter, wrap64
+from .interp import Isolate, wrap64
 
 __all__ = [
     "CostModel", "DEFAULT_GC_THRESHOLD", "DEFAULT_TRANSITION_CYCLES",
     "DualRuntime", "ExecutionResult", "Frame", "GcStats", "HeapObject",
-    "InstanceObj", "Interpreter", "Isolate", "ListObj",
+    "InstanceObj", "Isolate", "ListObj",
     "MAX_TRANSITION_DEPTH", "MetricCounters", "ProxyObj", "TRUSTED",
     "TraceEvent", "UNTRUSTED", "load_model", "parse_model", "run_main",
     "run_reference", "run_unpartitioned", "wrap64",

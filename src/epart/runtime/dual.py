@@ -1,17 +1,17 @@
 """Two-isolate execution of a partition plan.
 
-Each side runs its own interpreter over its own heap.  The unpartitioned
-baselines are plans too (see whole_program_plan): every class in the
-trusted image with the untrusted isolate only serving host shims, or every
-class in the untrusted image with no trusted isolate at all.  Every boundary
-crossing is a call of one relay through DualRuntime.cross: constructor and
-instance-method relays of annotated classes, the host shims __host__.print,
-__host__.file_write and __host__.file_read, and <Class>.release for a
-mirror whose proxy was swept.  The caller pays the ecall/ocall cost,
-arguments are billed at the length of their canonical wire encoding, and
-serialization is charged to whichever side sends them.  Transition framing
-(context and hash words) rides for free; unit responses carry no payload
-at all.  A runtime built with trace=True also keeps one TraceEvent per
+Each side is one Isolate, which holds its image's classes and its heap
+and evaluates on them.  The unpartitioned baselines are plans too (see
+whole_program_plan): every class in the trusted image with the untrusted
+isolate only serving host shims, or every class in the untrusted image
+with no trusted isolate at all.  Every boundary crossing is a call of one
+relay through DualRuntime.cross: constructor and instance-method relays of
+annotated classes, the host shims __host__.print, __host__.file_write and
+__host__.file_read, and <Class>.release for a mirror whose proxy was
+swept.  The caller pays the ecall/ocall cost, arguments are billed at the
+length of their canonical wire encoding, and serialization is charged to
+whichever side sends them.  Transition framing (context and hash words)
+rides for free; unit responses carry no payload at all.  A runtime built with trace=True also keeps one TraceEvent per
 crossing; without it a crossing does only the work it bills.
 
 Each relay an image serves is bound once, when the runtime is built: a
@@ -25,14 +25,13 @@ length of their encoding before the transition is billed, so a value that
 cannot cross fails first; wire.land builds the target's heap objects from
 the caller's values, after the mirror check, as decoding that encoding
 would; the result goes back the same way.  wire.py defines the format;
-this module keeps the landing policy the walks call back into: home_hash,
-resolve_href and decl_for.
+the isolates keep the landing policy the walks call back into.
 
 Object identity across the boundary is a 64-bit hash minted by an
-object's home isolate at first exposure.  The home side keeps the hash
-to mirror pairing in its registry (a strong GC root); the other side
-tracks its proxies weakly so a collection can report unreferenced
-hashes back, letting the home side drop the mirror.
+object's home isolate at first exposure (Isolate.home_hash).  The home
+side keeps the hash to mirror pairing in its registry (a strong GC root);
+the other side tracks its proxies weakly so a collection can report
+unreferenced hashes back, letting the home side drop the mirror.
 """
 
 from __future__ import annotations
@@ -42,18 +41,17 @@ from dataclasses import dataclass, field
 
 from ..dsl import ast
 from ..errors import (
-    DslRuntimeError, InterfaceMismatch, MarshalError, StaleMirror,
-    TransitionOverflow,
+    DslRuntimeError, InterfaceMismatch, StaleMirror, TransitionOverflow,
 )
 from ..partition.model import MarshalKind, RelayMethodDef
 from ..partition.plan import PartitionPlan, find_main, whole_program_plan
 from . import wire
 from .costmodel import CostModel
 from .heap import (
-    TRUSTED, UNTRUSTED, GcStats, HeapObject, InstanceObj, Isolate,
-    ListObj, MetricCounters, ProxyObj,
+    TRUSTED, UNTRUSTED, GcStats, HeapObject, InstanceObj, ListObj,
+    MetricCounters, ProxyObj,
 )
-from .interp import Interpreter, ensure_recursion_headroom
+from .interp import Isolate, ensure_recursion_headroom
 
 MAX_TRANSITION_DEPTH = 256
 DEFAULT_GC_THRESHOLD = 64 * 1024
@@ -130,24 +128,20 @@ class DualRuntime:
         # without an image serves none.
         self.relays: dict[str, dict[tuple[str, str], tuple]] = {
             side: {} for side in _SIDE_NAME.values()}
-        self.interps: dict[str, Interpreter] = {}
-        # Interpreters reach the runtime through a weak proxy, so a dropped
+        # Isolates reach the runtime through a weak proxy, so a dropped
         # runtime and its heaps are freed at once, not by the cyclic GC.
         context = weakref.proxy(self)
         for annotation, side in _SIDE_NAME.items():
             image = plan.image(annotation)
             if image is None:
                 continue
-            self.isolates[side] = Isolate(side, self.model)
-            interp = self.interps[side] = Interpreter(
-                self.isolates[side], image.classes, context)
+            iso = self.isolates[side] = Isolate(side, image.classes, context)
             served = self.relays[side]
             for r in image.relays:  # each made from a method of this image
-                decl = interp.classes[r.class_name]
-                method = interp.methods[r.class_name, r.method_name]
+                decl = iso.classes[r.class_name]
+                method = iso.methods[r.class_name, r.method_name]
                 served[r.class_name, r.method_name] = (
                     r, decl if method.is_constructor else (decl, method))
-        self.class_ids = plan.class_ids
         # side -> the isolate its crossings land on
         isolates = self.isolates
         self.peers = {TRUSTED: isolates[UNTRUSTED],
@@ -173,7 +167,7 @@ class DualRuntime:
             lst = ListObj([str(a) for a in (argv or [])])
             self.isolates[side].alloc(lst, charged=False)
             args = [lst]
-        self.interps[side].call_method(cls, m, None, args)
+        self.isolates[side].call_method(cls, m, None, args)
         return self.result()
 
     def result(self) -> ExecutionResult:
@@ -192,20 +186,20 @@ class DualRuntime:
 
     def construct(self, side: str, class_name: str, args: list, pin: bool = True):
         """Build an instance as code on `side` would: local or via proxy."""
-        obj = self.interps[side].new(class_name, list(args))
+        obj = self.isolates[side].new(class_name, list(args))
         if pin:
             self.pin(side, obj)
         return obj
 
     def call(self, side: str, receiver, method: str, args: list, pin: bool = True):
         """Invoke a method as code on `side` would."""
+        iso = self.isolates[side]
         if isinstance(receiver, ProxyObj):
-            result = self.remote_invoke(self.isolates[side], receiver,
-                                        method, list(args))
+            result = self.remote_invoke(iso, receiver, method, list(args))
         elif isinstance(receiver, InstanceObj):
-            decl, interp = receiver.decl, self.interps[side]
-            result = interp.call_method(
-                decl, interp.method(decl, method), receiver, list(args))
+            decl = receiver.decl
+            result = iso.call_method(decl, iso.method(decl, method), receiver,
+                                     list(args))
         else:
             raise TypeError(f"cannot call methods on {receiver!r}")
         if pin and isinstance(result, HeapObject):
@@ -235,42 +229,6 @@ class DualRuntime:
         iso = self.isolates[side]
         return {h for h, p in iso.proxy_table.items() if not p.swept}
 
-    # -- landing policy (wire.measure and wire.land call these) ---------------
-
-    def home_hash(self, iso: Isolate, obj: InstanceObj) -> int:
-        """The hash `iso` sends for one of its own objects: its pairing,
-        minted and registered on first exposure."""
-        h = iso.pair_hash.get(obj)
-        if h is None:
-            h = iso.mint_hash()
-            iso.registry[h] = obj
-            iso.pair_hash[obj] = h
-        return h
-
-    def decl_for(self, iso: Isolate, name: str) -> ast.ClassDecl:
-        """The class a neutral payload of class `name` lands as on `iso`."""
-        decl = self.interps[iso.side].classes.get(name)
-        if decl is None:
-            raise MarshalError(f"class {name} is not present in the "
-                               f"{iso.side} image")
-        return decl
-
-    def resolve_href(self, iso: Isolate, h: int, class_name: str):
-        """A hash arriving at `iso`: mirror lookup at home, proxy elsewhere."""
-        home = TRUSTED if (h >> 63) & 1 else UNTRUSTED
-        if home == iso.side:
-            obj = iso.registry.get(h)
-            if obj is None:
-                raise StaleMirror(h)
-            return obj
-        proxy = iso.proxy_table.get(h)
-        if proxy is not None and not proxy.swept:
-            return proxy
-        proxy = ProxyObj(class_name, h)
-        iso.alloc(proxy, charged=False)
-        iso.adopt_proxy(proxy)
-        return proxy
-
     # -- transitions ----------------------------------------------------------
 
     def cross(self, caller: Isolate, relay: RelayMethodDef, kind: str,
@@ -292,7 +250,7 @@ class DualRuntime:
             raise InterfaceMismatch(
                 f"{relay.relay_id} takes {len(relay.param_kinds)} "
                 f"argument(s), not {len(args)}")
-        request_bytes = wire.measure(args, caller, self)
+        request_bytes = wire.measure(args, caller)
         if self.depth >= MAX_TRANSITION_DEPTH:
             raise TransitionOverflow(
                 f"transition depth exceeded {MAX_TRANSITION_DEPTH} "
@@ -313,11 +271,11 @@ class DualRuntime:
         try:
             if hash_value and hash_value not in target.registry:
                 raise StaleMirror(hash_value)
-            values = wire.land(args, caller, target, self)
+            values = wire.land(args, caller, target)
             result, hash_out = serve(target, bound, hash_value, values)
             unit = relay.return_kind is _UNIT
             response_bytes = 0 if unit \
-                else wire.measure((result,), target, self)
+                else wire.measure((result,), target)
         except DslRuntimeError as e:
             e.trace.append(f"-- {relay.direction} boundary {relay.relay_id} --")
             raise
@@ -330,7 +288,7 @@ class DualRuntime:
                 event.hash_value = hash_out
         if unit:
             return None, hash_out
-        return wire.land((result,), target, caller, self)[0], hash_out
+        return wire.land((result,), target, caller)[0], hash_out
 
     def _relay(self, iso: Isolate, class_name: str, method_name: str):
         """(relay, bound): the relay the image across from iso serves for
@@ -355,10 +313,11 @@ class DualRuntime:
     def _new_mirror(self, target: Isolate, decl: ast.ClassDecl,
                     hash_value: int, values: list):
         """A constructor relay's body: build the object, register its hash."""
-        obj = self.interps[target.side].instantiate(decl, values)
-        h = target.mint_hash()
-        target.register_mirror(h, obj)
-        return None, h
+        obj = target.instantiate(decl, values)
+        # A constructor that sent `this` across paired it already; the
+        # proxy the caller gets is bound to a hash of its own.
+        target.pair_hash.pop(obj, None)
+        return None, target.home_hash(obj)
 
     def remote_invoke(self, iso: Isolate, proxy: ProxyObj, method_name: str,
                       args: list):
@@ -371,7 +330,7 @@ class DualRuntime:
                        hash_value: int, values: list):
         """An instance relay's body: the method on the hash's mirror."""
         decl, method = bound
-        return self.interps[target.side].call_method(
+        return target.call_method(
             decl, method, target.registry[hash_value], values), None
 
     def host_call(self, iso: Isolate, name: str, args: list):

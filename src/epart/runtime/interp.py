@@ -1,9 +1,23 @@
-"""Tree-walking evaluator for one isolate's image.
+"""One isolate: a side of a run, and the tree-walking evaluator over it.
 
-The interpreter is deliberately unaware of transitions: anything that crosses
-the isolate boundary (constructing through a proxy class, invoking a proxy
-object, any builtin but compute and gc, a collection) is delegated to a
-context object supplied by the surrounding runtime.
+An Isolate holds what its image needs at run time: the image's classes,
+the method table (ast.method_table's) and each class's layout (field
+defaults and constructor, kept from its first instantiation); its heap (a
+list of objects), its stack of frames, the mirror-proxy registry (strong
+GC roots) and the table of the proxies it created; and its event counts,
+which the cost model prices on read.  The proxy table does not keep its
+proxies alive: the collector does not trace it, and a proxy it sweeps
+stays in the table marked swept until a scan drops it.
+
+The isolate is unaware of transitions: anything that crosses the
+boundary (constructing through a proxy class, invoking a proxy object,
+any builtin but compute and gc, a collection) is delegated to its
+context, the runtime, which it reaches through a weak proxy.  Its side of
+object identity is its own: home_hash gives one of its objects the hash
+it is sent as, minted and registered on first exposure; resolve_href
+turns an arriving hash into its mirror or a proxy; decl_for names the
+class a neutral payload lands as.  wire.measure and wire.land call these,
+and send only values of the classes in annotations, the plan's table.
 
 Dispatch is by table: _EVAL and _EXEC map each ast node class to its
 handler, _BINARY each operator to its function.  Leaf operands skip the
@@ -13,20 +27,17 @@ return), and so is a call receiver that is a bound Var.  An unbound Var
 still goes through eval_var, for its fault.
 
 Nothing is priced here: a field access or list len/get/append adds one to
-the isolate's field_accesses, and the cost model prices counts on read.
-What is fixed for a run is worked out once: the method table,
-ast.method_table's, and each class's layout (field defaults and
-constructor), kept from its first instantiation.  A call reads a hit from
-the table itself and leaves a miss to method, which faults.
+field_accesses.  A call reads a hit from the method table itself and
+leaves a miss to method, which faults.
 
 Returns are values, not exceptions.  A statement handler returns None to
 fall through, or a one-element box (value,) for `return`; exec_block,
 exec_if and exec_while pass the box up unchanged and call_method unboxes
 it.  There is a safepoint after every statement that falls through and
 after every loop iteration, but none on the way out of a `return`.  The
-safepoint test is inline: the isolate's bytes_since_gc against the
-runtime's gc_threshold, read once.  The interpreter calls into the runtime
-only to collect.
+safepoint test is inline: bytes_since_gc against the runtime's
+gc_threshold, copied when the isolate is built; the evaluator calls into
+the runtime only to collect.
 
 Int arithmetic range-checks inline and calls wrap64 only on overflow.  Str
 `+` faults once its result would be longer than MAX_STR_CHARS.
@@ -46,8 +57,11 @@ import operator
 import sys
 
 from ..dsl import ast
-from ..errors import DslRuntimeError
-from .heap import UNSET, Frame, InstanceObj, Isolate, ListObj, ProxyObj
+from ..errors import DslRuntimeError, MarshalError, StaleMirror
+from .heap import (
+    SLOT_BYTES, TRUSTED, UNSET, UNTRUSTED, Frame, GcStats, HeapObject,
+    InstanceObj, ListObj, MetricCounters, ProxyObj,
+)
 
 MAX_FRAMES = 512
 
@@ -84,17 +98,192 @@ def render_value(v) -> str:
     raise DslRuntimeError(f"cannot print {v!r}")
 
 
-class Interpreter:
-    def __init__(self, isolate: Isolate, classes: list[ast.ClassDecl],
-                 context):
-        self.isolate = isolate
-        self.classes = {c.name: c for c in classes}
+class Isolate:
+    """One side of a run: its image's classes, heap, stack, registry and
+    event counts, and the evaluator over them."""
+
+    def __init__(self, side: str, classes: list[ast.ClassDecl], context):
+        """context is the runtime, through a weak proxy; its cost model, GC
+        threshold and plan annotations are read once, here."""
+        assert side in (TRUSTED, UNTRUSTED)
+        self.side = side
+        self.trusted = side == TRUSTED
         self.context = context
+        self.model = context.model
         self.gc_threshold = context.gc_threshold
+        self.annotations = context.plan.annotations
+        self.classes = {c.name: c for c in classes}
         self.methods = ast.method_table(self.classes)
         # class name -> (field defaults, List field names, constructor)
         self.layouts: dict[str, tuple[dict, tuple[str, ...],
                                       ast.MethodDecl | None]] = {}
+        self.heap: list[HeapObject] = []
+        self.frames: list[Frame] = []
+        # values the host API handed out; GC roots outside any frame.
+        self.pins: list = []
+        # hash -> mirror object; strong references, GC roots.
+        self.registry: dict[int, HeapObject] = {}
+        # mirror object -> hash, for reusing pairings on the return path.
+        self.pair_hash: dict[HeapObject, int] = {}
+        # hash -> each proxy this isolate created, in adoption order: proxy
+        # reuse looks here, the GC helper's scan drops the swept ones.  Not
+        # a GC root.
+        self.proxy_table: dict[int, ProxyObj] = {}
+        self.ecalls = 0
+        self.ocalls = 0
+        self.bytes_serialized = 0
+        self.allocations = 0
+        self.gc_runs = 0
+        self.field_accesses = 0
+        self.io_writes = 0
+        self.compute_units: dict[int, int] = {}  # units -> compute events
+        self.gc_bytes: dict[int, int] = {}  # bytes visited -> collections
+        self.hash_counter = 0
+        self.bytes_since_gc = 0
+        self.collections_since_scan = 0
+
+    @property
+    def cycles_by_source(self) -> dict[str, int]:
+        return self.model.price(self)
+
+    @property
+    def metrics(self) -> MetricCounters:
+        """A snapshot of the counters, computed from their sources on read."""
+        return self.counters(self.cycles_by_source)
+
+    def counters(self, by_source: dict[str, int]) -> MetricCounters:
+        return MetricCounters(
+            self.ecalls, self.ocalls, self.bytes_serialized, self.allocations,
+            self.gc_runs, by_source.get("gc", 0), len(self.registry),
+            sum(not p.swept for p in self.proxy_table.values()),
+            sum(by_source.values()))
+
+    def alloc(self, obj: HeapObject, charged: bool = True) -> HeapObject:
+        self.heap.append(obj)
+        self.bytes_since_gc += obj.size_bytes()
+        if charged:
+            self.allocations += 1
+        return obj
+
+    # -- boundary identity ----------------------------------------------------
+
+    def home_hash(self, obj: InstanceObj) -> int:
+        """The hash this isolate sends for one of its own objects: its
+        pairing, minted and registered on first exposure."""
+        h = self.pair_hash.get(obj)
+        if h is None:
+            self.hash_counter += 1
+            h = (1 << 63 if self.trusted else 0) | self.hash_counter
+            self.registry[h] = obj
+            self.pair_hash[obj] = h
+        return h
+
+    def remove_mirror(self, h: int) -> bool:
+        """Drop a registry entry; no-op when absent (removal is idempotent)."""
+        obj = self.registry.pop(h, None)
+        if obj is None:
+            return False
+        if self.pair_hash.get(obj) == h:
+            del self.pair_hash[obj]
+        return True
+
+    def resolve_href(self, h: int, class_name: str):
+        """A hash arriving here: its mirror when this is its home side (the
+        hash's top bit), else this isolate's live proxy for it or a new one."""
+        if h >> 63 == self.trusted:
+            obj = self.registry.get(h)
+            if obj is None:
+                raise StaleMirror(h)
+            return obj
+        proxy = self.proxy_table.get(h)
+        if proxy is not None and not proxy.swept:
+            return proxy
+        proxy = ProxyObj(class_name, h)
+        self.alloc(proxy, charged=False)
+        self.adopt_proxy(proxy)
+        return proxy
+
+    def adopt_proxy(self, proxy: ProxyObj) -> None:
+        """Track a proxy created in this isolate (new or rebound hash)."""
+        # A hash is only rebound once its old proxy is swept; the new proxy
+        # moves to the end of the adoption order.
+        self.proxy_table.pop(proxy.hash_value, None)
+        self.proxy_table[proxy.hash_value] = proxy
+
+    def decl_for(self, name: str) -> ast.ClassDecl:
+        """The class a neutral payload of class `name` lands as here."""
+        decl = self.classes.get(name)
+        if decl is None:
+            raise MarshalError(f"class {name} is not present in the "
+                               f"{self.side} image")
+        return decl
+
+    # -- garbage collection ---------------------------------------------------
+
+    def gc_collect(self) -> GcStats:
+        """Stop-the-world mark-sweep over this isolate's heap.
+
+        Roots: every frame's locals, receiver and evaluation temporaries, the
+        host's pins, plus the mirror-proxy registry values.  The proxy table
+        is deliberately not traced.
+        """
+        grey: list[HeapObject] = []
+
+        def push(v) -> None:
+            if isinstance(v, HeapObject) and not v.marked and not v.swept:
+                v.marked = True
+                grey.append(v)
+
+        for frame in self.frames:
+            push(frame.this)
+            for v in frame.env.values():
+                push(v)
+            for v in frame.temps:
+                push(v)
+        for v in self.pins:
+            push(v)
+        for v in self.registry.values():
+            push(v)
+
+        while grey:
+            obj = grey.pop()
+            if isinstance(obj, InstanceObj):
+                for v in obj.values.values():
+                    push(v)
+            elif isinstance(obj, ListObj):
+                for v in obj.items:
+                    push(v)
+
+        live: list[HeapObject] = []
+        swept_bytes = 0
+        live_bytes = 0
+        for obj in self.heap:
+            if obj.marked:
+                obj.marked = False
+                live.append(obj)
+                live_bytes += obj.size_bytes()
+            else:
+                obj.swept = True
+                swept_bytes += obj.size_bytes()
+        swept_objects = len(self.heap) - len(live)
+        self.heap = live
+
+        visited = swept_bytes + live_bytes
+        self.gc_runs += 1
+        self.gc_bytes[visited] = self.gc_bytes.get(visited, 0) + 1
+        self.bytes_since_gc = 0
+        self.collections_since_scan += 1
+        return GcStats(swept_objects, swept_bytes, len(live), live_bytes,
+                       self.model.gc_cycles(visited, self.trusted))
+
+    def pop_cleared_proxies(self) -> list[ProxyObj]:
+        """Drop the swept proxies from the table; returns them in adoption
+        order."""
+        cleared = [p for p in self.proxy_table.values() if p.swept]
+        if cleared:
+            self.proxy_table = {h: p for h, p in self.proxy_table.items()
+                                if not p.swept}
+        return cleared
 
     # -- entry points ------------------------------------------------------
 
@@ -109,7 +298,7 @@ class Interpreter:
         is built here, any other through its constructor relay."""
         decl = self.classes.get(class_name)
         if decl is None:
-            return self.context.remote_new(self.isolate, class_name, args)
+            return self.context.remote_new(self, class_name, args)
         return self.instantiate(decl, args)
 
     def instantiate(self, decl: ast.ClassDecl, args: list) -> InstanceObj:
@@ -118,13 +307,12 @@ class Interpreter:
             layout = self.layouts[decl.name] = _layout(
                 decl, self.methods.get((decl.name, decl.name)))
         defaults, list_fields, ctor = layout
-        iso = self.isolate
         obj = InstanceObj(decl, dict(defaults))
-        iso.alloc(obj)
+        self.alloc(obj)
         values = obj.values
         for name in list_fields:  # each List field gets its own empty list
             lst = ListObj()
-            iso.alloc(lst)
+            self.alloc(lst)
             values[name] = lst
         if ctor is not None:
             self.call_method(decl, ctor, obj, args)
@@ -132,7 +320,7 @@ class Interpreter:
 
     def call_method(self, decl: ast.ClassDecl, method: ast.MethodDecl,
                     this: InstanceObj | None, args: list):
-        frames = self.isolate.frames
+        frames = self.frames
         if len(frames) >= MAX_FRAMES:
             raise DslRuntimeError(f"call stack exhausted at {decl.name}.{method.name}")
         env = {}
@@ -162,13 +350,13 @@ class Interpreter:
 
     def exec_block(self, stmts: list[ast.Stmt], frame: Frame):
         """None when the block falls through, else the box of its return."""
-        iso, threshold = self.isolate, self.gc_threshold
+        threshold = self.gc_threshold
         for s in stmts:
             box = _EXEC[s.__class__](self, s, frame)
             if box is not None:
                 return box
-            if iso.bytes_since_gc >= threshold:
-                self.context.collect(iso, force_scan=False)
+            if self.bytes_since_gc >= threshold:
+                self.context.collect(self, force_scan=False)
         return None
 
     def exec_if(self, s: ast.If, frame: Frame):
@@ -179,7 +367,7 @@ class Interpreter:
         return self.exec_block(s.then_body if v else s.else_body, frame)
 
     def exec_while(self, s: ast.While, frame: Frame):
-        iso, threshold = self.isolate, self.gc_threshold
+        threshold = self.gc_threshold
         cond, body = s.cond, s.body
         test = _EVAL[cond.__class__]
         while True:
@@ -191,8 +379,8 @@ class Interpreter:
             box = self.exec_block(body, frame)
             if box is not None:
                 return box
-            if iso.bytes_since_gc >= threshold:
-                self.context.collect(iso, force_scan=False)
+            if self.bytes_since_gc >= threshold:
+                self.context.collect(self, force_scan=False)
 
     def exec_var_decl(self, s: ast.VarDecl, frame: Frame) -> None:
         init, env = s.init, frame.env
@@ -224,7 +412,7 @@ class Interpreter:
             if name not in values:  # a tampered image can name any field
                 raise DslRuntimeError(f"{this.decl.name} has no field {name}")
             values[name] = value
-            self.isolate.field_accesses += 1
+            self.field_accesses += 1
 
     def exec_expr(self, s: ast.ExprStmt, frame: Frame) -> None:
         e = s.expr
@@ -269,7 +457,7 @@ class Interpreter:
         if v is UNSET:
             raise DslRuntimeError(
                 f"field {this.decl.name}.{e.field_name} read before assignment")
-        self.isolate.field_accesses += 1
+        self.field_accesses += 1
         return v
 
     def eval_unary(self, e: ast.Unary, frame: Frame):
@@ -365,8 +553,8 @@ class Interpreter:
             if cls is ListObj:
                 return self.eval_list_method(receiver, e, args)
             if cls is ProxyObj:
-                return self.context.remote_invoke(self.isolate, receiver,
-                                                  e.method, args)
+                return self.context.remote_invoke(self, receiver, e.method,
+                                                  args)
             if cls is InstanceObj:
                 decl = receiver.decl
                 method = self.methods.get((decl.name, e.method)) \
@@ -377,25 +565,24 @@ class Interpreter:
             del temps[base:]
 
     def eval_list_method(self, lst: ListObj, e: ast.MethodCall, args: list):
-        iso = self.isolate
         if e.method == "len":
-            iso.field_accesses += 1
+            self.field_accesses += 1
             return len(lst.items)
         if e.method == "get":
             idx = args[0]
             if not 0 <= idx < len(lst.items):
                 raise DslRuntimeError(
                     f"list index {idx} out of range for length {len(lst.items)}")
-            iso.field_accesses += 1
+            self.field_accesses += 1
             return lst.items[idx]
         if e.method == "append":
-            iso.grow_list(lst, args[0])
-            iso.field_accesses += 1
+            lst.items.append(args[0])
+            self.bytes_since_gc += SLOT_BYTES
+            self.field_accesses += 1
             return None
         raise DslRuntimeError(f"lists have no method {e.method}")
 
     def eval_builtin(self, e: ast.BuiltinCall, frame: Frame):
-        iso = self.isolate
         base = len(frame.temps)
         args = self.eval_args(e.args, frame)
         try:
@@ -403,14 +590,15 @@ class Interpreter:
                 units = args[0]
                 if units < 0:
                     raise DslRuntimeError("compute of a negative unit count")
-                iso.compute_units[units] = iso.compute_units.get(units, 0) + 1
+                counts = self.compute_units
+                counts[units] = counts.get(units, 0) + 1
                 return None
             if e.name == "gc":
-                self.context.collect(iso, force_scan=True)
+                self.context.collect(self, force_scan=True)
                 return None
             if e.name == "print":
                 args[0] = render_value(args[0])
-            return self.context.host_call(iso, e.name, args)
+            return self.context.host_call(self, e.name, args)
         finally:
             del frame.temps[base:]
 
@@ -419,7 +607,7 @@ class Interpreter:
         values = self.eval_args(e.elements, frame)
         try:
             lst = ListObj(list(values))
-            self.isolate.alloc(lst)
+            self.alloc(lst)
             return lst
         finally:
             del frame.temps[base:]
@@ -513,16 +701,16 @@ _LITERALS = frozenset({ast.IntLit, ast.BoolLit, ast.StrLit})
 _VAR = ast.Var
 
 _EVAL = {
-    ast.IntLit: Interpreter.eval_literal, ast.BoolLit: Interpreter.eval_literal,
-    ast.StrLit: Interpreter.eval_literal, ast.Var: Interpreter.eval_var,
-    ast.This: Interpreter.eval_this, ast.FieldGet: Interpreter.eval_field,
-    ast.Unary: Interpreter.eval_unary, ast.Binary: Interpreter.eval_binary,
-    ast.New: Interpreter.eval_new, ast.MethodCall: Interpreter.eval_call,
-    ast.BuiltinCall: Interpreter.eval_builtin,
-    ast.ListLit: Interpreter.eval_list_lit,
+    ast.IntLit: Isolate.eval_literal, ast.BoolLit: Isolate.eval_literal,
+    ast.StrLit: Isolate.eval_literal, ast.Var: Isolate.eval_var,
+    ast.This: Isolate.eval_this, ast.FieldGet: Isolate.eval_field,
+    ast.Unary: Isolate.eval_unary, ast.Binary: Isolate.eval_binary,
+    ast.New: Isolate.eval_new, ast.MethodCall: Isolate.eval_call,
+    ast.BuiltinCall: Isolate.eval_builtin,
+    ast.ListLit: Isolate.eval_list_lit,
 }
 _EXEC = {
-    ast.If: Interpreter.exec_if, ast.While: Interpreter.exec_while,
-    ast.VarDecl: Interpreter.exec_var_decl, ast.Assign: Interpreter.exec_assign,
-    ast.ExprStmt: Interpreter.exec_expr, ast.Return: Interpreter.exec_return,
+    ast.If: Isolate.exec_if, ast.While: Isolate.exec_while,
+    ast.VarDecl: Isolate.exec_var_decl, ast.Assign: Isolate.exec_assign,
+    ast.ExprStmt: Isolate.exec_expr, ast.Return: Isolate.exec_return,
 }

@@ -23,26 +23,27 @@ probe times it.
 A crossing builds no bytes.  Both sides live in one process, so the
 runtime walks the live values (str, int, bool, None, ListObj, InstanceObj,
 ProxyObj) twice instead:
-  measure(values, iso, rt)      the length of their canonical encoding,
-                                which the crossing bills; it raises every
-                                fault encoding would and mints hashes in
-                                the same order
-  land(values, src, iso, rt)    what decoding that encoding on iso would
-                                build: Str, Int and Bool shared, a list
-                                allocated after its items and a neutral
-                                object before its fields, both uncharged
+  measure(values, iso)      the length of their canonical encoding, which
+                            the crossing bills; it raises every fault
+                            encoding would and mints hashes in the same
+                            order
+  land(values, src, iso)    what decoding that encoding on iso would
+                            build: Str, Int and Bool shared, a list
+                            allocated after its items and a neutral object
+                            before its fields, both uncharged
 Each walk sizes or shares a Str, Int, Bool or Unit among the arguments or
 a list's items in its own loop, without calling its helper (_size, _land)
 for it.
-The landing policy comes from the runtime `rt` they are given:
-  rt.class_ids                      class name -> wire class id; a value
-                                    of a class it lacks cannot cross
-  rt.home_hash(iso, obj)            the hash of a home object, minted on
-                                    first exposure
-  rt.resolve_href(iso, h, name)     what an arriving hash lands as
-  rt.decl_for(iso, name)            the neutral class a payload names
+The landing policy comes from the isolates (interp.Isolate):
+  iso.annotations               every class of the program; a value of a
+                                class it lacks cannot cross
+  iso.home_hash(obj)            the hash of a home object, minted on first
+                                exposure
+  iso.resolve_href(h, name)     what an arriving hash lands as
+  iso.decl_for(name)            the neutral class a payload names
 A neutral object is sent by value: a cycle through lists or neutral fields,
-or an unset field, cannot cross.
+or an unset field, cannot cross.  A class id on the wire numbers the
+program's classes in sorted name order.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ _CYCLIC = "cyclic value cannot cross the boundary"
 
 # -- runtime walks --------------------------------------------------------------
 
-def measure(values, iso, rt, path: set[int] | None = None) -> int:
+def measure(values, iso, path: set[int] | None = None) -> int:
     """The length of the canonical encoding of `values`, back to back, as
     `iso` sends them; mints the hashes of home objects first exposed.  A
     Str, Int, Bool or Unit is sized here, anything else by _size, which
@@ -120,20 +121,20 @@ def measure(values, iso, rt, path: set[int] | None = None) -> int:
         elif value is None:
             size += _UNIT_SIZE
         else:
-            size += _size(value, iso, rt, path)
+            size += _size(value, iso, path)
     return size
 
 
-def _size(value, iso, rt, path: set[int] | None) -> int:
+def _size(value, iso, path: set[int] | None) -> int:
     cls = value.__class__
     if cls is ProxyObj:
-        _check_class(rt, value.class_name)
+        _check_class(iso, value.class_name)
         return _HREF_SIZE
     if cls is InstanceObj:
         decl = value.decl
         if decl.annotation is not _NEUTRAL_CLASS:
-            _check_class(rt, decl.name)
-            rt.home_hash(iso, value)
+            _check_class(iso, decl.name)
+            iso.home_hash(value)
             return _HREF_SIZE
     elif cls is not ListObj:
         raise MarshalError(f"cannot marshal {value!r}")
@@ -144,9 +145,9 @@ def _size(value, iso, rt, path: set[int] | None) -> int:
         raise MarshalError(_CYCLIC)
     path.add(key)
     if cls is ListObj:
-        size = _HEAD_SIZE + measure(value.items, iso, rt, path)
+        size = _HEAD_SIZE + measure(value.items, iso, path)
     else:
-        _check_class(rt, decl.name)
+        _check_class(iso, decl.name)
         fields = value.values
         size = _NEUTRAL_SIZE
         for f in decl.fields:
@@ -154,7 +155,7 @@ def _size(value, iso, rt, path: set[int] | None) -> int:
             if v is UNSET:
                 raise MarshalError(f"unset field {decl.name}.{f.name} "
                                    "cannot cross the boundary")
-            size += measure((v,), iso, rt, path)
+            size += measure((v,), iso, path)
     path.discard(key)
     return size
 
@@ -167,35 +168,35 @@ def _utf8_len(s: str) -> int:
         raise MarshalError(f"Str is not UTF-8 text: {e.reason}") from None
 
 
-def _check_class(rt, name: str) -> None:
-    if name not in rt.class_ids:
+def _check_class(iso, name: str) -> None:
+    if name not in iso.annotations:
         raise MarshalError(f"unknown class {name}")
 
 
-def land(values, src, iso, rt) -> list:
+def land(values, src, iso) -> list:
     """`values`, which measure has walked on `src`, built on `iso`."""
     landed = [*values]  # Str, Int, Bool and Unit are shared
     for i, value in enumerate(values):
         cls = value.__class__
         if cls is ListObj or cls is ProxyObj or cls is InstanceObj:
-            landed[i] = _land(value, src, iso, rt)
+            landed[i] = _land(value, src, iso)
     return landed
 
 
-def _land(value, src, iso, rt):
+def _land(value, src, iso):
     cls = value.__class__
     if cls is ListObj:
-        lst = ListObj(land(value.items, src, iso, rt))
+        lst = ListObj(land(value.items, src, iso))
         iso.alloc(lst, charged=False)
         return lst
     if cls is ProxyObj:
-        return rt.resolve_href(iso, value.hash_value, value.class_name)
+        return iso.resolve_href(value.hash_value, value.class_name)
     if cls is not InstanceObj:  # Str, Int, Bool, Unit
         return value
     decl = value.decl
     if decl.annotation is not _NEUTRAL_CLASS:
-        return rt.resolve_href(iso, src.pair_hash[value], decl.name)
-    target = rt.decl_for(iso, decl.name)
+        return iso.resolve_href(src.pair_hash[value], decl.name)
+    target = iso.decl_for(decl.name)
     if len(decl.fields) != len(target.fields):
         raise MarshalError(f"{target.name} payload has {len(decl.fields)} "
                            f"fields, expected {len(target.fields)}")
@@ -203,7 +204,7 @@ def _land(value, src, iso, rt):
     iso.alloc(obj, charged=False)
     sent, fields = value.values, obj.values
     for f, g in zip(decl.fields, target.fields):
-        fields[g.name] = _land(sent[f.name], src, iso, rt)
+        fields[g.name] = _land(sent[f.name], src, iso)
     return obj
 
 

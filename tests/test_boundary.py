@@ -271,6 +271,55 @@ def test_a_relay_runs_the_method_the_method_table_names():
         "  at Main.main")
 
 
+# T's constructor sends `this` across before the constructor relay returns.
+LEAK_SRC = """@Untrusted
+class Box {
+    t: T;
+    Box() { }
+    keep(t: T) { this.t = t; }
+    poke() -> Int { return this.t.ping(); }
+}
+@Trusted
+class T {
+    T(b: Box) { b.keep(this); }
+    ping() -> Int { return 7; }
+}
+@Untrusted
+class Maker {
+    Maker() { }
+    make(b: Box) -> Int {
+        var t: T = new T(b);
+        return t.ping();
+    }
+}
+@Untrusted
+class Main {
+    static main() {
+        var b: Box = new Box();
+        print(new Maker().make(b));
+        gc();
+        print(b.poke());
+    }
+}
+"""
+
+
+def test_a_constructor_that_sends_this_across_pairs_it_twice():
+    """The constructor relay's result gets a hash of its own, whatever the
+    constructor sent: releasing the proxy `new` made leaves the mirror the
+    proxy Box kept still registered."""
+    res = DualRuntime(compute_images(parse_program(LEAK_SRC)),
+                      trace=True).run_main()
+    assert res.transcript == ["7", "7"]
+    assert [(ev.kind, ev.qualname, ev.hash_value) for ev in res.trace] == [
+        ("ctor", "T.T", 0x8000000000000002),
+        ("invoke", "Box.keep", 0x0000000000000001),
+        ("invoke", "T.ping", 0x8000000000000002),
+        ("remove", "T.release", 0x8000000000000002),
+        ("invoke", "T.ping", 0x8000000000000001)]
+    assert res.metrics[TRUSTED].mirror_registry_size == 1
+
+
 # -- marshalling faults -------------------------------------------------------
 
 FAULT_SRC = """@Neutral
@@ -410,15 +459,15 @@ class TestMarshalFaults:
         rt = DualRuntime(plan, trace=True)
         rt.construct(UNTRUSTED, "Sink", [])
         untrusted, trusted = rt.isolates[UNTRUSTED], rt.isolates[TRUSTED]
-        decl = rt.interps[UNTRUSTED].classes["Tag"]
+        decl = untrusted.classes["Tag"]
         sent = dataclasses.replace(decl, fields=[
             dataclasses.replace(decl.fields[0], name=f"n{i}")
             for i in range(fields)])
         tag = InstanceObj(sent, {f.name: 2 for f in sent.fields})
-        assert wire.measure([tag], untrusted, rt) == 9 + 9 * fields
+        assert wire.measure([tag], untrusted) == 9 + 9 * fields
         before, heap = caller_state(rt), list(trusted.heap)
         with pytest.raises(MarshalError) as exc:
-            wire.land([tag], untrusted, trusted, rt)
+            wire.land([tag], untrusted, trusted)
         assert str(exc.value) == message
         assert caller_state(rt) == before
         assert trusted.heap == heap and trusted.proxy_table == {}

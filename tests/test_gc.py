@@ -8,9 +8,7 @@ from epart.errors import EpartError
 from epart.partition import compute_images, whole_program_plan
 from epart.runtime import DEFAULT_GC_THRESHOLD, DualRuntime
 from epart.runtime.costmodel import CostModel
-from epart.runtime.heap import (
-    TRUSTED, UNTRUSTED, InstanceObj, Isolate,
-)
+from epart.runtime.heap import TRUSTED, UNTRUSTED, InstanceObj
 
 from test_partition import named
 
@@ -203,9 +201,9 @@ class Main {
 
 class TestMirrorPrimitives:
     def test_remove_mirror_idempotent(self, bank_plan):
-        iso = Isolate(TRUSTED, CostModel())
+        iso = DualRuntime(bank_plan).isolates[TRUSTED]
         obj = InstanceObj(named(bank_plan.trusted_image.classes, "Account"))
-        iso.register_mirror(0x8000000000000001, obj)
+        assert iso.home_hash(obj) == 0x8000000000000001
         assert iso.remove_mirror(0x8000000000000001) is True
         assert iso.remove_mirror(0x8000000000000001) is False
         assert iso.metrics.mirror_registry_size == 0

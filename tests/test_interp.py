@@ -83,6 +83,11 @@ def set_cond(program, kind, expr):
         node.cond = expr
 
 
+def set_attr(program, method, kind, attr, expr):
+    for node in nodes_in(program, method, kind):
+        setattr(node, attr, expr)
+
+
 def rename_var(program, old, new, method="main"):
     for node in nodes_in(program, method, ast.Var):
         if node.name == old:
@@ -178,6 +183,20 @@ class Flow {
     }
 }
 """
+
+# Static methods whose bodies the cases below give an instance-only node.
+CALC = """
+@Neutral
+class Calc {
+    static half(n: Int) -> Int { return n / 2; }
+    static keep(n: Int) -> Int {
+        var k: Int = n;
+        k = 3;
+        return k;
+    }
+}
+"""
+THIS_FIELD = ast.FieldGet(receiver=ast.This(), field_name="n")
 
 # Util gains the methods the unbound-variable cases call.
 UNBOUND = BOX.replace("static twice", """static add(a: Int, b: Int) -> Int { return a + b; }
@@ -300,6 +319,28 @@ CASES = {
         print(Util.twice(2));""", BOX),
         lambda p: rename_method(p, "twice", "thrice"),
         ["1"], "Util has no method twice"),
+    "this outside an instance method": (main_of("""
+        print(1);
+        print(Calc.half(4));""", CALC),
+        lambda p: set_attr(p, "half", ast.Binary, "left", ast.This()),
+        ["1"], "this outside an instance method"),
+    "field access outside an instance method": (main_of("""
+        print(1);
+        print(Calc.half(4));""", CALC),
+        lambda p: set_attr(p, "half", ast.Binary, "left", THIS_FIELD),
+        ["1"], "field access outside an instance method"),
+    "field assignment outside an instance method": (main_of("""
+        print(1);
+        print(Calc.keep(4));""", CALC),
+        lambda p: set_attr(p, "keep", ast.Assign, "target", THIS_FIELD),
+        ["1"], "field assignment outside an instance method"),
+    "a method call on an Int": (main_of("""
+        var b: Box = new Box(3);
+        print(1);
+        print(b.get());""", BOX),
+        lambda p: set_attr(p, "main", ast.MethodCall, "receiver",
+                           ast.IntLit(value=1)),
+        ["1"], "cannot call get on 1"),
     "list get out of range": (main_of("""
         var xs: List[Int] = [4, 5];
         xs.append(6);

@@ -33,7 +33,7 @@ from epart.partition.image import (
 from epart.partition.model import MarshalKind, relay_direction, stub_for
 from epart.partition.plan import PartitionPlan
 from epart.runtime import DualRuntime
-from epart.runtime.interp import Interpreter
+from epart.runtime import Isolate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -342,7 +342,6 @@ def _assert_roundtrip(plan, out_dir) -> None:
     assert (back_home.side, back_main_at) == (home.side, main_at)
     assert loaded.descriptor == plan.descriptor
     assert loaded.annotations == plan.annotations
-    assert loaded.class_ids == plan.class_ids
 
 
 class TestEmitLoad:
@@ -529,16 +528,16 @@ class Main {
         expected = (untampered.transcript, untampered.vfs,
                     untampered.total_cycles)
         blocks = 0
-        exec_block = Interpreter.exec_block
+        exec_block = Isolate.exec_block
 
-        def capped(interp, stmts, frame):
+        def capped(iso, stmts, frame):
             nonlocal blocks
             blocks += 1
             if blocks > 1000:
                 raise _RunsAway
-            return exec_block(interp, stmts, frame)
+            return exec_block(iso, stmts, frame)
 
-        monkeypatch.setattr(Interpreter, "exec_block", capped)
+        monkeypatch.setattr(Isolate, "exec_block", capped)
         outcomes: collections.Counter = collections.Counter()
         ran: collections.Counter = collections.Counter()
         tampered = None  # the one image file that differs from images

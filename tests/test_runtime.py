@@ -1092,3 +1092,42 @@ class Main {
 }
 """, model=CostModel(epc_penalty=1.25))
         assert res.cycles_by_source[TRUSTED] == {"alloc": 12, "compute": 4}
+
+
+class TestEnclaveBaselineIsTheReferencePricedAsTrusted:
+    """The enclave baseline runs what the reference runs, in the trusted
+    isolate, and adds one shim ocall per host call: on the fixtures and
+    progen seeds 0-29, under the default model."""
+
+    def test_identity(self):
+        model = CostModel()
+        sources = ([p.read_text(encoding="utf-8")
+                    for p in sorted(FIXTURES.glob("*.ep"))]
+                   + [generate_program(i) for i in range(30)])
+        shims = 0
+        for source in sources:
+            program = parse_program(source)
+            ref = DualRuntime(whole_program_plan(program, enclave=False)).run_main()
+            enc = DualRuntime(whole_program_plan(program, enclave=True),
+                              trace=True).run_main()
+            assert (enc.transcript, enc.vfs) == (ref.transcript, ref.vfs)
+            host, t, u = (ref.metrics[UNTRUSTED], enc.metrics[TRUSTED],
+                          enc.metrics[UNTRUSTED])
+            assert (t.allocations, t.gc_runs) == (host.allocations, host.gc_runs)
+            assert (u.allocations, u.gc_runs) == (0, 0)
+            was = ref.cycles_by_source[UNTRUSTED]
+            by_t, by_u = (enc.cycles_by_source[TRUSTED],
+                          enc.cycles_by_source[UNTRUSTED])
+            assert not was.keys() & {"transition", "serialize"}
+            # trusted memory-bound work costs the default EPC penalty, 4x
+            assert {s: c for s, c in by_t.items() if s in PENALIZED_SOURCES} \
+                == {s: 4 * c for s, c in was.items() if s in PENALIZED_SOURCES}
+            assert not by_u.keys() & PENALIZED_SOURCES
+            assert by_t.get("io", 0) + by_u.get("io", 0) == was.get("io", 0)
+            assert by_t.get("transition", 0) == enc.shim_ocalls * model.ocall_cost
+            assert "transition" not in by_u
+            assert {ev.kind for ev in enc.trace} <= {"shim"}
+            assert by_t.get("serialize", 0) + by_u.get("serialize", 0) == \
+                sum(ev.nbytes for ev in enc.trace) * model.serialize_per_byte
+            shims += enc.shim_ocalls
+        assert shims > len(sources)

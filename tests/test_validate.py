@@ -188,6 +188,16 @@ class TestTypes:
         assert assignable(untyped, untyped)
         assert not assignable(ast.TypeRef("List", ast.INT), untyped)
 
+    def test_a_list_field_without_an_element_type(self):
+        """The parser cannot build this type; a Program built from
+        constructors can, and it is the field's one violation."""
+        main = ast.MethodDecl("main", [], ast.UNIT, [], is_static=True)
+        field = ast.FieldDecl("xs", ast.TypeRef("List"))
+        built = ast.Program([ClassDecl("Main", ast.Annotation.UNTRUSTED,
+                                       [field], [main])])
+        assert [str(v) for v in validate(built).violations] == [
+            "TYPE_ERROR Main 0:0: List requires an element type"]
+
     def test_return_type_mismatch(self):
         src = """
 @Untrusted

@@ -103,10 +103,10 @@ class TestRoundTrip:
         encodings = [("int", -7), ("str", "h\u00e9llo"), ("bool", True),
                      wire.UNIT,
                      ("list", [("str", "a"), ("list", [("int", 1)])]),
-                     ("href", 1, rt.class_ids["Note"])]
-        assert wire.measure(values, untrusted, rt) == \
+                     ("href", 1, CLASS_IDS["Note"])]
+        assert wire.measure(values, untrusted) == \
             sum(len(wire.encode(v)) for v in encodings)
-        landed = wire.land(values, untrusted, trusted, rt)
+        landed = wire.land(values, untrusted, trusted)
         assert [describe(trusted, v) for v in landed] == [
             ("int", -7), ("str", "h\u00e9llo"), ("bool", True),
             ("NoneType", None),
@@ -296,13 +296,17 @@ def codec_plan():
     return compute_images(parse_program(CODEC_SRC))
 
 
+# A wire class id: the class's index among the program's sorted class names.
+CLASS_IDS = {name: i for i, name in enumerate(sorted(codec_plan().annotations))}
+
+
 def peers():
     """A runtime whose untrusted side holds two Notes, the first already
     paired with a hash, and a proxy to a trusted Safe."""
     rt = DualRuntime(codec_plan())
     untrusted = rt.isolates[UNTRUSTED]
     notes = [rt.construct(UNTRUSTED, "Note", []) for _ in range(2)]
-    rt.home_hash(untrusted, notes[0])
+    untrusted.home_hash(notes[0])
     return rt, notes, rt.construct(UNTRUSTED, "Safe", [])
 
 
@@ -310,7 +314,7 @@ def build(rt, notes, safe, shape, minted: dict):
     """(runtime value on the untrusted side, the wire tuple it stands for).
     `minted` predicts the hashes measure mints, in walk order."""
     kind = shape[0]
-    ids = rt.class_ids
+    ids = CLASS_IDS
     if kind in ("int", "bool", "str"):
         return shape[1], shape
     if kind == "unit":
@@ -327,7 +331,7 @@ def build(rt, notes, safe, shape, minted: dict):
         built = [build(rt, notes, safe, s, minted) for s in shape[1]]
         return (ListObj([v for v, _ in built]),
                 ("list", [wv for _, wv in built]))
-    decls = rt.interps[UNTRUSTED].classes
+    decls = rt.isolates[UNTRUSTED].classes
     if kind == "wrap":
         inner, inner_wv = build(rt, notes, safe, shape[1], minted)
         return (InstanceObj(decls["Wrap"], {"inner": inner}),
@@ -340,7 +344,7 @@ def build(rt, notes, safe, shape, minted: dict):
         ("list", [("str", t) for t in tags])])
 
 
-def materialize(rt, iso, wv):
+def materialize(iso, wv):
     """Land a wire tuple as decoding its bytes does: a list allocated after
     its items, a neutral object before its fields."""
     kind = wv[0]
@@ -348,19 +352,19 @@ def materialize(rt, iso, wv):
         return wv[1]
     if kind == "unit":
         return None
-    names = {i: name for name, i in rt.class_ids.items()}
+    names = sorted(CLASS_IDS)
     if kind == "href":
-        return rt.resolve_href(iso, wv[1], names[wv[2]])
+        return iso.resolve_href(wv[1], names[wv[2]])
     if kind == "list":
-        lst = ListObj([materialize(rt, iso, item) for item in wv[1]])
+        lst = ListObj([materialize(iso, item) for item in wv[1]])
         iso.alloc(lst, charged=False)
         return lst
     _, class_id, fields = wv
-    decl = rt.decl_for(iso, names[class_id])
+    decl = iso.decl_for(names[class_id])
     obj = InstanceObj(decl)
     iso.alloc(obj, charged=False)
     for f, fwv in zip(decl.fields, fields):
-        obj.values[f.name] = materialize(rt, iso, fwv)
+        obj.values[f.name] = materialize(iso, fwv)
     return obj
 
 
@@ -412,7 +416,7 @@ class TestRuntimeCodec:
         values = [v for v, _ in built]
         expected = [wv for _, wv in built]
         untrusted = rt.isolates[UNTRUSTED]
-        assert wire.measure(values, untrusted, rt) == \
+        assert wire.measure(values, untrusted) == \
             len(b"".join(wire.encode(wv) for wv in expected))
         # Hashes minted as predicted, in walk order across the arguments.
         assert {id(o): h for o, h in untrusted.pair_hash.items()} == \
@@ -424,8 +428,8 @@ class TestRuntimeCodec:
         trusted, ref_trusted = rt.isolates[TRUSTED], ref.isolates[TRUSTED]
         start = len(trusted.heap)
         assert len(ref_trusted.heap) == start
-        landed = wire.land(values, untrusted, trusted, rt)
-        ref_landed = [materialize(ref, ref_trusted, wv) for wv in expected]
+        landed = wire.land(values, untrusted, trusted)
+        ref_landed = [materialize(ref_trusted, wv) for wv in expected]
         assert [describe(trusted, v) for v in landed] == \
             [describe(ref_trusted, v) for v in ref_landed]
         assert [describe(trusted, o) for o in trusted.heap[start:]] == \
@@ -437,11 +441,11 @@ class TestRuntimeCodec:
         rt, notes, _ = peers()
         untrusted, trusted = rt.isolates[UNTRUSTED], rt.isolates[TRUSTED]
         values = [notes[1], notes[0], notes[1]]
-        note = rt.class_ids["Note"]
-        assert wire.measure(values, untrusted, rt) == \
+        note = CLASS_IDS["Note"]
+        assert wire.measure(values, untrusted) == \
             sum(len(wire.encode(("href", h, note))) for h in (2, 1, 2))
         assert untrusted.registry == {1: notes[0], 2: notes[1]}
-        landed = wire.land(values, untrusted, trusted, rt)
+        landed = wire.land(values, untrusted, trusted)
         assert [describe(trusted, p) for p in landed] == \
             [("proxy", "Note", h) for h in (2, 1, 2)]
         assert landed[0] is landed[2]

@@ -1,8 +1,8 @@
 """Run one tree of epart over a fixed set of programs and record, per run,
 everything a crossing can change; or compare two such records.
 
-    python3 benchruns/pr32/differential.py run TREE OUT.json
-    python3 benchruns/pr32/differential.py compare PARENT.json CHANGE.json
+    python3 tools/differential.py run TREE OUT.json
+    python3 tools/differential.py compare PARENT.json CHANGE.json
 
 `run` imports epart from TREE/src.  The inputs are every program of
 perfbench's four workloads at full size and seed 41 (built by this
@@ -18,6 +18,7 @@ each run's SHA-256 of that document, its trace line count and whether it
 faulted.
 
 `compare` prints the runs whose digests differ and exits 1 if any does.
+It is a tool to run by hand on two trees, not a test.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
-ROOT = Path(__file__).resolve().parents[2]
+ROOT = Path(__file__).resolve().parents[1]
 SEED = 41
 PROGEN_SEEDS = range(200)
 FIXTURES = ("bank", "every_node", "public_field")
