@@ -259,8 +259,8 @@ def method_table(classes: dict[str, ClassDecl]) -> dict[tuple[str, str],
                                                        MethodDecl]:
     """(class, method name) -> the first method of that name, the one a call
     runs, of each class keyed by name; a constructor is named as its class.
-    The interpreter, the checker and derive_interface all look methods up
-    here."""
+    Each runtime isolate, the checker and derive_interface all look methods
+    up here."""
     return {(c.name, m.name): m for c in classes.values()
             for m in reversed(c.methods)}
 

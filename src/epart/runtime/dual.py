@@ -11,8 +11,9 @@ __host__.file_read, and <Class>.release for a mirror whose proxy was
 swept.  The caller pays the ecall/ocall cost, arguments are billed at the
 length of their canonical wire encoding, and serialization is charged to
 whichever side sends them.  Transition framing (context and hash words)
-rides for free; unit responses carry no payload at all.  A runtime built with trace=True also keeps one TraceEvent per
-crossing; without it a crossing does only the work it bills.
+rides for free; unit responses carry no payload at all.  A runtime built
+with trace=True also keeps one TraceEvent per crossing; without it a
+crossing does only the work it bills.
 
 Each relay an image serves is bound once, when the runtime is built: a
 constructor relay to the class it builds, an instance relay to its class

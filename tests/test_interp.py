@@ -2,11 +2,12 @@
 
 Each case is a small program with the transcript it prints and the runtime
 error it stops with (None when it completes).  Faults the validator rules
-out statically (a non-Bool condition, a missing method) are reached by
-editing the AST after the plans are built, as a tampered or hand-built
-image would.  An unbound variable is reached that way too, and also from
-valid source: the validator's scope of a method spans its nested blocks,
-so a variable declared in a block that did not run can be read after it.
+out statically (a non-Bool condition, a missing method, `this` or a field
+in a static method, a call on an Int) are reached by editing the AST after
+the plans are built, as a tampered or hand-built image would.  An unbound
+variable is reached that way too, and also from valid source: the
+validator's scope of a method spans its nested blocks, so a variable
+declared in a block that did not run can be read after it.
 """
 
 import subprocess
@@ -334,7 +335,7 @@ CASES = {
         print(Calc.keep(4));""", CALC),
         lambda p: set_attr(p, "keep", ast.Assign, "target", THIS_FIELD),
         ["1"], "field assignment outside an instance method"),
-    "a method call on an Int": (main_of("""
+    "cannot call get on 1": (main_of("""
         var b: Box = new Box(3);
         print(1);
         print(b.get());""", BOX),
