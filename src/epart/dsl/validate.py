@@ -3,8 +3,8 @@
 One walk of the program resolves every name and call; it dispatches on
 each node's class through the _CHECK and _INFER tables.  resolve() returns
 both of its results: the report of rule violations and, for each method, the
-ordered set of (class, method) targets it calls, from which the partitioner
-builds its call graphs.  validate() returns only the report and never raises
+ordered set of (class, method) targets it calls, which the partitioner
+walks from main.  validate() returns only the report and never raises
 on program content; analyze_calls() returns only the calls and raises when
 the program does not validate.
 

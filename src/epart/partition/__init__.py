@@ -1,6 +1,6 @@
-"""Partitioner: proxies, relays, call-graph pruning, image emission."""
+"""Partitioner: proxies, relays, pruning from main, image emission."""
 
-from .callgraph import CONCRETE, PROXY, CallGraph, Node, build_call_graph, reachable_set
+from .callgraph import CONCRETE, PROXY, CallGraph, Node, build_call_graph
 from .emit import (
     INTERFACE_FILE, TRUSTED_IMG, UNTRUSTED_IMG, emit, load_plan, render_interface,
 )
@@ -11,7 +11,7 @@ from .plan import (
 )
 
 __all__ = [
-    "CONCRETE", "PROXY", "CallGraph", "Node", "build_call_graph", "reachable_set",
+    "CONCRETE", "PROXY", "CallGraph", "Node", "build_call_graph",
     "INTERFACE_FILE", "TRUSTED_IMG", "UNTRUSTED_IMG", "emit",
     "load_plan", "render_interface",
     "MarshalKind", "RelayMethodDef", "classify", "relay_direction",

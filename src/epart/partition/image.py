@@ -9,8 +9,9 @@ version) is a u32 index into it, so each distinct string is stored and
 decoded once, as in a class file's constant pool.  A proxy is a class record
 too: its class's name and annotation, no fields, and its stubs as methods
 with empty bodies, so one reader decodes both.  Nothing else is stored: the
-relays are derive_interface's (plan.py), the wire's class ids are
-PartitionPlan's, so an image holds no second copy of a fact to check.
+relays are derive_interface's (plan.py), and a class id on the wire numbers
+the annotation table's names in sorted order (runtime/wire.py), so an image
+holds no second copy of a fact to check.
 
 The layout is written down twice.  The writer is generated: a record is its
 fields in dataclass order, each by the writer its type annotation names in
@@ -41,7 +42,9 @@ One encoding per value: a flag byte (a bool, or the presence of a list
 element type or an optional value) is 0 or 1, a code byte names one of its
 values, method flags are at most 3, a method is flagged a constructor
 exactly when it is named as its class, an operator or builtin is one the
-language has and the annotation table names a class once.  The string table
+language has and the annotation table names a class once.  As in source, a
+record names each of its fields and methods once, and a method each of its
+parameters (_get_named, with the parser's words).  The string table
 has one encoding too: its entries are distinct, each is used, and they are
 in the order of their first use in the body; an index within the table is
 checked at its first read (_Table.__missing__).  Anything else is a
@@ -310,6 +313,21 @@ def _get_items(data: bytes, pos: int, t: _Table, get) -> tuple[list, int]:
     return items, pos
 
 
+def _get_named(data: bytes, pos: int, t: _Table, get, what: str,
+               where: str = "") -> tuple[list, int]:
+    """_get_items for records with a name, which none may repeat: a repeat
+    is the parser's error, `{what} NAME declared twice{where}`."""
+    count = _u32(data, pos)[0]
+    pos += 4
+    items = {}
+    for _ in range(count):
+        item, pos = get(data, pos, t)
+        if item.name in items:
+            raise FormatError(f"{what} {item.name} declared twice{where}")
+        items[item.name] = item
+    return list(items.values()), pos
+
+
 # Names a node may hold: a decoded name is one the language has, so the
 # interpreter never meets another.
 _UNARY_OPS = {"-": "-"}
@@ -508,7 +526,7 @@ def _get_field(data: bytes, pos: int, t: _Table) -> tuple[FieldDecl, int]:
 
 def _get_method(data: bytes, pos: int, t: _Table) -> tuple[MethodDecl, int]:
     name = t[_u32(data, pos)[0]]
-    params, pos = _get_items(data, pos + 4, t, _get_param)
+    params, pos = _get_named(data, pos + 4, t, _get_param, "parameter")
     ret, pos = _get_type(data, pos, t)
     flags = data[pos]
     if flags > 3:
@@ -528,8 +546,9 @@ def _get_annotation(data: bytes, pos: int) -> tuple[Annotation, int]:
 def _get_class(data: bytes, pos: int, t: _Table) -> tuple[ClassDecl, int]:
     name = t[_u32(data, pos)[0]]
     annotation, pos = _get_annotation(data, pos + 4)
-    fields, pos = _get_items(data, pos, t, _get_field)
-    methods, pos = _get_items(data, pos, t, _get_method)
+    where = f" in {name}"
+    fields, pos = _get_named(data, pos, t, _get_field, "field", where)
+    methods, pos = _get_named(data, pos, t, _get_method, "method", where)
     for m in methods:  # the parser's rule: a constructor is named as its class
         if m.is_constructor != (m.name == name):
             raise FormatError(f"the constructor flag of {name}.{m.name} "

@@ -1,18 +1,17 @@
 """Partition plan computation: class placement, pruning, interface records.
 
-The plan is computed by one worklist walk that starts at main in the
-untrusted image and follows both images' call edges.  Reaching a proxy stub
-(PROXY, C, m) in one image keeps relay C.m and continues the walk at
-(CONCRETE, C, m) in the image of C's annotation, so every kept relay is
-reached from main.  Each image then keeps its reached methods and proxy
-stubs, and the neutral classes needed to decode payload types.
+The plan is computed by one worklist walk over the checker's resolved calls
+(dsl.validate.resolve), by (side, (class, method)), from main in the
+untrusted image.  A callee whose class is annotated neither for the current
+side nor @Neutral is a proxy stub that side keeps, and the walk goes on at
+the callee's home side, so every kept relay is reached from main; any
+other callee runs on the current side.  Each image then keeps the methods
+it runs and its proxy stubs, and the neutral classes needed to decode
+payload types.
 
 An image's relays follow from the other image's proxies: derive_interface
 checks each proxy and makes them, so no image stores them.  find_main
 locates main.
-
-One validation walk resolves every call, and each image's call-graph edges
-are built from it once.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from dataclasses import dataclass, field
 from ..dsl.ast import (
     Annotation, ClassDecl, MethodDecl, Program, TypeRef, method_table,
 )
-from ..dsl.validate import resolve, validate
+from ..dsl.validate import CallTarget, resolve, validate
 from ..errors import InterfaceMismatch, ValidationFailed
-from . import callgraph
-from .callgraph import CONCRETE, PROXY, Node
 from .model import RelayMethodDef, annotation_map, relay_for, stub_for
 
 
@@ -86,40 +83,40 @@ def compute_images(program: Program) -> PartitionPlan:
     annotations = annotation_map(program)
     classes = {c.name: c for c in program.classes}
     sides = (Annotation.TRUSTED, Annotation.UNTRUSTED)
-    edges = {side: callgraph.image_edges(program, side, calls) for side in sides}
-    reached: dict[Annotation, set[Node]] = {side: set() for side in sides}
+    runs: dict[Annotation, set[CallTarget]] = {side: set() for side in sides}
+    stubs: dict[Annotation, set[CallTarget]] = {side: set() for side in sides}
     main_cls, main = program.main_location()
-    work = [(Annotation.UNTRUSTED, (CONCRETE, main_cls.name, main.name))]
+    work = [(Annotation.UNTRUSTED, (main_cls.name, main.name))]
     while work:
-        side, node = work.pop()
-        seen = reached[side]
-        if node in seen:
+        side, target = work.pop()
+        if target in runs[side]:
             continue
-        seen.add(node)
-        kind, cname, mname = node
-        if kind == PROXY:  # relay cname.mname is kept; its body runs at home
-            work.append((annotations[cname], (CONCRETE, cname, mname)))
-        else:
-            work += [(side, succ) for succ in edges[side][node] if succ not in seen]
+        runs[side].add(target)
+        for callee in calls[target]:
+            home = annotations[callee[0]]
+            if home in (side, Annotation.NEUTRAL):
+                work.append((side, callee))
+            else:  # a stub of side: its relay is kept, its body runs at home
+                stubs[side].add(callee)
+                work.append((home, callee))
 
     def build_image(side: Annotation) -> ImageSpec:
-        """The image of side, cut from its reached nodes."""
+        """The image of side: the methods it runs and the stubs it keeps."""
         spec = ImageSpec(side)
-        reachable = reached[side]
+        ran, kept_stubs = runs[side], stubs[side]
         kept: dict[str, ClassDecl] = {}
         names: set[str] = set()  # classes the stubs' signatures name
         for cls in program.classes:
             if cls.annotation not in (side, Annotation.NEUTRAL):
-                stubs = [m for m in cls.methods
-                         if (PROXY, cls.name, m.name) in reachable]
-                if stubs:
+                proxied = [m for m in cls.methods
+                           if (cls.name, m.name) in kept_stubs]
+                if proxied:
                     spec.proxies.append(ClassDecl(cls.name, cls.annotation, [],
-                                                  [stub_for(m) for m in stubs]))
-                    for m in stubs:
+                                                  [stub_for(m) for m in proxied]))
+                    for m in proxied:
                         names |= _signature_refs(m)
                 continue
-            methods = [m for m in cls.methods
-                       if (CONCRETE, cls.name, m.name) in reachable]
+            methods = [m for m in cls.methods if (cls.name, m.name) in ran]
             if methods:
                 kept[cls.name] = ClassDecl(cls.name, cls.annotation,
                                            cls.fields, methods)
@@ -141,8 +138,7 @@ def compute_images(program: Program) -> PartitionPlan:
                 if name in kept or annotations[name] != Annotation.NEUTRAL:
                     continue
                 decl = classes[name]
-                methods = [m for m in decl.methods
-                           if (CONCRETE, name, m.name) in reachable]
+                methods = [m for m in decl.methods if (name, m.name) in ran]
                 kept[name] = ClassDecl(name, decl.annotation, decl.fields, methods)
                 pending.append(referenced(kept[name]))
 

@@ -627,6 +627,40 @@ class Main {
         assert self._bad_plan(tmp_path, capsys) == (
             "bad plan: class Account has two records in the image\n")
 
+    @pytest.mark.parametrize("member, reason", [
+        ("method", "method updateBalance declared twice in Account"),
+        ("field", "field owner declared twice in Account"),
+        ("parameter", "parameter s declared twice"),
+    ], ids=["method", "field", "parameter"])
+    def test_a_member_named_twice_in_a_record_is_a_bad_plan(
+            self, bank_program, tmp_path, capsys, member, reason):
+        """trusted.img's Account repeats updateBalance with an empty body,
+        or its field owner, or its constructor names both parameters s: the
+        parser's errors for such source.  Before the decoder refused them,
+        the repeated method was dead bytes an edit could change unseen, and
+        a repeated field still counted in object sizes.  The one stderr
+        line is all there is: no traceback."""
+        plan = compute_images(bank_program)
+        classes = plan.trusted_image.classes
+        account = named(classes, "Account")
+        if member == "method":
+            method = account.method("updateBalance")
+            changed = dataclasses.replace(account, methods=[
+                *account.methods, dataclasses.replace(method, body=[])])
+        elif member == "field":
+            changed = dataclasses.replace(
+                account, fields=[*account.fields, account.fields[0]])
+        else:
+            ctor = account.method("Account")
+            params = [ctor.params[0], dataclasses.replace(
+                ctor.params[1], name=ctor.params[0].name)]
+            changed = dataclasses.replace(account, methods=[
+                dataclasses.replace(m, params=params) if m is ctor else m
+                for m in account.methods])
+        classes[classes.index(account)] = changed
+        emit(plan, tmp_path)
+        assert self._bad_plan(tmp_path, capsys) == f"bad plan: {reason}\n"
+
     def test_an_emitted_enclave_baseline_loads(self, bank_program, tmp_path, capsys):
         """whole_program_plan(enclave=True) puts @Untrusted classes in the
         trusted image on purpose."""

@@ -214,6 +214,53 @@ class Main {
                      for s in named(plan.untrusted_image.proxies, "T").methods}
         assert new_stubs == base_stubs | {"quiet"}
 
+    NEUTRAL_BOTH_SIDES_SRC = """
+@Trusted
+class T {
+    T() { }
+    g() -> Int { return 1; }
+}
+@Neutral
+class N {
+    static f(t: T) -> Int { return t.g(); }
+}
+@Trusted
+class D {
+    D() { }
+    run(t: T) -> Int { return N.f(t); }
+}
+@Untrusted
+class Main {
+    static main() {
+        var t: T = new T();
+        var d: D = new D();
+        print(N.f(t));
+        print(d.run(t));
+    }
+}
+"""
+
+    def test_a_neutral_method_reached_from_both_sides_runs_in_both(
+            self, tmp_path, capsys):
+        """N.f runs on the host, from main, and in the enclave, from D.run.
+        The walk keys what it reached by side too, so reaching N.f in one
+        image does not stop it there in the other, and T.g stays concrete
+        in the trusted image and a stub in the untrusted one."""
+        plan = plan_of(self.NEUTRAL_BOTH_SIDES_SRC)
+        t, u = plan.trusted_image, plan.untrusted_image
+        assert [c.name for c in t.classes] == ["T", "N", "D"]
+        assert t.proxies == []
+        assert [c.name for c in u.classes] == ["N", "Main"]
+        assert [(p.name, [s.name for s in p.methods]) for p in u.proxies] == [
+            ("T", ["T", "g"]), ("D", ["D", "run"])]
+        assert [r.render() for r in plan.descriptor] == [
+            "ecall D.D() -> unit", "ecall D.run(href) -> prim",
+            "ecall T.T() -> unit", "ecall T.g() -> prim"]
+        src = tmp_path / "both.ep"
+        src.write_text(self.NEUTRAL_BOTH_SIDES_SRC)
+        assert main(["compare", str(src)]) == 0
+        assert capsys.readouterr().out.startswith("PASS: 2 transcript line(s)")
+
 
 CYCLE_SRC = """
 @Trusted

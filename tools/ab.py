@@ -30,10 +30,19 @@ separate-process runs of perfbench/run.py for those.
 With --calls, one more pass follows the timed pairs: every operation
 runs once more on each side, untimed, with each phase under its own
 cProfile profiler, which counts every Python function call and builtin
-call the phase makes.  A count is not a time: it does not move with the
+call the phase makes.  One-time work both copies share (a raised
+recursion limit, a compiled re pattern) is done in the untimed first
+pair, before either side is counted.  A phase's count is the sum of the
+profiler's raw entries (Profile.getstats), one per code object or
+builtin, not pstats' total: pstats keys entries by (file, line, name), so
+the generated __init__ or __eq__ of every dataclass, all labelled
+<string>, collapse into one entry, and which survives depended on where
+each copy's code lay in memory.  So a tree counted against itself reads
+the same on both sides.  A count is not a time: it does not move with the
 host's load, so it shows whether a change removed work where time ratios
 of a few percent are within noise, but it does not weigh a call by its
-cost, and the profiler itself slows each call.
+cost, and the profiler itself slows each call.  Counts made before the
+raw-entry sum (benchruns/pr34 and earlier) are lower and not comparable.
 
 The JSON (to FILE, or stdout) holds, per phase, each pair's ratio and
 times, the median ratio, its quartiles and the pairs the change won, and
@@ -51,7 +60,6 @@ import importlib
 import io
 import json
 import platform
-import pstats
 import resource
 import statistics
 import subprocess
@@ -176,7 +184,7 @@ class PhaseCalls:
             yield
         finally:
             prof.disable()
-            self.calls[name] += pstats.Stats(prof).total_calls
+            self.calls[name] += sum(e.callcount for e in prof.getstats())
 
 
 def count_calls(sides: dict, ops: int, tmp: Path) -> dict:

@@ -8,7 +8,10 @@ DIR/src/epart, then compares the lines it saw with every line that
 compiles to code in those files.  It prints the unreached-line count per
 file, most first, and the total; --list also prints each unreached line.
 DIR defaults to the checkout this script sits in, so the same script can
-count another checkout.  coverage.py is not needed.
+count another checkout.  coverage.py is not needed.  Each file's source
+is read, and its lines compiled, before the suite starts, so the count and
+--list describe the files as they were then, even if one is edited while
+the suite runs; the suite itself imports them a moment later.
 
 The tracer makes the suite about four times slower, so this is a tool to
 run by hand, not part of the test suite.  Code that tests run in a child
@@ -25,10 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def executable_lines(path: Path) -> set[int]:
-    """Every line number some code object compiled from path maps to."""
+def executable_lines(path: Path, source: str) -> set[int]:
+    """Every line number some code object compiled from path's source maps
+    to."""
     lines: set[int] = set()
-    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    todo = [compile(source, str(path), "exec")]
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines() if line is not None)
@@ -77,12 +81,17 @@ def main(argv=None) -> int:
                     help="print every unreached line")
     args = ap.parse_args(argv)
     root = args.root.resolve()
+    # Read before the suite runs, so an edit made meanwhile shifts no line.
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted((root / "src" / "epart").rglob("*.py"))}
+    lines = {path: executable_lines(path, text)
+             for path, text in sources.items()}
     code, hits = trace_suite(root)
 
     per_file = []
-    for path in sorted((root / "src" / "epart").rglob("*.py")):
+    for path, executable in lines.items():
         seen = {line for name, line in hits if name == str(path)}
-        missed = sorted(executable_lines(path) - seen)
+        missed = sorted(executable - seen)
         if missed:
             per_file.append((path, missed))
     per_file.sort(key=lambda item: -len(item[1]))
@@ -93,7 +102,7 @@ def main(argv=None) -> int:
           f"(pytest exit code {code})")
     if args.list:
         for path, missed in per_file:
-            source = path.read_text(encoding="utf-8").splitlines()
+            source = sources[path].splitlines()
             for line in missed:
                 print(f"{path.relative_to(root)}:{line}: {source[line - 1].strip()}")
     return 0
