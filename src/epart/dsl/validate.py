@@ -65,8 +65,9 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-# A call target, keyed the same way call-graph nodes are.  Constructors use the
-# class name as the method name (the DSL spells them that way).
+# A call target, (class, method), as the partition walk keys methods.
+# Constructors use the class name as the method name (the DSL spells them
+# that way).
 CallTarget = tuple[str, str]
 
 

@@ -314,18 +314,23 @@ def _get_items(data: bytes, pos: int, t: _Table, get) -> tuple[list, int]:
 
 
 def _get_named(data: bytes, pos: int, t: _Table, get, what: str,
-               where: str = "") -> tuple[list, int]:
+               owner: str | None = None) -> tuple[list, int]:
     """_get_items for records with a name, which none may repeat: a repeat
-    is the parser's error, `{what} NAME declared twice{where}`."""
+    is the parser's error, `{what} NAME declared twice[ in {owner}]`.  The
+    names key a dict as they are read; an empty list makes none."""
     count = _u32(data, pos)[0]
     pos += 4
+    if not count:
+        return [], pos
     items = {}
     for _ in range(count):
         item, pos = get(data, pos, t)
-        if item.name in items:
-            raise FormatError(f"{what} {item.name} declared twice{where}")
-        items[item.name] = item
-    return list(items.values()), pos
+        key = item.name
+        if key in items:
+            raise FormatError(f"{what} {key} declared twice"
+                              + ("" if owner is None else f" in {owner}"))
+        items[key] = item
+    return [*items.values()], pos
 
 
 # Names a node may hold: a decoded name is one the language has, so the
@@ -546,9 +551,8 @@ def _get_annotation(data: bytes, pos: int) -> tuple[Annotation, int]:
 def _get_class(data: bytes, pos: int, t: _Table) -> tuple[ClassDecl, int]:
     name = t[_u32(data, pos)[0]]
     annotation, pos = _get_annotation(data, pos + 4)
-    where = f" in {name}"
-    fields, pos = _get_named(data, pos, t, _get_field, "field", where)
-    methods, pos = _get_named(data, pos, t, _get_method, "method", where)
+    fields, pos = _get_named(data, pos, t, _get_field, "field", name)
+    methods, pos = _get_named(data, pos, t, _get_method, "method", name)
     for m in methods:  # the parser's rule: a constructor is named as its class
         if m.is_constructor != (m.name == name):
             raise FormatError(f"the constructor flag of {name}.{m.name} "
