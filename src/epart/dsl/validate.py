@@ -65,9 +65,8 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-# A call target, (class, method), as the partition walk keys methods.
-# Constructors use the class name as the method name (the DSL spells them
-# that way).
+# A call target: (class, method), as the partition walk keys methods.  A
+# constructor's method name is its class name, as the DSL spells it.
 CallTarget = tuple[str, str]
 
 

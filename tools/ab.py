@@ -41,8 +41,8 @@ each copy's code lay in memory.  So a tree counted against itself reads
 the same on both sides.  A count is not a time: it does not move with the
 host's load, so it shows whether a change removed work where time ratios
 of a few percent are within noise, but it does not weigh a call by its
-cost, and the profiler itself slows each call.  Counts made before the
-raw-entry sum (benchruns/pr34 and earlier) are lower and not comparable.
+cost, and the profiler itself slows each call.  Counts recorded with
+pstats' total are lower and not comparable.
 
 The JSON (to FILE, or stdout) holds, per phase, each pair's ratio and
 times, the median ratio, its quartiles and the pairs the change won, and

@@ -81,7 +81,6 @@ def main(argv=None) -> int:
                     help="print every unreached line")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    # Read before the suite runs, so an edit made meanwhile shifts no line.
     sources = {path: path.read_text(encoding="utf-8")
                for path in sorted((root / "src" / "epart").rglob("*.py"))}
     lines = {path: executable_lines(path, text)
